@@ -12,12 +12,10 @@ square-zero-coderivation formulation on the suspended pair and compares it
 instance by instance against the direct unshuffle relations.
 """
 
-import random
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Echelon, Matrix, _rref
-from .signs import perm_sign
+from .linalg import Echelon, solve
 
 
 # ---------------------------------------------------------------------------
@@ -39,12 +37,6 @@ class GradedPair:
     def ungraded(cls, n_closed, n_open):
         return cls([(f"x{i}", 0) for i in range(1, n_closed + 1)],
                    [(f"a{i}", 0) for i in range(1, n_open + 1)])
-
-    def closed_degree(self, i):
-        return self.closed[i][1]
-
-    def open_degree(self, i):
-        return self.open[i][1]
 
 
 def merge_sign(left, right, degrees):
@@ -163,14 +155,10 @@ class FreeAlgebra:
         target = [Fraction(0)] * len(index)
         for tw, c in tensor_vec.items():
             target[index[tw]] = c
-        rows = [[cols[j][i] for j in range(len(words))] + [target[i]]
-                for i in range(len(index))]
-        pivots = _rref(rows)
-        sol = [Fraction(0)] * len(words)
-        for r, p in enumerate(pivots):
-            assert p != len(words), "element outside the free Lie algebra"
-            sol[p] = rows[r][len(words)]
-        return {words[j]: c for j, c in zip(range(len(words)), sol) if c}
+        rows = [[col[i] for col in cols] for i in range(len(index))]
+        sol = solve(rows, target)
+        assert sol is not None, "element outside the free Lie algebra"
+        return {word: c for word, c in zip(words, sol) if c}
 
     def closed_basis(self, weight):
         if self.tag == "LP":
@@ -194,15 +182,6 @@ class FreeAlgebra:
         comm = {k: v2 for k, v2 in comm.items() if v2}
         return {("lie", w): c
                 for w, c in self._lie_decompose(comm, wu + wv).items()}
-
-    def closed_product(self, x, y):
-        """Commutative product (Com-type tags)."""
-        assert self.tag != "LP"
-        _, mx = x
-        _, my = y
-        if len(mx) + len(my) > self.bound:
-            return {}
-        return {("com", tuple(sorted(mx + my))): Fraction(1)}
 
     # -- open side ----------------------------------------------------------
 
@@ -235,9 +214,6 @@ class FreeAlgebra:
                             if 1 <= total <= bound:
                                 self._open_by_weight[total].append(
                                     ("mw", m, w))
-
-    def open_basis(self, weight):
-        return self._open_by_weight.get(weight, [])
 
     def open_weight(self, x):
         if x[0] == "word":
@@ -278,11 +254,6 @@ class FreeAlgebra:
         if len(m) + len(x[2]) > self.bound:
             return {}
         return {("mw", m, x[2]): Fraction(1)}
-
-    def unit_map(self, i):
-        """f: V_c -> A for the unital tag."""
-        assert self.tag == "H0SC"
-        return {("mw", (i,), ()): Fraction(1)}
 
     def dims(self):
         return {("c", w): len(b) for w, b in self._closed_by_weight.items()} | \
@@ -589,18 +560,6 @@ def check_coderivation_laws(cofree, psi, phi, op_degree):
 
 def _clean(d):
     return {k: v for k, v in d.items() if v}
-
-
-def lift_coderivation(pair, psi, phi, closed_bound, open_bound,
-                      op_degree=-1):
-    """The lifted pair (psi-tilde, phi-tilde) on the cofree truncation.
-
-    Projection onto cogenerators recovers (psi, phi): the weight-1 component
-    of the lift is the input corestriction by construction.
-    """
-    cofree = CofreePair(pair, closed_bound, open_bound)
-    return cofree, lift_psi(cofree, psi, op_degree), \
-        lift_phi(cofree, psi, phi, op_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,15 +1032,6 @@ def _corestrict_mixed(vec):
     return _clean(out)
 
 
-def _lift_psi_on_mixed(d_l, m):
-    return list(d_l(m).items())
-
-
-def _g_of(phi, data, cofree, m, w):
-    val = phi.get((m, w))
-    return dict(val) if val else {}
-
-
 def _diff1_instance(data, psi, m):
     """Corestriction of D_L^2 on a multiset, evaluated by direct loops."""
     out = {}
@@ -1177,99 +1127,6 @@ def strict_pair_tensors(data_pair, bracket, mult, action):
                                {(0, 2): n02, (1, 1): n11})
 
 
-def semidirect_representation_checks(data, arity_bound, samples=20,
-                                     seed=11):
-    """rho(phi)f = f o phi is a representation by derivations.
-
-    Checked on random coderivation pairs: rho of a bracket is the graded
-    commutator of rhos, and rho(phi) derives the convolution bracket.
-    """
-    rng = random.Random(seed)
-    cofree = CofreePair(GradedPair(
-        [(n, d + 1) for (n, _), d in zip(data.pair.closed, data.cdeg)],
-        [(n, d + 1) for (n, _), d in zip(data.pair.open, data.odeg)]),
-        arity_bound, arity_bound)
-
-    def random_psi():
-        out = {}
-        for m in cofree.closed_basis:
-            if len(m) < 1 or rng.random() < 0.6:
-                continue
-            img = {}
-            for idx in range(len(cofree.cdeg)):
-                if cofree.cdeg[idx] == cofree.mdeg(m) - 1 and rng.random() < 0.7:
-                    img[idx] = Fraction(rng.randint(-2, 2))
-            if _clean(img):
-                out[m] = _clean(img)
-        return out
-
-    def random_phi():
-        out = {}
-        for m, w in cofree.mixed_basis:
-            if rng.random() < 0.7:
-                continue
-            deg = cofree.mdeg(m) + cofree.wdeg(w) - 1
-            img = {}
-            for idx in range(len(cofree.odeg)):
-                if cofree.odeg[idx] == deg and rng.random() < 0.7:
-                    img[idx] = Fraction(rng.randint(-2, 2))
-            if _clean(img):
-                out[(m, w)] = _clean(img)
-        return out
-
-    failures = []
-    for trial in range(samples):
-        psi1, psi2 = random_psi(), random_psi()
-        f = random_phi()
-        x1 = lift_psi(cofree, psi1, -1)
-        x2 = lift_psi(cofree, psi2, -1)
-
-        def compose_psi(xa, xb):
-            def composed(m):
-                out = {}
-                for mm, c in xb(m).items():
-                    out = _add(out, _scale(xa(mm), c))
-                return out
-            return composed
-
-        # bracket of two odd coderivations: anticommutator
-        def brack(m):
-            return _add(compose_psi(x1, x2)(m), compose_psi(x2, x1)(m))
-
-        # rho([x1,x2])f vs rho(x2)rho(x1)f - (-1)^{|x1||x2|} rho(x1)rho(x2)f
-        def rho(x, g):
-            def out(m, w):
-                acc = {}
-                for mm, c in x(m).items():
-                    val = g.get((mm, w))
-                    if val:
-                        acc = _add(acc, _scale(val, c))
-                return _clean(acc)
-            return out
-
-        lhs = rho(brack, f)
-        r1 = rho(x1, f)
-        r2 = rho(x2, f)
-
-        def rho_then(x, r):
-            def out(m, w):
-                acc = {}
-                for mm, c in x(m).items():
-                    acc = _add(acc, _scale(r(mm, w), c))
-                return _clean(acc)
-            return out
-
-        for m, w in cofree.mixed_basis:
-            if len(m) + len(w) > arity_bound:
-                continue
-            a = lhs(m, w)
-            b = _add(rho_then(x2, r1)(m, w), rho_then(x1, r2)(m, w))
-            if _clean(_sub(a, b)):
-                failures.append(("rep", trial, m, w))
-                break
-    return failures
-
-
 # ---------------------------------------------------------------------------
 # Tensor files
 
@@ -1317,6 +1174,8 @@ def parse_tensor_file(text):
             raise
         except Exception as exc:
             raise TensorFileError(f"line {lineno}: {exc}") from exc
+    if not (closed or open_ or l_lines or n_lines):
+        raise TensorFileError("empty tensor file: no declaration")
     pair = GradedPair(closed, open_)
     cindex = {n: i for i, (n, _) in enumerate(pair.closed)}
     oindex = {n: i for i, (n, _) in enumerate(pair.open)}

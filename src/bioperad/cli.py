@@ -19,7 +19,7 @@ from .models import (PRESENTATION_BUILDERS, builtin_presentation,
 from .presentation import (check_ql_conditions, quotient_dims, relation_span,
                            signatures_within)
 from .specfile import SpecFileError, emit_spec, parse_spec
-from .trees import CLOSED, OPEN, Signature
+from .trees import Signature
 from .verify import DEFAULT_BOUNDS, closed_dim_table, run_checks
 from .dgcalc import hilbert_series_gk_check
 
@@ -28,6 +28,17 @@ DG_MODELS = {
     "LPinf": lpinf_dg,
     "H0SCdual": h0sc_dual_dg,
 }
+
+
+def bound(text):
+    """argparse type of every size bound: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive bound")
+    return value
 
 
 def _load_presentation(source):
@@ -180,8 +191,6 @@ def cmd_shlp_check(args):
             data = parse_tensor_file(f.read())
     except FileNotFoundError:
         raise SystemExit(f"error: no such file {args.tensorfile!r}")
-    except TensorFileError as exc:
-        raise SystemExit(f"error: {exc}")
     report = shlp_ocha_check(data, args.mode, args.N)
     if args.json:
         print(json.dumps({"mode": args.mode, "arity": args.N,
@@ -201,11 +210,11 @@ def cmd_shlp_check(args):
 
 def cmd_verify_paper(args):
     bounds = dict(DEFAULT_BOUNDS)
-    if args.dims_bound:
+    if args.dims_bound is not None:
         bounds["dims"] = args.dims_bound
-    if args.d2_bound:
+    if args.d2_bound is not None:
         bounds["d2"] = args.d2_bound
-    if args.homology_bound:
+    if args.homology_bound is not None:
         bounds["homology"] = args.homology_bound
         bounds["laws"] = min(bounds["laws"], args.homology_bound)
     selection = set(args.only) if args.only else None
@@ -233,7 +242,7 @@ def build_parser():
 
     d = sub.add_parser("dims", help="quotient dimensions per signature")
     d.add_argument("model")
-    d.add_argument("--inputs", type=int, default=4)
+    d.add_argument("--inputs", type=bound, default=4)
     d.add_argument("--json", action="store_true")
     d.set_defaults(fn=cmd_dims)
 
@@ -251,19 +260,19 @@ def build_parser():
 
     d = sub.add_parser("d2", help="verify the differential squares to zero")
     d.add_argument("model", help="OCinf, LPinf or H0SCdual")
-    d.add_argument("--inputs", type=int, default=4)
+    d.add_argument("--inputs", type=bound, default=4)
     d.add_argument("--json", action="store_true")
     d.set_defaults(fn=cmd_d2)
 
     d = sub.add_parser("homology", help="per-cell homology dimensions")
     d.add_argument("model", help="OCinf, LPinf or H0SCdual")
-    d.add_argument("--inputs", type=int, default=3)
+    d.add_argument("--inputs", type=bound, default=3)
     d.add_argument("--json", action="store_true")
     d.set_defaults(fn=cmd_homology)
 
     d = sub.add_parser("gk", help="generating-series functional equation")
     d.add_argument("model")
-    d.add_argument("--order", type=int, default=7)
+    d.add_argument("--order", type=bound, default=7)
     d.add_argument("--json", action="store_true")
     d.set_defaults(fn=cmd_gk)
 
@@ -274,7 +283,7 @@ def build_parser():
 
     d = sub.add_parser("shlp-check", help="strong homotopy structure check")
     d.add_argument("tensorfile")
-    d.add_argument("-N", type=int, default=4)
+    d.add_argument("-N", type=bound, default=4)
     d.add_argument("--mode", choices=["SHLP", "OCHA"], default="SHLP")
     d.add_argument("--json", action="store_true")
     d.set_defaults(fn=cmd_shlp_check)
@@ -282,9 +291,9 @@ def build_parser():
     d = sub.add_parser("verify-paper", help="run the whole claim suite")
     d.add_argument("--only", nargs="*", help="check ids or groups")
     d.add_argument("--json", action="store_true")
-    d.add_argument("--dims-bound", type=int)
-    d.add_argument("--d2-bound", type=int)
-    d.add_argument("--homology-bound", type=int)
+    d.add_argument("--dims-bound", type=bound)
+    d.add_argument("--d2-bound", type=bound)
+    d.add_argument("--homology-bound", type=bound)
     d.set_defaults(fn=cmd_verify_paper)
     return p
 
@@ -294,7 +303,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SpecFileError as exc:
+    except (SpecFileError, TensorFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

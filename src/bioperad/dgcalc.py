@@ -14,9 +14,9 @@ from fractions import Fraction
 from math import factorial
 
 from .linalg import Echelon
-from .presentation import signatures_within, truncation
-from .trees import (CLOSED, OPEN, Element, Leaf, component_basis, make_node,
-                    substitute_element, tree_degree, tree_signature)
+from .presentation import signatures_within
+from .trees import (Element, Leaf, component_basis, make_node,
+                    substitute_element, tree_degree)
 
 
 class Derivation:
@@ -224,19 +224,6 @@ def homology_dims(dg, max_inputs=None, check=True):
     return out
 
 
-def euler_characteristics(dg, max_inputs=None):
-    """Per signature: sum (-1)^d dim C_d, which must match homology."""
-    bound = max_inputs or dg.max_inputs
-    out = {}
-    for sig_ in signatures_within(bound):
-        total = 0
-        for d in dg.cell_degrees(sig_):
-            total += (-1) ** (d & 1) * dg.chain_dim(sig_, d)
-        if dg.cell_degrees(sig_):
-            out[sig_] = total
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Generating series and the Ginzburg-Kapranov functional equation
 
@@ -253,8 +240,6 @@ def compose_series(outer, inner):
     """
     order = len(outer)
     assert len(inner) == order
-    # powers of g
-    power = [Fraction(0)] * order
     result = [Fraction(0)] * order
     power_list = inner[:]
     for k in range(1, order + 1):
@@ -291,68 +276,3 @@ def hilbert_series_gk_check(dims_p, dims_dual, order):
     ok = composed == expected
     return {"ok": ok, "g_p": gp, "g_dual": gd, "composed": composed,
             "order": order}
-
-
-class TwoVarSeries:
-    """Truncated power series in (closed arity, open arity) over Q.
-
-    Coefficient of t^n u^m is dim(n, m)/n! -- the closed variable is
-    exponential, the open one ordinary.  Supports addition, multiplication
-    and composition in the closed variable.
-    """
-
-    def __init__(self, coeffs, order):
-        self.order = order
-        self.coeffs = {k: Fraction(v) for k, v in coeffs.items()
-                       if v and sum(k) <= order}
-
-    @classmethod
-    def from_dim_table(cls, dims, order):
-        coeffs = {}
-        for (n, m), d in dims.items():
-            if 0 < n + m <= order:
-                coeffs[(n, m)] = Fraction(d, factorial(n))
-        return cls(coeffs, order)
-
-    def __add__(self, other):
-        assert self.order == other.order
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return TwoVarSeries(out, self.order)
-
-    def __mul__(self, other):
-        assert self.order == other.order
-        out = {}
-        for (a, b), x in self.coeffs.items():
-            for (c, d), y in other.coeffs.items():
-                if a + b + c + d <= self.order:
-                    k = (a + c, b + d)
-                    out[k] = out.get(k, 0) + x * y
-        return TwoVarSeries(out, self.order)
-
-    def compose_closed(self, inner):
-        """Substitute `inner` (no constant term, closed output) for the
-        closed variable."""
-        assert all(sum(k) >= 1 for k in inner.coeffs)
-        result = TwoVarSeries({}, self.order)
-        # group self by closed power
-        by_closed = {}
-        for (n, m), c in self.coeffs.items():
-            by_closed.setdefault(n, {})[m] = c
-        power = TwoVarSeries({(0, 0): 1}, self.order)
-        for n in range(0, self.order + 1):
-            block = by_closed.get(n)
-            if block:
-                part = TwoVarSeries({(0, m): c for m, c in block.items()},
-                                    self.order)
-                result = result + part * power
-            power = power * inner
-        return result
-
-    def __eq__(self, other):
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        bits = [f"{v}*t^{n}u^{m}" for (n, m), v in sorted(self.coeffs.items())]
-        return " + ".join(bits) or "0"

@@ -23,15 +23,14 @@ differential dual to composition with term signs
 
 from fractions import Fraction
 
-from .linalg import Echelon, Matrix, Subspace, rank_and_nullspace
-from .presentation import (Presentation, ambient_basis, check_ql_conditions,
-                           group_elements, project_q, relation_span,
-                           signatures_within, truncation)
+from .linalg import Matrix, solve
+from .presentation import (Presentation, check_ql_conditions, group_elements,
+                           project_q, relation_span, signatures_within,
+                           truncation)
 from .signs import perm_sign
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
-                    Element, Leaf, Node, VertexSpace, corolla_element,
-                    enumerate_basis, generator, graft, symmetric_act,
-                    tree_degree, tree_signature)
+                    Element, Leaf, Node, VertexSpace, enumerate_basis,
+                    generator, graft, symmetric_act)
 
 _SYM_DUAL = {TRIVIAL: SIGN, SIGN: TRIVIAL, REGULAR: REGULAR, NONE: NONE}
 
@@ -133,22 +132,6 @@ def pairing_matrix(primal_collection, dual_coll, signature):
     return m, prim, dual
 
 
-def gk_pair(primal_collection, dual_coll, a, b):
-    """Pairing of a in F^(2)(E) with b in F^(2)(E-dual)."""
-    if a.is_zero() or b.is_zero():
-        return Fraction(0)
-    if a.signature() != b.signature():
-        raise ValueError("signature mismatch in pairing")
-    m, prim, dual = pairing_matrix(primal_collection, dual_coll, a.signature())
-    pi = {t: i for i, t in enumerate(prim)}
-    di = {t: j for j, t in enumerate(dual)}
-    total = Fraction(0)
-    for t, ca in a.terms.items():
-        for u, cb in b.terms.items():
-            total += ca * cb * m[pi[t], di[u]]
-    return total
-
-
 def weight2_signatures(collection):
     """Signatures carrying a nonzero weight-2 component."""
     sigs = set()
@@ -203,53 +186,15 @@ class QLKoszulData:
         self.presentation = presentation
         self.dual_presentation = dual_presentation
         self.phi_pairs = phi_pairs      # [(weight-2 Element, weight-1 Element)]
-        self.dual_genmap = dual_genmap  # dual space name -> Element
-
-    def phi(self, elem):
-        """Value of phi on an element of the span of qR."""
-        sig_ = elem.signature()
-        ab = ambient_basis(self.presentation.collection, sig_)
-        ech = Echelon()
-        rows = []
-        for q2, r1 in self.phi_pairs:
-            if q2.signature() != sig_:
-                continue
-            if ech.add(ab.vector(q2)):
-                rows.append((q2, r1))
-        # solve elem = sum c_i q2_i by echelon on the stacked system
-        idx = {t: i for i, t in enumerate(ab.trees)}
-        cols = len(rows)
-        aug = []
-        for t, coeff in elem.terms.items():
-            aug.append((idx[t], coeff))
-        system = Matrix.zero(ab.dim, cols)
-        for j, (q2, _) in enumerate(rows):
-            for t, c in q2.terms.items():
-                system[idx[t], j] = c
-        target = [Fraction(0)] * ab.dim
-        for i, c in aug:
-            target[i] = c
-        coeffs = _solve(system, target)
-        if coeffs is None:
-            raise ValueError("element outside the span of qR")
-        out = Element()
-        for c, (_, r1) in zip(coeffs, rows):
-            out = out + r1.scale(-c)
-        return out
+        self.dual_genmap = dual_genmap  # dual space name -> {dec: Element}
 
 
-def _solve(matrix, target):
-    """One solution of matrix x = target over Q, or None."""
-    rows = [matrix.row(i) + [target[i]] for i in range(matrix.rows)]
-    from .linalg import _rref
-    pivots = _rref(rows)
-    n = matrix.cols
-    sol = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        if p == n:
-            return None
-        sol[p] = rows[r][n]
-    return sol
+class QLFailure(ValueError):
+    """(ql1) or (ql2) fails; ``witnesses`` as from check_ql_conditions."""
+
+    def __init__(self, witnesses):
+        super().__init__(f"(ql1)/(ql2) fail: {witnesses}")
+        self.witnesses = witnesses
 
 
 def ql_koszul_data(presentation, rename=None, name=None):
@@ -265,12 +210,11 @@ def ql_koszul_data(presentation, rename=None, name=None):
     """
     report = check_ql_conditions(presentation)
     if not (report["ql1"] and report["ql2"]):
-        raise ValueError(f"(ql1)/(ql2) fail: {report['witnesses']}")
+        raise QLFailure(report["witnesses"])
     P = presentation
     qP = project_q(P, name=f"q({P.name})")
     dual = quadratic_dual(qP, rename=rename, name=name or f"{P.name}!")
     E, Ed = P.collection, dual.collection
-    dual_name = {s.name: d.name for s, d in zip(E.spaces, Ed.spaces)}
 
     phi_pairs = []
     for r in P.relations:
@@ -303,7 +247,7 @@ def ql_koszul_data(presentation, rename=None, name=None):
                                 row[j] += c * m[i, j]
                     rows.append(row)
                     rhs.append(_gen_pairing(sd, dec, r1.scale(-1), E))
-                sol = _least_solution(rows, rhs)
+                sol = solve(rows, rhs)
                 if sol is None:
                     raise ValueError("inconsistent phi system")
                 img = Element({dual_basis[j]: c
@@ -312,8 +256,7 @@ def ql_koszul_data(presentation, rename=None, name=None):
                     images[dec] = img
         if images:
             genmap[sd.name] = images
-    data = QLKoszulData(P, dual, phi_pairs, genmap)
-    return data
+    return QLKoszulData(P, dual, phi_pairs, genmap)
 
 
 def _weight(t):
@@ -333,23 +276,6 @@ def _gen_pairing(dual_space, dec, elem, primal_collection):
         cw, ow = _label_words(t)
         total += c * perm_sign(cw) * perm_sign(ow) * _arrangement_sign(t)
     return total
-
-
-def _least_solution(rows, rhs):
-    """Solve a stacked linear system; None when inconsistent."""
-    if not rows:
-        return []
-    cols = len(rows[0])
-    m = Matrix.from_rows([list(r) + [b] for r, b in zip(rows, rhs)])
-    from .linalg import _rref
-    data = m.row_lists()
-    pivots = _rref(data)
-    sol = [Fraction(0)] * cols
-    for r, p in enumerate(pivots):
-        if p == cols:
-            return None
-        sol[p] = data[r][cols]
-    return sol
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ Two tiers:
 * ``Echelon`` -- sparse integer row accumulator for the large ambient spaces
   (ideal saturation, chain complexes), supporting rank and coordinate
   reduction without materializing dense bases.
+
+``solve`` is the one solver for linear systems: every exact solve in the
+package goes through it, and the echelon kernel ``_rref`` stays private to
+this module.
 """
 
 from fractions import Fraction
@@ -235,14 +239,6 @@ def _check_same_ambient(a, b):
         raise ValueError("ambient dimensions differ")
 
 
-def subspace_algebra(a, b, op):
-    if op == "sum":
-        return a.sum(b)
-    if op == "intersect":
-        return a.intersect(b)
-    raise ValueError(f"unknown subspace operation {op!r}")
-
-
 def rank_and_nullspace(m):
     """Rank and nullspace (as a Subspace of Q^cols) of a Matrix."""
     rows = m.row_lists()
@@ -258,6 +254,29 @@ def rank_and_nullspace(m):
             vec[p] = -rows[r][f]
         basis.append(vec)
     return rank, Subspace.from_vectors(m.cols, basis)
+
+
+def solve(rows, rhs):
+    """One solution x of rows . x = rhs over Q, or None if inconsistent.
+
+    ``rows`` holds m coefficient rows of equal length n and ``rhs`` the m
+    right-hand sides.  Free variables are set to 0.  With no rows there are
+    no columns either, and the solution is empty.
+    """
+    if len(rows) != len(rhs):
+        raise ValueError("row count does not match the right-hand side")
+    if not rows:
+        return []
+    n = len(rows[0])
+    aug = [[Fraction(x) for x in row] + [Fraction(b)]
+           for row, b in zip(rows, rhs)]
+    pivots = _rref(aug)
+    if pivots and pivots[-1] == n:
+        return None
+    sol = [Fraction(0)] * n
+    for r, p in enumerate(pivots):
+        sol[p] = aug[r][n]
+    return sol
 
 
 def _clear_denominators(vec_items):
@@ -327,10 +346,6 @@ class Echelon:
             v = new
         return False
 
-    def add_many(self, vecs):
-        for v in vecs:
-            self.add(v)
-
     def finalize(self):
         """Back-substitute to reduced form with pivot entries 1 (Fractions).
 
@@ -399,10 +414,3 @@ class Echelon:
             rows.append(dense)
         return Subspace.from_vectors(ambient_dim, rows)
 
-
-def sparse_rank(vectors):
-    """Rank of a family of sparse vectors (dicts col -> coefficient)."""
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v)
-    return ech.rank

@@ -279,16 +279,21 @@ def lpinf_dg(max_inputs=5):
     return DgTruncation(coll, deriv, max_inputs, name="LPinf")
 
 
+def h0sc_dual_n11_image(coll):
+    """d(n11) = n02(n10(c1),o1) - n02(o1,n10(c1)), the homotopy-centrality
+    differential of the dual of H0SC, in a collection with those names."""
+    return (parse_term(coll, "n02(n10(c1),o1)")
+            - parse_term(coll, "n02(o1,n10(c1))"))
+
+
 @lru_cache(maxsize=None)
 def h0sc_dual_dg(max_inputs=4):
     """The dual of H0SC as a dg quotient: differential on n11 only."""
     from .dgcalc import DgTruncation, extend_derivation
     from .presentation import truncation
-    from .trees import Element
     pres = h0sc_dual_presentation()
     coll = pres.collection
-    image = (parse_term(coll, "n02(n10(c1),o1)")
-             - parse_term(coll, "n02(o1,n10(c1))"))
+    image = h0sc_dual_n11_image(coll)
 
     def genmap(space, dec):
         if space.name == "n11":
@@ -597,17 +602,6 @@ def psi_commutes_with_differentials(bound=4):
 # Iterated elements of the dual dg operad and the boundary identities
 
 
-def mu_element(trunc, n):
-    """The n-fold open product class in the dual truncation."""
-    from .trees import OPEN as _O
-    from .trees import corolla_element, graft
-    coll = trunc.collection
-    out = corolla_element(coll["n02"])
-    for _ in range(n - 2):
-        out = graft(out, _O, 1, corolla_element(coll["n02"]))
-    return out
-
-
 def gamma_element(trunc, k):
     """gamma_k: the k-fold action class in (k,1;o)."""
     from .trees import OPEN as _O
@@ -703,20 +697,14 @@ def _solve_combo(target, terms):
     """Coefficients writing target as a combination of the given vectors."""
     from fractions import Fraction
 
-    from .linalg import _rref
+    from .linalg import solve
     cols = sorted({c for t in terms for c in t} | set(target))
-    index = {c: i for i, c in enumerate(cols)}
-    rows = []
-    for i in range(len(cols)):
-        rows.append([t.get(cols[i], Fraction(0)) for t in terms]
-                    + [target.get(cols[i], Fraction(0))])
-    pivots = _rref(rows)
-    n = len(terms)
-    sol = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        if p == n:
-            return None
-        sol[p] = rows[r][n]
+    if not cols:
+        return [Fraction(0)] * len(terms)
+    rows = [[t.get(c, Fraction(0)) for t in terms] for c in cols]
+    sol = solve(rows, [target.get(c, Fraction(0)) for c in cols])
+    if sol is None:
+        return None
     # verify exactly (free variables are zero)
     residual = dict(target)
     for c, t in zip(sol, terms):

@@ -13,11 +13,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from .linalg import Echelon, Subspace
-from .signs import identity
-from .trees import (CLOSED, OPEN, Element, component_basis, corolla,
-                    corolla_element, enumerate_basis, graft, max_weight,
-                    symmetric_act, tree_degree, tree_signature, tree_weight,
-                    Signature, sig)
+from .trees import (CLOSED, OPEN, Element, component_basis, corolla_element,
+                    graft, symmetric_act, tree_degree, tree_signature,
+                    tree_weight, Signature)
 
 
 class Presentation:
@@ -302,10 +300,6 @@ class Truncation:
             self._basis[sig_] = hit
         return hit
 
-    def basis_trees(self, sig_):
-        ab = self.ambient(sig_)
-        return [ab.trees[i] for i in self.basis(sig_)]
-
     def dim(self, sig_):
         return len(self.basis(sig_))
 
@@ -348,9 +342,6 @@ class Truncation:
 
     def act(self, pair, sig_, q):
         return self.reduce(symmetric_act(pair, self.class_of(sig_, q)))
-
-    def is_zero_class(self, elem):
-        return not self.reduce(elem)
 
 
 _trunc_cache = {}

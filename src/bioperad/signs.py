@@ -9,7 +9,7 @@ The Koszul sign of a reordering of graded symbols is the product of
 ``sgn`` factor of its own.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations
 
 
 def identity(n):
@@ -67,15 +67,6 @@ def sort_key_perm(keys):
     return tuple(perm)
 
 
-def segment_reorder_sign(perm, degrees):
-    """Koszul sign plus nothing else for moving whole graded segments.
-
-    Identical to :func:`koszul_sign`; named separately where the symbols are
-    subtree blocks rather than single letters.
-    """
-    return koszul_sign(perm, degrees)
-
-
 def unshuffles(items, k):
     """All splittings of ``items`` (a sorted sequence) into (A, B), |A| = k.
 
@@ -102,7 +93,3 @@ def unshuffle_perm(a, b):
     for pos, label in enumerate(seq):
         perm[label - 1] = pos + 1
     return tuple(perm)
-
-
-def all_perms(n):
-    return list(permutations(range(1, n + 1)))

@@ -123,10 +123,12 @@ def parse_spec(text):
     name = "operad"
     generators = []
     relation_lines = []
+    declared = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        declared = True
         head, _, rest = line.partition(" ")
         if head == "operad":
             name = rest.strip() or name
@@ -139,6 +141,8 @@ def parse_spec(text):
             relation_lines.append((lineno, rest.strip()))
         else:
             raise SpecFileError(f"unknown declaration {head!r}", lineno)
+    if not declared:
+        raise SpecFileError("empty operad file: no declaration")
     spaces = []
     for lineno, rest in generators:
         try:

@@ -23,7 +23,6 @@ signature and homological degree.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -426,13 +425,6 @@ class Element:
     def weights(self):
         return sorted({tree_weight(t) for t in self.terms})
 
-    def map_terms(self, f):
-        """Apply f(tree) -> Element to every term, linearly."""
-        out = Element()
-        for t, c in self.terms.items():
-            out = out + f(t).scale(c)
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -676,14 +668,6 @@ def graft(elem, color, index, inner):
         for s, cs in inner.terms.items():
             out = out + graft_trees(t, color, index, s).scale(ct * cs)
     return out
-
-
-def graft_linear(elem, slot, inner):
-    """Graft at a linear slot index (closed block first)."""
-    sig_ = elem.signature()
-    color = sig_.slot_color(slot)
-    index = slot if color == CLOSED else slot - sig_.n_closed
-    return graft(elem, color, index, inner)
 
 
 # ---------------------------------------------------------------------------

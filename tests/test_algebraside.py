@@ -7,9 +7,7 @@ from bioperad.algebraside import (CofreePair, FreeAlgebra, GradedPair,
                                   HomotopyAlgebraData, LeibnizPairData,
                                   TensorFileError, ce_hochschild_homology,
                                   check_coderivation_laws, free_algebra,
-                                  lift_coderivation, lift_phi, lift_psi,
-                                  parse_tensor_file,
-                                  semidirect_representation_checks,
+                                  lift_phi, lift_psi, parse_tensor_file,
                                   shlp_ocha_check, strict_pair_tensors,
                                   _graded_multisets, _lyndon_words,
                                   _tensor_words)
@@ -105,8 +103,9 @@ def test_ce_invalid_pair_rejected():
 
 
 def test_lift_coderivation_zero_maps():
-    pair = GradedPair.ungraded(2, 2)
-    cofree, psit, phit = lift_coderivation(pair, {}, {}, 3, 3)
+    cofree = CofreePair(GradedPair.ungraded(2, 2), 3, 3)
+    psit = lift_psi(cofree, {}, -1)
+    phit = lift_phi(cofree, {}, {}, -1)
     for m in cofree.closed_basis:
         assert psit(m) == {}
     for m, w in cofree.mixed_basis:
@@ -245,12 +244,6 @@ def test_randomized_equivalence_of_formulations():
     assert fails > 0  # random data is almost never a strong homotopy pair
 
 
-def test_semidirect_representation():
-    pair = GradedPair([("x", 0), ("y", 1)], [("a", 0), ("b", 1)])
-    data = HomotopyAlgebraData(pair, {}, {})
-    assert semidirect_representation_checks(data, 3, samples=6) == []
-
-
 def test_tensor_file_roundtrip():
     text = """
     # a strict pair
@@ -272,6 +265,12 @@ def test_tensor_file_errors():
         parse_tensor_file("closed x 0\nl 2: x,z -> x")
     with pytest.raises(TensorFileError):
         parse_tensor_file("bogus line here")
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n"])
+def test_tensor_file_empty_rejected(text):
+    with pytest.raises(TensorFileError, match="empty"):
+        parse_tensor_file(text)
 
 
 def test_lyndon_counts():

@@ -121,3 +121,30 @@ def test_verify_paper_selection():
 
 def test_main_callable_directly():
     assert main(["dims", "Com", "--inputs", "2"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "LP", "--inputs", "0"],
+    ["d2", "OCinf", "--inputs", "-1"],
+    ["homology", "OCinf", "--inputs", "0"],
+    ["gk", "Com", "--order", "0"],
+    ["shlp-check", "pair.tensors", "-N", "-2"],
+    ["verify-paper", "--dims-bound", "0"],
+    ["verify-paper", "--d2-bound", "-3"],
+    ["verify-paper", "--homology-bound", "two"],
+])
+def test_nonpositive_bound_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[-2]}" in capsys.readouterr().err
+
+
+def test_empty_input_files_rejected(tmp_path, capsys):
+    spec = tmp_path / "empty.operad"
+    spec.write_text("# no declaration\n")
+    tensors = tmp_path / "empty.tensors"
+    tensors.write_text("")
+    for argv in (["dims", str(spec)], ["shlp-check", str(tensors)]):
+        assert main(argv) == 2
+        assert "empty" in capsys.readouterr().err

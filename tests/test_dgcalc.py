@@ -4,10 +4,9 @@ from math import factorial
 
 import pytest
 
-from bioperad.dgcalc import (DgTruncation, compose_series,
-                             euler_characteristics, extend_derivation,
+from bioperad.dgcalc import (DgTruncation, compose_series, extend_derivation,
                              hilbert_series_gk_check, homology_dims,
-                             series_from_dims, verify_d_squared, TwoVarSeries)
+                             series_from_dims, verify_d_squared)
 from bioperad.models import (h0sc_dual_dg, lp_formula_genmap, lpinf_dg,
                              ocinf_dg)
 from bioperad.trees import (CLOSED, OPEN, Element, component_basis,
@@ -131,15 +130,6 @@ def test_oc_homology_cells_from_the_paper_examples():
     assert h.get((sig(2, 0, OPEN), 0), 0) == 0
 
 
-def test_euler_characteristic_conservation():
-    dg = ocinf_dg(3)
-    h = homology_dims(dg)
-    chi_chain = euler_characteristics(dg)
-    for s, chi in chi_chain.items():
-        chi_h = sum((-1) ** (d & 1) * v for (s2, d), v in h.items() if s2 == s)
-        assert chi == chi_h, s
-
-
 def test_series_classical_com_lie():
     com = {n: 1 for n in range(1, 8)}
     lie = {n: factorial(n - 1) for n in range(1, 8)}
@@ -162,11 +152,3 @@ def test_trivial_operad_series_fixed_point():
     report = hilbert_series_gk_check({1: 1}, {1: 1}, 1)
     assert report["ok"]
 
-
-def test_two_var_series_compose():
-    # f(t, u) = t + tu, substitute t -> t + t^2
-    f = TwoVarSeries({(1, 0): 1, (1, 1): 1}, 3)
-    g = TwoVarSeries({(1, 0): 1, (2, 0): 1}, 3)
-    h = f.compose_closed(g)
-    assert h.coeffs == {(1, 0): Fraction(1), (2, 0): Fraction(1),
-                        (1, 1): Fraction(1), (2, 1): Fraction(1)}

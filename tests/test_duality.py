@@ -1,19 +1,24 @@
-from fractions import Fraction
-
 import pytest
 
+from bioperad import verify
 from bioperad.dgcalc import DgTruncation, extend_derivation, homology_dims, \
     verify_d_squared
-from bioperad.duality import (cobar_truncate, dual_collection, gk_pair,
-                              pairing_matrix, quadratic_dual,
+from bioperad.duality import (cobar_truncate, dual_collection,
+                              pairing_matrix, ql_koszul_data, quadratic_dual,
                               weight2_signatures)
 from bioperad.models import (com_presentation, h0sc_presentation,
                              h0scvor_presentation, lie_presentation,
                              lp_presentation, ocinf_dg)
-from bioperad.presentation import (Presentation, ambient_basis, relation_span,
-                                   truncation)
+from bioperad.presentation import Presentation, ambient_basis, relation_span
 from bioperad.trees import (CLOSED, OPEN, Collection, corolla_element, graft,
-                            parse_term, sig)
+                            sig)
+
+
+def _pairing_entry(com, dual, a, b):
+    """The pairing matrix entry of two single-tree weight-2 elements."""
+    (t,), (u,) = a.terms, b.terms
+    m, prim, dua = pairing_matrix(com.collection, dual, a.signature())
+    return m[prim.index(t), dua.index(u)]
 
 
 def test_gk_pair_anchor_value():
@@ -23,8 +28,7 @@ def test_gk_pair_anchor_value():
     l2 = dual["l2"]
     a = graft(corolla_element(f2), CLOSED, 1, corolla_element(f2))
     b = graft(corolla_element(l2), CLOSED, 1, corolla_element(l2))
-    v = gk_pair(com.collection, dual, a, b)
-    assert abs(v) == 1
+    assert abs(_pairing_entry(com, dual, a, b)) == 1
 
 
 def test_gk_pair_shape_orthogonality():
@@ -34,28 +38,18 @@ def test_gk_pair_shape_orthogonality():
     l2 = corolla_element(dual["l2"])
     a = graft(f2, CLOSED, 1, f2)   # inner carries labels {1,2}
     b2 = graft(l2, CLOSED, 2, l2)  # inner carries labels {2,3}
-    assert gk_pair(com.collection, dual, a, b2) == 0
+    assert _pairing_entry(com, dual, a, b2) == 0
 
 
 def test_gk_pair_assoc_against_jacobi():
+    # associativity and Jacobi are each other's orthogonal complement
     com = com_presentation()
     lie = lie_presentation()
-    dual = dual_collection(com.collection, rename=lambda n: "l2")
-    assoc = com.relations[0]
-    jac = parse_term(dual, "l2(l2(c1,c2),c3)") + parse_term(
-        dual, "l2(l2(c2,c3),c1)") + parse_term(dual, "l2(l2(c3,c1),c2)")
-    assert gk_pair(com.collection, dual, assoc, jac) == 0
-
-
-def test_gk_pair_signature_mismatch():
-    com = com_presentation()
-    dual = dual_collection(com.collection, rename=lambda n: "l2")
-    f2 = corolla_element(com.collection["f2"])
-    a = graft(f2, CLOSED, 1, f2)
-    l2 = corolla_element(dual["l2"])
-    b = graft(graft(l2, CLOSED, 1, l2), CLOSED, 1, l2)
-    with pytest.raises(ValueError):
-        gk_pair(com.collection, dual, a, b)
+    s = sig(3, 0, CLOSED)
+    lie_dual = quadratic_dual(com, rename=lambda n: "l2")
+    assert relation_span(lie_dual, s, 2) == relation_span(lie, s, 2)
+    com_dual = quadratic_dual(lie, rename=lambda n: "f2")
+    assert relation_span(com_dual, s, 2) == relation_span(com, s, 2)
 
 
 def test_pairing_nondegenerate_every_signature():
@@ -139,3 +133,16 @@ def test_cobar_chain_dims_match_expansion_model():
             mine[tree_degree(t)] = mine.get(tree_degree(t), 0) + 1
         theirs = {d: oc.chain_dim(s, d) for d in oc.cell_degrees(s)}
         assert mine == {k: v for k, v in theirs.items() if v}, s
+
+
+def test_ql_check_reports_sign_flipped_dual_differential(monkeypatch):
+    def flipped(presentation, rename=None, name=None):
+        data = ql_koszul_data(presentation, rename, name)
+        data.dual_genmap = {n: {dec: -img for dec, img in images.items()}
+                            for n, images in data.dual_genmap.items()}
+        return data
+
+    monkeypatch.setattr(verify, "ql_koszul_data", flipped)
+    status, witness = verify.check_ql_and_projection(verify.DEFAULT_BOUNDS)
+    assert status == "fail"
+    assert [w[0] for w in witness] == ["differential"]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioperad.linalg import (Echelon, Matrix, Subspace, rank_and_nullspace,
-                             sparse_rank, subspace_algebra)
+                             solve)
 
 import pytest
 
@@ -48,8 +48,8 @@ def test_rank_transpose(rows):
 
 def test_subspace_idempotent_ops():
     a = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
-    assert subspace_algebra(a, a, "sum") == a
-    assert subspace_algebra(a, a, "intersect") == a
+    assert a.sum(a) == a
+    assert a.intersect(a) == a
 
 
 def test_sum_intersect_dimension_formula():
@@ -115,4 +115,31 @@ def test_echelon_fraction_input():
 def test_sparse_rank_matches_dense():
     vecs = [{0: 1, 2: -1}, {1: 2}, {0: 1, 1: 2, 2: -1}]
     dense = Matrix.from_rows([[1, 0, -1], [0, 2, 0], [1, 2, -1]])
-    assert sparse_rank(vecs) == dense.rank() == 2
+    ech = Echelon()
+    for v in vecs:
+        ech.add(v)
+    assert ech.rank == dense.rank() == 2
+
+
+def test_solve_picks_free_variables_zero():
+    assert solve([[1, 1, 0], [0, 0, 1]], [3, 5]) == [3, 0, 5]
+    assert solve([[1, 1], [2, 2]], [1, 3]) is None
+    assert solve([], []) == []
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=100)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(fractions, min_size=n + 1, max_size=n + 1),
+                       min_size=1, max_size=4)))
+def test_solve_exact_or_inconsistent(augmented):
+    rows = [row[:-1] for row in augmented]
+    rhs = [row[-1] for row in augmented]
+    x = solve(rows, rhs)
+    consistent = (Matrix.from_rows(augmented).rank()
+                  == Matrix.from_rows(rows).rank())
+    assert (x is not None) == consistent
+    if x is not None:
+        assert Matrix.from_rows(rows).apply(x) == rhs

@@ -2,11 +2,11 @@ import pytest
 
 from bioperad.models import (PRESENTATION_BUILDERS, h0sc_dual_presentation,
                              h0sc_presentation, lp_presentation)
-from bioperad.presentation import relation_span
+from bioperad.presentation import Presentation, relation_span
 from bioperad.duality import weight2_signatures
 from bioperad.specfile import (SpecFileError, emit_spec, parse_spec,
                                parse_relation_expression)
-from bioperad.trees import parse_term, sig, OPEN, CLOSED
+from bioperad.trees import Collection, parse_term, sig, OPEN, CLOSED
 
 
 def _span_identical(a, b):
@@ -85,3 +85,17 @@ def test_relation_expression_signs():
     assert len(e) == 2
     vals = sorted(e.terms.values())
     assert vals == [-1, 2]
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n", "# only a comment\n"])
+def test_empty_spec_rejected(text):
+    with pytest.raises(SpecFileError, match="empty"):
+        parse_spec(text)
+
+
+def test_trivial_operad_roundtrip():
+    text = emit_spec(Presentation(Collection([]), [], "I"))
+    assert text == "operad I\ncolors c o\n"
+    back = parse_spec(text)
+    assert back.name == "I"
+    assert not list(back.collection) and not back.relations

@@ -7,7 +7,7 @@ from bioperad.signs import compose
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
                             Collection, CompositionError, Element, Leaf,
                             corolla, corolla_element, enumerate_basis,
-                            generator, graft, graft_linear, parse_term, sig,
+                            generator, graft, parse_term, sig,
                             suspend_collection, symmetric_act, text_form,
                             text_form_signed, tree_degree, tree_element,
                             tree_signature, tree_weight, LAMBDA,
