@@ -19,7 +19,7 @@ from .models import (PRESENTATION_BUILDERS, builtin_presentation,
 from .presentation import (check_ql_conditions, quotient_dims, relation_span,
                            signatures_within)
 from .specfile import SpecFileError, emit_spec, parse_spec
-from .trees import Signature
+from .trees import COLORS, Signature
 from .verify import DEFAULT_BOUNDS, closed_dim_table, run_checks
 from .dgcalc import hilbert_series_gk_check
 
@@ -28,6 +28,10 @@ DG_MODELS = {
     "LPinf": lpinf_dg,
     "H0SCdual": h0sc_dual_dg,
 }
+
+
+class UsageError(Exception):
+    """A bad argument found after parsing: printed, then exit 2."""
 
 
 def bound(text):
@@ -48,16 +52,16 @@ def _load_presentation(source):
     if source in PRESENTATION_BUILDERS:
         return builtin_presentation(source)
     known = ", ".join(sorted(PRESENTATION_BUILDERS))
-    raise SystemExit(f"error: unknown model or missing file {source!r}; "
+    raise UsageError(f"unknown model or missing file {source!r}; "
                      f"builtin models: {known}")
 
 
 def _parse_sig(text):
-    try:
-        n, m, x = text.split(",")
-        return Signature(int(n), int(m), x.strip())
-    except Exception:
-        raise SystemExit(f"error: bad signature {text!r}; use n,m,c or n,m,o")
+    parts = [p.strip() for p in text.split(",")]
+    if (len(parts) != 3 or not (parts[0].isdigit() and parts[1].isdigit())
+            or parts[2] not in COLORS):
+        raise UsageError(f"bad signature {text!r}; use n,m,c or n,m,o")
+    return Signature(int(parts[0]), int(parts[1]), parts[2])
 
 
 def _emit(records, as_json, text_lines):
@@ -110,7 +114,7 @@ def cmd_span(args):
 def _load_dg(name, inputs):
     if name not in DG_MODELS:
         known = ", ".join(sorted(DG_MODELS))
-        raise SystemExit(f"error: unknown dg model {name!r}; known: {known}")
+        raise UsageError(f"unknown dg model {name!r}; known: {known}")
     if name == "H0SCdual":
         inputs = min(inputs, 4)
     return DG_MODELS[name](inputs)
@@ -151,7 +155,7 @@ def cmd_homology(args):
 def cmd_gk(args):
     tables = {"Com": "Com", "H0SCvor": "Com", "Lie": "Lie", "LP": "Lie"}
     if args.model not in tables:
-        raise SystemExit("error: gk supports the closed parts of "
+        raise UsageError("gk supports the closed parts of "
                          "Com, Lie, H0SCvor, LP")
     which = tables[args.model]
     dual = "Lie" if which == "Com" else "Com"
@@ -190,7 +194,7 @@ def cmd_shlp_check(args):
         with open(args.tensorfile, encoding="utf-8") as f:
             data = parse_tensor_file(f.read())
     except FileNotFoundError:
-        raise SystemExit(f"error: no such file {args.tensorfile!r}")
+        raise UsageError(f"no such file {args.tensorfile!r}")
     report = shlp_ocha_check(data, args.mode, args.N)
     if args.json:
         print(json.dumps({"mode": args.mode, "arity": args.N,
@@ -303,7 +307,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SpecFileError, TensorFileError) as exc:
+    except (UsageError, SpecFileError, TensorFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,9 +24,9 @@ differential dual to composition with term signs
 from fractions import Fraction
 
 from .linalg import Matrix, solve
-from .presentation import (Presentation, check_ql_conditions, group_elements,
-                           project_q, relation_span, signatures_within,
-                           truncation)
+from .presentation import (Presentation, adjacent_transpositions,
+                           check_ql_conditions, group_elements, project_q,
+                           relation_span, signatures_within, truncation)
 from .signs import perm_sign
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                     Element, Leaf, Node, VertexSpace, enumerate_basis,
@@ -300,10 +300,10 @@ class CobarCollection:
                     raise ValueError("cobar input must be a degree-0 operad")
             k = sig_.total
             degrees = [k - 2] * dim
-            closed_swaps = [self._dual_swap(trunc, sig_, (CLOSED, i))
-                            for i in range(sig_.n_closed - 1)]
-            open_swaps = [self._dual_swap(trunc, sig_, (OPEN, i))
-                          for i in range(sig_.n_open - 1)]
+            swaps = [self._dual_swap(trunc, sig_, pair)
+                     for pair in adjacent_transpositions(sig_)]
+            closed_swaps = swaps[:max(sig_.n_closed - 1, 0)]
+            open_swaps = swaps[len(closed_swaps):]
             name = f"{tag}g{sig_.n_closed}_{sig_.n_open}{sig_.out}"
             sp = VertexSpace(name, sig_, degrees, closed_swaps, open_swaps,
                              labels=[f"{name}[{i}]" for i in range(dim)])
@@ -312,17 +312,8 @@ class CobarCollection:
         self.collection = Collection(spaces)
 
     @staticmethod
-    def _dual_swap(trunc, sig_, which):
-        color, i = which
+    def _dual_swap(trunc, sig_, pair):
         dim = trunc.dim(sig_)
-        if color == CLOSED:
-            perm_c = list(range(1, sig_.n_closed + 1))
-            perm_c[i], perm_c[i + 1] = perm_c[i + 1], perm_c[i]
-            pair = (tuple(perm_c), tuple(range(1, sig_.n_open + 1)))
-        else:
-            perm_o = list(range(1, sig_.n_open + 1))
-            perm_o[i], perm_o[i + 1] = perm_o[i + 1], perm_o[i]
-            pair = (tuple(range(1, sig_.n_closed + 1)), tuple(perm_o))
         cols = [[] for _ in range(dim)]
         for b in range(dim):
             for b2, coeff in trunc.act(pair, sig_, b).items():

@@ -713,14 +713,3 @@ def _solve_combo(target, terms):
     if any(v for v in residual.values()):
         return None
     return sol
-
-
-def builtin_model(name, max_inputs=None):
-    """Presentation or dg truncation by catalog name."""
-    dg = {"LPinf": lpinf_dg, "OCinf": ocinf_dg, "H0SCdualDg": h0sc_dual_dg}
-    if name in dg:
-        return dg[name](max_inputs) if max_inputs else dg[name]()
-    if name in PRESENTATION_BUILDERS:
-        return PRESENTATION_BUILDERS[name]()
-    known = ", ".join(sorted(list(PRESENTATION_BUILDERS) + list(dg)))
-    raise KeyError(f"unknown model {name!r}; available: {known}")

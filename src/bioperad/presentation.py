@@ -2,11 +2,17 @@
 
 A presentation is a generating collection plus relation elements.  Purely
 quadratic relations live in weight 2; quadratic-linear ones mix weights 1
-and 2.  The operad ideal is saturated level by level: every ideal element is
-a global relabeling of an iterated graft of decorated corollas onto a
-relation translate, so it suffices to grow by single corolla grafts and take
-symmetric orbits per target signature.  Saturation is exact at a weight
-bound because grafting preserves the weight grading.
+and 2.  The operad ideal is the smallest family of subspaces, one per
+signature, that contains the relations and is closed under single corolla
+grafts and under S_n x S_m.  Saturation grows every accepted basis element
+by single corolla grafts and closes each span under the symmetric group by
+spinning (R. A. Parker, *The computer calculation of modular characters*,
+1984): an element that raises the rank has its images under the adjacent
+transpositions pushed in turn, and a span closed under a generating set is
+closed under the group.  Because grafting is linear, growing a basis grows
+the whole span.  Truncating at a bound on the inputs is exact because a
+graft never lowers the number of inputs, so nothing above the bound feeds
+back below it.
 """
 
 from fractions import Fraction
@@ -71,6 +77,9 @@ class AmbientBasis:
     """Ordered basis of the full free-operad component at one signature."""
 
     def __init__(self, collection, signature, weight_cap=None):
+        # holding the spaces keeps the ids that key _ambient_cache from
+        # being reused by another collection while this basis is cached
+        self.spaces = collection.spaces
         self.signature = signature
         self.trees = component_basis(collection, signature, weight_cap)
         self.index = {t: i for i, t in enumerate(self.trees)}
@@ -112,9 +121,35 @@ def group_elements(signature):
             for po in permutations(range(1, signature.n_open + 1))]
 
 
-def orbit(elem):
-    sig_ = elem.signature()
-    return [symmetric_act(g, elem) for g in group_elements(sig_)]
+def adjacent_transpositions(signature):
+    """The (n-1)+(m-1) adjacent transpositions that generate S_n x S_m."""
+    n, m = signature.n_closed, signature.n_open
+    closed, open_ = tuple(range(1, n + 1)), tuple(range(1, m + 1))
+    out = []
+    for i in range(n - 1):
+        out.append((closed[:i] + (i + 2, i + 1) + closed[i + 2:], open_))
+    for i in range(m - 1):
+        out.append((closed, open_[:i] + (i + 2, i + 1) + open_[i + 2:]))
+    return out
+
+
+def spin(ab, elems, ech):
+    """Push elems into ech and close its span under S_n x S_m.
+
+    Only an element that raises the rank has its images under the adjacent
+    transpositions queued.  Every element accepted into ech, now or by an
+    earlier call, has had its images pushed, so the span of ech is closed
+    under the group whenever every call on it has returned.  Returns the
+    accepted elements, which extend a basis of that span.
+    """
+    gens = adjacent_transpositions(ab.signature)
+    queue = list(elems)
+    accepted = []
+    for e in queue:
+        if ech.add(ab.vector(e)):
+            accepted.append(e)
+            queue.extend(symmetric_act(g, e) for g in gens)
+    return accepted
 
 
 def _slots(signature):
@@ -156,8 +191,7 @@ class IdealSpans:
         self.presentation = presentation
         self.max_inputs = max_inputs
         self.ambients = {}
-        self.raw = {}       # sig -> Echelon over untranslated saturation set
-        self.full = {}      # sig -> Echelon including symmetric orbits
+        self.spans = {}     # sig -> Echelon closed under S_n x S_m
         self._saturate()
 
     def _ambient(self, sig_):
@@ -167,44 +201,32 @@ class IdealSpans:
             self.ambients[sig_] = hit
         return hit
 
+    def _spin(self, elem):
+        sig_ = elem.signature()
+        ech = self.spans.setdefault(sig_, Echelon())
+        return spin(self._ambient(sig_), [elem], ech)
+
     def _saturate(self):
         P = self.presentation
         frontier = []
         for r in P.relations:
-            for e in orbit(r):
-                if self._insert_raw(e):
-                    frontier.append(e)
+            frontier.extend(self._spin(r))
         while frontier:
             new_frontier = []
             for e in frontier:
                 for grown in _grow_once(P.collection, e, self.max_inputs):
-                    if grown.is_zero():
-                        continue
-                    if self._insert_raw(grown):
-                        new_frontier.append(grown)
+                    if not grown.is_zero():
+                        new_frontier.extend(self._spin(grown))
             frontier = new_frontier
-        for sig_, ech in self.raw.items():
-            full = Echelon()
-            ab = self._ambient(sig_)
-            for p in sorted(ech.rows):
-                elem = ab.element({c: Fraction(x) for c, x in ech.rows[p].items()})
-                for g in group_elements(sig_):
-                    full.add(ab.vector(symmetric_act(g, elem)))
-            full.finalize()
-            self.full[sig_] = full
-
-    def _insert_raw(self, elem):
-        sig_ = elem.signature()
-        ab = self._ambient(sig_)
-        ech = self.raw.setdefault(sig_, Echelon())
-        return ech.add(ab.vector(elem))
+        for ech in self.spans.values():
+            ech.finalize()
 
     def span(self, sig_):
-        ech = self.full.get(sig_)
+        ech = self.spans.get(sig_)
         if ech is None:
             ech = Echelon()
             ech.finalize()
-            self.full[sig_] = ech
+            self.spans[sig_] = ech
         return ech
 
 
@@ -212,6 +234,8 @@ _spans_cache = {}
 
 
 def ideal_spans(presentation, max_inputs):
+    if max_inputs < 1:
+        raise ValueError(f"max_inputs must be at least 1, not {max_inputs}")
     key = (id(presentation), max_inputs)
     hit = _spans_cache.get(key)
     if hit is None:
@@ -370,14 +394,13 @@ def check_ql_conditions(presentation):
         raise ValueError("relations must live in weights 1 and 2")
     report = {"ql1": True, "ql2": True, "witnesses": []}
 
-    # the S-module R: translates of the relations, per signature
+    # the S-module R spanned by the relations, per signature
     rspan = {}
+    r_basis = []
     for r in P.relations:
         sig_ = r.signature()
-        ab = ambient_basis(P.collection, sig_)
-        ech = rspan.setdefault(sig_, Echelon())
-        for e in orbit(r):
-            ech.add(ab.vector(e))
+        r_basis.extend(spin(ambient_basis(P.collection, sig_), [r],
+                            rspan.setdefault(sig_, Echelon())))
 
     # (ql1): no nonzero pure weight-1 combination inside R
     for sig_, ech in rspan.items():
@@ -398,24 +421,20 @@ def check_ql_conditions(presentation):
                 {"condition": "ql1", "signature": str(sig_), "dim": meet})
 
     # (ql2): one-step grafts of R, restricted to pure weight-2 vectors,
-    # must land in the weight-2 part of R's own translates
+    # must land in the weight-2 part of R.  Graft is linear, so growing a
+    # basis of R spans the grafts of all of R.
     max_arity = max(s.signature.total for s in P.collection)
     grown = {}
-    for r in P.relations:
-        for e0 in orbit(r):
-            bound = e0.signature().total + max_arity - 1
-            for g in _grow_once(P.collection, e0, max(bound, 1)):
-                if g.is_zero():
-                    continue
-                sig_ = g.signature()
-                for gg in orbit(g):
-                    grown.setdefault(sig_, []).append(gg)
+    for e0 in r_basis:
+        bound = e0.signature().total + max_arity - 1
+        for g in _grow_once(P.collection, e0, max(bound, 1)):
+            if not g.is_zero():
+                grown.setdefault(g.signature(), []).append(g)
     for sig_, elems in grown.items():
         ab = ambient_basis(P.collection, sig_)
         w2_cols = {i for i, w in enumerate(ab.weights) if w == 2}
         g_ech = Echelon()
-        for e in elems:
-            g_ech.add(ab.vector(e))
+        spin(ab, elems, g_ech)
         # intersect span with the weight-2 slice
         g_sub = g_ech.to_subspace(ab.dim)
         w2_sub = Subspace.from_vectors(
@@ -431,7 +450,6 @@ def check_ql_conditions(presentation):
                 row = target.rows[p]
                 if all(ab.weights[c] == 2 for c in row):
                     t_ech.add(dict(row))
-        base_rank = t_ech.rank
         for vec in meet.basis:
             grew = t_ech.add({i: x for i, x in enumerate(vec) if x})
             if grew:
@@ -439,7 +457,6 @@ def check_ql_conditions(presentation):
                 report["witnesses"].append(
                     {"condition": "ql2", "signature": str(sig_),
                      "vector": ab.element({i: x for i, x in enumerate(vec) if x})})
-        del base_rank
     return report
 
 

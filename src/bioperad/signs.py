@@ -22,13 +22,6 @@ def compose(p, q):
     return tuple(p[q[i] - 1] for i in range(len(q)))
 
 
-def invert(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v - 1] = i + 1
-    return tuple(inv)
-
-
 def perm_sign(p):
     """Signature of a permutation in image notation."""
     n = len(p)

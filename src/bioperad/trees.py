@@ -63,16 +63,6 @@ class Signature:
             raise CompositionError(f"slot {i} out of range for {self}")
         return CLOSED if i <= self.n_closed else OPEN
 
-    def slot_of(self, color, index):
-        """Linear slot of the index-th input of the given color (1-based)."""
-        if color == CLOSED:
-            if not 1 <= index <= self.n_closed:
-                raise CompositionError(f"no closed input {index} in {self}")
-            return index
-        if not 1 <= index <= self.n_open:
-            raise CompositionError(f"no open input {index} in {self}")
-        return self.n_closed + index
-
     def __str__(self):
         return f"({self.n_closed},{self.n_open};{self.out})"
 
@@ -858,7 +848,10 @@ def _decorate(shape):
 
 
 class _BasisCache:
-    def __init__(self):
+    def __init__(self, spaces):
+        # holding the spaces keeps the ids in this entry's key from being
+        # reused by another collection while the entry lives
+        self.spaces = spaces
         self.shape_cache = {}
         self.basis = {}
 
@@ -869,7 +862,7 @@ _basis_caches = {}
 def _collection_cache(collection):
     # keyed by space identity: renamed or regraded collections never collide
     ckey = tuple(map(id, collection.spaces))
-    return _basis_caches.setdefault(ckey, _BasisCache())
+    return _basis_caches.setdefault(ckey, _BasisCache(collection.spaces))
 
 
 def enumerate_basis(collection, signature, weight):

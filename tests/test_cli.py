@@ -148,3 +148,27 @@ def test_empty_input_files_rejected(tmp_path, capsys):
     for argv in (["dims", str(spec)], ["shlp-check", str(tensors)]):
         assert main(argv) == 2
         assert "empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dims", "no-such-file"],
+    ["ql-check", "no-such-file"],
+    ["d2", "NoSuchDg"],
+    ["homology", "NoSuchDg"],
+    ["gk", "H0SC"],
+    ["span", "LP", "--sig", "2,1"],
+    ["span", "LP", "--sig", "2,x,o"],
+    ["span", "LP", "--sig", "2,1,z"],
+    ["span", "LP", "--sig", "1,-1,o"],
+    ["shlp-check", "no-such-file"],
+])
+def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_missing_file_exit_code_from_process(tmp_path):
+    code, _, err = run_cli(["dims", str(tmp_path / "no-such-file")])
+    assert code == 2
+    assert "missing file" in err

@@ -2,11 +2,11 @@ import pytest
 
 from bioperad.models import (LawFailure, _LP_RELS, _relations,
                              alpha_distributive_law, apply_distributive_law,
-                             boundary_identities, builtin_model,
-                             h0sc_dual_dg, h0sc_dual_presentation,
-                             h0sc_presentation, identity_distributive_law,
+                             boundary_identities, h0sc_dual_dg,
+                             h0sc_dual_presentation, h0sc_presentation,
+                             identity_distributive_law,
                              lambda_c_oc_presentation, lp_presentation,
-                             palpha_presentation,
+                             lpinf_dg, ocinf_dg, palpha_presentation,
                              psi_commutes_with_differentials,
                              whistle_distributive_law, DistributiveLaw)
 from bioperad.presentation import (Presentation, quotient_dims,
@@ -14,29 +14,18 @@ from bioperad.presentation import (Presentation, quotient_dims,
 from bioperad.trees import CLOSED, OPEN, parse_term, sig
 
 
-def test_builtin_model_names():
-    pres = builtin_model("LP")
-    assert len(pres.collection.spaces) == 3
-    assert len(pres.relations) == 4
-    dg = builtin_model("OCinf", 3)
-    assert dg.name == "OCinf"
-    with pytest.raises(KeyError) as err:
-        builtin_model("nonsense")
-    assert "available" in str(err.value)
-
-
 def test_h0sc_has_four_generators_and_ql_relations():
-    pres = builtin_model("H0SC")
+    pres = h0sc_presentation()
     assert sorted(s.name for s in pres.collection) == ["al", "e02", "e11", "f2"]
     mixed = [r for r in pres.relations if r.weights() == [1, 2]]
     assert len(mixed) == 2
 
 
 def test_ocinf_generators_include_whistles():
-    dg = builtin_model("OCinf", 4)
+    dg = ocinf_dg(4)
     names = {s.name for s in dg.collection}
     assert {"l2", "l3", "l4", "n10", "n20", "n30", "n11", "n02"} <= names
-    lp = builtin_model("LPinf", 4)
+    lp = lpinf_dg(4)
     lp_names = {s.name for s in lp.collection}
     assert "n10" not in lp_names and "n20" not in lp_names
 
@@ -122,7 +111,6 @@ def test_homology_composition_matches_target_representatives():
     from fractions import Fraction
 
     from bioperad.linalg import Echelon
-    from bioperad.models import ocinf_dg
     from bioperad.trees import corolla_element, graft, parse_term
 
     dg = ocinf_dg(3)

@@ -1,14 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bioperad.models import (h0sc_presentation, h0scvor_presentation,
-                             lp_presentation, qh0sc_presentation,
-                             com_presentation, lie_presentation)
-from bioperad.presentation import (Presentation, check_ql_conditions,
-                                   ambient_basis, project_q, quotient_dims,
-                                   relation_span, truncation)
-from bioperad.trees import (CLOSED, OPEN, Element, enumerate_basis, graft,
+from bioperad import presentation
+from bioperad.linalg import Echelon
+from bioperad.models import (PRESENTATION_BUILDERS, h0sc_presentation,
+                             h0scvor_presentation, lp_presentation,
+                             qh0sc_presentation, com_presentation,
+                             lie_presentation)
+from bioperad.presentation import (IdealSpans, Presentation,
+                                   check_ql_conditions, ambient_basis,
+                                   group_elements, ideal_spans, project_q,
+                                   quotient_dims, relation_span,
+                                   signatures_within, spin, truncation)
+from bioperad.trees import (CLOSED, OPEN, REGULAR, TRIVIAL, Collection,
+                            Element, enumerate_basis, generator, graft,
                             parse_term, sig, symmetric_act)
 
 
@@ -146,6 +154,20 @@ def test_ql1_fails_on_pure_linear_relation():
     assert not report["ql1"]
 
 
+def test_ql2_fails_when_a_linear_term_is_doubled():
+    base = h0sc_presentation()
+    coll = base.collection
+    rel = parse_term(coll, "e02(al(c1),o1)") - parse_term(coll, "e11(c1,o1)")
+    doubled = (parse_term(coll, "e02(al(c1),o1)")
+               - parse_term(coll, "e11(c1,o1)").scale(2))
+    rels = [doubled if r == rel else r for r in base.relations]
+    assert rels != list(base.relations)
+    report = check_ql_conditions(Presentation(coll, rels, "doubled"))
+    assert report["ql1"] and not report["ql2"]
+    assert len(report["witnesses"]) == 3
+    assert {w["condition"] for w in report["witnesses"]} == {"ql2"}
+
+
 def test_project_q_spans_match_stated_list():
     h = h0sc_presentation()
     q = project_q(h)
@@ -178,3 +200,78 @@ def test_quotient_dims_qh0sc_vs_h0sc():
     assert dh[(sig(1, 1, OPEN), 0)] == 1
     assert dh[(sig(1, 2, OPEN), 0)] == 2
     assert dh[(sig(2, 1, OPEN), 0)] == 1
+
+
+@st.composite
+def _ambient_combinations(draw):
+    """An ambient basis at <= 4 inputs and a few small combinations in it."""
+    name = draw(st.sampled_from(sorted(PRESENTATION_BUILDERS)))
+    coll = PRESENTATION_BUILDERS[name]().collection
+    sigs = [s for s in signatures_within(4)
+            if ambient_basis(coll, s).dim > 0]
+    ab = ambient_basis(coll, draw(st.sampled_from(sigs)))
+    coeff = st.integers(-2, 2).filter(bool)
+    elems = draw(st.lists(
+        st.dictionaries(st.integers(0, ab.dim - 1), coeff,
+                        min_size=1, max_size=3),
+        min_size=1, max_size=3))
+    return ab, [ab.element(v) for v in elems]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_ambient_combinations())
+def test_spin_spans_the_whole_orbit(case):
+    ab, elems = case
+    spun = Echelon()
+    spin(ab, elems, spun)
+    spun.finalize()
+    full = Echelon()
+    for e in elems:
+        for g in group_elements(ab.signature):
+            full.add(ab.vector(symmetric_act(g, e)))
+    full.finalize()
+    assert spun.rows == full.rows
+
+
+def test_saturation_acts_only_on_accepted_elements(monkeypatch):
+    calls = []
+    act = presentation.symmetric_act
+
+    def counted(g, e):
+        calls.append(g)
+        return act(g, e)
+
+    monkeypatch.setattr(presentation, "symmetric_act", counted)
+    spans = IdealSpans(lp_presentation(), 4)
+    budget = sum(spans.span(s).rank
+                 * (max(s.n_closed - 1, 0) + max(s.n_open - 1, 0))
+                 for s in signatures_within(4))
+    assert 0 < len(calls) <= budget
+
+
+@pytest.mark.parametrize("call", [
+    lambda P: quotient_dims(P, 0),
+    lambda P: quotient_dims(P, -2),
+    lambda P: ideal_spans(P, 0),
+    lambda P: truncation(P, 0),
+])
+def test_nonpositive_bound_rejected(call):
+    lp = lp_presentation()
+    ideal_spans(lp, 3)  # a cached larger saturation must not answer
+    with pytest.raises(ValueError, match="at least 1"):
+        call(lp)
+
+
+@pytest.mark.parametrize("dim", [
+    lambda coll: ambient_basis(coll, sig(0, 2, OPEN)).dim,
+    lambda coll: len(enumerate_basis(coll, sig(0, 2, OPEN), 1)),
+], ids=["ambient_basis", "enumerate_basis"])
+def test_cache_never_answers_for_a_freed_collection(dim):
+    # a cache keyed by id() of the spaces must keep them alive, or a new
+    # collection allocated at the same address reads the old entry
+    for _ in range(300):
+        closed = Collection([generator("f", sig(2, 0, CLOSED), 0, TRIVIAL)])
+        assert dim(closed) == 0
+        del closed
+        open_ = Collection([generator("m", sig(0, 2, OPEN), 0, REGULAR)])
+        assert dim(open_) == 2

@@ -1,8 +1,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bioperad.signs import (compose, identity, invert, koszul_sign, perm_sign,
-                            sort_key_perm, unshuffle_perm, unshuffles)
+from bioperad.signs import (compose, koszul_sign, perm_sign, sort_key_perm,
+                            unshuffle_perm, unshuffles)
 
 import pytest
 
@@ -37,12 +37,6 @@ def test_koszul_homomorphism(p, q, degrees):
         permuted[q[i] - 1] = d
     rhs = koszul_sign(q, degrees) * koszul_sign(p, permuted)
     assert lhs == rhs
-
-
-@given(perms3)
-def test_invert_compose(p):
-    assert compose(p, invert(p)) == identity(3)
-    assert compose(invert(p), p) == identity(3)
 
 
 @given(perms3, perms3)

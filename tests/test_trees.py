@@ -142,6 +142,11 @@ def _all_slots(e):
             + [(OPEN, i) for i in range(1, s.n_open + 1)])
 
 
+def _linear_slot(sig_, color, index):
+    """Linear slot of the index-th input of the given color (1-based)."""
+    return index if color == CLOSED else sig_.n_closed + index
+
+
 def _inner_slot_after_graft(outer_sig, slot, inner_sig, inner_slot):
     """Where inner's slot (color, j) lands inside outer o_slot inner."""
     dcol, i = slot
@@ -201,8 +206,8 @@ def test_parallel_axiom():
         slots = _all_slots(a)
         for x in slots:
             for y in slots:
-                xa = a.signature().slot_of(*x)
-                ya = a.signature().slot_of(*y)
+                xa = _linear_slot(a.signature(), *x)
+                ya = _linear_slot(a.signature(), *y)
                 if xa >= ya:
                     continue
                 for b in gens:
