@@ -125,9 +125,6 @@ class Matrix:
         return [sum(self[i, j] * vec[j] for j in range(self.cols))
                 for i in range(self.rows)]
 
-    def is_zero(self):
-        return all(x == 0 for x in self.entries)
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
@@ -179,16 +176,6 @@ class Subspace:
     def matrix(self):
         return Matrix.from_rows(list(self.basis)) if self.basis else Matrix.zero(0, self.ambient_dim)
 
-    def contains(self, vec):
-        vec = [Fraction(x) for x in vec]
-        rows = [list(r) for r in self.basis]
-        for row in rows:
-            pivot = next(j for j, x in enumerate(row) if x != 0)
-            if vec[pivot] != 0:
-                f = vec[pivot]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return all(x == 0 for x in vec)
-
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
@@ -200,13 +187,9 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def sum(self, other):
-        _check_same_ambient(self, other)
-        return Subspace.from_vectors(self.ambient_dim,
-                                     list(self.basis) + list(other.basis))
-
     def intersect(self, other):
-        _check_same_ambient(self, other)
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimensions differ")
         if not self.basis or not other.basis:
             return Subspace.zero(self.ambient_dim)
         # x = u A = v B  <=>  (u, v) in nullspace of [A^T | -B^T]
@@ -232,11 +215,6 @@ class Subspace:
         m = self.matrix() * pairing
         _, null = rank_and_nullspace(m)
         return null
-
-
-def _check_same_ambient(a, b):
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimensions differ")
 
 
 def rank_and_nullspace(m):
@@ -398,11 +376,6 @@ class Echelon:
                 else:
                     v.pop(c, None)
         return v
-
-    def contains(self, vec):
-        if not self._final:
-            self.finalize()
-        return not self.reduce(vec)
 
     def to_subspace(self, ambient_dim):
         self.finalize()

@@ -25,10 +25,18 @@ from .trees import (CLOSED, OPEN, Element, component_basis, corolla_element,
 
 
 class Presentation:
+    """A collection and its relations.
+
+    It memoises its ideal saturations and truncations by ``max_inputs``, so
+    they are freed with it.
+    """
+
     def __init__(self, collection, relations, name=""):
         self.collection = collection
         self.relations = tuple(r for r in relations if not r.is_zero())
         self.name = name
+        self.saturations = {}
+        self.truncations = {}
         for r in self.relations:
             sig_ = r.signature()  # also checks label consistency
             for t in r.terms:
@@ -77,9 +85,6 @@ class AmbientBasis:
     """Ordered basis of the full free-operad component at one signature."""
 
     def __init__(self, collection, signature, weight_cap=None):
-        # holding the spaces keeps the ids that key _ambient_cache from
-        # being reused by another collection while this basis is cached
-        self.spaces = collection.spaces
         self.signature = signature
         self.trees = component_basis(collection, signature, weight_cap)
         self.index = {t: i for i, t in enumerate(self.trees)}
@@ -103,15 +108,12 @@ class AmbientBasis:
         return Element({self.trees[i]: c for i, c in vec.items()})
 
 
-_ambient_cache = {}
-
-
 def ambient_basis(collection, signature, weight_cap=None):
-    key = (tuple(map(id, collection.spaces)), signature, weight_cap)
-    hit = _ambient_cache.get(key)
+    key = (signature, weight_cap)
+    hit = collection.ambients.get(key)
     if hit is None:
         hit = AmbientBasis(collection, signature, weight_cap)
-        _ambient_cache[key] = hit
+        collection.ambients[key] = hit
     return hit
 
 
@@ -190,21 +192,14 @@ class IdealSpans:
     def __init__(self, presentation, max_inputs):
         self.presentation = presentation
         self.max_inputs = max_inputs
-        self.ambients = {}
         self.spans = {}     # sig -> Echelon closed under S_n x S_m
         self._saturate()
-
-    def _ambient(self, sig_):
-        hit = self.ambients.get(sig_)
-        if hit is None:
-            hit = ambient_basis(self.presentation.collection, sig_)
-            self.ambients[sig_] = hit
-        return hit
 
     def _spin(self, elem):
         sig_ = elem.signature()
         ech = self.spans.setdefault(sig_, Echelon())
-        return spin(self._ambient(sig_), [elem], ech)
+        return spin(ambient_basis(self.presentation.collection, sig_), [elem],
+                    ech)
 
     def _saturate(self):
         P = self.presentation
@@ -230,21 +225,18 @@ class IdealSpans:
         return ech
 
 
-_spans_cache = {}
-
-
 def ideal_spans(presentation, max_inputs):
     if max_inputs < 1:
         raise ValueError(f"max_inputs must be at least 1, not {max_inputs}")
-    key = (id(presentation), max_inputs)
-    hit = _spans_cache.get(key)
+    saturations = presentation.saturations
+    hit = saturations.get(max_inputs)
     if hit is None:
         # reuse a larger saturation when available
-        for (pid, mi), spans in _spans_cache.items():
-            if pid == id(presentation) and mi >= max_inputs:
+        for mi, spans in saturations.items():
+            if mi >= max_inputs:
                 return spans
         hit = IdealSpans(presentation, max_inputs)
-        _spans_cache[key] = hit
+        saturations[max_inputs] = hit
     return hit
 
 
@@ -368,15 +360,11 @@ class Truncation:
         return self.reduce(symmetric_act(pair, self.class_of(sig_, q)))
 
 
-_trunc_cache = {}
-
-
 def truncation(presentation, max_inputs):
-    key = (id(presentation), max_inputs)
-    hit = _trunc_cache.get(key)
+    hit = presentation.truncations.get(max_inputs)
     if hit is None:
         hit = Truncation(presentation, max_inputs)
-        _trunc_cache[key] = hit
+        presentation.truncations[max_inputs] = hit
     return hit
 
 

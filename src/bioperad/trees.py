@@ -50,8 +50,10 @@ class Signature:
     out: str
 
     def __post_init__(self):
-        assert self.n_closed >= 0 and self.n_open >= 0
-        assert self.out in COLORS
+        if self.n_closed < 0 or self.n_open < 0:
+            raise ValueError(f"negative input count in {self!r}")
+        if self.out not in COLORS:
+            raise ValueError(f"unknown output color {self.out!r}")
 
     @property
     def total(self):
@@ -215,7 +217,12 @@ def generator(name, signature, degree, symmetry):
 
 
 class Collection:
-    """A finite family of vertex spaces, looked up by name or signature."""
+    """A finite family of vertex spaces, looked up by name or signature.
+
+    It also memoises what is enumerated over it, so the memos are freed with
+    it: tree shapes and bases for ``enumerate_basis``, and the ambient bases
+    of ``presentation.ambient_basis`` keyed by (signature, weight_cap).
+    """
 
     def __init__(self, spaces):
         self.spaces = tuple(spaces)
@@ -227,6 +234,9 @@ class Collection:
         self.by_out = {CLOSED: [], OPEN: []}
         for s in self.spaces:
             self.by_out[s.signature.out].append(s)
+        self.shapes = {}
+        self.bases = {}
+        self.ambients = {}
 
     def __iter__(self):
         return iter(self.spaces)
@@ -763,17 +773,14 @@ def _subsets(seq):
         yield tuple(seq[i] for i in range(n) if mask >> i & 1)
 
 
-def enumerate_shapes(collection, closed_labels, open_labels, out, weight,
-                     _cache=None):
+def enumerate_shapes(collection, closed_labels, open_labels, out, weight):
     """All canonical tree shapes with the given leaf label sets.
 
     A shape is a tree whose decorations are None placeholders; decorations
     multiply in afterwards.  Labels are tuples of ints (ascending).
     """
-    if _cache is None:
-        _cache = {}
     key = (closed_labels, open_labels, out, weight)
-    hit = _cache.get(key)
+    hit = collection.shapes.get(key)
     if hit is not None:
         return hit
 
@@ -783,7 +790,7 @@ def enumerate_shapes(collection, closed_labels, open_labels, out, weight,
             results.append(Leaf(CLOSED, closed_labels[0]))
         if out == OPEN and len(open_labels) == 1 and not closed_labels:
             results.append(Leaf(OPEN, open_labels[0]))
-        _cache[key] = results
+        collection.shapes[key] = results
         return results
     if weight >= 1:
         for space in collection.by_out[out]:
@@ -791,15 +798,13 @@ def enumerate_shapes(collection, closed_labels, open_labels, out, weight,
             if sig_.total == 0:
                 continue
             for assignment in _slot_assignments(
-                    collection, sig_, closed_labels, open_labels, weight - 1,
-                    _cache):
+                    collection, sig_, closed_labels, open_labels, weight - 1):
                 results.append(Node(space, None, assignment))
-    _cache[key] = results
+    collection.shapes[key] = results
     return results
 
 
-def _slot_assignments(collection, sig_, closed_labels, open_labels,
-                      budget, cache):
+def _slot_assignments(collection, sig_, closed_labels, open_labels, budget):
     """Distribute labels and weight over the slots of a signature, keeping
     each color block sorted by minimal leaf key."""
     slots = ([CLOSED] * sig_.n_closed) + ([OPEN] * sig_.n_open)
@@ -824,7 +829,7 @@ def _slot_assignments(collection, sig_, closed_labels, open_labels,
                 o_next = tuple(x for x in o_rest if x not in o_sub)
                 for w in range(0, w_rest + 1):
                     for sub in enumerate_shapes(collection, c_sub, o_sub,
-                                                color, w, cache):
+                                                color, w):
                         prev2 = dict(prev_key_by_color)
                         prev2[color] = k
                         acc.append(sub)
@@ -847,41 +852,22 @@ def _decorate(shape):
     return out
 
 
-class _BasisCache:
-    def __init__(self, spaces):
-        # holding the spaces keeps the ids in this entry's key from being
-        # reused by another collection while the entry lives
-        self.spaces = spaces
-        self.shape_cache = {}
-        self.basis = {}
-
-
-_basis_caches = {}
-
-
-def _collection_cache(collection):
-    # keyed by space identity: renamed or regraded collections never collide
-    ckey = tuple(map(id, collection.spaces))
-    return _basis_caches.setdefault(ckey, _BasisCache(collection.spaces))
-
-
 def enumerate_basis(collection, signature, weight):
     """All canonical decorated trees of the signature with exactly `weight`
     vertices.  Deterministically ordered."""
-    store = _collection_cache(collection)
     bkey = (signature, weight)
-    hit = store.basis.get(bkey)
+    hit = collection.bases.get(bkey)
     if hit is not None:
         return hit
     closed_labels = tuple(range(1, signature.n_closed + 1))
     open_labels = tuple(range(1, signature.n_open + 1))
     shapes = enumerate_shapes(collection, closed_labels, open_labels,
-                              signature.out, weight, store.shape_cache)
+                              signature.out, weight)
     trees = []
     for sh in shapes:
         trees.extend(_decorate(sh))
     trees.sort(key=text_form)
-    store.basis[bkey] = trees
+    collection.bases[bkey] = trees
     return trees
 
 
@@ -913,71 +899,6 @@ def component_basis(collection, signature, weight_cap=None):
     for w in range(1, cap + 1):
         out.extend(enumerate_basis(collection, signature, w))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Suspensions of generator collections
-
-LAMBDA = "Lambda"
-LAMBDA_INVERSE = "LambdaInverse"
-LAMBDA_C = "LambdaC"
-LINEAR_DUAL = "LinearDual"
-
-
-def _twist_swaps(swaps, sign_flip, transpose):
-    out = []
-    for table in swaps:
-        if transpose:
-            dim = len(table)
-            cols = [[] for _ in range(dim)]
-            for b, col in enumerate(table):
-                for b2, c in col:
-                    cols[b2].append((b, c))
-            table = tuple(tuple(col) for col in cols)
-        if sign_flip:
-            table = tuple(tuple((b2, -c) for b2, c in col) for col in table)
-        out.append(table)
-    return tuple(out)
-
-
-def suspend_collection(collection, kind, rename=None):
-    """Regrade a collection: Lambda, LambdaInverse, LambdaC or LinearDual.
-
-    Lambda(V)(k) sits in degree d + 1 - k with a sign twist of the full
-    symmetric action; LambdaC shifts by 1-n (closed output) or -n (open
-    output) twisting only the closed block; LinearDual negates degrees and
-    transposes the action.
-    """
-    rename = rename or (lambda n: n)
-    spaces = []
-    for s in collection:
-        sig_ = s.signature
-        k = sig_.total
-        if kind == LAMBDA:
-            shift, twist_c, twist_o, transpose = 1 - k, True, True, False
-        elif kind == LAMBDA_INVERSE:
-            shift, twist_c, twist_o, transpose = k - 1, True, True, False
-        elif kind == LAMBDA_C:
-            n = sig_.n_closed
-            shift = (1 - n) if sig_.out == CLOSED else -n
-            twist_c, twist_o, transpose = True, False, False
-        elif kind == LINEAR_DUAL:
-            shift, twist_c, twist_o, transpose = None, False, False, True
-        else:
-            raise ValueError(f"unknown suspension kind {kind!r}")
-        if kind == LINEAR_DUAL:
-            degrees = tuple(-d for d in s.degrees)
-        else:
-            degrees = tuple(d + shift for d in s.degrees)
-        ns = VertexSpace(rename(s.name), sig_, degrees,
-                         _twist_swaps(s.closed_swaps, twist_c, transpose),
-                         _twist_swaps(s.open_swaps, twist_o, transpose),
-                         s.labels)
-        for attr in ("symmetry", "gen_degree", "arrangements"):
-            if hasattr(s, attr):
-                setattr(ns, attr, getattr(s, attr))
-        spaces.append(ns)
-    return Collection(spaces)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from bioperad.presentation import (IdealSpans, Presentation,
                                    group_elements, ideal_spans, project_q,
                                    quotient_dims, relation_span,
                                    signatures_within, spin, truncation)
+from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, OPEN, REGULAR, TRIVIAL, Collection,
                             Element, enumerate_basis, generator, graft,
                             parse_term, sig, symmetric_act)
@@ -275,3 +278,20 @@ def test_cache_never_answers_for_a_freed_collection(dim):
         del closed
         open_ = Collection([generator("m", sig(0, 2, OPEN), 0, REGULAR)])
         assert dim(open_) == 2
+
+
+def test_owned_caches_are_freed_with_their_presentation():
+    P = parse_spec(emit_spec(lp_presentation()))
+    quotient_dims(P, 3)
+    truncation(P, 3)
+    refs = [weakref.ref(P), weakref.ref(P.collection)]
+    del P
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_project_q_shares_its_collections_ambient_bases():
+    P = h0sc_presentation()
+    qP = project_q(P)
+    for s in signatures_within(3):
+        assert ambient_basis(P.collection, s) is ambient_basis(qP.collection, s)

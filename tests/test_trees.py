@@ -6,12 +6,11 @@ import pytest
 from bioperad.signs import compose
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
                             Collection, CompositionError, Element, Leaf,
-                            corolla, corolla_element, enumerate_basis,
-                            generator, graft, parse_term, sig,
-                            suspend_collection, symmetric_act, text_form,
-                            text_form_signed, tree_degree, tree_element,
-                            tree_signature, tree_weight, LAMBDA,
-                            LAMBDA_INVERSE, LAMBDA_C, LINEAR_DUAL)
+                            Signature, corolla, corolla_element,
+                            enumerate_basis, generator, graft, parse_term,
+                            sig, symmetric_act, text_form, text_form_signed,
+                            tree_degree, tree_element, tree_signature,
+                            tree_weight)
 
 
 def ev_collection():
@@ -272,39 +271,11 @@ def test_inner_action_equivariance():
                         assert lhs == rhs, (a, b, col, i, pc, po)
 
 
-def test_suspensions_degrees():
-    ev = ev_collection()
-    lam = suspend_collection(ev, LAMBDA)
-    assert lam["f2"].degrees == (-1,)
-    assert lam["e11"].degrees == (-1,)
-    back = suspend_collection(lam, LAMBDA_INVERSE)
-    assert back["f2"].degrees == ev["f2"].degrees
-    dual = suspend_collection(lam, LINEAR_DUAL)
-    # dual of the color-blind suspension: degree k-1, the Koszul-dual
-    # cooperad convention (binary degree 0 -> 1)
-    assert dual["f2"].degrees == (1,)
-    dd = suspend_collection(dual, LINEAR_DUAL)
-    assert dd["f2"].degrees == lam["f2"].degrees
-
-
-def test_lambda_twists_symmetry():
-    ev = ev_collection()
-    lam = suspend_collection(ev, LAMBDA)
-    f2s = corolla_element(lam["f2"])
-    assert symmetric_act(((2, 1), ()), f2s) == f2s.scale(-1)
-
-
-def test_lambda_c_degrees():
-    # closed-output binary: 1-n = -1 shift; open (1,0;o): -n = -1 shift
-    coll = Collection([
-        generator("x2", sig(2, 0, CLOSED), 1, TRIVIAL),
-        generator("w", sig(1, 0, OPEN), 0, NONE),
-        generator("m2", sig(0, 2, OPEN), 0, REGULAR),
-    ])
-    lc = suspend_collection(coll, LAMBDA_C)
-    assert lc["x2"].degrees == (0,)
-    assert lc["w"].degrees == (-1,)
-    assert lc["m2"].degrees == (0, 0)
+@pytest.mark.parametrize("args", [(-1, 0, CLOSED), (0, -1, OPEN),
+                                  (1, 0, "x")])
+def test_signature_rejects_bad_counts_and_colors(args):
+    with pytest.raises(ValueError):
+        Signature(*args)
 
 
 def test_parse_and_text_roundtrip():
