@@ -15,7 +15,7 @@ from math import factorial
 
 from .linalg import Echelon
 from .presentation import signatures_within
-from .trees import (Element, Leaf, component_basis, make_node,
+from .trees import (Element, Leaf, accumulate, component_basis, make_node,
                     substitute_element, tree_degree)
 
 
@@ -49,30 +49,18 @@ class Derivation:
                     for u, c in dchild.terms.items():
                         kids = list(t.children)
                         kids[i] = u
-                        for v, c2 in make_node(t.space, t.dec, kids).terms.items():
-                            nv = acc.get(v, 0) + c * c2 * sign
-                            if nv:
-                                acc[v] = nv
-                            else:
-                                acc.pop(v, None)
+                        terms = make_node(t.space, t.dec, kids).terms
+                        accumulate(acc, terms.items(), c * sign)
                 prefix += tree_degree(child)
-            out = Element()
-            out.terms = acc
+            out = Element.of(acc)
         self._tree_cache[t] = out
         return out
 
     def apply(self, elem):
         acc = {}
         for t, c in elem.terms.items():
-            for u, c2 in self.apply_tree(t).terms.items():
-                nv = acc.get(u, 0) + c * c2
-                if nv:
-                    acc[u] = nv
-                else:
-                    acc.pop(u, None)
-        out = Element()
-        out.terms = acc
-        return out
+            accumulate(acc, self.apply_tree(t).terms.items(), c)
+        return Element.of(acc)
 
 
 def extend_derivation(collection, genmap):

@@ -259,13 +259,17 @@ def solve(rows, rhs):
 
 def _clear_denominators(vec_items):
     """dict col -> Fraction/int  to gcd-reduced dict col -> int."""
-    items = [(c, Fraction(x)) for c, x in vec_items if x != 0]
+    items = [(c, x) for c, x in vec_items if x != 0]
     if not items:
         return {}
-    denom = 1
-    for _, x in items:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = {c: int(x * denom) for c, x in items}
+    if all(type(x) is int for _, x in items):
+        ints = dict(items)
+    else:
+        items = [(c, Fraction(x)) for c, x in items]
+        denom = 1
+        for _, x in items:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        ints = {c: int(x * denom) for c, x in items}
     g = 0
     for v in ints.values():
         g = gcd(g, abs(v))

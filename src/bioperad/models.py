@@ -223,8 +223,6 @@ def _planar_open_word(t):
 
 
 def _expansion_genmap(coll):
-    from fractions import Fraction
-
     from .duality import _arrangement_sign, _label_words
     from .signs import perm_sign
     from .trees import Element, Node, enumerate_basis
@@ -254,7 +252,7 @@ def _expansion_genmap(coll):
             exp = k1 + (k2 - 1) * (inner_pos - 1) + (k1 - 1) * (k2 - 1)
             if exp & 1:
                 sgn = -sgn
-            out = out + Element({tau: Fraction(sgn)})
+            out = out + Element({tau: sgn})
         cache[key] = out
         return out
 

@@ -20,8 +20,8 @@ from itertools import permutations
 
 from .linalg import Echelon, Subspace
 from .trees import (CLOSED, OPEN, Element, component_basis, corolla_element,
-                    graft, symmetric_act, tree_degree, tree_signature,
-                    tree_weight, Signature)
+                    graft, symmetric_act, tree_degree, tree_element,
+                    tree_signature, tree_weight, Signature)
 
 
 class Presentation:
@@ -38,14 +38,7 @@ class Presentation:
         self.saturations = {}
         self.truncations = {}
         for r in self.relations:
-            sig_ = r.signature()  # also checks label consistency
-            for t in r.terms:
-                _check_spaces(collection, t)
-                if tree_signature(t) != sig_:
-                    raise ValueError("relation mixes signatures")
-            ws = r.weights()
-            if any(w < 1 for w in ws):
-                raise ValueError("relation with weight < 1")
+            check_relation(collection, r)
 
     def __repr__(self):
         return f"Presentation({self.name or 'anonymous'}, {len(self.relations)} relations)"
@@ -55,6 +48,19 @@ class Presentation:
 
     def is_quadratic_linear(self):
         return all(set(r.weights()) <= {1, 2} for r in self.relations)
+
+
+def check_relation(collection, r):
+    """Raise ValueError unless every term of the nonzero relation r is a tree
+    over the collection, of one signature, with leaves labelled 1..n and
+    1..m and with at least one vertex."""
+    sig_ = r.signature()
+    for t in r.terms:
+        _check_spaces(collection, t)
+        if tree_signature(t) != sig_:
+            raise ValueError("relation mixes signatures")
+    if any(w < 1 for w in r.weights()):
+        raise ValueError("relation with weight < 1")
 
 
 def _check_spaces(collection, t):
@@ -349,7 +355,7 @@ class Truncation:
     def class_of(self, sig_, q):
         """Representative Element of the q-th quotient basis class."""
         ab = self.ambient(sig_)
-        return Element({ab.trees[self.basis(sig_)[q]]: Fraction(1)})
+        return tree_element(ab.trees[self.basis(sig_)[q]])
 
     def compose(self, sig1, q1, color, index, sig2, q2):
         """Compose quotient classes; returns dict position -> coeff."""

@@ -16,7 +16,7 @@ parse(emit(P)) reproduces the presentation relation by relation.
 
 from fractions import Fraction
 
-from .presentation import Presentation
+from .presentation import Presentation, check_relation
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                     Element, TermSyntaxError, generator, parse_term, sig,
                     text_form_signed)
@@ -179,8 +179,13 @@ def parse_spec(text):
     relations = []
     for lineno, rest in relation_lines:
         elem = parse_relation_expression(collection, rest, lineno)
-        if not elem.is_zero():
-            relations.append(elem)
+        if elem.is_zero():
+            continue
+        try:
+            check_relation(collection, elem)
+        except ValueError as exc:
+            raise SpecFileError(f"bad relation: {exc}", lineno) from exc
+        relations.append(elem)
     return Presentation(collection, relations, name)
 
 

@@ -18,8 +18,13 @@ depth-first word of vertex degrees.  Grafting inserts the inner word at the
 grafted slot's position, signed by moving it past the tail of the outer
 word.
 
+Nodes are hash-consed (J.-C. Filliatre and S. Conchon, *Type-safe modular
+hash-consing*, ML Workshop 2006): each vertex space interns its nodes, so
+equal trees are one object and tree equality is identity.
+
 Elements are Q-linear combinations of canonical trees with a fixed
-signature and homological degree.
+signature and homological degree.  Coefficients are exact: an ``int`` when
+integral, a ``Fraction`` otherwise, never a float.
 """
 
 from dataclasses import dataclass
@@ -101,6 +106,7 @@ class VertexSpace:
             for swaps in (self.closed_swaps, self.open_swaps)
             for s in swaps for col in s)
         self._act_cache = {}
+        self.nodes = {}  # (dec, children) -> the interned Node
 
     def __repr__(self):
         return f"VertexSpace({self.name}, {self.signature}, dim {self.dim})"
@@ -108,24 +114,19 @@ class VertexSpace:
     def act_block(self, basis_idx, closed_perm, open_perm):
         """Right action of (closed_perm, open_perm) on a basis element.
 
-        Returns a list of (basis_idx, Fraction) pairs.
+        Returns a tuple of (basis_idx, coeff) pairs.
         """
         key = (basis_idx, closed_perm, open_perm)
         hit = self._act_cache.get(key)
         if hit is not None:
             return hit
-        vec = {basis_idx: Fraction(1)}
+        vec = {basis_idx: 1}
         for swaps, perm in ((self.closed_swaps, closed_perm),
                             (self.open_swaps, open_perm)):
             for i in _adjacent_decomposition(perm):
                 new = {}
                 for b, coef in vec.items():
-                    for b2, c2 in swaps[i][b]:
-                        nv = new.get(b2, Fraction(0)) + coef * c2
-                        if nv:
-                            new[b2] = nv
-                        else:
-                            new.pop(b2, None)
+                    accumulate(new, swaps[i][b], coef)
                 vec = new
         out = tuple(sorted(vec.items()))
         self._act_cache[key] = out
@@ -151,12 +152,12 @@ def _adjacent_decomposition(perm):
 
 
 def _identity_swaps(count, dim):
-    col = tuple(((b, Fraction(1)),) for b in range(dim))
+    col = tuple(((b, 1),) for b in range(dim))
     return tuple(col for _ in range(count))
 
 
 def _sign_swaps(count, dim):
-    col = tuple(((b, Fraction(-1)),) for b in range(dim))
+    col = tuple(((b, -1),) for b in range(dim))
     return tuple(col for _ in range(count))
 
 
@@ -176,7 +177,7 @@ def _regular_swap_tables(q):
         col = []
         for p in elems:
             w = tuple(b if x == a else a if x == b else x for x in p)
-            col.append(((index[w], Fraction(1)),))
+            col.append(((index[w], 1),))
         tables.append(tuple(col))
     return tuple(elems), tuple(tables)
 
@@ -265,26 +266,27 @@ class Leaf:
 
 
 class Node:
-    """Internal vertex: a vertex space, a basis index, ordered children."""
+    """Internal vertex: a vertex space, a basis index, ordered children.
 
-    __slots__ = ("space", "dec", "children", "_hash", "_min_key", "_degree",
-                 "_weight")
+    ``Node(space, dec, children)`` returns the node interned in
+    ``space.nodes`` for (dec, children), creating it on first use, so
+    equality and hashing are by identity.  ``canonical`` is set by
+    ``make_node`` on every node it builds.
+    """
 
-    def __init__(self, space, dec, children):
-        self.space = space
-        self.dec = dec
-        self.children = tuple(children)
-        self._hash = hash((id(space), dec, self.children))
-        self._min_key = None
-        self._degree = None
-        self._weight = None
+    __slots__ = ("space", "dec", "children", "canonical", "_min_key",
+                 "_degree", "_weight", "_signature")
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return (isinstance(other, Node) and self.space is other.space
-                and self.dec == other.dec and self.children == other.children)
+    def __new__(cls, space, dec, children):
+        key = (dec, tuple(children))
+        node = space.nodes.get(key)
+        if node is None:
+            node = space.nodes[key] = object.__new__(cls)
+            node.space, node.dec, node.children = space, dec, key[1]
+            node.canonical = False
+            node._min_key = node._degree = node._weight = None
+            node._signature = None
+        return node
 
     def __repr__(self):
         return text_form(self)
@@ -320,23 +322,27 @@ def min_leaf_key(t):
 
 
 def tree_signature(t):
-    closed, open_ = leaf_labels(t)
-    n, m = len(closed), len(open_)
-    assert closed == set(range(1, n + 1)) and open_ == set(range(1, m + 1)), \
-        "tree leaves are not a standard labeling"
-    return Signature(n, m, out_color(t))
-
-
-def leaf_labels(t):
-    closed, open_ = set(), set()
+    """Signature of a tree whose closed and open leaves are labelled 1..n
+    and 1..m, each label once; raises ValueError for any other labelling."""
+    if isinstance(t, Node) and t._signature is not None:
+        return t._signature
+    labels = {CLOSED: [], OPEN: []}
     stack = [t]
     while stack:
         x = stack.pop()
         if isinstance(x, Leaf):
-            (closed if x.color == CLOSED else open_).add(x.label)
+            labels[x.color].append(x.label)
         else:
             stack.extend(x.children)
-    return closed, open_
+    closed, open_ = sorted(labels[CLOSED]), sorted(labels[OPEN])
+    if (closed != list(range(1, len(closed) + 1))
+            or open_ != list(range(1, len(open_) + 1))):
+        raise ValueError(f"leaves of {text_form(t)} are not labelled "
+                         f"1..n and 1..m")
+    sig_ = Signature(len(closed), len(open_), out_color(t))
+    if isinstance(t, Node):
+        t._signature = sig_
+    return sig_
 
 
 def _check_child_colors(space, children):
@@ -356,6 +362,30 @@ def _check_child_colors(space, children):
 # Elements: Q-linear combinations of canonical trees
 
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def accumulate(acc, items, scale=1):
+    """Add scale * c to acc[k] for each (k, c) in items; returns acc.
+
+    Zero sums are dropped and integral sums are kept as ints.
+    """
+    for k, c in items:
+        nv = acc.get(k, 0) + c * scale
+        if type(nv) is not int and nv.denominator == 1:
+            nv = nv.numerator
+        if nv:
+            acc[k] = nv
+        else:
+            acc.pop(k, None)
+    return acc
+
+
 class Element:
     """Linear combination of canonical trees of one signature and degree."""
 
@@ -364,18 +394,20 @@ class Element:
     def __init__(self, terms=None):
         self.terms = {}
         if terms:
-            for t, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
-                if c:
-                    nv = self.terms.get(t, Fraction(0)) + c
-                    if nv:
-                        self.terms[t] = nv
-                    else:
-                        self.terms.pop(t, None)
+            accumulate(self.terms, (
+                (t, _exact(c)) for t, c in
+                (terms.items() if isinstance(terms, dict) else terms)))
 
     @classmethod
     def zero(cls):
         return cls()
+
+    @classmethod
+    def of(cls, terms):
+        """Wrap a dict of nonzero, already normalised coefficients."""
+        e = cls()
+        e.terms = terms
+        return e
 
     def is_zero(self):
         return not self.terms
@@ -387,26 +419,16 @@ class Element:
         return len(self.terms)
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            nv = out.get(t, Fraction(0)) + c
-            if nv:
-                out[t] = nv
-            else:
-                out.pop(t, None)
-        e = Element()
-        e.terms = out
-        return e
+        return Element.of(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
-        e = Element()
-        if c:
-            e.terms = {t: x * c for t, x in self.terms.items()}
-        return e
+        c = _exact(c)
+        if not c:
+            return Element()
+        return Element.of({t: _exact(x * c) for t, x in self.terms.items()})
 
     def __neg__(self):
         return self.scale(-1)
@@ -436,7 +458,7 @@ class Element:
 
 
 def tree_element(t, coeff=1):
-    return Element({t: Fraction(coeff)})
+    return Element({t: coeff})
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +483,6 @@ def _sorted_block(children, lo, hi, degrees):
     return new, perm, sign
 
 
-_CANONICAL = set()
-
-
 def make_node(space, dec_vector, children):
     """Assemble a vertex from possibly unsorted children; returns an Element.
 
@@ -481,23 +500,18 @@ def make_node(space, dec_vector, children):
     if isinstance(dec_vector, int):
         if cperm == _id_cache(len(cperm)) and operm == _id_cache(len(operm)):
             t = Node(space, dec_vector, children3)
-            _CANONICAL.add(t)
-            return Element({t: total_sign})
-        dec_vector = ((dec_vector, Fraction(1)),)
+            t.canonical = True
+            return Element.of({t: total_sign})
+        dec_vector = ((dec_vector, 1),)
     acc = {}
     for dec, coeff in dec_vector:
-        acted = space.act_block(dec, cperm, operm)
-        for b, c2 in acted:
+        terms = []
+        for b, c2 in space.act_block(dec, cperm, operm):
             t = Node(space, b, children3)
-            _CANONICAL.add(t)
-            nv = acc.get(t, 0) + coeff * c2 * total_sign
-            if nv:
-                acc[t] = nv
-            else:
-                acc.pop(t, None)
-    out = Element()
-    out.terms = {t: Fraction(c) for t, c in acc.items()}
-    return out
+            t.canonical = True
+            terms.append((t, c2))
+        accumulate(acc, terms, coeff * total_sign)
+    return Element.of(acc)
 
 
 @lru_cache(maxsize=None)
@@ -550,7 +564,7 @@ def _word_tail_degree_after_slot(t, color, index):
 # Grafting
 
 
-def _relabel_leaf(leaf, color, index, inner_counts, outer_counts):
+def _relabel_leaf(leaf, color, index, inner_counts):
     """New label of an outer leaf after grafting at (color, index)."""
     n2, m2 = inner_counts
     if color == CLOSED:
@@ -583,34 +597,16 @@ def _map_leaves(t, f):
     return Node(t.space, t.dec, tuple(_map_leaves(c, f) for c in t.children))
 
 
-def _splice(t, color, index, s):
-    """Replace the (color, index) leaf of t by the tree s (labels final)."""
-    if isinstance(t, Leaf):
-        if t.color == color and t.label == index:
-            return s
-        return t
-    return Node(t.space, t.dec,
-                tuple(_splice(c, color, index, s) for c in t.children))
-
-
 def _recanonicalize(t):
     """Re-sort every vertex of a structurally valid tree; returns Element."""
-    if isinstance(t, Leaf):
-        return tree_element(t)
-    if t in _CANONICAL:
-        return tree_element(t)
+    if isinstance(t, Leaf) or t.canonical:
+        return Element.of({t: 1})
     parts = [_recanonicalize(c) for c in t.children]
     acc = {}
     for children, coeff in _expand(parts):
-        for u, c in make_node(t.space, t.dec, children).terms.items():
-            nv = acc.get(u, 0) + c * coeff
-            if nv:
-                acc[u] = nv
-            else:
-                acc.pop(u, None)
-    out = Element()
-    out.terms = acc
-    return out
+        accumulate(acc, make_node(t.space, t.dec, children).terms.items(),
+                   coeff)
+    return Element.of(acc)
 
 
 def _expand(parts):
@@ -618,7 +614,7 @@ def _expand(parts):
     items = [list(p.terms.items()) for p in parts]
     for combo in product(*items) if items else [()]:
         children = tuple(t for t, _ in combo)
-        coeff = Fraction(1)
+        coeff = 1
         for _, c in combo:
             coeff *= c
         yield children, coeff
@@ -648,26 +644,23 @@ def graft_trees(t, color, index, s):
 
     inner_counts = (s_sig.n_closed, s_sig.n_open)
     outer_counts = (t_sig.n_closed, t_sig.n_open)
-    # mark the grafted slot before relabeling: other leaves may collide with
-    # its label when the inner tree shrinks the block
-    marker = Leaf(color, -1)
-    t_marked = _splice(t, color, index, marker)
-    t2 = _map_leaves(t_marked, lambda lf: lf if lf.label == -1 else
-                     _relabel_leaf(lf, color, index, inner_counts,
-                                   outer_counts))
     s2 = _map_leaves(s, lambda lf: _relabel_inner_leaf(lf, color, index,
                                                        outer_counts))
-    spliced = _splice(t2, color, -1, s2)
+    # one pass: the grafted leaf is matched by its label before relabeling
+    spliced = _map_leaves(t, lambda lf: s2 if (
+        lf.color == color and lf.label == index) else _relabel_leaf(
+            lf, color, index, inner_counts))
     return _recanonicalize(spliced).scale(sign)
 
 
 def graft(elem, color, index, inner):
     """Bilinear graft of Elements; see graft_trees."""
-    out = Element()
+    acc = {}
     for t, ct in elem.terms.items():
         for s, cs in inner.terms.items():
-            out = out + graft_trees(t, color, index, s).scale(ct * cs)
-    return out
+            accumulate(acc, graft_trees(t, color, index, s).terms.items(),
+                       ct * cs)
+    return Element.of(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -734,15 +727,8 @@ def substitute(pattern, closed_subs, open_subs):
 def substitute_element(pattern_elem, closed_subs, open_subs):
     acc = {}
     for t, c in pattern_elem.terms.items():
-        for u, c2 in substitute(t, closed_subs, open_subs).terms.items():
-            nv = acc.get(u, 0) + c * c2
-            if nv:
-                acc[u] = nv
-            else:
-                acc.pop(u, None)
-    out = Element()
-    out.terms = acc
-    return out
+        accumulate(acc, substitute(t, closed_subs, open_subs).terms.items(), c)
+    return Element.of(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -752,15 +738,15 @@ def substitute_element(pattern_elem, closed_subs, open_subs):
 def symmetric_act(perm_pair, elem):
     """Right action of (closed perm, open perm) by relabeling leaves."""
     cperm, operm = perm_pair
-    out = Element()
+    acc = {}
     for t, c in elem.terms.items():
         sig_ = tree_signature(t)
         if len(cperm) != sig_.n_closed or len(operm) != sig_.n_open:
             raise ValueError("permutation sizes do not match the signature")
         t2 = _map_leaves(t, lambda lf: Leaf(lf.color, (
             cperm[lf.label - 1] if lf.color == CLOSED else operm[lf.label - 1])))
-        out = out + _recanonicalize(t2).scale(c)
-    return out
+        accumulate(acc, _recanonicalize(t2).terms.items(), c)
+    return Element.of(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +904,7 @@ def text_form(t):
 
 def text_form_signed(t):
     """(sign, text) with parse(text) == sign * tree."""
-    sign, s = _text_form(t)
-    return sign, s
+    return _text_form(t)
 
 
 class TermSyntaxError(ValueError):
@@ -970,10 +955,11 @@ def parse_term(collection, text):
                     p += 1
                     break
                 raise TermSyntaxError("expected ',' or ')'", p)
-            out = Element()
+            acc = {}
             for combo, coeff in _expand(children):
-                out = out + make_node(space, 0, combo).scale(coeff)
-            return out, p
+                accumulate(acc, make_node(space, 0, combo).terms.items(),
+                           coeff)
+            return Element.of(acc), p
         if name[0] in COLORS and name[1:].isdigit():
             return tree_element(Leaf(name[0], int(name[1:]))), p
         raise TermSyntaxError(f"unknown leaf or generator {name!r}", start)

@@ -172,3 +172,19 @@ def test_missing_file_exit_code_from_process(tmp_path):
     code, _, err = run_cli(["dims", str(tmp_path / "no-such-file")])
     assert code == 2
     assert "missing file" in err
+
+
+@pytest.mark.parametrize("relation, message", [
+    ("f2(f2(c1,c2),c4) - f2(c1,f2(c2,c4))", "not labelled 1..n"),
+    ("f2(c1,c1)", "not labelled 1..n"),
+    ("f2(c1,c2) - f2(f2(c1,c2),c3)", "mixes signatures"),
+])
+def test_malformed_relation_exits_2_with_its_line(relation, message,
+                                                  tmp_path, capsys):
+    spec = tmp_path / "bad.operad"
+    spec.write_text("operad Bad\n"
+                    "generator f2 : (c,c) -> c degree 0 symmetry trivial\n"
+                    f"relation {relation}\n")
+    assert main(["dims", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "(line 3)" in err

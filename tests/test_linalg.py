@@ -3,8 +3,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bioperad.linalg import (Echelon, Matrix, Subspace, rank_and_nullspace,
-                             solve)
+from bioperad.linalg import (Echelon, Matrix, Subspace, _clear_denominators,
+                             rank_and_nullspace, solve)
 
 import pytest
 
@@ -142,3 +142,12 @@ def test_solve_exact_or_inconsistent(augmented):
     assert (x is not None) == consistent
     if x is not None:
         assert Matrix.from_rows(rows).apply(x) == rhs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.dictionaries(st.integers(0, 8), st.integers(-60, 60), max_size=6))
+def test_clear_denominators_same_on_ints_and_fractions(vec):
+    ints = _clear_denominators(vec.items())
+    as_fractions = {c: Fraction(x) for c, x in vec.items()}
+    assert ints == _clear_denominators(as_fractions.items())
+    assert all(type(x) is int for x in ints.values())

@@ -2,15 +2,19 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bioperad.models import PRESENTATION_BUILDERS, lpinf_dg, ocinf_dg
+from bioperad.presentation import ambient_basis, signatures_within, truncation
 from bioperad.signs import compose
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
                             Collection, CompositionError, Element, Leaf,
-                            Signature, corolla, corolla_element,
-                            enumerate_basis, generator, graft, parse_term,
-                            sig, symmetric_act, text_form, text_form_signed,
-                            tree_degree, tree_element, tree_signature,
-                            tree_weight)
+                            Signature, _map_leaves, _recanonicalize, corolla,
+                            corolla_element, enumerate_basis, generator,
+                            graft, parse_term, sig, symmetric_act, text_form,
+                            text_form_signed, tree_degree, tree_element,
+                            tree_signature, tree_weight)
 
 
 def ev_collection():
@@ -307,3 +311,116 @@ def test_parse_errors():
         parse_term(ev, "bogus(c1)")
     with pytest.raises(ValueError):
         parse_term(ev, "f2(c1,c2))")
+
+
+# ---------------------------------------------------------------------------
+# Properties over small random trees of the builtin collections
+
+_DG_MODELS = {"OCinf": ocinf_dg, "LPinf": lpinf_dg}
+_COLLECTION_NAMES = sorted(PRESENTATION_BUILDERS) + sorted(_DG_MODELS)
+# the collections with odd-degree generators, where Koszul signs show
+_GRADED_NAMES = ["H0SCdual", "LPinf", "OCinf"]
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _collection(name):
+    if name in _DG_MODELS:
+        return _DG_MODELS[name](3).collection
+    return PRESENTATION_BUILDERS[name]().collection
+
+
+def _signatures(coll, max_inputs, out=None):
+    return [s for s in signatures_within(max_inputs)
+            if (out is None or s.out == out) and ambient_basis(coll, s).dim]
+
+
+def _draw_tree(draw, coll, max_inputs, out=None):
+    s = draw(st.sampled_from(_signatures(coll, max_inputs, out)))
+    return draw(st.sampled_from(ambient_basis(coll, s).trees))
+
+
+def _draw_element(draw, coll, max_inputs, out=None):
+    """A nonzero combination of up to three trees of one signature with
+    small rational coefficients, so that products and sums can be
+    integral."""
+    s = draw(st.sampled_from(_signatures(coll, max_inputs, out)))
+    trees = ambient_basis(coll, s).trees
+    coeff = st.fractions(-2, 2, max_denominator=2).filter(bool)
+    return Element(draw(st.dictionaries(st.sampled_from(trees), coeff,
+                                        min_size=1, max_size=3)))
+
+
+def _draw_slot(draw, coll, e, max_inputs):
+    """A slot of e that some tree of at most max_inputs inputs can fill."""
+    colors = {s.out for s in _signatures(coll, max_inputs)}
+    slots = [slot for slot in _all_slots(e) if slot[0] in colors]
+    assume(slots)
+    return draw(st.sampled_from(slots))
+
+
+def _exact(e):
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in e.terms.values())
+
+
+@_PROPERTY
+@given(st.data())
+def test_parse_of_signed_text_returns_the_same_node(data):
+    coll = _collection(data.draw(st.sampled_from(_COLLECTION_NAMES)))
+    t = _draw_tree(data.draw, coll, 4)
+    sign, txt = text_form_signed(t)
+    ((u, c),) = parse_term(coll, txt).terms.items()
+    assert u is t and c == sign and type(c) is int
+
+
+@_PROPERTY
+@given(st.data())
+def test_recanonicalize_is_idempotent(data):
+    coll = _collection(data.draw(st.sampled_from(_COLLECTION_NAMES)))
+    t = _draw_tree(data.draw, coll, 4)
+    assert _recanonicalize(t).terms == {t: 1}
+    s = tree_signature(t)
+    pc = data.draw(st.permutations(range(1, s.n_closed + 1)))
+    po = data.draw(st.permutations(range(1, s.n_open + 1)))
+    moved = _map_leaves(t, lambda lf: Leaf(lf.color, (
+        pc if lf.color == CLOSED else po)[lf.label - 1]))
+    once = _recanonicalize(moved)
+    assert not once.is_zero()
+    index = ambient_basis(coll, s).index
+    for u in once.terms:
+        assert u.canonical and u in index
+        assert _recanonicalize(u).terms == {u: 1}
+
+
+@_PROPERTY
+@given(st.data())
+def test_sequential_graft_is_associative(data):
+    # (a o_slot b) o_inner c == a o_slot (b o_bslot c), Koszul signs included
+    coll = _collection(data.draw(st.sampled_from(_GRADED_NAMES)))
+    a = tree_element(_draw_tree(data.draw, coll, 3))
+    slot = _draw_slot(data.draw, coll, a, 2)
+    b = tree_element(_draw_tree(data.draw, coll, 2, out=slot[0]))
+    bslot = _draw_slot(data.draw, coll, b, 2)
+    c = tree_element(_draw_tree(data.draw, coll, 2, out=bslot[0]))
+    inner = _inner_slot_after_graft(a.signature(), slot, b.signature(), bslot)
+    lhs = graft(graft(a, *slot, b), *inner, c)
+    rhs = graft(a, *slot, graft(b, *bslot, c))
+    assert lhs == rhs
+
+
+@_PROPERTY
+@given(st.data())
+def test_tree_layer_coefficients_are_ints_or_proper_fractions(data):
+    name = data.draw(st.sampled_from(sorted(PRESENTATION_BUILDERS)))
+    P = PRESENTATION_BUILDERS[name]()
+    e = _draw_element(data.draw, P.collection, 3)
+    slot = _draw_slot(data.draw, P.collection, e, 2)
+    f = _draw_element(data.draw, P.collection, 2, out=slot[0])
+    s = e.signature()
+    g = (tuple(data.draw(st.permutations(range(1, s.n_closed + 1)))),
+         tuple(data.draw(st.permutations(range(1, s.n_open + 1)))))
+    dg = _DG_MODELS[data.draw(st.sampled_from(sorted(_DG_MODELS)))](3)
+    outs = [e, graft(e, *slot, f), symmetric_act(g, e),
+            truncation(P, 3).reduce_to_element(e),
+            dg.derivation.apply(_draw_element(data.draw, dg.collection, 3))]
+    assert all(_exact(out) for out in outs)
