@@ -23,14 +23,15 @@ differential dual to composition with term signs
 
 from fractions import Fraction
 
-from .linalg import Matrix, solve
+from .linalg import solve
 from .presentation import (Presentation, adjacent_transpositions,
                            check_ql_conditions, group_elements, project_q,
                            relation_span, signatures_within, truncation)
 from .signs import perm_sign
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
-                    Element, Leaf, Node, VertexSpace, enumerate_basis,
-                    generator, graft, symmetric_act)
+                    Element, Leaf, Node, Signature, VertexSpace,
+                    enumerate_basis, generator, graft, symmetric_act,
+                    tree_weight)
 
 _SYM_DUAL = {TRIVIAL: SIGN, SIGN: TRIVIAL, REGULAR: REGULAR, NONE: NONE}
 
@@ -117,19 +118,18 @@ def pair_value(t):
 def pairing_matrix(primal_collection, dual_coll, signature):
     """Diagonal-on-shapes pairing of the weight-2 components.
 
-    Rows index the primal basis, columns the dual basis; both are enumerated
-    canonically and matched by labeled shape.
+    Both bases are enumerated canonically and matched by labeled shape, so
+    the pairing is a signed permutation: entry i of the returned list is
+    (j, v), the dual index paired with primal index i and the value v = +-1
+    of the pairing there; every other pairing of basis trees is 0.
     """
     prim = enumerate_basis(primal_collection, signature, 2)
     dual = enumerate_basis(dual_coll, signature, 2)
     if len(prim) != len(dual):
         raise ValueError("primal and dual weight-2 components differ in size")
     dual_index = {_shape_key(t): j for j, t in enumerate(dual)}
-    m = Matrix.zero(len(prim), len(dual))
-    for i, t in enumerate(prim):
-        j = dual_index[_shape_key(t)]
-        m[i, j] = pair_value(t)
-    return m, prim, dual
+    pairing = [(dual_index[_shape_key(t)], pair_value(t)) for t in prim]
+    return pairing, prim, dual
 
 
 def weight2_signatures(collection):
@@ -143,13 +143,8 @@ def weight2_signatures(collection):
                     continue
                 n = a.n_closed + b.n_closed - (1 if color == CLOSED else 0)
                 m = a.n_open + b.n_open - (1 if color == OPEN else 0)
-                sigs.add(tree_signature_of(n, m, a.out))
+                sigs.add(Signature(n, m, a.out))
     return sorted(sigs, key=lambda s: (s.total, s.n_closed, s.out))
-
-
-def tree_signature_of(n, m, out):
-    from .trees import Signature
-    return Signature(n, m, out)
 
 
 def quadratic_dual(presentation, rename=None, name=None):
@@ -160,15 +155,15 @@ def quadratic_dual(presentation, rename=None, name=None):
     Ed = dual_collection(E, rename)
     relations = []
     for sig_ in weight2_signatures(E):
-        m, prim, dual = pairing_matrix(E, Ed, sig_)
+        pairing, prim, dual = pairing_matrix(E, Ed, sig_)
         span = relation_span(presentation, sig_, 2)
         if span.dim == len(dual):
             continue
-        orth = span.orthogonal_complement(m)
+        orth = span.orthogonal_complement(pairing)
         assert span.dim + orth.dim == len(dual), "pairing is degenerate"
-        for row in orth.basis:
+        for p in sorted(orth.rows):
             relations.append(Element(
-                {dual[j]: c for j, c in enumerate(row) if c}))
+                {dual[j]: c for j, c in orth.rows[p].items()}))
     return Presentation(Ed, relations,
                         name or f"{presentation.name}!")
 
@@ -221,9 +216,9 @@ def ql_koszul_data(presentation, rename=None, name=None):
         for g in group_elements(r.signature()):
             rt = symmetric_act(g, r)
             q2 = Element({t: c for t, c in rt.terms.items()
-                          if _weight(t) == 2})
+                          if tree_weight(t) == 2})
             r1 = Element({t: c for t, c in rt.terms.items()
-                          if _weight(t) == 1})
+                          if tree_weight(t) == 1})
             if not q2.is_zero():
                 phi_pairs.append((q2, r1))
 
@@ -233,20 +228,19 @@ def ql_koszul_data(presentation, rename=None, name=None):
         pairs = [(q2, r1) for q2, r1 in phi_pairs if q2.signature() == sig_]
         images = {}
         if pairs:
-            m, prim, dual_basis = pairing_matrix(E, Ed, sig_)
+            pairing, prim, dual_basis = pairing_matrix(E, Ed, sig_)
             prim_index = {t: i for i, t in enumerate(prim)}
+            # equations: sum_j x_j <dual_j, rho> = <g', phi(rho)>
+            rows = []
+            for q2, _ in pairs:
+                row = [Fraction(0)] * len(dual_basis)
+                for t, c in q2.terms.items():
+                    j, v = pairing[prim_index[t]]
+                    row[j] += c * v
+                rows.append(row)
             for dec in range(sd.dim):
-                # equations: sum_j x_j <dual_j, rho> = <g', phi(rho)>
-                rows, rhs = [], []
-                for q2, r1 in pairs:
-                    row = [Fraction(0)] * len(dual_basis)
-                    for t, c in q2.terms.items():
-                        i = prim_index[t]
-                        for j in range(len(dual_basis)):
-                            if m[i, j]:
-                                row[j] += c * m[i, j]
-                    rows.append(row)
-                    rhs.append(_gen_pairing(sd, dec, r1.scale(-1), E))
+                rhs = [_gen_pairing(sd, dec, r1.scale(-1), E)
+                       for _, r1 in pairs]
                 sol = solve(rows, rhs)
                 if sol is None:
                     raise ValueError("inconsistent phi system")
@@ -257,11 +251,6 @@ def ql_koszul_data(presentation, rename=None, name=None):
         if images:
             genmap[sd.name] = images
     return QLKoszulData(P, dual, phi_pairs, genmap)
-
-
-def _weight(t):
-    from .trees import tree_weight
-    return tree_weight(t)
 
 
 def _gen_pairing(dual_space, dec, elem, primal_collection):

@@ -1,237 +1,114 @@
-"""Exact rational linear algebra: matrices, subspaces, sparse echelon forms.
+"""Exact rational linear algebra on sparse rows.
 
-Everything is over Q via fractions.Fraction; no floating point anywhere.
-Homology dimensions are rank differences and a single rounding error would
-flip a Betti number, so exactness is not negotiable.
+Everything is over Q, in ints and fractions.Fraction; no floating point
+anywhere.  Homology dimensions are rank differences and a single rounding
+error would flip a Betti number, so exactness is not negotiable.
 
-Two tiers:
-
-* ``Matrix`` / ``Subspace`` -- dense, for desk-scale spaces (pairings,
-  weight-2 relation spans, complements).  Subspace bases are kept in reduced
-  row echelon form so subspace equality is representation equality.
-* ``Echelon`` -- sparse integer row accumulator for the large ambient spaces
-  (ideal saturation, chain complexes), supporting rank and coordinate
-  reduction without materializing dense bases.
-
-``solve`` is the one solver for linear systems: every exact solve in the
-package goes through it, and the echelon kernel ``_rref`` stays private to
-this module.
+One tier.  ``Echelon`` accumulates sparse integer rows keyed by their pivot
+(rank, coordinate reduction) for ideal saturation and chain complexes.  Once
+finalised it holds the reduced row echelon form (RREF) of its span, which is
+unique, so a ``Subspace`` -- an ambient dimension plus those rows -- equals
+another exactly when the spaces are equal.  ``solve``, the one solver for
+linear systems, and ``meet_slice``, which meets a span with a coordinate
+slice, are built on ``Echelon`` too.
 """
 
 from fractions import Fraction
 from math import gcd
 
 
-def _to_fraction_rows(vectors):
-    return [[Fraction(x) for x in v] for v in vectors]
-
-
-def _rref(rows):
-    """In-place reduced row echelon form; returns list of pivot columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    del rows[r:]
-    return pivots
-
-
-class Matrix:
-    """Dense matrix of Fractions, row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = [Fraction(x) for x in entries]
-        if len(entries) != rows * cols:
-            raise ValueError("entry count does not match shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, row_lists):
-        rows = len(row_lists)
-        cols = len(row_lists[0]) if rows else 0
-        return cls(rows, cols, [x for row in row_lists for x in row])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
-
-    @classmethod
-    def identity(cls, n):
-        m = cls.zero(n, n)
-        for i in range(n):
-            m.entries[i * n + i] = Fraction(1)
-        return m
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def __setitem__(self, ij, value):
-        i, j = ij
-        self.entries[i * self.cols + j] = Fraction(value)
-
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def row_lists(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self):
-        t = Matrix.zero(self.cols, self.rows)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                t[j, i] = self[i, j]
-        return t
-
-    def __mul__(self, other):
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        out = Matrix.zero(self.rows, other.cols)
-        for i in range(self.rows):
-            ri = self.row(i)
-            for k, a in enumerate(ri):
-                if a == 0:
-                    continue
-                base = k * other.cols
-                orow = out.entries
-                obase = i * other.cols
-                for j in range(other.cols):
-                    orow[obase + j] += a * other.entries[base + j]
-        return out
-
-    def apply(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [sum(self[i, j] * vec[j] for j in range(self.cols))
-                for i in range(self.rows)]
-
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
-
-    def rank(self):
-        rows = self.row_lists()
-        _rref(rows)
-        return len(rows)
-
-
 class Subspace:
-    """Subspace of Q^n given by a reduced-echelon basis.
+    """Subspace of Q^n held as the rows of a finalised ``Echelon``.
 
-    Equality of subspaces is equality of the stored bases.
+    ``rows`` maps each pivot column to its row, a dict col -> Fraction with
+    entry 1 at the pivot and 0 at every other pivot.  This is the RREF, so
+    subspace equality is equality of the stored rows.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "rows")
 
-    def __init__(self, ambient_dim, basis):
+    def __init__(self, ambient_dim, rows):
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(Fraction(x) for x in row) for row in basis)
-        for row in self.basis:
-            assert len(row) == ambient_dim
+        self.rows = rows
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors):
-        rows = _to_fraction_rows(vectors)
-        for row in rows:
-            if len(row) != ambient_dim:
+        """The span of dense vectors of length ambient_dim."""
+        ech = Echelon()
+        for v in vectors:
+            if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dim")
-        _rref(rows)
-        return cls(ambient_dim, rows)
-
-    @classmethod
-    def zero(cls, ambient_dim):
-        return cls(ambient_dim, [])
-
-    @classmethod
-    def full(cls, ambient_dim):
-        return cls(ambient_dim, Matrix.identity(ambient_dim).row_lists())
+            ech.add(enumerate(v))
+        ech.finalize()
+        return cls(ambient_dim, ech.rows)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
-    def matrix(self):
-        return Matrix.from_rows(list(self.basis)) if self.basis else Matrix.zero(0, self.ambient_dim)
+    @property
+    def basis(self):
+        """The reduced rows as dense lists, in ascending pivot order."""
+        out = []
+        for p in sorted(self.rows):
+            dense = [Fraction(0)] * self.ambient_dim
+            for c, x in self.rows[p].items():
+                dense[c] = x
+            out.append(dense)
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+                and self.rows == other.rows)
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
-    def intersect(self, other):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        if not self.basis or not other.basis:
-            return Subspace.zero(self.ambient_dim)
-        # x = u A = v B  <=>  (u, v) in nullspace of [A^T | -B^T]
-        a, b = self.basis, other.basis
-        stacked = []
-        for i in range(self.ambient_dim):
-            stacked.append([row[i] for row in a] + [-row[i] for row in b])
-        _, null = rank_and_nullspace(Matrix.from_rows(stacked))
-        vectors = []
-        for coeffs in null.basis:
-            u = coeffs[:len(a)]
-            vec = [sum(u[k] * a[k][j] for k in range(len(a)))
-                   for j in range(self.ambient_dim)]
-            vectors.append(vec)
-        return Subspace.from_vectors(self.ambient_dim, vectors)
-
     def orthogonal_complement(self, pairing):
-        """All x with <v, x> = 0 for v in this space, <v, x> = v P x."""
-        if pairing.rows != self.ambient_dim or pairing.cols != self.ambient_dim:
-            raise ValueError("pairing must be square of ambient size")
-        if not self.basis:
-            return Subspace.full(self.ambient_dim)
-        m = self.matrix() * pairing
-        _, null = rank_and_nullspace(m)
-        return null
+        """All x with <v, x> = 0 for every v in this space.
+
+        ``pairing`` is a signed permutation: ``pairing[i] = (j, s)`` with
+        s = +-1 says <e_i, f_j> = s and that e_i pairs with no other f.  So
+        <v, x> = v . y with y_i = s x_j, and the complement is the nullspace
+        of the reduced rows -- one vector per non-pivot column f, with 1 at
+        f and minus column f of the rows at their pivots -- carried through
+        the permutation.
+        """
+        n = self.ambient_dim
+        if len(pairing) != n:
+            raise ValueError("pairing size does not match ambient dim")
+        vectors = []
+        for f in range(n):
+            if f in self.rows:
+                continue
+            x = [0] * n
+            j, s = pairing[f]
+            x[j] = s
+            for p, row in self.rows.items():
+                q, t = pairing[p]
+                x[q] = -t * row.get(f, 0)
+            vectors.append(x)
+        return Subspace.from_vectors(n, vectors)
 
 
-def rank_and_nullspace(m):
-    """Rank and nullspace (as a Subspace of Q^cols) of a Matrix."""
-    rows = m.row_lists()
-    pivots = _rref(rows)
-    rank = len(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * m.cols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f]
-        basis.append(vec)
-    return rank, Subspace.from_vectors(m.cols, basis)
+def meet_slice(rows, cols):
+    """RREF of span(rows) meet the coordinate slice on the columns ``cols``.
+
+    ``rows`` are sparse vectors (dicts col -> coefficient).  One ``Echelon``
+    reduces them with the slice's columns sorting after every other column,
+    so a reduced row whose pivot lies in the slice is supported on it, and
+    those rows span the meet.  Returns them as dicts col -> Fraction, in
+    ascending pivot order.
+    """
+    rows = list(rows)
+    shift = 1 + max((c for row in rows for c in row), default=0)
+    ech = Echelon()
+    for row in rows:
+        ech.add({c + shift if c in cols else c: x for c, x in row.items()})
+    ech.finalize()
+    return [{c - shift: x for c, x in ech.rows[p].items()}
+            for p in sorted(ech.rows) if p >= shift]
 
 
 def solve(rows, rhs):
@@ -239,21 +116,25 @@ def solve(rows, rhs):
 
     ``rows`` holds m coefficient rows of equal length n and ``rhs`` the m
     right-hand sides.  Free variables are set to 0.  With no rows there are
-    no columns either, and the solution is empty.
+    no columns either, and the solution is empty.  The augmented rows go
+    into one ``Echelon``: a pivot on the right-hand-side column is a row
+    0 = b with b nonzero, and otherwise each reduced row sets its pivot's
+    variable to its right-hand side.
     """
     if len(rows) != len(rhs):
         raise ValueError("row count does not match the right-hand side")
     if not rows:
         return []
     n = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(b)]
-           for row, b in zip(rows, rhs)]
-    pivots = _rref(aug)
-    if pivots and pivots[-1] == n:
+    ech = Echelon()
+    for row, b in zip(rows, rhs):
+        ech.add(list(enumerate(row)) + [(n, b)])
+    if n in ech.rows:
         return None
+    ech.finalize()
     sol = [Fraction(0)] * n
-    for r, p in enumerate(pivots):
-        sol[p] = aug[r][n]
+    for p, row in ech.rows.items():
+        sol[p] = row.get(n, Fraction(0))
     return sol
 
 
@@ -380,14 +261,3 @@ class Echelon:
                 else:
                     v.pop(c, None)
         return v
-
-    def to_subspace(self, ambient_dim):
-        self.finalize()
-        rows = []
-        for p in sorted(self.rows):
-            dense = [Fraction(0)] * ambient_dim
-            for c, x in self.rows[p].items():
-                dense[c] = x
-            rows.append(dense)
-        return Subspace.from_vectors(ambient_dim, rows)
-

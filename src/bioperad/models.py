@@ -22,8 +22,10 @@ Dg truncations (LPinf, OCinf, H0SCdual) are built in dg_models once the
 differential machinery is importable.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import solve
 from .presentation import Presentation, project_q
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                     Element, generator, parse_term, sig)
@@ -693,9 +695,6 @@ def boundary_identities(bound=4):
 
 def _solve_combo(target, terms):
     """Coefficients writing target as a combination of the given vectors."""
-    from fractions import Fraction
-
-    from .linalg import solve
     cols = sorted({c for t in terms for c in t} | set(target))
     if not cols:
         return [Fraction(0)] * len(terms)

@@ -15,10 +15,9 @@ graft never lowers the number of inputs, so nothing above the bound feeds
 back below it.
 """
 
-from fractions import Fraction
 from itertools import permutations
 
-from .linalg import Echelon, Subspace
+from .linalg import Echelon, Subspace, meet_slice
 from .trees import (CLOSED, OPEN, Element, component_basis, corolla_element,
                     graft, symmetric_act, tree_degree, tree_element,
                     tree_signature, tree_weight, Signature)
@@ -254,26 +253,20 @@ def relation_span(presentation, signature, weight):
     """
     spans = ideal_spans(presentation, signature.total)
     ab = ambient_basis(presentation.collection, signature)
-    ech = spans.span(signature)
-    rows = []
-    for p in sorted(ech.rows):
-        row = ech.rows[p]
+    cols = [i for i, w in enumerate(ab.weights) if w == weight]
+    colmap = {c: j for j, c in enumerate(cols)}
+    # the span is finalised, so its weight-w rows are already the reduced
+    # form of the relation span; re-indexing keeps them reduced
+    rows = {}
+    for p, row in spans.span(signature).rows.items():
         ws = {ab.weights[c] for c in row}
         if ws == {weight}:
-            rows.append(row)
+            rows[colmap[p]] = {colmap[c]: x for c, x in row.items()}
         elif weight in ws:
             raise ValueError(
                 "relation span at a single weight is ill-defined for "
                 "mixed-weight ideals; use component spans")
-    cols = [i for i, w in enumerate(ab.weights) if w == weight]
-    colmap = {c: j for j, c in enumerate(cols)}
-    dense = []
-    for row in rows:
-        v = [Fraction(0)] * len(cols)
-        for c, x in row.items():
-            v[colmap[c]] = x
-        dense.append(v)
-    return Subspace.from_vectors(len(cols), dense)
+    return Subspace(len(cols), rows)
 
 
 def quotient_dims(presentation, max_inputs):
@@ -400,15 +393,7 @@ def check_ql_conditions(presentation):
     for sig_, ech in rspan.items():
         ab = ambient_basis(P.collection, sig_)
         w1_cols = {i for i, w in enumerate(ab.weights) if w == 1}
-        if not w1_cols:
-            continue
-        # dim(R cap W1) = dim R + |W1| - dim(R + W1)
-        joint = Echelon()
-        for p in sorted(ech.rows):
-            joint.add(dict(ech.rows[p]))
-        for c in sorted(w1_cols):
-            joint.add({c: 1})
-        meet = ech.rank + len(w1_cols) - joint.rank
+        meet = len(meet_slice(ech.rows.values(), w1_cols))
         if meet:
             report["ql1"] = False
             report["witnesses"].append(
@@ -429,28 +414,19 @@ def check_ql_conditions(presentation):
         w2_cols = {i for i, w in enumerate(ab.weights) if w == 2}
         g_ech = Echelon()
         spin(ab, elems, g_ech)
-        # intersect span with the weight-2 slice
-        g_sub = g_ech.to_subspace(ab.dim)
-        w2_sub = Subspace.from_vectors(
-            ab.dim, [[1 if j == c else 0 for j in range(ab.dim)]
-                     for c in sorted(w2_cols)])
-        meet = g_sub.intersect(w2_sub)
-        if meet.dim == 0:
+        meet = meet_slice(g_ech.rows.values(), w2_cols)
+        if not meet:
             continue
-        target = rspan.get(sig_)
         t_ech = Echelon()
-        if target is not None:
-            for p in sorted(target.rows):
-                row = target.rows[p]
-                if all(ab.weights[c] == 2 for c in row):
-                    t_ech.add(dict(row))
-        for vec in meet.basis:
-            grew = t_ech.add({i: x for i, x in enumerate(vec) if x})
-            if grew:
+        for row in meet_slice(rspan.get(sig_, Echelon()).rows.values(),
+                              w2_cols):
+            t_ech.add(row)
+        for vec in meet:
+            if t_ech.add(vec):
                 report["ql2"] = False
                 report["witnesses"].append(
                     {"condition": "ql2", "signature": str(sig_),
-                     "vector": ab.element({i: x for i, x in enumerate(vec) if x})})
+                     "vector": ab.element(vec)})
     return report
 
 

@@ -363,9 +363,15 @@ def _check_child_colors(space, children):
 
 
 def _exact(c):
-    """c as an int when it is integral, else as a Fraction."""
+    """c as an int when it is integral, else as a Fraction.
+
+    A float is refused: its exact value is a dyadic rational, for 0.1 the
+    Fraction 3602879701896397/36028797018963968, never what was meant.
+    """
     if type(c) is int:
         return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}: use an int or a Fraction")
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 

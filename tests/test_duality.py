@@ -15,10 +15,11 @@ from bioperad.trees import (CLOSED, OPEN, Collection, corolla_element, graft,
 
 
 def _pairing_entry(com, dual, a, b):
-    """The pairing matrix entry of two single-tree weight-2 elements."""
+    """The pairing of two single-tree weight-2 elements."""
     (t,), (u,) = a.terms, b.terms
-    m, prim, dua = pairing_matrix(com.collection, dual, a.signature())
-    return m[prim.index(t), dua.index(u)]
+    pairing, prim, dua = pairing_matrix(com.collection, dual, a.signature())
+    j, v = pairing[prim.index(t)]
+    return v if j == dua.index(u) else 0
 
 
 def test_gk_pair_anchor_value():
@@ -56,8 +57,10 @@ def test_pairing_nondegenerate_every_signature():
     lp = lp_presentation()
     dual = dual_collection(lp.collection)
     for s in weight2_signatures(lp.collection):
-        m, prim, dua = pairing_matrix(lp.collection, dual, s)
-        assert m.rank() == len(prim) == len(dua)
+        pairing, prim, dua = pairing_matrix(lp.collection, dual, s)
+        assert len(prim) == len(dua)
+        assert sorted(j for j, _ in pairing) == list(range(len(dua)))
+        assert {v for _, v in pairing} <= {1, -1}
 
 
 def test_quadratic_dual_rejects_ql():

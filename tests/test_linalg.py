@@ -1,81 +1,61 @@
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bioperad.linalg import (Echelon, Matrix, Subspace, _clear_denominators,
-                             rank_and_nullspace, solve)
+from bioperad.linalg import (Echelon, Subspace, _clear_denominators,
+                             meet_slice, solve)
+from bioperad.models import ocinf_dg
 
 import pytest
 
 
-def test_zero_matrix():
-    rank, null = rank_and_nullspace(Matrix.zero(2, 3))
-    assert rank == 0
-    assert null.dim == 3
+def _sympy_rank(vectors, ncols):
+    """Rank over Q of sparse vectors (dicts col -> coefficient), by sympy."""
+    entries = {(i, c): x for i, v in enumerate(vectors) for c, x in v.items()}
+    return sympy.SparseMatrix(len(vectors), ncols, entries).rank()
 
 
-def test_identity_matrix():
-    rank, null = rank_and_nullspace(Matrix.identity(3))
-    assert rank == 3
-    assert null.dim == 0
-
-
-def test_rank_one():
-    m = Matrix.from_rows([[1, 2, 3], [2, 4, 6]])
-    rank, null = rank_and_nullspace(m)
-    assert rank == 1
-    assert null.dim == 2
-    for vec in null.basis:
-        assert all(x == 0 for x in m.apply(list(vec)))
-
-
-def test_rank_nullity():
-    m = Matrix.from_rows([[1, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1]])
-    rank, null = rank_and_nullspace(m)
-    assert rank + null.dim == 4
+def _identity_pairing(n):
+    return [(i, 1) for i in range(n)]
 
 
 small = st.integers(min_value=-4, max_value=4)
 
 
-@settings(max_examples=60)
-@given(st.lists(st.lists(small, min_size=3, max_size=3), min_size=1, max_size=4))
-def test_rank_transpose(rows):
-    m = Matrix.from_rows(rows)
-    assert m.rank() == m.transpose().rank()
-
-
 def test_subspace_idempotent_ops():
     a = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
     assert Subspace.from_vectors(3, list(a.basis) + list(a.basis)) == a
-    assert a.intersect(a) == a
+    assert Subspace.from_vectors(3, a.basis) == a
 
 
-def test_sum_intersect_dimension_formula():
+def test_sum_meet_dimension_formula():
     a = Subspace.from_vectors(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     b = Subspace.from_vectors(4, [[0, 1, 0, 0], [0, 0, 1, 0]])
     s = Subspace.from_vectors(4, list(a.basis) + list(b.basis))
-    i = a.intersect(b)
-    assert s.dim + i.dim == a.dim + b.dim
-    assert i == Subspace.from_vectors(4, [[0, 5, 0, 0]])
+    meet = meet_slice(a.rows.values(), {1, 2})
+    assert s.dim + len(meet) == a.dim + b.dim
+    assert meet == [{1: 1}]
 
 
 def test_dimension_mismatch():
-    a = Subspace.from_vectors(3, [[1, 0, 0]])
-    b = Subspace.from_vectors(2, [[1, 0]])
     with pytest.raises(ValueError):
-        a.intersect(b)
+        Subspace.from_vectors(2, [[1, 0, 0]])
+    a = Subspace.from_vectors(3, [[1, 0, 0]])
+    with pytest.raises(ValueError):
+        a.orthogonal_complement(_identity_pairing(2))
 
 
 def test_complement_of_zero_is_full():
-    z = Subspace.zero(3)
-    assert z.orthogonal_complement(Matrix.identity(3)) == Subspace.full(3)
+    z = Subspace.from_vectors(3, [])
+    full = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert z.orthogonal_complement(_identity_pairing(3)) == full
 
 
 def test_complement_line_in_q3():
     line = Subspace.from_vectors(3, [[1, 2, 2]])
-    comp = line.orthogonal_complement(Matrix.identity(3))
+    comp = line.orthogonal_complement(_identity_pairing(3))
     assert comp.dim == 2
     for vec in comp.basis:
         assert sum(Fraction(a) * b for a, b in zip([1, 2, 2], vec)) == 0
@@ -85,9 +65,26 @@ def test_complement_line_in_q3():
 @given(st.lists(st.lists(small, min_size=3, max_size=3), min_size=1, max_size=3))
 def test_complement_involutive(rows):
     a = Subspace.from_vectors(3, rows)
-    pairing = Matrix.identity(3)
+    pairing = _identity_pairing(3)
     cc = a.orthogonal_complement(pairing).orthogonal_complement(pairing)
     assert cc == a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda n: st.tuples(
+    st.permutations(range(n)),
+    st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n),
+    st.lists(st.lists(small, min_size=n, max_size=n), max_size=4))))
+def test_complement_under_a_signed_permutation(data):
+    perm, signs, rows = data
+    n = len(perm)
+    pairing = list(zip(perm, signs))
+    a = Subspace.from_vectors(n, rows)
+    comp = a.orthogonal_complement(pairing)
+    assert a.dim + comp.dim == n
+    for v in a.basis:
+        for x in comp.basis:
+            assert sum(v[i] * s * x[j] for i, (j, s) in enumerate(pairing)) == 0
 
 
 def test_echelon_rank_and_reduce():
@@ -107,17 +104,62 @@ def test_echelon_fraction_input():
     e = Echelon()
     e.add({0: Fraction(1, 2), 1: Fraction(1, 3)})
     assert e.rank == 1
-    sub = e.to_subspace(2)
-    assert sub == Subspace.from_vectors(2, [[1, Fraction(2, 3)]])
+    e.finalize()
+    assert e.rows == {0: {0: 1, 1: Fraction(2, 3)}}
+    assert Subspace(2, e.rows) == Subspace.from_vectors(2, [[3, 2]])
 
 
 def test_sparse_rank_matches_dense():
     vecs = [{0: 1, 2: -1}, {1: 2}, {0: 1, 1: 2, 2: -1}]
-    dense = Matrix.from_rows([[1, 0, -1], [0, 2, 0], [1, 2, -1]])
     ech = Echelon()
     for v in vecs:
         ech.add(v)
-    assert ech.rank == dense.rank() == 2
+    assert ech.rank == _sympy_rank(vecs, 3) == 2
+
+
+entries = st.one_of(st.integers(-5, 5),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+sparse_rows = st.lists(st.dictionaries(st.integers(0, 6), entries, max_size=4),
+                       max_size=6)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sparse_rows)
+def test_echelon_rank_matches_sympy(rows):
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    assert ech.rank == _sympy_rank(rows, 7)
+
+
+def test_echelon_rank_of_ocinf3_differentials_matches_sympy():
+    dg = ocinf_dg(3)
+    cells = 0
+    for s in dg.signatures():
+        for d in dg.cell_degrees(s):
+            cols = dg.differential_columns(s, d)
+            ech = Echelon()
+            for col in cols:
+                ech.add(col)
+            assert ech.rank == _sympy_rank(cols, dg.chain_dim(s, d - 1)), (s, d)
+            cells += 1
+    assert cells > 10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sparse_rows, st.sets(st.integers(0, 6)))
+def test_meet_slice_matches_the_dimension_formula(rows, cols):
+    # dim(A meet W) = dim A + |W| - rank(A + W), W the slice on cols
+    meet = meet_slice(rows, cols)
+    slice_ = [{c: 1} for c in cols]
+    assert len(meet) == (_sympy_rank(rows, 7) + len(cols)
+                         - _sympy_rank(rows + slice_, 7))
+    for v in meet:
+        assert set(v) <= cols
+        assert _sympy_rank(rows + [v], 7) == _sympy_rank(rows, 7)
+    # the rows are already reduced: reducing them again changes nothing
+    reduced = {min(v): v for v in meet}
+    assert Subspace.from_vectors(7, Subspace(7, reduced).basis).rows == reduced
 
 
 def test_solve_picks_free_variables_zero():
@@ -137,11 +179,10 @@ def test_solve_exact_or_inconsistent(augmented):
     rows = [row[:-1] for row in augmented]
     rhs = [row[-1] for row in augmented]
     x = solve(rows, rhs)
-    consistent = (Matrix.from_rows(augmented).rank()
-                  == Matrix.from_rows(rows).rank())
+    consistent = (sympy.Matrix(augmented).rank() == sympy.Matrix(rows).rank())
     assert (x is not None) == consistent
     if x is not None:
-        assert Matrix.from_rows(rows).apply(x) == rhs
+        assert [sum(a * b for a, b in zip(row, x)) for row in rows] == rhs
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

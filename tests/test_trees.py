@@ -197,12 +197,33 @@ def test_sequential_axiom():
                         assert lhs == rhs, (a, b, c, slot, bslot)
 
 
+def _parallel_sides(a, x, y, b, c):
+    """Both sides of the parallel axiom for slots x before y of a (linear
+    order):  (a o_x b) o_y' c == (-1)^{|b||c|} [(a o_y c) o_x' b] . pi
+    where pi is the identity except when both slots are open: there the
+    two inner closed blocks are appended in grafting order and pi swaps
+    them back (the Fin-set identification in skeleton coordinates)."""
+    y2 = _outer_slot_after_graft(a.signature(), x, b.signature(), y)
+    x2 = _outer_slot_after_graft(a.signature(), y, c.signature(), x)
+    lhs = graft(graft(a, x[0], x[1], b), y2[0], y2[1], c)
+    rhs = graft(graft(a, y[0], y[1], c), x2[0], x2[1], b)
+    sign = -1 if b.degree() * c.degree() & 1 else 1
+    na = a.signature().n_closed
+    nb = b.signature().n_closed
+    nc = c.signature().n_closed
+    if x[0] == OPEN and y[0] == OPEN and nb and nc:
+        total = lhs.signature()
+        pi = list(range(1, total.n_closed + 1))
+        for k in range(1, nc + 1):
+            pi[na + k - 1] = na + nb + k
+        for k in range(1, nb + 1):
+            pi[na + nc + k - 1] = na + k
+        rhs = symmetric_act(
+            (tuple(pi), tuple(range(1, total.n_open + 1))), rhs)
+    return lhs, rhs.scale(sign)
+
+
 def test_parallel_axiom():
-    # For slots x before y of a corolla a (linear order):
-    # (a o_x b) o_y' c == (-1)^{|b||c|} [(a o_y c) o_x' b] . pi
-    # where pi is the identity except when both slots are open: there the
-    # two inner closed blocks are appended in grafting order and pi swaps
-    # them back (the Fin-set identification in skeleton coordinates).
     coll = hsc_dual_collection()
     gens = [corolla_element(coll[n]) for n in ("l2", "n11", "n10", "n02")]
     for a in gens:
@@ -219,27 +240,8 @@ def test_parallel_axiom():
                     for c in gens:
                         if c.signature().out != y[0]:
                             continue
-                        y2 = _outer_slot_after_graft(a.signature(), x,
-                                                     b.signature(), y)
-                        x2 = _outer_slot_after_graft(a.signature(), y,
-                                                     c.signature(), x)
-                        lhs = graft(graft(a, x[0], x[1], b), y2[0], y2[1], c)
-                        rhs = graft(graft(a, y[0], y[1], c), x2[0], x2[1], b)
-                        sign = (-1) ** (b.degree() * c.degree())
-                        na = a.signature().n_closed
-                        nb = b.signature().n_closed
-                        nc = c.signature().n_closed
-                        if x[0] == OPEN and y[0] == OPEN and nb and nc:
-                            total = lhs.signature()
-                            pi = list(range(1, total.n_closed + 1))
-                            for k in range(1, nc + 1):
-                                pi[na + k - 1] = na + nb + k
-                            for k in range(1, nb + 1):
-                                pi[na + nc + k - 1] = na + k
-                            rhs = symmetric_act(
-                                (tuple(pi), tuple(range(1, total.n_open + 1))),
-                                rhs)
-                        assert lhs == rhs.scale(sign), (a, b, c, x, y)
+                        lhs, rhs = _parallel_sides(a, x, y, b, c)
+                        assert lhs == rhs, (a, b, c, x, y)
 
 
 def _embed_perm(perm, offset, total):
@@ -406,6 +408,37 @@ def test_sequential_graft_is_associative(data):
     lhs = graft(graft(a, *slot, b), *inner, c)
     rhs = graft(a, *slot, graft(b, *bslot, c))
     assert lhs == rhs
+
+
+@_PROPERTY
+@given(st.data())
+def test_parallel_graft_of_two_odd_trees_is_associative(data):
+    # the parallel axiom for a random tree a and odd-degree b and c, so the
+    # Koszul sign (-1)^{|b||c|} is -1 and a graft sign of +1 fails it
+    coll = _collection(data.draw(st.sampled_from(_GRADED_NAMES)))
+    odd = {color: [t for s in _signatures(coll, 3, color)
+                   for t in ambient_basis(coll, s).trees if tree_degree(t) & 1]
+           for color in (CLOSED, OPEN)}
+    a = tree_element(_draw_tree(data.draw, coll, 3))
+    slots = [slot for slot in _all_slots(a) if odd[slot[0]]]
+    assume(len(slots) >= 2)
+    x, y = sorted(data.draw(st.lists(st.sampled_from(slots), min_size=2,
+                                     max_size=2, unique=True)),
+                  key=lambda slot: _linear_slot(a.signature(), *slot))
+    b = tree_element(data.draw(st.sampled_from(odd[x[0]])))
+    c = tree_element(data.draw(st.sampled_from(odd[y[0]])))
+    lhs, rhs = _parallel_sides(a, x, y, b, c)
+    assert not lhs.is_zero() and lhs == rhs
+
+
+def test_float_coefficients_are_refused():
+    coll = ev_collection()
+    (t,) = enumerate_basis(coll, sig(2, 0, CLOSED), 1)
+    with pytest.raises(TypeError):
+        tree_element(t, 0.1)
+    with pytest.raises(TypeError):
+        Element({t: 1 / 3})
+    assert tree_element(t, Fraction(1, 3)).terms == {t: Fraction(1, 3)}
 
 
 @_PROPERTY
