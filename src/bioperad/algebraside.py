@@ -15,7 +15,8 @@ instance by instance against the direct unshuffle relations.
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Echelon, solve
+from .linalg import Echelon
+from .trees import accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +31,9 @@ class GradedPair:
         self.closed = tuple((str(n), int(d)) for n, d in closed)
         self.open = tuple((str(n), int(d)) for n, d in open_)
         names = [n for n, _ in self.closed + self.open]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate symbol names")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(f"duplicate symbol names: {', '.join(repeated)}")
 
     @classmethod
     def ungraded(cls, n_closed, n_open):
@@ -108,7 +110,7 @@ class FreeAlgebra:
     closed elements: Com tag -> multisets of closed symbols; LP tag ->
     Lyndon basis of the free Lie algebra realized in the tensor algebra.
     open elements: tag-dependent word bases.  All structure maps return
-    dicts basis_element -> Fraction.
+    dicts basis_element -> coefficient, an int unless it is rational.
     """
 
     def __init__(self, tag, pair, weight_bound):
@@ -123,42 +125,36 @@ class FreeAlgebra:
         self.nc = len(pair.closed)
         self.no = len(pair.open)
         if tag == "LP":
-            self._build_lie()
+            self.lyndon = {w: _lyndon_words(self.nc, w)
+                           for w in range(1, weight_bound + 1)}
+            self.lie_expansion = {word: _expand_lyndon(word)
+                                  for words in self.lyndon.values()
+                                  for word in words}
         self._build_bases()
 
     # -- closed side -------------------------------------------------------
 
-    def _build_lie(self):
-        nc, bound = self.nc, self.bound
-        self.lyndon = {w: _lyndon_words(nc, w) for w in range(1, bound + 1)}
-        self.lie_expansion = {}
-        for w, words in self.lyndon.items():
-            for word in words:
-                self.lie_expansion[word] = _expand_lyndon(word)
-        # per weight: matrix tensor-words x lyndon for decomposition
-        self._lie_solver = {}
-        for w, words in self.lyndon.items():
-            tensor_words = sorted({tw for word in words
-                                   for tw in self.lie_expansion[word]})
-            index = {tw: i for i, tw in enumerate(tensor_words)}
-            cols = []
-            for word in words:
-                col = [Fraction(0)] * len(tensor_words)
-                for tw, c in self.lie_expansion[word].items():
-                    col[index[tw]] = c
-                cols.append(col)
-            self._lie_solver[w] = (index, cols, words)
+    def _lie_decompose(self, tensor_vec):
+        """Express a Lie element given in tensor words in the Lyndon basis.
 
-    def _lie_decompose(self, tensor_vec, weight):
-        """Express a Lie element given in tensor words in the Lyndon basis."""
-        index, cols, words = self._lie_solver[weight]
-        target = [Fraction(0)] * len(index)
-        for tw, c in tensor_vec.items():
-            target[index[tw]] = c
-        rows = [[col[i] for col in cols] for i in range(len(index))]
-        sol = solve(rows, target)
-        assert sol is not None, "element outside the free Lie algebra"
-        return {word: c for word, c in zip(words, sol) if c}
+        The standard bracketing of a Lyndon word w expands to w plus
+        lexicographically larger words (Reutenauer, Free Lie Algebras,
+        Thm 5.1).  So the least word of a nonzero Lie element is a Lyndon
+        word carrying the coefficient of its bracketing: peel that multiple
+        off and repeat.  Raises ValueError when the least word is not a
+        Lyndon word, i.e. the vector is outside the free Lie algebra.
+        """
+        rest = dict(tensor_vec)
+        out = {}
+        while rest:
+            word = min(rest)
+            expansion = self.lie_expansion.get(word)
+            if expansion is None:
+                raise ValueError(f"element outside the free Lie algebra: "
+                                 f"its least word {word} is not Lyndon")
+            c = out[word] = rest[word]
+            accumulate(rest, expansion.items(), -c)
+        return out
 
     def closed_basis(self, weight):
         if self.tag == "LP":
@@ -170,18 +166,10 @@ class FreeAlgebra:
         assert self.tag == "LP"
         _, u = x
         _, v = y
-        wu, wv = len(u), len(v)
-        if wu + wv > self.bound:
+        if len(u) + len(v) > self.bound:
             return {}
-        eu, ev = self.lie_expansion[u], self.lie_expansion[v]
-        comm = {}
-        for a, ca in eu.items():
-            for b, cb in ev.items():
-                comm[a + b] = comm.get(a + b, Fraction(0)) + ca * cb
-                comm[b + a] = comm.get(b + a, Fraction(0)) - ca * cb
-        comm = {k: v2 for k, v2 in comm.items() if v2}
-        return {("lie", w): c
-                for w, c in self._lie_decompose(comm, wu + wv).items()}
+        comm = _commutator(self.lie_expansion[u], self.lie_expansion[v])
+        return {("lie", w): c for w, c in self._lie_decompose(comm).items()}
 
     # -- open side ----------------------------------------------------------
 
@@ -228,12 +216,12 @@ class FreeAlgebra:
             word = x[1] + y[1]
             if sum(len(l[0]) + 1 for l in word) > self.bound:
                 return {}
-            return {("word", word): Fraction(1)}
+            return {("word", word): 1}
         m = tuple(sorted(x[1] + y[1]))
         w = x[2] + y[2]
         if len(m) + len(w) > self.bound:
             return {}
-        return {("mw", m, w): Fraction(1)}
+        return {("mw", m, w): 1}
 
     def action(self, l, x):
         """rho(l, x): the closed element acting on an open one."""
@@ -243,17 +231,17 @@ class FreeAlgebra:
             total = self.open_weight(x) + len(lw)
             if total > self.bound:
                 return {}
+            expansion = self.lie_expansion[lw].items()
             out = {}
             for i, (u, o) in enumerate(word):
-                for tw, c in self.lie_expansion[lw].items():
-                    new = word[:i] + ((tw + u, o),) + word[i + 1:]
-                    key = ("word", new)
-                    out[key] = out.get(key, Fraction(0)) + c
-            return {k: v for k, v in out.items() if v}
+                head, tail = word[:i], word[i + 1:]
+                accumulate(out, ((("word", head + ((tw + u, o),) + tail), c)
+                                 for tw, c in expansion))
+            return out
         m = tuple(sorted(l[1] + x[1]))
         if len(m) + len(x[2]) > self.bound:
             return {}
-        return {("mw", m, x[2]): Fraction(1)}
+        return {("mw", m, x[2]): 1}
 
     def dims(self):
         return {("c", w): len(b) for w, b in self._closed_by_weight.items()} | \
@@ -322,28 +310,23 @@ def _lyndon_words(n, k):
 def _expand_lyndon(word):
     """Tensor expansion of the standard bracketing of a Lyndon word."""
     if len(word) == 1:
-        return {word: Fraction(1)}
+        return {word: 1}
     # standard factorization: longest proper Lyndon suffix
-    for i in range(1, len(word)):
-        suffix = word[i:]
-        if _is_lyndon(suffix):
-            left, right = word[:i], suffix
-            break
-    el, er = _expand_lyndon(left), _expand_lyndon(right)
+    i = next(i for i in range(1, len(word)) if _is_lyndon(word[i:]))
+    return _commutator(_expand_lyndon(word[:i]), _expand_lyndon(word[i:]))
+
+
+def _commutator(eu, ev):
+    """uv - vu for tensor-word vectors u and v."""
     out = {}
-    for a, ca in el.items():
-        for b, cb in er.items():
-            out[a + b] = out.get(a + b, Fraction(0)) + ca * cb
-            out[b + a] = out.get(b + a, Fraction(0)) - ca * cb
-    return {k: v for k, v in out.items() if v}
+    for a, ca in eu.items():
+        for b, cb in ev.items():
+            accumulate(out, ((a + b, ca * cb), (b + a, -ca * cb)))
+    return out
 
 
 def _is_lyndon(w):
     return all(w < w[i:] + w[:i] for i in range(1, len(w)))
-
-
-def free_algebra(tag, pair, weight_bound):
-    return FreeAlgebra(tag, pair, weight_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -384,67 +367,45 @@ def _graded_multisets(degrees, k):
                        for a, b in zip(m, m[1:]))]
 
 
-def lift_psi(cofree, psi, psi_degree):
+def lift_psi(cdeg, closed_bound, psi):
     """Coderivation of S^c(V_c) extending the corestriction psi.
 
-    psi: dict multiset -> dict closed_index -> coeff.
-    Returns a function multiset -> dict multiset -> coeff.
+    cdeg: the degrees of the closed symbols; images with more than
+    closed_bound factors are dropped.  psi: dict multiset -> dict
+    closed_index -> coeff.  Returns a function multiset -> dict multiset ->
+    coeff.
     """
-    degrees = cofree.cdeg
-
-    def tilde(m):
-        out = {}
-        for sign, a, b in unshuffle_splits(m, degrees):
+    def terms(m):
+        for sign, a, b in unshuffle_splits(m, cdeg):
             if not a:
                 continue
-            img = psi.get(a)
-            if not img:
-                continue
-            for idx, c in img.items():
-                s2, merged = merge_sign((idx,), b, degrees)
-                if s2 == 0:
-                    continue
-                if merged is not None and len(merged) <= cofree.closed_bound:
-                    key = merged
-                    val = out.get(key, Fraction(0)) + sign * s2 * c
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
-        return out
+            for idx, c in psi.get(a, {}).items():
+                s2, merged = merge_sign((idx,), b, cdeg)
+                if s2 and len(merged) <= closed_bound:
+                    yield merged, sign * s2 * c
 
-    return tilde
+    return lambda m: accumulate({}, terms(m))
 
 
-def lift_phi(cofree, psi, phi, op_degree):
+def lift_phi(cdeg, odeg, psi, phi, op_degree):
     """Coderivation of the mixed factor extending (psi, phi).
 
-    phi: dict (multiset, word) -> dict open_index -> coeff.
-    Signs: unshuffle Koszul on the closed symbols, the moved block crossing
-    the open prefix, and the operator crossing everything before its window.
+    cdeg, odeg: the degrees of the closed and the open symbols.  psi as in
+    lift_psi, or None for no closed part; phi: dict (multiset, word) -> dict
+    open_index -> coeff.  Signs: unshuffle Koszul on the closed symbols, the
+    moved block crossing the open prefix, and the operator crossing
+    everything before its window.
     """
-    cdeg, odeg = cofree.cdeg, cofree.odeg
-
-    def tilde(m, w):
-        out = {}
+    def terms(m, w):
         # closed part: psi acts on the multiset factor
         if psi is not None:
             for sign, a, b in unshuffle_splits(m, cdeg):
                 if not a:
                     continue
-                img = psi.get(a)
-                if not img:
-                    continue
-                for idx, c in img.items():
+                for idx, c in psi.get(a, {}).items():
                     s2, merged = merge_sign((idx,), b, cdeg)
-                    if s2 == 0:
-                        continue
-                    key = (merged, w)
-                    val = out.get(key, Fraction(0)) + sign * s2 * c
-                    if val:
-                        out[key] = val
-                    else:
-                        out.pop(key, None)
+                    if s2:
+                        yield (merged, w), sign * s2 * c
         # mixed part: phi eats a sub-multiset and a window of the word
         q = len(w)
         for k in range(len(m) + 1):
@@ -467,47 +428,37 @@ def lift_phi(cofree, psi, phi, op_degree):
                         if (op_degree & 1) and ((adeg + prefix_deg) & 1):
                             sign = -sign
                         for idx, c in img.items():
-                            key = (a_syms, w[:i] + (idx,) + w[j:])
-                            val = out.get(key, Fraction(0)) + sign * c
-                            if val:
-                                out[key] = val
-                            else:
-                                out.pop(key, None)
-        return out
+                            yield (a_syms, w[:i] + (idx,) + w[j:]), sign * c
 
-    return tilde
+    return lambda m, w: accumulate({}, terms(m, w))
 
 
 def coproduct_open(cofree, m, w):
     """Dual of the open product: split the word, distribute the multiset."""
     cdeg = cofree.cdeg
-    out = {}
-    q = len(w)
-    for k in range(len(m) + 1):
-        for picks in combinations(range(len(m)), k):
-            b_syms = tuple(m[i] for i in picks)
-            a_syms = tuple(m[i] for i in range(len(m)) if i not in set(picks))
-            s_back = split_sign_back(m, picks, cdeg)
-            bdeg = sum(cdeg[i] for i in b_syms)
-            for i in range(1, q):
-                prefix_deg = sum(cofree.odeg[x] for x in w[:i])
-                sign = s_back
-                if (bdeg & 1) and (prefix_deg & 1):
-                    sign = -sign
-                key = ((a_syms, w[:i]), (b_syms, w[i:]))
-                out[key] = out.get(key, Fraction(0)) + sign
-    return out
+
+    def terms():
+        for k in range(len(m) + 1):
+            for picks in combinations(range(len(m)), k):
+                b_syms = tuple(m[i] for i in picks)
+                a_syms = tuple(m[i] for i in range(len(m))
+                               if i not in set(picks))
+                s_back = split_sign_back(m, picks, cdeg)
+                bdeg = sum(cdeg[i] for i in b_syms)
+                for i in range(1, len(w)):
+                    prefix_deg = sum(cofree.odeg[x] for x in w[:i])
+                    sign = s_back
+                    if (bdeg & 1) and (prefix_deg & 1):
+                        sign = -sign
+                    yield ((a_syms, w[:i]), (b_syms, w[i:])), sign
+
+    return accumulate({}, terms())
 
 
 def coaction(cofree, m, w):
     """Dual of the module structure: peel a nonempty closed part off."""
-    out = {}
-    for sign, a, b in unshuffle_splits(m, cofree.cdeg):
-        if not a:
-            continue
-        key = (a, (b, w))
-        out[key] = out.get(key, Fraction(0)) + sign
-    return out
+    return accumulate({}, (((a, (b, w)), sign) for sign, a, b
+                           in unshuffle_splits(m, cofree.cdeg) if a))
 
 
 def check_coderivation_laws(cofree, psi, phi, op_degree):
@@ -516,50 +467,42 @@ def check_coderivation_laws(cofree, psi, phi, op_degree):
     Returns a list of violations (empty means both identities hold on
     the whole truncated basis).
     """
-    psit = lift_psi(cofree, psi, op_degree)
-    phit = lift_phi(cofree, psi, phi, op_degree)
+    psit = lift_psi(cofree.cdeg, cofree.closed_bound, psi)
+    phit = lift_phi(cofree.cdeg, cofree.odeg, psi, phi, op_degree)
     bad = []
     for m, w in cofree.mixed_basis:
         # co-Leibniz against the open coproduct
-        lhs = {}
-        for (mm, ww), c in phit(m, w).items():
-            for key, c2 in coproduct_open(cofree, mm, ww).items():
-                lhs[key] = lhs.get(key, Fraction(0)) + c * c2
+        lhs = _compose({}, phit(m, w),
+                       lambda cell: coproduct_open(cofree, *cell))
         rhs = {}
-        for key, c in coproduct_open(cofree, m, w).items():
-            (m1, w1), (m2, w2) = key
-            for (mm, ww), c2 in phit(m1, w1).items():
-                k2 = ((mm, ww), (m2, w2))
-                rhs[k2] = rhs.get(k2, Fraction(0)) + c * c2
-            factor_deg = cofree.mdeg(m1) + cofree.wdeg(w1)
+        for (left, right), c in coproduct_open(cofree, m, w).items():
+            accumulate(rhs, (((cell, right), c2)
+                             for cell, c2 in phit(*left).items()), c)
+            factor_deg = cofree.mdeg(left[0]) + cofree.wdeg(left[1])
             sgn = -1 if (op_degree & 1) and (factor_deg & 1) else 1
-            for (mm, ww), c2 in phit(m2, w2).items():
-                k2 = ((m1, w1), (mm, ww))
-                rhs[k2] = rhs.get(k2, Fraction(0)) + sgn * c * c2
-        if _clean(lhs) != _clean(rhs):
+            accumulate(rhs, (((left, cell), c2)
+                             for cell, c2 in phit(*right).items()), sgn * c)
+        if lhs != rhs:
             bad.append(("coproduct", m, w))
         # compatibility with the coaction
-        lhs2 = {}
-        for (mm, ww), c in phit(m, w).items():
-            for key, c2 in coaction(cofree, mm, ww).items():
-                lhs2[key] = lhs2.get(key, Fraction(0)) + c * c2
-        rhs2 = {}
-        for key, c in coaction(cofree, m, w).items():
-            a, (b, ww) = key
-            for mm, c2 in psit(a).items():
-                k2 = (mm, (b, ww))
-                rhs2[k2] = rhs2.get(k2, Fraction(0)) + c * c2
+        lhs = _compose({}, phit(m, w), lambda cell: coaction(cofree, *cell))
+        rhs = {}
+        for (a, (b, ww)), c in coaction(cofree, m, w).items():
+            accumulate(rhs, (((mm, (b, ww)), c2)
+                             for mm, c2 in psit(a).items()), c)
             sgn = -1 if (op_degree & 1) and (cofree.mdeg(a) & 1) else 1
-            for (mm, w2), c2 in phit(b, ww).items():
-                k2 = (a, (mm, w2))
-                rhs2[k2] = rhs2.get(k2, Fraction(0)) + sgn * c * c2
-        if _clean(lhs2) != _clean(rhs2):
+            accumulate(rhs, (((a, cell), c2)
+                             for cell, c2 in phit(b, ww).items()), sgn * c)
+        if lhs != rhs:
             bad.append(("coaction", m, w))
     return bad
 
 
-def _clean(d):
-    return {k: v for k, v in d.items() if v}
+def _compose(acc, vec, f, scale=1):
+    """Add scale * c * f(t) to acc for each term (t, c) of vec; returns acc."""
+    for t, c in vec.items():
+        accumulate(acc, f(t).items(), scale * c)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +546,12 @@ class LeibnizPairData:
             return self.bound is None or sum(ws) <= self.bound
 
         lb, ab = self.l_basis, self.a_basis
+        br, mult, act = self.bracket, self.mult, self.action
         for x in lb:
             for y in lb:
                 if not within(self.l_weight(x), self.l_weight(y)):
                     continue
-                anti = _add(self.bracket(x, y), self.bracket(y, x))
-                if _clean(anti):
+                if accumulate(dict(br(x, y)), br(y, x).items()):
                     bad.append(("antisymmetry", x, y))
         for x in lb:
             for y in lb:
@@ -617,13 +560,10 @@ class LeibnizPairData:
                                   self.l_weight(z)):
                         continue
                     jac = {}
-                    for t, c in self.bracket(x, y).items():
-                        jac = _add(jac, _scale(self.bracket(t, z), c))
-                    for t, c in self.bracket(y, z).items():
-                        jac = _add(jac, _scale(self.bracket(t, x), c))
-                    for t, c in self.bracket(z, x).items():
-                        jac = _add(jac, _scale(self.bracket(t, y), c))
-                    if _clean(jac):
+                    _compose(jac, br(x, y), lambda t: br(t, z))
+                    _compose(jac, br(y, z), lambda t: br(t, x))
+                    _compose(jac, br(z, x), lambda t: br(t, y))
+                    if jac:
                         bad.append(("jacobi", x, y, z))
         for x in ab:
             for y in ab:
@@ -631,13 +571,9 @@ class LeibnizPairData:
                     if not within(self.a_weight(x), self.a_weight(y),
                                   self.a_weight(z)):
                         continue
-                    lhs = {}
-                    for t, c in self.mult(x, y).items():
-                        lhs = _add(lhs, _scale(self.mult(t, z), c))
-                    rhs = {}
-                    for t, c in self.mult(y, z).items():
-                        rhs = _add(rhs, _scale(self.mult(x, t), c))
-                    if _clean(_sub(lhs, rhs)):
+                    diff = _compose({}, mult(x, y), lambda t: mult(t, z))
+                    _compose(diff, mult(y, z), lambda t: mult(x, t), -1)
+                    if diff:
                         bad.append(("associativity", x, y, z))
         for l in lb:
             for x in ab:
@@ -645,15 +581,10 @@ class LeibnizPairData:
                     if not within(self.l_weight(l), self.a_weight(x),
                                   self.a_weight(y)):
                         continue
-                    lhs = {}
-                    for t, c in self.mult(x, y).items():
-                        lhs = _add(lhs, _scale(self.action(l, t), c))
-                    rhs = {}
-                    for t, c in self.action(l, x).items():
-                        rhs = _add(rhs, _scale(self.mult(t, y), c))
-                    for t, c in self.action(l, y).items():
-                        rhs = _add(rhs, _scale(self.mult(x, t), c))
-                    if _clean(_sub(lhs, rhs)):
+                    diff = _compose({}, mult(x, y), lambda t: act(l, t))
+                    _compose(diff, act(l, x), lambda t: mult(t, y), -1)
+                    _compose(diff, act(l, y), lambda t: mult(x, t), -1)
+                    if diff:
                         bad.append(("derivation", l, x, y))
         for l in lb:
             for m in lb:
@@ -661,40 +592,16 @@ class LeibnizPairData:
                     if not within(self.l_weight(l), self.l_weight(m),
                                   self.a_weight(x)):
                         continue
-                    lhs = {}
-                    for t, c in self.bracket(l, m).items():
-                        lhs = _add(lhs, _scale(self.action(t, x), c))
-                    rhs = {}
-                    for t, c in self.action(m, x).items():
-                        rhs = _add(rhs, _scale(self.action(l, t), c))
-                    for t, c in self.action(l, x).items():
-                        rhs = _sub(rhs, _scale(self.action(m, t), c))
-                    if _clean(_sub(lhs, rhs)):
+                    diff = _compose({}, br(l, m), lambda t: act(t, x))
+                    _compose(diff, act(m, x), lambda t: act(l, t), -1)
+                    _compose(diff, act(l, x), lambda t: act(m, t))
+                    if diff:
                         bad.append(("morphism", l, m, x))
         return bad
 
 
-def _add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, Fraction(0)) + v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _sub(a, b):
-    return _add(a, {k: -v for k, v in b.items()})
-
-
-def _scale(a, c):
-    return {k: v * c for k, v in a.items()} if c else {}
-
-
-def ce_hochschild_homology(data, bound, validate=True):
-    """Homology of the pair complex, by total weight and chain degree.
+def ce_complex(data, bound):
+    """The pair complex of a strict Leibniz pair, truncated by weight.
 
     The complex is the cofree pair on the suspended underlying spaces with
     the coderivation lifted from the structure maps: closed chains are
@@ -705,84 +612,82 @@ def ce_hochschild_homology(data, bound, validate=True):
     letter alternation is the suspension of the letters (with unsuspended
     letters it would not square to zero).
 
-    Returns {("c"|"o", weight, n): dim H_n} with n the number of factors.
+    Returns (cells, d): cells maps ("c"|"o", weight, n) to its basis, n the
+    number of factors; d(color, x) is the differential of a basis element.
     """
-    if validate:
-        bad = data.validate()
-        if bad:
-            raise ValueError(f"not a Leibniz pair: {bad[:3]}")
     l_basis = list(data.l_basis)
     a_basis = list(data.a_basis)
     l_index = {x: i for i, x in enumerate(l_basis)}
     a_index = {x: i for i, x in enumerate(a_basis)}
+    nl, na = len(l_basis), len(a_basis)
 
-    class _Suspended:
-        cdeg = [1] * len(l_basis)
-        odeg = [1] * len(a_basis)
-        closed_bound = bound
-
-    cofree = _Suspended()
-
-    def vec_l(table):
-        return {l_index[k]: v for k, v in table.items()}
-
-    def vec_a(table):
-        return {a_index[k]: v for k, v in table.items()}
+    def table(img, index):
+        return accumulate({}, ((index[k], v) for k, v in img.items()))
 
     psi = {}
-    for i in range(len(l_basis)):
-        for j in range(i, len(l_basis)):
-            val = vec_l(data.bracket(l_basis[i], l_basis[j]))
-            val = {k: v for k, v in val.items() if v}
-            if val and i < j:
-                psi[(i, j)] = val
+    for i, j in combinations(range(nl), 2):
+        val = table(data.bracket(l_basis[i], l_basis[j]), l_index)
+        if val:
+            psi[(i, j)] = val
     phi = {}
-    for i in range(len(l_basis)):
-        for j in range(len(a_basis)):
-            val = vec_a(data.action(l_basis[i], a_basis[j]))
-            val = {k: v for k, v in val.items() if v}
+    for i in range(nl):
+        for j in range(na):
+            val = table(data.action(l_basis[i], a_basis[j]), a_index)
             if val:
                 phi[((i,), (j,))] = val
-    for i in range(len(a_basis)):
-        for j in range(len(a_basis)):
-            val = vec_a(data.mult(a_basis[i], a_basis[j]))
-            val = {k: v for k, v in val.items() if v}
+    for i in range(na):
+        for j in range(na):
+            val = table(data.mult(a_basis[i], a_basis[j]), a_index)
             if val:
                 phi[((), (i, j))] = val
 
-    d_closed = lift_psi(cofree, psi, -1)
-    d_mixed = lift_phi(cofree, psi, phi, -1)
+    d_closed = lift_psi([1] * nl, bound, psi)
+    d_mixed = lift_phi([1] * nl, [1] * na, psi, phi, -1)
 
     lw = [data.l_weight(x) for x in l_basis]
     aw = [data.a_weight(x) for x in a_basis]
-
     cells = {}
     for p in range(1, bound + 1):
-        for m in combinations(range(len(l_basis)), p):
+        for m in combinations(range(nl), p):
             w = sum(lw[i] for i in m)
             if w <= bound:
                 cells.setdefault(("c", w, p), []).append(m)
     for p in range(0, bound + 1):
-        for m in combinations(range(len(l_basis)), p):
+        for m in combinations(range(nl), p):
             base = sum(lw[i] for i in m)
             if base > bound:
                 continue
             for q in range(1, bound - base + 1):
-                for word in _words_over(range(len(a_basis)), q):
+                for word in _tensor_words(na, q):
                     w = base + sum(aw[i] for i in word)
                     if w <= bound:
                         cells.setdefault(("o", w, p + q), []).append(
                             (m, word))
 
+    def d(color, x):
+        return d_closed(x) if color == "c" else d_mixed(*x)
+
+    return cells, d
+
+
+def ce_hochschild_homology(data, bound):
+    """Homology of the pair complex (see ce_complex), by total weight and
+    chain degree.  Raises ValueError unless data is a Leibniz pair.
+
+    Returns {("c"|"o", weight, n): dim H_n} with n the number of factors.
+    """
+    bad = data.validate()
+    if bad:
+        raise ValueError(f"not a Leibniz pair: {bad[:3]}")
+    cells, d = ce_complex(data, bound)
     ranks = {}
     for (color, w, n), basis in sorted(cells.items()):
         target = cells.get((color, w, n - 1), [])
         tindex = {x: i for i, x in enumerate(target)}
         ech = Echelon()
         for x in basis:
-            img = d_closed(x) if color == "c" else d_mixed(*x)
             col = {}
-            for k, c in img.items():
+            for k, c in d(color, x).items():
                 if k not in tindex:
                     raise ValueError("differential left the truncation")
                 col[tindex[k]] = c
@@ -795,13 +700,6 @@ def ce_hochschild_homology(data, bound, validate=True):
         if h:
             out[(color, w, n)] = h
     return out
-
-
-def _words_over(basis, q):
-    if q == 0:
-        return [()]
-    prev = _words_over(basis, q - 1)
-    return [w + (a,) for w in prev for a in basis]
 
 
 # ---------------------------------------------------------------------------
@@ -850,6 +748,11 @@ class HomotopyAlgebraData:
                         raise ValueError(
                             f"n_{p},{q} must have degree {p + q - 2}")
 
+    def has_open_closed_extension(self):
+        """Whether a q = 0 tensor is nonzero: OCHA data, not SHLP data."""
+        return any(q == 0 and any(any(img.values()) for img in table.values())
+                   for (_, q), table in self.n_tensors.items())
+
     # -- evaluation with graded antisymmetry on the closed block ----------
 
     def eval_l(self, tup):
@@ -858,14 +761,14 @@ class HomotopyAlgebraData:
         if sign == 0:
             return {}
         table = self.l_tensors.get(len(tup), {})
-        return _scale(table.get(key, {}), sign)
+        return accumulate({}, table.get(key, {}).items(), sign)
 
     def eval_n(self, ctup, otup):
         sign, key = _sort_wedge(ctup, self.cdeg)
         if sign == 0:
             return {}
         table = self.n_tensors.get((len(ctup), len(otup)), {})
-        return _scale(table.get((key, tuple(otup)), {}), sign)
+        return accumulate({}, table.get((key, tuple(otup)), {}).items(), sign)
 
 
 def _sort_wedge(tup, degrees):
@@ -887,14 +790,15 @@ def _sort_wedge(tup, degrees):
     return sign, tuple(items)
 
 
-def _decalage(seq, sdeg):
-    """Sign of desuspending each factor of a suspended word in place."""
+def _decalage(degrees):
+    """Sign of desuspending in place each factor of a suspended word whose
+    factors have these degrees."""
     sign = 1
     before = 0
-    for x in seq:
+    for d in degrees:
         if before & 1:
             sign = -sign
-        before += sdeg[x]
+        before += d
     return sign
 
 
@@ -905,35 +809,23 @@ def suspended_corestrictions(data):
     suspension converts the exterior evaluation into a symmetric one; the
     decalage sign moves the desuspensions into place.
     """
+    sl, sa = data.sl, data.sa
     psi = {}
     for n in data.l_tensors:
-        for m in _graded_multisets(data.sl, n):
-            val = _scale(data.eval_l(m), _decalage(m, data.sl))
-            if _clean(val):
-                psi[m] = val
+        for m in _graded_multisets(sl, n):
+            val = data.eval_l(m)
+            if val:
+                psi[m] = accumulate({}, val.items(),
+                                    _decalage([sl[x] for x in m]))
     phi = {}
     for (p, q) in data.n_tensors:
-        for m in _graded_multisets(data.sl, p):
-            for w in _tensor_words(len(data.sa), q):
-                seq_sign = _decalage_mixed(m, w, data.sl, data.sa)
-                val = _scale(data.eval_n(m, w), seq_sign)
-                if _clean(val):
-                    phi[(m, w)] = val
+        for m in _graded_multisets(sl, p):
+            for w in _tensor_words(len(sa), q):
+                val = data.eval_n(m, w)
+                if val:
+                    phi[(m, w)] = accumulate({}, val.items(), _decalage(
+                        [sl[x] for x in m] + [sa[x] for x in w]))
     return psi, phi
-
-
-def _decalage_mixed(m, w, sl, sa):
-    sign = 1
-    before = 0
-    for x in m:
-        if before & 1:
-            sign = -sign
-        before += sl[x]
-    for x in w:
-        if before & 1:
-            sign = -sign
-        before += sa[x]
-    return sign
 
 
 class SHReport:
@@ -960,76 +852,48 @@ def shlp_ocha_check(data, mode, arity_bound):
     """
     if mode not in ("SHLP", "OCHA"):
         raise ValueError("mode must be SHLP or OCHA")
-    if mode == "SHLP":
-        for (p, q) in data.n_tensors:
-            if q == 0 and _clean_table(data.n_tensors[(p, q)]):
-                raise ValueError("q = 0 tensors need OCHA mode")
+    if mode == "SHLP" and data.has_open_closed_extension():
+        raise ValueError("q = 0 tensors need OCHA mode")
     cofree = CofreePair(GradedPair(
         [(n, d + 1) for (n, _), d in zip(data.pair.closed, data.cdeg)],
         [(n, d + 1) for (n, _), d in zip(data.pair.open, data.odeg)]),
         arity_bound, arity_bound)
+    sl, sa = cofree.cdeg, cofree.odeg
     psi, phi = suspended_corestrictions(data)
-    d_l = lift_psi(cofree, psi, -1)
-    d_a = lift_phi(cofree, None, phi, -1)
+    d_l = lift_psi(sl, arity_bound, psi)
+    d_a = lift_phi(sl, sa, None, phi, -1)
 
     report = SHReport()
     # closed component: D_L o D_L on every basis multiset
     for m in cofree.closed_basis:
-        total = {}
-        for mm, c in d_l(m).items():
-            total = _add(total, _scale(d_l(mm), c))
-        core = _corestrict_closed(total)
-        direct = _diff1_instance(data, psi, m)
-        if _clean(_sub(core, direct)):
+        total = _compose({}, d_l(m), d_l)
+        # the corestriction: the one-factor part
+        core = {mm[0]: c for mm, c in total.items() if len(mm) == 1}
+        if core != _diff1_instance(data, psi, m):
             report.discrepancies.append(("closed", m))
-        if _clean(total):
-            report.violations.append(("closed", m, _clean(total)))
+        if total:
+            report.violations.append(("closed", m, total))
     # mixed component: rho(D_L)D_A + D_A o D_A, with rho(D_L)D_A the lift of
     # g_{D_A} o (D_L (x) 1) -- an even (degree -2) corestriction
     g_rho = {}
     for m, w in cofree.mixed_basis:
-        val = {}
-        for mm, c in d_l(m).items():
-            got = phi.get((mm, w))
-            if got:
-                val = _add(val, _scale(got, c))
-        if _clean(val):
-            g_rho[(m, w)] = _clean(val)
-    rho_da = lift_phi(cofree, None, g_rho, -2)
+        val = _compose({}, d_l(m), lambda mm: phi.get((mm, w), {}))
+        if val:
+            g_rho[(m, w)] = val
+    rho_da = lift_phi(sl, sa, None, g_rho, -2)
     for m, w in cofree.mixed_basis:
         if len(m) + len(w) > arity_bound:
             continue
-        total = {}
-        for (mm, ww), c in d_a(m, w).items():
-            total = _add(total, _scale(d_a(mm, ww), c))
-        total = _add(total, rho_da(m, w))
-        core = _corestrict_mixed(total)
-        direct = _diff2_instance(data, psi, phi, cofree, m, w)
-        if _clean(_sub(core, direct)):
+        total = _compose({}, d_a(m, w), lambda cell: d_a(*cell))
+        accumulate(total, rho_da(m, w).items())
+        # the corestriction: the part with no closed and one open factor
+        core = {ww[0]: c for (mm, ww), c in total.items()
+                if not mm and len(ww) == 1}
+        if core != _diff2_instance(data, psi, phi, cofree, m, w):
             report.discrepancies.append(("mixed", m, w))
-        if _clean(total):
-            report.violations.append(("mixed", m, w, _clean(total)))
+        if total:
+            report.violations.append(("mixed", m, w, total))
     return report
-
-
-def _clean_table(t):
-    return {k: v for k, v in t.items() if _clean(v)}
-
-
-def _corestrict_closed(vec):
-    out = {}
-    for m, c in vec.items():
-        if len(m) == 1:
-            out[m[0]] = out.get(m[0], Fraction(0)) + c
-    return _clean(out)
-
-
-def _corestrict_mixed(vec):
-    out = {}
-    for (m, w), c in vec.items():
-        if not m and len(w) == 1:
-            out[w[0]] = out.get(w[0], Fraction(0)) + c
-    return _clean(out)
 
 
 def _diff1_instance(data, psi, m):
@@ -1048,8 +912,8 @@ def _diff1_instance(data, psi, m):
             outer = psi.get(merged)
             if not outer:
                 continue
-            out = _add(out, _scale(outer, sign * c * s2))
-    return _clean(out)
+            accumulate(out, outer.items(), sign * c * s2)
+    return out
 
 
 def _diff2_instance(data, psi, phi, cofree, m, w):
@@ -1069,7 +933,7 @@ def _diff2_instance(data, psi, phi, cofree, m, w):
                 continue
             val = phi.get((merged, w))
             if val:
-                out = _add(out, _scale(val, sign * c * s2))
+                accumulate(out, val.items(), sign * c * s2)
     # associative part: phi on an inner window, then phi on the result
     q = len(w)
     for k in range(len(m) + 1):
@@ -1094,8 +958,8 @@ def _diff2_instance(data, psi, phi, cofree, m, w):
                     for idx, c in inner.items():
                         val = phi.get((a_syms, w[:i] + (idx,) + w[j:]))
                         if val:
-                            out = _add(out, _scale(val, sign * c))
-    return _clean(out)
+                            accumulate(out, val.items(), sign * c)
+    return out
 
 
 def strict_pair_tensors(data_pair, bracket, mult, action):
@@ -1108,21 +972,21 @@ def strict_pair_tensors(data_pair, bracket, mult, action):
     l2 = {}
     for i in range(nc):
         for j in range(i + 1, nc):
-            val = bracket.get((i, j), {})
-            if _clean(val):
-                l2[(i, j)] = dict(val)
+            val = accumulate({}, bracket.get((i, j), {}).items())
+            if val:
+                l2[(i, j)] = val
     n02 = {}
     for i in range(no):
         for j in range(no):
-            val = mult.get((i, j), {})
-            if _clean(val):
-                n02[((), (i, j))] = dict(val)
+            val = accumulate({}, mult.get((i, j), {}).items())
+            if val:
+                n02[((), (i, j))] = val
     n11 = {}
     for i in range(nc):
         for j in range(no):
-            val = action.get((i, j), {})
-            if _clean(val):
-                n11[((i,), (j,))] = dict(val)
+            val = accumulate({}, action.get((i, j), {}).items())
+            if val:
+                n11[((i,), (j,))] = val
     return HomotopyAlgebraData(data_pair, {2: l2},
                                {(0, 2): n02, (1, 1): n11})
 
@@ -1176,7 +1040,10 @@ def parse_tensor_file(text):
             raise TensorFileError(f"line {lineno}: {exc}") from exc
     if not (closed or open_ or l_lines or n_lines):
         raise TensorFileError("empty tensor file: no declaration")
-    pair = GradedPair(closed, open_)
+    try:
+        pair = GradedPair(closed, open_)
+    except ValueError as exc:
+        raise TensorFileError(str(exc)) from exc
     cindex = {n: i for i, (n, _) in enumerate(pair.closed)}
     oindex = {n: i for i, (n, _) in enumerate(pair.open)}
 
@@ -1190,14 +1057,14 @@ def parse_tensor_file(text):
                 coeff_s, name = term.split("*")
                 coeff = Fraction(coeff_s.strip())
             elif term.startswith("-"):
-                coeff, name = Fraction(-1), term[1:]
+                coeff, name = -1, term[1:]
             else:
-                coeff, name = Fraction(1), term
+                coeff, name = 1, term
             name = name.strip()
             if name not in index:
                 raise TensorFileError(f"unknown symbol {name!r}")
-            out[index[name]] = out.get(index[name], Fraction(0)) + coeff
-        return _clean(out)
+            accumulate(out, ((index[name], coeff),))
+        return out
 
     def lookup(index, name, kind):
         name = name.strip()
@@ -1214,9 +1081,8 @@ def parse_tensor_file(text):
         sign, skey = _sort_wedge(key, [d for _, d in pair.closed])
         if sign == 0:
             raise TensorFileError(f"l {n}: degenerate wedge key {args}")
-        combo = _scale(parse_combo(value, cindex), sign)
-        table = l_tensors.setdefault(n, {})
-        table[skey] = _add(table.get(skey, {}), combo)
+        accumulate(l_tensors.setdefault(n, {}).setdefault(skey, {}),
+                   parse_combo(value, cindex).items(), sign)
     n_tensors = {}
     for p, q, args, value in n_lines:
         cpart, _, opart = args.partition("|")
@@ -1229,7 +1095,9 @@ def parse_tensor_file(text):
         sign, skey = _sort_wedge(ckey, [d for _, d in pair.closed])
         if sign == 0:
             raise TensorFileError(f"n {p} {q}: degenerate wedge key")
-        combo = _scale(parse_combo(value, oindex), sign)
-        table = n_tensors.setdefault((p, q), {})
-        table[(skey, okey)] = _add(table.get((skey, okey), {}), combo)
-    return HomotopyAlgebraData(pair, l_tensors, n_tensors)
+        accumulate(n_tensors.setdefault((p, q), {}).setdefault(
+            (skey, okey), {}), parse_combo(value, oindex).items(), sign)
+    try:
+        return HomotopyAlgebraData(pair, l_tensors, n_tensors)
+    except ValueError as exc:
+        raise TensorFileError(str(exc)) from exc

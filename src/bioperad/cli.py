@@ -195,6 +195,8 @@ def cmd_shlp_check(args):
             data = parse_tensor_file(f.read())
     except FileNotFoundError:
         raise UsageError(f"no such file {args.tensorfile!r}")
+    if args.mode == "SHLP" and data.has_open_closed_extension():
+        raise UsageError("the file has q = 0 tensors; they need --mode OCHA")
     report = shlp_ocha_check(data, args.mode, args.N)
     if args.json:
         print(json.dumps({"mode": args.mode, "arity": args.N,

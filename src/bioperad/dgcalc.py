@@ -183,16 +183,16 @@ def verify_d_squared(dg, max_inputs=None):
     return violations
 
 
-def homology_dims(dg, max_inputs=None, check=True):
+def homology_dims(dg, max_inputs=None):
     """dict (signature, degree) -> dim H, exact over Q.
 
-    Betti numbers per cell: dim C_d - rank d_d - rank d_(d+1).
+    Betti numbers per cell: dim C_d - rank d_d - rank d_(d+1).  Raises
+    ValueError when d^2 != 0.
     """
     bound = max_inputs or dg.max_inputs
-    if check:
-        bad = verify_d_squared(dg, bound)
-        if bad:
-            raise ValueError(f"d^2 != 0: {bad[:3]}")
+    bad = verify_d_squared(dg, bound)
+    if bad:
+        raise ValueError(f"d^2 != 0: {bad[:3]}")
     out = {}
     for sig_ in signatures_within(bound):
         degrees = dg.cell_degrees(sig_)

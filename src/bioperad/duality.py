@@ -18,7 +18,8 @@ Cobar: for a degree-0 quotient truncation P, the construction builds the
 free operad on one generator per quotient basis element per signature, in
 degree (inputs - 2), with the sign-twisted dual symmetric action, and the
 differential dual to composition with term signs
-(-1)^(k1 + 1 + (k2-1)(i-1) + (k1-1)(k2-1)) sgn(closed word) sgn(open word).
+(-1)^(k1 + (k2-1)(i-1) + (k1-1)(k2-1)) sgn(closed word) sgn(open word); see
+cobar_genmap.
 """
 
 from fractions import Fraction
@@ -311,47 +312,60 @@ class CobarCollection:
         return tuple(tuple(col) for col in cols)
 
 
-def cobar_truncate(presentation, max_inputs, tag=""):
-    """Free operad on the desuspended dual of the quotient, with the
-    differential induced by dualized composition.  Returns (collection,
-    genmap) for the derivation machinery."""
-    trunc = truncation(presentation, max_inputs)
-    cc = CobarCollection(trunc, max_inputs, tag=tag)
-    coll = cc.collection
+def cobar_genmap(collection, coefficient):
+    """Generator map of a vertex-expansion differential on a free operad.
+
+    The image of the basis element dec of a vertex space is the sum, over
+    the weight-2 trees tau of its signature, of
+        (-1)^(k1 + (k2-1)(i-1) + (k1-1)(k2-1)) sgn(closed word)
+            sgn(open word) coefficient(space, dec, tau, i) tau,
+    with k1 and k2 the arities of the root and of the inner vertex, i the
+    inner vertex's linear slot, and the label words read in slot order.
+    The global sign makes the cobar differential match the derivative of
+    the quadratic-linear dual through the counit comparison map.  Images
+    are memoised by (space name, dec).
+    """
     cache = {}
 
     def genmap(space, dec):
         key = (space.name, dec)
         hit = cache.get(key)
-        if hit is not None:
-            return hit
-        sig_ = space.signature
-        b = dec
-        out = Element()
-        for tau in enumerate_basis(coll, sig_, 2):
-            root = tau
-            inner_pos, inner = next(
-                ((i, c) for i, c in enumerate(root.children, start=1)
-                 if isinstance(c, Node)))
-            sig1 = root.space.signature
-            sig2 = inner.space.signature
-            k1, k2 = sig1.total, sig2.total
-            cw, ow = _label_words(tau)
-            sgn = perm_sign(cw) * perm_sign(ow)
-            # global sign chosen so the differential matches the derivative
-            # of the quadratic-linear dual through the counit comparison map
-            exp = k1 + (k2 - 1) * (inner_pos - 1) + (k1 - 1) * (k2 - 1)
-            if exp & 1:
-                sgn = -sgn
-            color = sig1.slot_color(inner_pos)
-            index = inner_pos if color == CLOSED else inner_pos - sig1.n_closed
-            composite = graft(trunc.class_of(sig1, root.dec), color, index,
-                              trunc.class_of(sig2, inner.dec))
-            composite = symmetric_act((cw, ow), composite)
-            coeff = trunc.reduce(composite).get(b, Fraction(0))
-            if coeff:
-                out = out + Element({tau: sgn * coeff})
-        cache[key] = out
-        return out
+        if hit is None:
+            terms = {}
+            for tau in enumerate_basis(collection, space.signature, 2):
+                i, k2 = _two_vertex_data(tau)
+                coeff = coefficient(space, dec, tau, i)
+                if not coeff:
+                    continue
+                k1 = tau.space.signature.total
+                cw, ow = _label_words(tau)
+                sgn = perm_sign(cw) * perm_sign(ow)
+                if (k1 + (k2 - 1) * (i - 1) + (k1 - 1) * (k2 - 1)) & 1:
+                    sgn = -sgn
+                terms[tau] = sgn * coeff
+            hit = cache[key] = Element(terms)
+        return hit
 
-    return coll, genmap
+    return genmap
+
+
+def cobar_truncate(presentation, max_inputs, tag=""):
+    """Free operad on the desuspended dual of the quotient, with the
+    differential induced by dualized composition.  Returns (collection,
+    genmap) for the derivation machinery."""
+    trunc = truncation(presentation, max_inputs)
+    coll = CobarCollection(trunc, max_inputs, tag=tag).collection
+
+    def coefficient(space, dec, tau, i):
+        # the coordinate on quotient basis element dec of the composite the
+        # two-vertex tree tau encodes, relabelled by its label words
+        sig1 = tau.space.signature
+        inner = tau.children[i - 1]
+        color = sig1.slot_color(i)
+        index = i if color == CLOSED else i - sig1.n_closed
+        composite = graft(trunc.class_of(sig1, tau.dec), color, index,
+                          trunc.class_of(inner.space.signature, inner.dec))
+        composite = symmetric_act(_label_words(tau), composite)
+        return trunc.reduce(composite).get(dec, 0)
+
+    return coll, cobar_genmap(coll, coefficient)

@@ -12,23 +12,30 @@ Catalog (presentations):
   H0SC       H0SCvor plus a central multiplicative unary map (quadratic-linear)
   qH0SC      quadratic projection of H0SC
   H0SCdual   Koszul dual of H0SC: LP plus a degree -1 unary map, the eye
-             relation, and a differential (see dg_models)
+             relation, and a differential (see h0sc_dual_dg)
   LambdaC_OC color-suspended top-homology operad: Lie, associative, and a
              central degree -1 unary map
   Palpha     free operad on the unary map alone
   F_n10      free operad on the degree -1 unary map alone
 
-Dg truncations (LPinf, OCinf, H0SCdual) are built in dg_models once the
-differential machinery is importable.
+Dg truncations (LPinf, OCinf, H0SCdual) are built below on the
+differential machinery of dgcalc.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
+from .dgcalc import DgTruncation, extend_derivation
+from .duality import _arrangement_sign, cobar_genmap
 from .linalg import solve
-from .presentation import Presentation, project_q
+from .presentation import (Presentation, project_q, quotient_dims,
+                           signatures_within, truncation)
+from .signs import identity, perm_sign, unshuffle_perm, unshuffles
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
-                    Element, generator, parse_term, sig)
+                    Element, Leaf, Node, Signature, accumulate,
+                    corolla_element, generator, graft, make_node, parse_term,
+                    sig, symmetric_act)
 
 
 def _relations(collection, specs):
@@ -187,8 +194,8 @@ def f_n10_presentation():
 # labels); the differential is vertex expansion.  Its coefficients implement
 # the cobar differential of the dual of the degree-0 quotient in the
 # generator basis: a two-vertex tree contributes when its planar open-label
-# readout fuses to the generator's arrangement, with sign
-# (-1)^(k1 + (k2-1)(i-1) + (k1-1)(k2-1)) sgn(words) sgn(arrangements).
+# readout fuses to the generator's arrangement, with the cobar sign of
+# duality.cobar_genmap times sgn(arrangements).
 
 
 def _sh_generators(max_inputs, include_p0):
@@ -211,7 +218,6 @@ def _sh_generators(max_inputs, include_p0):
 
 def _planar_open_word(t):
     """Open leaf labels in planar order; closed subtrees contribute nothing."""
-    from .trees import Leaf
     if isinstance(t, Leaf):
         return (t.label,) if t.color == OPEN else ()
     sig_ = t.space.signature
@@ -225,46 +231,23 @@ def _planar_open_word(t):
 
 
 def _expansion_genmap(coll):
-    from .duality import _arrangement_sign, _label_words
-    from .signs import perm_sign
-    from .trees import Element, Node, enumerate_basis
-
-    cache = {}
-
-    def genmap(space, dec):
-        key = (space.name, dec)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    def coefficient(space, dec, tau, slot):
         sig_ = space.signature
-        target = (space.arrangements[dec] if sig_.n_open > 1
-                  else tuple(range(1, sig_.n_open + 1)))
-        tsgn = perm_sign(target) if sig_.n_open > 1 else 1
-        out = Element()
-        for tau in enumerate_basis(coll, sig_, 2):
-            if _planar_open_word(tau) != target:
-                continue
-            inner_pos, inner = next(
-                (i, c) for i, c in enumerate(tau.children, start=1)
-                if isinstance(c, Node))
-            k1 = tau.space.signature.total
-            k2 = inner.space.signature.total
-            cw, ow = _label_words(tau)
-            sgn = perm_sign(cw) * perm_sign(ow) * _arrangement_sign(tau) * tsgn
-            exp = k1 + (k2 - 1) * (inner_pos - 1) + (k1 - 1) * (k2 - 1)
-            if exp & 1:
-                sgn = -sgn
-            out = out + Element({tau: sgn})
-        cache[key] = out
-        return out
+        if sig_.n_open <= 1:
+            target, tsgn = tuple(range(1, sig_.n_open + 1)), 1
+        else:
+            target = space.arrangements[dec]
+            tsgn = perm_sign(target)
+        if _planar_open_word(tau) != target:
+            return 0
+        return _arrangement_sign(tau) * tsgn
 
-    return genmap
+    return cobar_genmap(coll, coefficient)
 
 
 @lru_cache(maxsize=None)
 def ocinf_dg(max_inputs=5):
     """The open-closed strong homotopy operad, truncated."""
-    from .dgcalc import DgTruncation, extend_derivation
     coll = Collection(_sh_generators(max_inputs, include_p0=True))
     deriv = extend_derivation(coll, _expansion_genmap(coll))
     return DgTruncation(coll, deriv, max_inputs, name="OCinf")
@@ -273,7 +256,6 @@ def ocinf_dg(max_inputs=5):
 @lru_cache(maxsize=None)
 def lpinf_dg(max_inputs=5):
     """The strong homotopy Leibniz-pair operad, truncated."""
-    from .dgcalc import DgTruncation, extend_derivation
     coll = Collection(_sh_generators(max_inputs, include_p0=False))
     deriv = extend_derivation(coll, _expansion_genmap(coll))
     return DgTruncation(coll, deriv, max_inputs, name="LPinf")
@@ -289,8 +271,6 @@ def h0sc_dual_n11_image(coll):
 @lru_cache(maxsize=None)
 def h0sc_dual_dg(max_inputs=4):
     """The dual of H0SC as a dg quotient: differential on n11 only."""
-    from .dgcalc import DgTruncation, extend_derivation
-    from .presentation import truncation
     pres = h0sc_dual_presentation()
     coll = pres.collection
     image = h0sc_dual_n11_image(coll)
@@ -315,13 +295,10 @@ def lp_formula_genmap(coll, flip_one_sign=False):
     Other arrangements are the symmetric translates.  ``flip_one_sign``
     deliberately corrupts one term for negative testing.
     """
-    from .signs import identity, perm_sign, unshuffle_perm, unshuffles
-    from .trees import Element, Leaf, Node, make_node, symmetric_act
-
     def identity_image(space):
         sig_ = space.signature
         p, q = sig_.n_closed, sig_.n_open
-        out = Element()
+        out = {}
         if sig_.out == CLOSED:
             for size in range(2, p):
                 for i1, i2 in unshuffles(range(1, p + 1), size):
@@ -330,8 +307,9 @@ def lp_formula_genmap(coll, flip_one_sign=False):
                                  tuple(Leaf(CLOSED, l) for l in i1))
                     kids = [inner] + [Leaf(CLOSED, l) for l in i2]
                     sgn = perm_sign(unshuffle_perm(i1, i2))
-                    out = out + make_node(outer, 0, kids).scale(sgn)
-            return out
+                    accumulate(out, make_node(outer, 0, kids).terms.items(),
+                               sgn)
+            return Element.of(out)
         # mixed expansion
         for size in range(0, p + 1):
             for i2, i1 in unshuffles(range(1, p + 1), size):
@@ -354,8 +332,9 @@ def lp_formula_genmap(coll, flip_one_sign=False):
                                     + [itree]
                                     + [Leaf(OPEN, k)
                                        for k in range(j + 1, q + 1)])
-                            out = out + make_node(
-                                coll[outer_name], 0, kids).scale(sgn * icoef)
+                            accumulate(out, make_node(
+                                coll[outer_name], 0, kids).terms.items(),
+                                sgn * icoef)
         # closed expansion: a closed corolla over I1 in the first closed slot
         for size in range(2, p + 1):
             for i1, i2 in unshuffles(range(1, p + 1), size):
@@ -367,8 +346,9 @@ def lp_formula_genmap(coll, flip_one_sign=False):
                 kids = ([inner] + [Leaf(CLOSED, l) for l in i2]
                         + [Leaf(OPEN, k) for k in range(1, q + 1)])
                 sgn = perm_sign(unshuffle_perm(i1, i2))
-                out = out + make_node(coll[outer_name], 0, kids).scale(sgn)
-        return out
+                accumulate(out, make_node(
+                    coll[outer_name], 0, kids).terms.items(), sgn)
+        return Element.of(out)
 
     cache = {}
 
@@ -431,14 +411,8 @@ class DistributiveLaw:
         self.composite_dims = composite_dims  # (sig) -> {degree: dim}
 
 
-def _binomial(n, k):
-    from math import comb
-    return comb(n, k)
-
-
 def _with_identity(dims):
     """Quotient dims plus the implicit identity components."""
-    from .trees import Signature
     table = dict(dims)
     for s in (Signature(1, 0, CLOSED), Signature(0, 1, OPEN)):
         table[(s, 0)] = table.get((s, 0), 0) + 1
@@ -452,8 +426,6 @@ def alpha_distributive_law(bound=4):
     a copy of the closed ones (the unary map composed below by anything with
     closed output, including the identity).
     """
-    from .presentation import quotient_dims
-    from .trees import Signature
     vor = _with_identity(quotient_dims(h0scvor_presentation(), bound))
 
     def composite(sig_):
@@ -476,8 +448,6 @@ def whistle_distributive_law(bound=4):
     Each closed input may route through the whistle into an open slot; s
     diverted inputs shift the degree by -s.
     """
-    from .presentation import quotient_dims
-    from .trees import Signature
     lp = _with_identity(quotient_dims(lp_presentation(), bound))
 
     def composite(sig_):
@@ -491,7 +461,7 @@ def whistle_distributive_law(bound=4):
         for s in range(0, n + 1):
             inner = lp.get((Signature(n - s, m + s, OPEN), 0), 0)
             if inner:
-                d = _binomial(n, s) * inner
+                d = comb(n, s) * inner
                 if d:
                     out[-s] = out.get(-s, 0) + d
         return out
@@ -501,7 +471,6 @@ def whistle_distributive_law(bound=4):
 
 def identity_distributive_law(presentation, bound=4):
     """The trivial law of the unit layer: the composite is the operad."""
-    from .presentation import quotient_dims
     dims = _with_identity(quotient_dims(presentation, bound))
 
     def composite(sig_):
@@ -521,8 +490,6 @@ def apply_distributive_law(law, bound):
     The composite tables carry the identity components; they are stripped
     before comparing with the reduced quotient.
     """
-    from .presentation import signatures_within, truncation
-    from .trees import Signature
     trunc = truncation(law.merged, bound)
     witnesses = []
     identities = {Signature(1, 0, CLOSED), Signature(0, 1, OPEN)}
@@ -553,7 +520,6 @@ def psi_map_element(elem, target_collection):
     Generators named l2, n02, n11, n10 map to their namesakes; every other
     generator maps to zero, killing any tree that contains one.
     """
-    from .trees import Element, Leaf, Node
 
     def map_tree(t):
         if isinstance(t, Leaf):
@@ -568,12 +534,9 @@ def psi_map_element(elem, target_collection):
             kids.append(mc)
         return Node(target_collection[t.space.name], t.dec, tuple(kids))
 
-    out = Element()
-    for t, c in elem.terms.items():
-        mt = map_tree(t)
-        if mt is not None:
-            out = out + Element({mt: c})
-    return out
+    mapped = ((map_tree(t), c) for t, c in elem.terms.items())
+    return Element.of(accumulate({}, ((t, c) for t, c in mapped
+                                      if t is not None)))
 
 
 def psi_commutes_with_differentials(bound=4):
@@ -587,11 +550,9 @@ def psi_commutes_with_differentials(bound=4):
             lhs = hd.trunc.reduce_to_element(
                 psi_map_element(img, hd.collection))
             if space.name in PSI_GENERATORS:
-                from .trees import corolla_element
                 rhs = hd.trunc.reduce_to_element(hd.derivation.apply(
                     corolla_element(hd.collection[space.name], dec)))
             else:
-                from .trees import Element
                 rhs = Element.zero()
             if lhs != rhs:
                 bad.append((space.name, dec, lhs, rhs))
@@ -604,25 +565,21 @@ def psi_commutes_with_differentials(bound=4):
 
 def gamma_element(trunc, k):
     """gamma_k: the k-fold action class in (k,1;o)."""
-    from .trees import OPEN as _O
-    from .trees import corolla_element, graft
     coll = trunc.collection
     if k == 0:
         raise ValueError("gamma_0 is the identity, not a tree")
     out = corolla_element(coll["n11"])
     for _ in range(k - 1):
-        out = graft(out, _O, 1, corolla_element(coll["n11"]))
+        out = graft(out, OPEN, 1, corolla_element(coll["n11"]))
     return out
 
 
 def kappa_element(trunc, k):
     """kappa_k: the whistle capped action class in (k,0;o)."""
-    from .trees import OPEN as _O
-    from .trees import corolla_element, graft
     coll = trunc.collection
     if k == 1:
         return corolla_element(coll["n10"])
-    return graft(gamma_element(trunc, k - 1), _O, 1,
+    return graft(gamma_element(trunc, k - 1), OPEN, 1,
                  corolla_element(coll["n10"]))
 
 
@@ -630,9 +587,6 @@ def boundary_identities(bound=4):
     """d(kappa_n) and d(gamma_n) decompose as unit-coefficient unshuffle
     sums of products of kappas and gammas; gamma terms come in commutator
     pairs.  Returns a list of failures (empty = identities hold)."""
-    from .signs import unshuffles
-    from .trees import OPEN as _O
-    from .trees import corolla_element, graft, symmetric_act
     dg = h0sc_dual_dg(bound)
     trunc = dg.trunc
     coll = trunc.collection
@@ -642,9 +596,8 @@ def boundary_identities(bound=4):
     def product_term(first, first_labels, second, second_labels):
         """n02(first, second) with the blocks relabeled; grafting the second
         slot first appends its closed block before the first slot's."""
-        t = graft(prod, _O, 2, second) if second is not None else prod
-        slot_one = _O, 1
-        t = graft(t, _O, 1, first)
+        t = graft(prod, OPEN, 2, second) if second is not None else prod
+        t = graft(t, OPEN, 1, first)
         perm = tuple(list(second_labels) + list(first_labels))
         sig_ = t.signature()
         return symmetric_act((perm, tuple(range(1, sig_.n_open + 1))), t)
@@ -675,9 +628,9 @@ def boundary_identities(bound=4):
                     t2 = product_term(gb, b, ka, a)
                 else:
                     t1 = symmetric_act(
-                        (a, (1,)), graft(prod, _O, 1, ka))
+                        (a, (1,)), graft(prod, OPEN, 1, ka))
                     t2 = symmetric_act(
-                        (a, (1,)), graft(prod, _O, 2, ka))
+                        (a, (1,)), graft(prod, OPEN, 2, ka))
                 terms.append(trunc.reduce(t1))
                 keys.append(("kg", a, b))
                 terms.append(trunc.reduce(t2))

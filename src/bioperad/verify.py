@@ -13,10 +13,11 @@ from fractions import Fraction
 from itertools import permutations as _perms
 from math import factorial
 
-from .algebraside import (CofreePair, GradedPair, HomotopyAlgebraData,
-                          LeibnizPairData, _graded_multisets, _tensor_words,
+from .algebraside import (CofreePair, FreeAlgebra, GradedPair,
+                          HomotopyAlgebraData, LeibnizPairData,
+                          _graded_multisets, _tensor_words,
                           ce_hochschild_homology, check_coderivation_laws,
-                          free_algebra, shlp_ocha_check, strict_pair_tensors)
+                          shlp_ocha_check, strict_pair_tensors)
 from .dgcalc import (DgTruncation, extend_derivation, hilbert_series_gk_check,
                      homology_dims, verify_d_squared)
 from .duality import (QLFailure, cobar_truncate, ql_koszul_data,
@@ -216,7 +217,7 @@ def check_nonformality(bounds):
 
 
 def check_ce_hochschild(bounds):
-    fa = free_algebra("LP", GradedPair.ungraded(2, 1), 3)
+    fa = FreeAlgebra("LP", GradedPair.ungraded(2, 1), 3)
     data = LeibnizPairData.from_free_algebra(fa)
     h = ce_hochschild_homology(data, 3)
     good = (h.get(("c", 1, 1)) == 2 and h.get(("o", 1, 1)) == 1

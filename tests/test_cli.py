@@ -188,3 +188,26 @@ def test_malformed_relation_exits_2_with_its_line(relation, message,
     assert main(["dims", str(spec)]) == 2
     err = capsys.readouterr().err
     assert message in err and "(line 3)" in err
+
+
+MALFORMED_TENSORS = {
+    "repeated-symbol": "closed x 0\nclosed x 0\n",
+    "wrong-degree": "closed x 1\nl 2: x,x -> x\n",
+    "open-closed-under-shlp": "closed x 0\nopen a -1\nn 1 0: x | -> a\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TENSORS))
+def test_malformed_tensor_file_exits_2(name, tmp_path, capsys):
+    f = tmp_path / f"{name}.tensors"
+    f.write_text(MALFORMED_TENSORS[name])
+    assert main(["shlp-check", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_tensor_file_exit_code_from_process(tmp_path):
+    f = tmp_path / "wrong-degree.tensors"
+    f.write_text(MALFORMED_TENSORS["wrong-degree"])
+    code, _, err = run_cli(["shlp-check", str(f)])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bioperad.algebraside import (CofreePair, FreeAlgebra, GradedPair,
+                                  coproduct_open, lift_phi, lift_psi)
 from bioperad.models import PRESENTATION_BUILDERS, lpinf_dg, ocinf_dg
 from bioperad.presentation import ambient_basis, signatures_within, truncation
 from bioperad.signs import compose
@@ -360,9 +362,9 @@ def _draw_slot(draw, coll, e, max_inputs):
     return draw(st.sampled_from(slots))
 
 
-def _exact(e):
+def _exact(coefficients):
     return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
-               for c in e.terms.values())
+               for c in coefficients)
 
 
 @_PROPERTY
@@ -456,4 +458,30 @@ def test_tree_layer_coefficients_are_ints_or_proper_fractions(data):
     outs = [e, graft(e, *slot, f), symmetric_act(g, e),
             truncation(P, 3).reduce_to_element(e),
             dg.derivation.apply(_draw_element(data.draw, dg.collection, 3))]
-    assert all(_exact(out) for out in outs)
+    assert all(_exact(out.terms.values()) for out in outs)
+
+
+@_PROPERTY
+@given(st.data())
+def test_algebra_side_coefficients_are_ints_or_proper_fractions(data):
+    # random corestrictions with small rational coefficients on a graded
+    # pair, so that the lifted sums can be integral
+    cofree = CofreePair(GradedPair([("x", 0), ("y", 1)],
+                                   [("a", 0), ("b", 1)]), 3, 3)
+    coeff = st.fractions(-2, 2, max_denominator=2).filter(bool)
+    image = st.dictionaries(st.sampled_from(range(2)), coeff, min_size=1)
+    psi = data.draw(st.dictionaries(st.sampled_from(cofree.closed_basis),
+                                    image, max_size=8))
+    phi = data.draw(st.dictionaries(st.sampled_from(cofree.mixed_basis),
+                                    image, max_size=12))
+    m = data.draw(st.sampled_from(cofree.closed_basis))
+    mm, w = data.draw(st.sampled_from(cofree.mixed_basis))
+    fa = FreeAlgebra("LP", GradedPair.ungraded(2, 1), 4)
+    lie = [x for k in range(1, 5) for x in fa.closed_basis(k)]
+    x, y = data.draw(st.lists(st.sampled_from(lie), min_size=2, max_size=2))
+    a = data.draw(st.sampled_from(
+        [b for k in range(1, 4) for b in fa._open_by_weight[k]]))
+    outs = [lift_psi(cofree.cdeg, cofree.closed_bound, psi)(m),
+            lift_phi(cofree.cdeg, cofree.odeg, psi, phi, -1)(mm, w),
+            coproduct_open(cofree, mm, w), fa.bracket(x, y), fa.action(x, a)]
+    assert all(_exact(out.values()) for out in outs)
