@@ -163,7 +163,8 @@ class FreeAlgebra:
 
     def bracket(self, x, y):
         """Lie bracket of two closed basis elements (LP tag)."""
-        assert self.tag == "LP"
+        if self.tag != "LP":
+            raise ValueError(f"bracket needs the LP tag, not {self.tag!r}")
         _, u = x
         _, v = y
         if len(u) + len(v) > self.bound:
@@ -876,8 +877,11 @@ def shlp_ocha_check(data, mode, arity_bound):
     # mixed component: rho(D_L)D_A + D_A o D_A, with rho(D_L)D_A the lift of
     # g_{D_A} o (D_L (x) 1) -- an even (degree -2) corestriction
     g_rho = {}
+    d_l_at = {}
     for m, w in cofree.mixed_basis:
-        val = _compose({}, d_l(m), lambda mm: phi.get((mm, w), {}))
+        if m not in d_l_at:
+            d_l_at[m] = d_l(m)
+        val = _compose({}, d_l_at[m], lambda mm: phi.get((mm, w), {}))
         if val:
             g_rho[(m, w)] = val
     rho_da = lift_phi(sl, sa, None, g_rho, -2)
@@ -889,7 +893,7 @@ def shlp_ocha_check(data, mode, arity_bound):
         # the corestriction: the part with no closed and one open factor
         core = {ww[0]: c for (mm, ww), c in total.items()
                 if not mm and len(ww) == 1}
-        if core != _diff2_instance(data, psi, phi, cofree, m, w):
+        if core != _diff2_instance(data, psi, phi, m, w):
             report.discrepancies.append(("mixed", m, w))
         if total:
             report.violations.append(("mixed", m, w, total))
@@ -916,7 +920,7 @@ def _diff1_instance(data, psi, m):
     return out
 
 
-def _diff2_instance(data, psi, phi, cofree, m, w):
+def _diff2_instance(data, psi, phi, m, w):
     """Corestriction of rho(D_L)D_A + D_A^2 on a mixed basis element."""
     sl, sa = data.sl, data.sa
     out = {}

@@ -182,31 +182,45 @@ class Echelon:
         return set(self.rows)
 
     def add(self, vec):
-        """vec: dict col -> coefficient.  Returns True if rank grew."""
+        """vec: dict col -> coefficient.  Returns True if rank grew.
+
+        The residue is eliminated in place: a step against the row with
+        pivot p, entry a there, takes v to (a/g) v - (b/g) row with b = v[p]
+        and g = gcd(a, b), so it touches only the row's columns.  Each step
+        keeps the direction of the exact residue, so dividing by the content
+        and fixing the sign once, when the residue is stored, gives the same
+        primitive row with a positive pivot as reducing after every step.
+        """
         assert not self._final, "cannot add after finalize"
         v = _clear_denominators(vec.items() if isinstance(vec, dict) else vec)
+        rows = self.rows
         while v:
             p = min(v)
-            row = self.rows.get(p)
+            row = rows.get(p)
             if row is None:
+                g = 0
+                for x in v.values():
+                    g = gcd(g, x)
                 if v[p] < 0:
-                    v = {c: -x for c, x in v.items()}
-                self.rows[p] = v
+                    g = -g
+                # a fresh dict: v's table may have grown past its size
+                rows[p] = {c: x // g for c, x in v.items()}
                 return True
-            a, b = row[p], v[p]
-            g = gcd(a, abs(b))
-            fa, fb = a // g, b // g
-            new = {}
-            for c in set(v) | set(row):
-                val = fa * v.get(c, 0) - fb * row.get(c, 0)
-                if val:
-                    new[c] = val
-            g2 = 0
-            for x in new.values():
-                g2 = gcd(g2, abs(x))
-            if g2 > 1:
-                new = {c: x // g2 for c, x in new.items()}
-            v = new
+            a = row[p]
+            b = v.pop(p)
+            g = gcd(a, b)
+            if a != g:
+                fa = a // g
+                for c in v:
+                    v[c] *= fa
+            fb = b // g
+            for c, x in row.items():
+                if c != p:
+                    val = v.get(c, 0) - fb * x
+                    if val:
+                        v[c] = val
+                    else:
+                        del v[c]
         return False
 
     def finalize(self):

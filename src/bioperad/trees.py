@@ -798,38 +798,56 @@ def enumerate_shapes(collection, closed_labels, open_labels, out, weight):
 
 def _slot_assignments(collection, sig_, closed_labels, open_labels, budget):
     """Distribute labels and weight over the slots of a signature, keeping
-    each color block sorted by minimal leaf key."""
-    slots = ([CLOSED] * sig_.n_closed) + ([OPEN] * sig_.n_open)
+    each color block sorted by minimal leaf key.
 
-    def fill(slot_idx, c_rest, o_rest, w_rest, prev_key_by_color, acc):
-        if slot_idx == len(slots):
-            if not c_rest and not o_rest and w_rest == 0:
-                yield tuple(acc)
-            return
+    Only splits that can complete are tried: every slot gets at least one
+    label, and the last slot takes exactly the labels and weight left.
+    """
+    slots = ([CLOSED] * sig_.n_closed) + ([OPEN] * sig_.n_open)
+    last = len(slots) - 1
+    if len(closed_labels) + len(open_labels) <= last:
+        return
+
+    def fill(slot_idx, c_rest, o_rest, w_rest, prev_closed, prev_open, acc):
         color = slots[slot_idx]
-        remaining = len(slots) - slot_idx - 1
+        prev = prev_closed if color == CLOSED else prev_open
+        if slot_idx == last:
+            # label tuples ascend, so the minimal key is the first label
+            k = (0, c_rest[0]) if c_rest else (1, o_rest[0])
+            if prev is None or k > prev:
+                for sub in enumerate_shapes(collection, c_rest, o_rest,
+                                            color, w_rest):
+                    acc.append(sub)
+                    yield tuple(acc)
+                    acc.pop()
+            return
+        spare = len(c_rest) + len(o_rest) - (last - slot_idx)
+        o_subs = list(_subsets(o_rest))
         for c_sub in _subsets(c_rest):
-            for o_sub in _subsets(o_rest):
-                if not c_sub and not o_sub:
+            if len(c_sub) > spare:
+                continue
+            for o_sub in o_subs:
+                if not c_sub and not o_sub or len(c_sub) + len(o_sub) > spare:
                     continue
-                keys = [(0, l) for l in c_sub] + [(1, l) for l in o_sub]
-                k = min(keys)
-                prev = prev_key_by_color.get(color)
+                k = (0, c_sub[0]) if c_sub else (1, o_sub[0])
                 if prev is not None and k <= prev:
                     continue
+                if color == CLOSED:
+                    p_closed, p_open = k, prev_open
+                else:
+                    p_closed, p_open = prev_closed, k
                 c_next = tuple(x for x in c_rest if x not in c_sub)
                 o_next = tuple(x for x in o_rest if x not in o_sub)
                 for w in range(0, w_rest + 1):
                     for sub in enumerate_shapes(collection, c_sub, o_sub,
                                                 color, w):
-                        prev2 = dict(prev_key_by_color)
-                        prev2[color] = k
                         acc.append(sub)
                         yield from fill(slot_idx + 1, c_next, o_next,
-                                        w_rest - w, prev2, acc)
+                                        w_rest - w, p_closed, p_open, acc)
                         acc.pop()
 
-    yield from fill(0, tuple(closed_labels), tuple(open_labels), budget, {}, [])
+    yield from fill(0, tuple(closed_labels), tuple(open_labels), budget,
+                    None, None, [])
 
 
 def _decorate(shape):

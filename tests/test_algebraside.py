@@ -276,3 +276,12 @@ def test_lie_decomposition_rejects_a_non_lie_vector():
     with pytest.raises(ValueError, match="not Lyndon"):
         fa._lie_decompose({(1, 0): 2, (1, 1): 1})
     assert fa.bracket(y, x) == {("lie", (0, 1)): -1}
+
+
+@pytest.mark.parametrize("tag", ["H0SCvor", "H0SC"])
+def test_bracket_rejects_a_commutative_tag(tag):
+    # a ValueError, not an assert, so it also holds under python -O
+    fa = FreeAlgebra(tag, GradedPair.ungraded(2, 1), 3)
+    x, y = fa.closed_basis(1)
+    with pytest.raises(ValueError, match=repr(tag)):
+        fa.bracket(x, y)

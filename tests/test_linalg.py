@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import sympy
 from hypothesis import given, settings
@@ -130,6 +132,28 @@ def test_echelon_rank_matches_sympy(rows):
     for row in rows:
         ech.add(row)
     assert ech.rank == _sympy_rank(rows, 7)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sparse_rows)
+def test_echelon_rows_are_primitive_and_finalise_to_sympy_rref(rows):
+    ech = Echelon()
+    for row in rows:
+        before = dict(row)
+        ech.add(row)
+        assert row == before
+    for p, row in ech.rows.items():
+        assert all(type(x) is int for x in row.values())
+        assert min(row) == p and row[p] > 0
+        assert reduce(gcd, row.values()) == 1
+    ech.finalize()
+    dense = sympy.Matrix(len(rows), 7,
+                         lambda i, c: sympy.Rational(rows[i].get(c, 0)))
+    rref, pivots = dense.rref()
+    expected = {p: {c: Fraction(int(rref[i, c].p), int(rref[i, c].q))
+                    for c in range(7) if rref[i, c] != 0}
+                for i, p in enumerate(pivots)}
+    assert ech.rows == expected
 
 
 def test_echelon_rank_of_ocinf3_differentials_matches_sympy():

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,14 +8,16 @@ from hypothesis import strategies as st
 
 from bioperad.algebraside import (CofreePair, FreeAlgebra, GradedPair,
                                   coproduct_open, lift_phi, lift_psi)
-from bioperad.models import PRESENTATION_BUILDERS, lpinf_dg, ocinf_dg
+from bioperad.models import (PRESENTATION_BUILDERS, h0sc_dual_dg, lpinf_dg,
+                             ocinf_dg)
 from bioperad.presentation import ambient_basis, signatures_within, truncation
 from bioperad.signs import compose
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
                             Collection, CompositionError, Element, Leaf,
-                            Signature, _map_leaves, _recanonicalize, corolla,
+                            Node, Signature, _map_leaves, _recanonicalize, corolla,
                             corolla_element, enumerate_basis, generator,
-                            graft, parse_term, sig, symmetric_act, text_form,
+                            graft, max_weight, min_leaf_key, parse_term, sig,
+                            symmetric_act, text_form,
                             text_form_signed, tree_degree, tree_element,
                             tree_signature, tree_weight)
 
@@ -57,6 +60,86 @@ def test_enumerate_counts_lp_duality_lemma():
     # dimensions 3 and 6 of the weight-2 mixed components
     assert len(enumerate_basis(elp, sig(2, 1, OPEN), 2)) == 3
     assert len(enumerate_basis(elp, sig(1, 2, OPEN), 2)) == 6
+
+
+@lru_cache(maxsize=None)
+def _compositions(total, parts):
+    """Every tuple of `parts` nonnegative ints summing to `total`."""
+    if parts == 1:
+        return ((total,),)
+    return tuple((first,) + rest for first in range(total + 1)
+                 for rest in _compositions(total - first, parts - 1))
+
+
+def _naive_shapes(collection, closed_labels, open_labels, out, weight, memo):
+    """Every block-sorted shape, found by trying every ordered split of the
+    labels and the weight over the slots of every vertex."""
+    key = (closed_labels, open_labels, out, weight)
+    if key in memo:
+        return memo[key]
+    found = []
+    if weight == 0:
+        labels = closed_labels if out == CLOSED else open_labels
+        others = open_labels if out == CLOSED else closed_labels
+        if len(labels) == 1 and not others:
+            found.append(Leaf(out, labels[0]))
+    for space in collection.by_out[out] if weight else ():
+        s = space.signature
+        slots = [CLOSED] * s.n_closed + [OPEN] * s.n_open
+        if not slots:
+            continue
+        for c_at in product(range(len(slots)), repeat=len(closed_labels)):
+            for o_at in product(range(len(slots)), repeat=len(open_labels)):
+                parts = [(tuple(l for l, i in zip(closed_labels, c_at) if i == j),
+                          tuple(l for l, i in zip(open_labels, o_at) if i == j),
+                          color) for j, color in enumerate(slots)]
+                by_weight = [[_naive_shapes(collection, c, o, color, w, memo)
+                              for w in range(weight)] for c, o, color in parts]
+                if not all(any(shapes) for shapes in by_weight):
+                    continue  # some slot can hold no subtree at all
+                for ws in _compositions(weight - 1, len(slots)):
+                    options = [shapes[w] for shapes, w in zip(by_weight, ws)]
+                    for children in product(*options):
+                        keys = [min_leaf_key(c) for c in children]
+                        closed_keys = keys[:s.n_closed]
+                        open_keys = keys[s.n_closed:]
+                        if (closed_keys == sorted(set(closed_keys))
+                                and open_keys == sorted(set(open_keys))):
+                            found.append(Node(space, None, children))
+    memo[key] = found
+    return found
+
+
+def _naive_decorations(shape):
+    if isinstance(shape, Leaf):
+        return [shape]
+    return [Node(shape.space, b, children)
+            for children in product(*map(_naive_decorations, shape.children))
+            for b in range(shape.space.dim)]
+
+
+BUILTIN_MODELS = {**PRESENTATION_BUILDERS,
+                  "OCinf": lambda: ocinf_dg(4),
+                  "LPinf": lambda: lpinf_dg(4),
+                  "H0SCdual_dg": lambda: h0sc_dual_dg(4)}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+def test_enumerate_basis_matches_a_naive_enumerator(name):
+    collection = BUILTIN_MODELS[name]().collection
+    memo = {}
+    cells = 0
+    for s in signatures_within(4):
+        for w in range(1, max_weight(collection, s) + 1):
+            shapes = _naive_shapes(collection, tuple(range(1, s.n_closed + 1)),
+                                   tuple(range(1, s.n_open + 1)), s.out, w,
+                                   memo)
+            naive = [t for sh in shapes for t in _naive_decorations(sh)]
+            assert len(set(naive)) == len(naive)
+            assert enumerate_basis(collection, s, w) == sorted(naive,
+                                                                key=text_form)
+            cells += bool(naive)
+    assert cells
 
 
 def test_enumerate_relabel_invariance():
