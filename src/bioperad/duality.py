@@ -355,17 +355,22 @@ def cobar_truncate(presentation, max_inputs, tag=""):
     genmap) for the derivation machinery."""
     trunc = truncation(presentation, max_inputs)
     coll = CobarCollection(trunc, max_inputs, tag=tag).collection
+    reduced = {}
 
     def coefficient(space, dec, tau, i):
         # the coordinate on quotient basis element dec of the composite the
-        # two-vertex tree tau encodes, relabelled by its label words
-        sig1 = tau.space.signature
-        inner = tau.children[i - 1]
-        color = sig1.slot_color(i)
-        index = i if color == CLOSED else i - sig1.n_closed
-        composite = graft(trunc.class_of(sig1, tau.dec), color, index,
-                          trunc.class_of(inner.space.signature, inner.dec))
-        composite = symmetric_act(_label_words(tau), composite)
-        return trunc.reduce(composite).get(dec, 0)
+        # two-vertex tree tau encodes, relabelled by its label words; the
+        # reduced composite depends on tau alone and is memoised by it
+        hit = reduced.get(tau)
+        if hit is None:
+            sig1 = tau.space.signature
+            inner = tau.children[i - 1]
+            color = sig1.slot_color(i)
+            index = i if color == CLOSED else i - sig1.n_closed
+            composite = graft(trunc.class_of(sig1, tau.dec), color, index,
+                              trunc.class_of(inner.space.signature, inner.dec))
+            composite = symmetric_act(_label_words(tau), composite)
+            hit = reduced[tau] = trunc.reduce(composite)
+        return hit.get(dec, 0)
 
     return coll, cobar_genmap(coll, coefficient)

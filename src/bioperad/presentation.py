@@ -4,13 +4,21 @@ A presentation is a generating collection plus relation elements.  Purely
 quadratic relations live in weight 2; quadratic-linear ones mix weights 1
 and 2.  The operad ideal is the smallest family of subspaces, one per
 signature, that contains the relations and is closed under single corolla
-grafts and under S_n x S_m.  Saturation grows every accepted basis element
-by single corolla grafts and closes each span under the symmetric group by
-spinning (R. A. Parker, *The computer calculation of modular characters*,
-1984): an element that raises the rank has its images under the adjacent
-transpositions pushed in turn, and a span closed under a generating set is
-closed under the group.  Because grafting is linear, growing a basis grows
-the whole span.  Truncating at a bound on the inputs is exact because a
+grafts and under S_n x S_m.
+
+Each span is closed under the symmetric group by spinning (R. A. Parker,
+*The computer calculation of modular characters*, 1984): a vector that
+raises the rank has its images under the adjacent transpositions pushed in
+turn, and a span closed under a generating set is closed under the group.
+Spinning works on index vectors: every ambient basis holds, per adjacent
+transposition, the signed permutation it induces on the basis trees, so an
+image is a dict remap and no tree is rebuilt.
+
+Saturation grows only the spin seeds, the elements that raised the rank
+before their images were pushed.  Grafting is linear and equivariant,
+(x.s) o_i c = (x o_s(i) c).s' and likewise for a graft above x, so the
+grafts of the seeds at every slot span, once spun, the grafts of the whole
+S-closed span.  Truncating at a bound on the inputs is exact because a
 graft never lowers the number of inputs, so nothing above the bound feeds
 back below it.
 """
@@ -19,8 +27,8 @@ from itertools import permutations
 
 from .linalg import Echelon, Subspace, meet_slice
 from .trees import (CLOSED, OPEN, Element, component_basis, corolla_element,
-                    graft, symmetric_act, tree_degree, tree_element,
-                    tree_signature, tree_weight, Signature)
+                    graft, symmetric_act, text_form, tree_degree,
+                    tree_element, tree_signature, tree_weight, Signature)
 
 
 class Presentation:
@@ -95,6 +103,36 @@ class AmbientBasis:
         self.index = {t: i for i, t in enumerate(self.trees)}
         self.weights = [tree_weight(t) for t in self.trees]
         self.degrees = [tree_degree(t) for t in self.trees]
+        self._tables = None
+
+    def transposition_tables(self):
+        """The adjacent transpositions as signed permutations of the basis.
+
+        One table per element of ``adjacent_transpositions``, in that
+        order: ``table[i] = +-(j + 1)`` says the transposition sends tree i
+        to +-tree j.  Built on first use, with one ``symmetric_act`` per
+        basis tree and transposition.  Vertex spaces built by
+        ``generator()`` act by signed permutations, so every image has this
+        form; any other image raises ValueError.
+        """
+        if self._tables is None:
+            tables = []
+            for g in adjacent_transpositions(self.signature):
+                table = []
+                for t in self.trees:
+                    image = symmetric_act(g, tree_element(t))
+                    if (len(image) != 1
+                            or next(iter(image.terms.values())) not in (1, -1)):
+                        raise ValueError(
+                            f"{g} sends {text_form(t)} in {self.signature} "
+                            f"to {image!r}, not to one signed basis tree; "
+                            "spinning needs vertex spaces that act by signed "
+                            "permutations")
+                    (u, c), = image.terms.items()
+                    table.append(c * (self.index[u] + 1))
+                tables.append(table)
+            self._tables = tables
+        return self._tables
 
     @property
     def dim(self):
@@ -143,20 +181,34 @@ def adjacent_transpositions(signature):
 def spin(ab, elems, ech):
     """Push elems into ech and close its span under S_n x S_m.
 
-    Only an element that raises the rank has its images under the adjacent
-    transpositions queued.  Every element accepted into ech, now or by an
-    earlier call, has had its images pushed, so the span of ech is closed
-    under the group whenever every call on it has returned.  Returns the
-    accepted elements, which extend a basis of that span.
+    An element that raises the rank is a seed: its index vector and then
+    every accepted image are remapped through the transposition tables of
+    ``ab`` and pushed, until no image raises the rank.  Every vector
+    accepted into ech, now or by an earlier call, has had its images
+    pushed, so the span of ech is closed under the group whenever every
+    call on it has returned.  Returns the seeds, in the order of elems; the
+    span is the S_n x S_m span of the seeds of every call on ech.
     """
-    gens = adjacent_transpositions(ab.signature)
-    queue = list(elems)
-    accepted = []
-    for e in queue:
-        if ech.add(ab.vector(e)):
-            accepted.append(e)
-            queue.extend(symmetric_act(g, e) for g in gens)
-    return accepted
+    tables = ab.transposition_tables()
+    seeds = []
+    for e in elems:
+        vec = ab.vector(e)
+        if not ech.add(vec):
+            continue
+        seeds.append(e)
+        queue = [vec]
+        for v in queue:
+            for table in tables:
+                image = {}
+                for i, c in v.items():
+                    j = table[i]
+                    if j > 0:
+                        image[j - 1] = c
+                    else:
+                        image[-j - 1] = -c
+                if ech.add(image):
+                    queue.append(image)
+    return seeds
 
 
 def _slots(signature):
@@ -383,10 +435,10 @@ def check_ql_conditions(presentation):
 
     # the S-module R spanned by the relations, per signature
     rspan = {}
-    r_basis = []
+    r_seeds = []
     for r in P.relations:
         sig_ = r.signature()
-        r_basis.extend(spin(ambient_basis(P.collection, sig_), [r],
+        r_seeds.extend(spin(ambient_basis(P.collection, sig_), [r],
                             rspan.setdefault(sig_, Echelon())))
 
     # (ql1): no nonzero pure weight-1 combination inside R
@@ -400,11 +452,11 @@ def check_ql_conditions(presentation):
                 {"condition": "ql1", "signature": str(sig_), "dim": meet})
 
     # (ql2): one-step grafts of R, restricted to pure weight-2 vectors,
-    # must land in the weight-2 part of R.  Graft is linear, so growing a
-    # basis of R spans the grafts of all of R.
+    # must land in the weight-2 part of R.  Graft is linear and equivariant,
+    # so the spun grafts of R's spin seeds span the grafts of all of R.
     max_arity = max(s.signature.total for s in P.collection)
     grown = {}
-    for e0 in r_basis:
+    for e0 in r_seeds:
         bound = e0.signature().total + max_arity - 1
         for g in _grow_once(P.collection, e0, max(bound, 1)):
             if not g.is_zero():

@@ -12,15 +12,16 @@ from bioperad.models import (PRESENTATION_BUILDERS, h0sc_presentation,
                              h0scvor_presentation, lp_presentation,
                              qh0sc_presentation, com_presentation,
                              lie_presentation)
-from bioperad.presentation import (IdealSpans, Presentation,
+from bioperad.presentation import (IdealSpans, Presentation, _grow_once,
+                                   adjacent_transpositions,
                                    check_ql_conditions, ambient_basis,
                                    group_elements, ideal_spans, project_q,
                                    quotient_dims, relation_span,
                                    signatures_within, spin, truncation)
 from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, OPEN, REGULAR, TRIVIAL, Collection,
-                            Element, enumerate_basis, generator, graft,
-                            parse_term, sig, symmetric_act)
+                            Element, VertexSpace, enumerate_basis, generator,
+                            graft, parse_term, sig, symmetric_act)
 
 
 def test_ambient_dims_duality_lemma():
@@ -236,20 +237,106 @@ def test_spin_spans_the_whole_orbit(case):
     assert spun.rows == full.rows
 
 
-def test_saturation_acts_only_on_accepted_elements(monkeypatch):
-    calls = []
-    act = presentation.symmetric_act
+def test_saturation_grows_each_seed_once_and_acts_once_per_table_entry(
+        monkeypatch):
+    # a fresh presentation, so that no ambient basis has its tables yet
+    P = parse_spec(emit_spec(lp_presentation()))
+    seeds, grown, acted = [], [], []
+    spin_, grow, act = (presentation.spin, presentation._grow_once,
+                        presentation.symmetric_act)
 
-    def counted(g, e):
-        calls.append(g)
+    def counted_spin(ab, elems, ech):
+        out = spin_(ab, elems, ech)
+        seeds.extend(out)
+        return out
+
+    def counted_grow(collection, elem, max_inputs):
+        grown.append(elem)
+        return grow(collection, elem, max_inputs)
+
+    def counted_act(g, e):
+        acted.append(len(e))
         return act(g, e)
 
-    monkeypatch.setattr(presentation, "symmetric_act", counted)
-    spans = IdealSpans(lp_presentation(), 4)
-    budget = sum(spans.span(s).rank
-                 * (max(s.n_closed - 1, 0) + max(s.n_open - 1, 0))
+    monkeypatch.setattr(presentation, "spin", counted_spin)
+    monkeypatch.setattr(presentation, "_grow_once", counted_grow)
+    monkeypatch.setattr(presentation, "symmetric_act", counted_act)
+    IdealSpans(P, 4)
+    assert seeds and sorted(map(id, grown)) == sorted(map(id, seeds))
+    budget = sum(ambient_basis(P.collection, s).dim
+                 * len(adjacent_transpositions(s))
                  for s in signatures_within(4))
-    assert 0 < len(calls) <= budget
+    assert 0 < sum(acted) <= budget
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_ambient_combinations())
+def test_transposition_tables_are_the_signed_action(case):
+    ab, elems = case
+    gens = adjacent_transpositions(ab.signature)
+    tables = ab.transposition_tables()
+    assert len(tables) == len(gens)
+    for g, table in zip(gens, tables):
+        assert sorted(abs(j) - 1 for j in table) == list(range(ab.dim))
+        for e in elems:
+            image = {abs(table[i]) - 1: c if table[i] > 0 else -c
+                     for i, c in ab.vector(e).items()}
+            assert image == ab.vector(symmetric_act(g, e))
+
+
+def test_transposition_tables_refuse_a_non_monomial_swap():
+    # the open swap [[1, 1], [0, -1]] is an involution, but it sends the
+    # second decoration to a sum of two
+    q = VertexSpace("q", sig(0, 2, OPEN), [0, 0], [],
+                    [(((0, 1),), ((0, 1), (1, -1)))])
+    ab = ambient_basis(Collection([q]), sig(0, 2, OPEN))
+    with pytest.raises(ValueError, match=r"q\[1\].*\(0,2;o\)"):
+        ab.transposition_tables()
+    with pytest.raises(ValueError, match="signed permutations"):
+        spin(ab, [ab.element({1: 1})], Echelon())
+
+
+def _brute_force_ideal(P, max_inputs):
+    """Per-signature finalised rows of the ideal, by brute force: grow every
+    basis element of every span, close under all of S_n x S_m, and repeat
+    until no rank grows."""
+    spans = {}
+
+    def close(elems):
+        for e in elems:
+            if e.is_zero():
+                continue
+            s = e.signature()
+            ab = ambient_basis(P.collection, s)
+            ech = spans.setdefault(s, Echelon())
+            for g in group_elements(s):
+                ech.add(ab.vector(symmetric_act(g, e)))
+
+    def rank():
+        return sum(ech.rank for ech in spans.values())
+
+    close(P.relations)
+    before = -1
+    while rank() != before:
+        before = rank()
+        close([g for s, ech in list(spans.items())
+               for row in list(ech.rows.values())
+               for g in _grow_once(P.collection,
+                                   ambient_basis(P.collection, s).element(row),
+                                   max_inputs)])
+    for ech in spans.values():
+        ech.finalize()
+    return {s: ech.rows for s, ech in spans.items() if ech.rank}
+
+
+@pytest.mark.parametrize("name, max_inputs",
+                         [(name, 3) for name in sorted(PRESENTATION_BUILDERS)]
+                         + [("LP", 4)])
+def test_ideal_spans_equal_the_brute_force_closure(name, max_inputs):
+    P = PRESENTATION_BUILDERS[name]()
+    spans = IdealSpans(P, max_inputs).spans
+    assert ({s: ech.rows for s, ech in spans.items() if ech.rank}
+            == _brute_force_ideal(P, max_inputs))
 
 
 @pytest.mark.parametrize("call", [

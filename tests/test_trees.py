@@ -516,6 +516,53 @@ def test_parallel_graft_of_two_odd_trees_is_associative(data):
     assert not lhs.is_zero() and lhs == rhs
 
 
+def _perm_pair(draw, s, identity):
+    """A (closed, open) permutation pair for s, the identity if asked."""
+    return tuple(tuple(range(1, k + 1)) if identity
+                 else tuple(draw(st.permutations(range(1, k + 1))))
+                 for k in (s.n_closed, s.n_open))
+
+
+def _graft_relabelling(sa, slot, sb, sigma, tau):
+    """The pair rho with (a.sigma) o_(sigma(slot)) (b.tau) equal to
+    (a o_slot b).rho: each leaf of a o_slot b moves to where its leaf of a,
+    relabelled by sigma, or of b, relabelled by tau, lands in the graft
+    on the left."""
+    color, j = slot
+    moved = (color, sigma[color == OPEN][j - 1])
+    rho = {CLOSED: {}, OPEN: {}}
+    for s, where, perm, grafted in ((sa, _outer_slot_after_graft, sigma, slot),
+                                    (sb, _inner_slot_after_graft, tau, None)):
+        for c, count in ((CLOSED, s.n_closed), (OPEN, s.n_open)):
+            for lab in range(1, count + 1):
+                if (c, lab) != grafted:
+                    src = where(sa, slot, sb, (c, lab))
+                    dst = where(sa, moved, sb, (c, perm[c == OPEN][lab - 1]))
+                    rho[c][src[1]] = dst[1]
+    return tuple(tuple(rho[c][k] for k in sorted(rho[c]))
+                 for c in (CLOSED, OPEN))
+
+
+@_PROPERTY
+@given(st.data())
+@pytest.mark.parametrize("acted", ["outer", "inner"])
+def test_graft_is_equivariant(acted, data):
+    # (a.sigma) o_sigma(j) b == (a o_j b).rho and a o_j (b.tau) ==
+    # (a o_j b).rho', Koszul signs included; saturation grows only the spin
+    # seeds because of this
+    coll = _collection(data.draw(st.sampled_from(_COLLECTION_NAMES)))
+    a = _draw_element(data.draw, coll, 3)
+    slot = _draw_slot(data.draw, coll, a, 2)
+    b = _draw_element(data.draw, coll, 2, out=slot[0])
+    sa, sb = a.signature(), b.signature()
+    sigma = _perm_pair(data.draw, sa, acted != "outer")
+    tau = _perm_pair(data.draw, sb, acted != "inner")
+    i = sigma[slot[0] == OPEN][slot[1] - 1]
+    lhs = graft(symmetric_act(sigma, a), slot[0], i, symmetric_act(tau, b))
+    rho = _graft_relabelling(sa, slot, sb, sigma, tau)
+    assert lhs == symmetric_act(rho, graft(a, *slot, b))
+
+
 def test_float_coefficients_are_refused():
     coll = ev_collection()
     (t,) = enumerate_basis(coll, sig(2, 0, CLOSED), 1)
