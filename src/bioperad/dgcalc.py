@@ -16,7 +16,7 @@ from math import factorial
 from .linalg import Echelon
 from .presentation import signatures_within
 from .trees import (Element, Leaf, accumulate, component_basis, make_node,
-                    substitute_element, tree_degree)
+                    substitute_element, tree_degree, tree_element)
 
 
 class Derivation:
@@ -124,6 +124,14 @@ class DgTruncation:
     def chain_dim(self, sig_, degree):
         return len(self.chain_basis(sig_, degree))
 
+    def differential(self, elem):
+        """d of an Element; for a quotient, reduced to coset
+        representatives."""
+        image = self.derivation.apply(elem)
+        if self.trunc is not None:
+            image = self.trunc.reduce_to_element(image)
+        return image
+
     def differential_columns(self, sig_, degree):
         """Sparse columns of d: (sig, degree) -> (sig, degree-1)."""
         source = self.chain_basis(sig_, degree)
@@ -131,9 +139,7 @@ class DgTruncation:
         index = {t: i for i, t in enumerate(target)}
         cols = []
         for t in source:
-            image = self.derivation.apply_tree(t)
-            if self.trunc is not None:
-                image = self.trunc.reduce_to_element(image)
+            image = self.differential(tree_element(t))
             col = {}
             for u, c in image.terms.items():
                 i = index.get(u)
@@ -156,8 +162,7 @@ class DgTruncation:
             ech = self.trunc.spans.span(sig_)
             for p in sorted(ech.rows):
                 elem = ab.element(dict(ech.rows[p]))
-                image = self.derivation.apply(elem)
-                residue = self.trunc.reduce_to_element(image)
+                residue = self.differential(elem)
                 if not residue.is_zero():
                     bad.append((sig_, elem, residue))
         return bad
@@ -170,12 +175,7 @@ def verify_d_squared(dg, max_inputs=None):
     for sig_ in signatures_within(bound):
         for degree in dg.cell_degrees(sig_):
             for t in dg.chain_basis(sig_, degree):
-                once = dg.derivation.apply_tree(t)
-                if dg.trunc is not None:
-                    once = dg.trunc.reduce_to_element(once)
-                twice = dg.derivation.apply(once)
-                if dg.trunc is not None:
-                    twice = dg.trunc.reduce_to_element(twice)
+                twice = dg.differential(dg.differential(tree_element(t)))
                 if not twice.is_zero():
                     violations.append(
                         {"signature": str(sig_), "degree": degree,

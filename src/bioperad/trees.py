@@ -14,13 +14,22 @@ subtree (closed leaves compare before open ones).  Leaf labels are 1..n for
 closed and 1..m for open inputs.  Reordering children to canonical position
 acts on the vertex decoration through the space's symmetric action and
 contributes the Koszul sign of the permuted subtree blocks, computed in the
-depth-first word of vertex degrees.  Grafting inserts the inner word at the
-grafted slot's position, signed by moving it past the tail of the outer
-word.
+depth-first word of vertex degrees.
 
 Nodes are hash-consed (J.-C. Filliatre and S. Conchon, *Type-safe modular
 hash-consing*, ML Workshop 2006): each vertex space interns its nodes, so
-equal trees are one object and tree equality is identity.
+equal trees are one object and tree equality is identity.  Only canonical
+nodes are interned; a node whose blocks are out of order is refused.
+
+Substitution
+------------
+Plugging trees into the leaves of a tree is total composition, and it is
+the one leaf replacement here: the partial composition ``graft`` (the outer
+leaves relabelled, the grafted tree shifted into its slot's labels), the
+S_n x S_m relabelling ``symmetric_act`` (leaves for leaves) and the vertex
+substitution of a derivation all call ``substitute``.  It splices bottom-up
+and re-sorts only the vertices whose children moved, signed by the
+odd-degree subtrees as they move to their leaves' positions in the word.
 
 Elements are Q-linear combinations of canonical trees with a fixed
 signature and homological degree.  Coefficients are exact: an ``int`` when
@@ -270,20 +279,28 @@ class Node:
 
     ``Node(space, dec, children)`` returns the node interned in
     ``space.nodes`` for (dec, children), creating it on first use, so
-    equality and hashing are by identity.  ``canonical`` is set by
-    ``make_node`` on every node it builds.
+    equality and hashing are by identity.  Only canonical nodes are
+    interned: creating one whose color blocks do not ascend by
+    ``min_leaf_key`` raises ValueError, so a node found in ``space.nodes``
+    has its children in canonical order.
     """
 
-    __slots__ = ("space", "dec", "children", "canonical", "_min_key",
-                 "_degree", "_weight", "_signature")
+    __slots__ = ("space", "dec", "children", "_min_key", "_degree",
+                 "_weight", "_signature")
 
     def __new__(cls, space, dec, children):
         key = (dec, tuple(children))
         node = space.nodes.get(key)
         if node is None:
+            n = space.signature.n_closed
+            keys = [min_leaf_key(c) for c in key[1]]
+            for i in range(1, len(keys)):
+                if i != n and keys[i - 1] > keys[i]:
+                    raise ValueError(
+                        f"children {key[1]} of {space.name} are not in "
+                        "canonical order")
             node = space.nodes[key] = object.__new__(cls)
             node.space, node.dec, node.children = space, dec, key[1]
-            node.canonical = False
             node._min_key = node._degree = node._weight = None
             node._signature = None
         return node
@@ -471,22 +488,20 @@ def tree_element(t, coeff=1):
 # Canonicalization
 
 def _sorted_block(children, lo, hi, degrees):
-    """Sort children[lo:hi] by min leaf key.
+    """Sort the list slice children[lo:hi] in place by min leaf key.
 
-    Returns (sorted children list, block permutation in image notation,
-    Koszul sign of the segment reordering).  The permutation says where each
-    original position goes, restricted to the block.
+    Returns (block permutation in image notation, Koszul sign of the
+    segment reordering), or (None, 1) when the block was already sorted.
+    The permutation says where each original position goes, restricted to
+    the block.
     """
     block = children[lo:hi]
-    keys = [min_leaf_key(c) for c in block]
-    perm = sort_key_perm(keys)
+    perm = sort_key_perm([min_leaf_key(c) for c in block])
     if perm == identity(len(block)):
-        return children, perm, 1
-    sign = koszul_sign(perm, degrees[lo:hi])
-    new = list(children)
+        return None, 1
     for i, p in enumerate(perm):
-        new[lo + p - 1] = block[i]
-    return new, perm, sign
+        children[lo + p - 1] = block[i]
+    return perm, koszul_sign(perm, degrees[lo:hi])
 
 
 def make_node(space, dec_vector, children):
@@ -496,33 +511,24 @@ def make_node(space, dec_vector, children):
     Children must already be canonical trees (or leaves).
     """
     _check_child_colors(space, children)
-    sig_ = space.signature
+    n = space.signature.n_closed
+    children = list(children)
     degs = [tree_degree(c) for c in children]
-    children2, cperm, csign = _sorted_block(list(children), 0, sig_.n_closed, degs)
-    degs2 = [tree_degree(c) for c in children2]
-    children3, operm, osign = _sorted_block(children2, sig_.n_closed, sig_.total, degs2)
-    total_sign = csign * osign
-    children3 = tuple(children3)
+    cperm, csign = _sorted_block(children, 0, n, degs)
+    operm, osign = _sorted_block(children, n, len(children), degs)
+    children = tuple(children)
     if isinstance(dec_vector, int):
-        if cperm == _id_cache(len(cperm)) and operm == _id_cache(len(operm)):
-            t = Node(space, dec_vector, children3)
-            t.canonical = True
-            return Element.of({t: total_sign})
+        if cperm is None and operm is None:
+            return Element.of({Node(space, dec_vector, children): 1})
         dec_vector = ((dec_vector, 1),)
+    cperm = cperm or identity(n)
+    operm = operm or identity(len(children) - n)
     acc = {}
     for dec, coeff in dec_vector:
-        terms = []
-        for b, c2 in space.act_block(dec, cperm, operm):
-            t = Node(space, b, children3)
-            t.canonical = True
-            terms.append((t, c2))
-        accumulate(acc, terms, coeff * total_sign)
+        accumulate(acc, ((Node(space, b, children), c2) for b, c2 in
+                         space.act_block(dec, cperm, operm)),
+                   coeff * csign * osign)
     return Element.of(acc)
-
-
-@lru_cache(maxsize=None)
-def _id_cache(n):
-    return identity(n)
 
 
 def corolla(space, dec=0):
@@ -537,88 +543,36 @@ def corolla_element(space, dec=0, coeff=1):
     return tree_element(corolla(space, dec), coeff)
 
 
-# ---------------------------------------------------------------------------
-# Word positions (for Koszul signs of grafting and derivations)
+def _splice(t, leaf_fn):
+    """t with every leaf replaced by the canonical tree leaf_fn(leaf), as
+    canonical terms {tree: coeff}.
 
-
-def _word_tail_degree_after_slot(t, color, index):
-    """Sum of vertex degrees strictly after the slot's position in the
-    depth-first word of t, plus a flag that the leaf was found."""
+    Bottom-up.  A vertex whose new children are single trees is looked up
+    in its space's interned nodes; a hit is canonical as it stands.  Any
+    other vertex goes through make_node, which re-sorts its blocks.
+    """
     if isinstance(t, Leaf):
-        if t.color == color and t.label == index:
-            return 0, True
-        return tree_degree(t), False
-
-    total = 0
-    found = False
-    tail = 0
-    for c in t.children:
-        if found:
-            tail += tree_degree(c)
-        else:
-            sub_tail, sub_found = _word_tail_degree_after_slot(c, color, index)
-            if sub_found:
-                found = True
-                tail += sub_tail
-            # degrees before the leaf do not matter here
-    if not found:
-        return tree_degree(t), False
-    return tail, True
-
-
-# ---------------------------------------------------------------------------
-# Grafting
-
-
-def _relabel_leaf(leaf, color, index, inner_counts):
-    """New label of an outer leaf after grafting at (color, index)."""
-    n2, m2 = inner_counts
-    if color == CLOSED:
-        if leaf.color == CLOSED and leaf.label > index:
-            return Leaf(CLOSED, leaf.label + n2 - 1)
-        if leaf.color == OPEN:
-            # inner opens precede all outer opens (slot sits in the closed block)
-            return Leaf(OPEN, leaf.label + m2)
-        return leaf
-    # open slot
-    if leaf.color == OPEN and leaf.label > index:
-        return Leaf(OPEN, leaf.label + m2 - 1)
-    return leaf
-
-
-def _relabel_inner_leaf(leaf, color, index, outer_counts):
-    n1, m1 = outer_counts
-    if color == CLOSED:
-        if leaf.color == CLOSED:
-            return Leaf(CLOSED, leaf.label + index - 1)
-        return leaf
-    if leaf.color == CLOSED:
-        return Leaf(CLOSED, leaf.label + n1)
-    return Leaf(OPEN, leaf.label + index - 1)
-
-
-def _map_leaves(t, f):
-    if isinstance(t, Leaf):
-        return f(t)
-    return Node(t.space, t.dec, tuple(_map_leaves(c, f) for c in t.children))
-
-
-def _recanonicalize(t):
-    """Re-sort every vertex of a structurally valid tree; returns Element."""
-    if isinstance(t, Leaf) or t.canonical:
-        return Element.of({t: 1})
-    parts = [_recanonicalize(c) for c in t.children]
+        return {leaf_fn(t): 1}
+    parts = [_splice(c, leaf_fn) for c in t.children]
+    if all(len(p) == 1 for p in parts):
+        children, coeff = [], 1
+        for p in parts:
+            (u, c), = p.items()
+            children.append(u)
+            coeff *= c
+        node = t.space.nodes.get((t.dec, tuple(children)))
+        if node is not None:
+            return {node: coeff}
     acc = {}
     for children, coeff in _expand(parts):
         accumulate(acc, make_node(t.space, t.dec, children).terms.items(),
                    coeff)
-    return Element.of(acc)
+    return acc
 
 
 def _expand(parts):
-    """Cartesian expansion of child Elements into (children tuple, coeff)."""
-    items = [list(p.terms.items()) for p in parts]
-    for combo in product(*items) if items else [()]:
+    """Cartesian expansion of child term dicts into (children tuple, coeff)."""
+    for combo in product(*(p.items() for p in parts)):
         children = tuple(t for t, _ in combo)
         coeff = 1
         for _, c in combo:
@@ -626,37 +580,92 @@ def _expand(parts):
         yield children, coeff
 
 
+# ---------------------------------------------------------------------------
+# Substitution: replace the leaves of a standard-labeled pattern by subtrees.
+# This is total composition; grafting, the symmetric action and derivations
+# are all built on it.
+
+
+def _leaf_tails(t, tail=0):
+    """(leaf, sum of vertex degrees after the leaf in the word of t, plus
+    tail), in pre-order."""
+    if isinstance(t, Leaf):
+        yield t, tail
+        return
+    after = tail + tree_degree(t) - t.space.degrees[t.dec]
+    for c in t.children:
+        after -= tree_degree(c)
+        yield from _leaf_tails(c, after)
+
+
+def substitute(pattern, closed_subs, open_subs):
+    """Plug subtrees into all leaves of a standard-labeled pattern tree.
+
+    closed_subs[i-1] replaces leaf (CLOSED, i); open_subs likewise.  Returns
+    an Element.  Signs: starting from (pattern word, subtrees in slot
+    order), the subtree words move to their leaf positions.  Only the
+    odd-degree subtrees count: each flips the sign when an odd tail of the
+    pattern word follows its leaf, and each pair of them flips it when
+    their pre-order disagrees with their slot order.
+    """
+    def sub(lf):
+        return (closed_subs if lf.color == CLOSED else open_subs)[lf.label - 1]
+
+    terms = _splice(pattern, sub)
+    if any(tree_degree(s) & 1 for s in (*closed_subs, *open_subs)):
+        flips = 0
+        seen = []  # slot keys of the odd subtrees before this leaf
+        for leaf, tail in _leaf_tails(pattern):
+            if tree_degree(sub(leaf)) & 1:
+                key = min_leaf_key(leaf)
+                flips += tail + sum(1 for k in seen if k > key)
+                seen.append(key)
+        if flips & 1:
+            terms = {t: -c for t, c in terms.items()}
+    return Element.of(terms)
+
+
+def substitute_element(pattern_elem, closed_subs, open_subs):
+    acc = {}
+    for t, c in pattern_elem.terms.items():
+        accumulate(acc, substitute(t, closed_subs, open_subs).terms.items(), c)
+    return Element.of(acc)
+
+
 def graft_trees(t, color, index, s):
     """Graft canonical tree s into the (color, index) input of t.
 
-    Returns an Element.  The inner word is inserted at the grafted slot's
-    depth-first position, signed by moving it past the tail of the outer
-    word; blocks are then re-sorted canonically.
+    Returns an Element: the substitution into t of its leaves relabelled
+    around the slot and, at the slot, s with its labels shifted past the
+    outer leaves before the slot (inner opens precede all outer opens when
+    the slot is closed).  A shift within each color keeps s canonical.
     """
     t_sig = tree_signature(t)
     s_sig = tree_signature(s)
-    slot_color = color
-    if slot_color == CLOSED and not 1 <= index <= t_sig.n_closed:
+    n1, m1 = t_sig.n_closed, t_sig.n_open
+    n2, m2 = s_sig.n_closed, s_sig.n_open
+    if color == CLOSED and not 1 <= index <= n1:
         raise CompositionError(f"no closed slot {index} in {t_sig}")
-    if slot_color == OPEN and not 1 <= index <= t_sig.n_open:
+    if color == OPEN and not 1 <= index <= m1:
         raise CompositionError(f"no open slot {index} in {t_sig}")
-    if s_sig.out != slot_color:
+    if s_sig.out != color:
         raise CompositionError(
-            f"cannot graft {s_sig.out}-output into a {slot_color} slot")
-
-    tail, found = _word_tail_degree_after_slot(t, color, index)
-    assert found
-    sign = -1 if (tree_degree(s) & 1) and (tail & 1) else 1
-
-    inner_counts = (s_sig.n_closed, s_sig.n_open)
-    outer_counts = (t_sig.n_closed, t_sig.n_open)
-    s2 = _map_leaves(s, lambda lf: _relabel_inner_leaf(lf, color, index,
-                                                       outer_counts))
-    # one pass: the grafted leaf is matched by its label before relabeling
-    spliced = _map_leaves(t, lambda lf: s2 if (
-        lf.color == color and lf.label == index) else _relabel_leaf(
-            lf, color, index, inner_counts))
-    return _recanonicalize(spliced).scale(sign)
+            f"cannot graft {s_sig.out}-output into a {color} slot")
+    if color == CLOSED:
+        dc, do = index - 1, 0
+        closed = [k if k < index else k + n2 - 1 for k in range(1, n1 + 1)]
+        open_ = [k + m2 for k in range(1, m1 + 1)]
+    else:
+        dc, do = n1, index - 1
+        closed = list(range(1, n1 + 1))
+        open_ = [k if k < index else k + m2 - 1 for k in range(1, m1 + 1)]
+    (s2, _), = substitute(s, [Leaf(CLOSED, k + dc) for k in range(1, n2 + 1)],
+                          [Leaf(OPEN, k + do) for k in range(1, m2 + 1)]
+                          ).terms.items()
+    closed = [Leaf(CLOSED, k) for k in closed]
+    open_ = [Leaf(OPEN, k) for k in open_]
+    (closed if color == CLOSED else open_)[index - 1] = s2
+    return substitute(t, closed, open_)
 
 
 def graft(elem, color, index, inner):
@@ -670,89 +679,18 @@ def graft(elem, color, index, inner):
 
 
 # ---------------------------------------------------------------------------
-# Substitution: replace the leaves of a standard-labeled pattern by subtrees.
-# This is the label-free total composition used by derivations: the pattern
-# keeps its position in the ambient tree, the subtrees carry their own leaf
-# labels.
-
-
-def _leaf_tails(t):
-    """[(leaf, sum of vertex degrees after the leaf in the word)] in
-    pre-order."""
-    out = []
-
-    def walk(x):
-        if isinstance(x, Leaf):
-            out.append([x, 0])
-            return
-        child_degrees = [tree_degree(c) for c in x.children]
-        for i, c in enumerate(x.children):
-            start = len(out)
-            walk(c)
-            tail_after = sum(child_degrees[i + 1:])
-            if tail_after:
-                for rec in out[start:]:
-                    rec[1] += tail_after
-    walk(t)
-    return [(leaf, tail) for leaf, tail in out]
-
-
-def substitute(pattern, closed_subs, open_subs):
-    """Plug subtrees into all leaves of a standard-labeled pattern tree.
-
-    closed_subs[i-1] replaces leaf (CLOSED, i); open_subs likewise.  Returns
-    an Element.  Signs: starting from (pattern word, subtrees in slot order),
-    the subtree words move to their leaf positions; each passes the pattern
-    vertices after its slot, and pairs whose pre-order disagrees with slot
-    order cross each other.
-    """
-    recs = _leaf_tails(pattern)
-    sign = 1
-    degrees_pre = []
-    for leaf, tail in recs:
-        sub = (closed_subs if leaf.color == CLOSED else open_subs)[leaf.label - 1]
-        d = tree_degree(sub)
-        degrees_pre.append(d)
-        if (d & 1) and (tail & 1):
-            sign = -sign
-    # crossing factor: permutation from slot order to pre-order
-    pre_index = {(leaf.color, leaf.label): i for i, (leaf, _) in enumerate(recs)}
-    slot_order = sorted(pre_index, key=lambda cl: (0 if cl[0] == CLOSED else 1,
-                                                   cl[1]))
-    perm = tuple(pre_index[cl] + 1 for cl in slot_order)
-    degrees_slot = [degrees_pre[pre_index[cl]] for cl in slot_order]
-    sign *= koszul_sign(perm, degrees_slot)
-
-    def repl(lf):
-        return (closed_subs if lf.color == CLOSED else open_subs)[lf.label - 1]
-
-    spliced = _map_leaves(pattern, repl)
-    return _recanonicalize(spliced).scale(sign)
-
-
-def substitute_element(pattern_elem, closed_subs, open_subs):
-    acc = {}
-    for t, c in pattern_elem.terms.items():
-        accumulate(acc, substitute(t, closed_subs, open_subs).terms.items(), c)
-    return Element.of(acc)
-
-
-# ---------------------------------------------------------------------------
 # Symmetric group action
 
 
 def symmetric_act(perm_pair, elem):
     """Right action of (closed perm, open perm) by relabeling leaves."""
     cperm, operm = perm_pair
-    acc = {}
-    for t, c in elem.terms.items():
+    for t in elem.terms:
         sig_ = tree_signature(t)
         if len(cperm) != sig_.n_closed or len(operm) != sig_.n_open:
             raise ValueError("permutation sizes do not match the signature")
-        t2 = _map_leaves(t, lambda lf: Leaf(lf.color, (
-            cperm[lf.label - 1] if lf.color == CLOSED else operm[lf.label - 1])))
-        accumulate(acc, _recanonicalize(t2).terms.items(), c)
-    return Element.of(acc)
+    return substitute_element(elem, [Leaf(CLOSED, p) for p in cperm],
+                              [Leaf(OPEN, p) for p in operm])
 
 
 # ---------------------------------------------------------------------------
@@ -980,7 +918,7 @@ def parse_term(collection, text):
                     break
                 raise TermSyntaxError("expected ',' or ')'", p)
             acc = {}
-            for combo, coeff in _expand(children):
+            for combo, coeff in _expand([e.terms for e in children]):
                 accumulate(acc, make_node(space, 0, combo).terms.items(),
                            coeff)
             return Element.of(acc), p

@@ -1,16 +1,23 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import bioperad
 from bioperad.cli import main
 
 BIN = [sys.executable, "-m", "bioperad.cli"]
+# the child imports the bioperad this process imported, installed or not
+SRC = os.path.dirname(os.path.dirname(bioperad.__file__))
 
 
 def run_cli(args):
-    proc = subprocess.run(BIN + args, capture_output=True, text=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(BIN + args, capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -117,6 +124,17 @@ def test_verify_paper_selection():
     ids = {r["id"] for r in records}
     assert ids == {"duality-dims", "koszul-dual"}
     assert all(r["status"] == "pass" for r in records)
+
+
+def test_verify_paper_unknown_selection_exits_2(capsys):
+    # unknown names are refused before any check runs, with the known list
+    assert main(["verify-paper", "--only", "no-such-check"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown check or group no-such-check;")
+    assert "duality-dims" in err and "homology" in err
+    assert main(["verify-paper", "--only", "duality", "nope", "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unknown check or group nope;" in err
 
 
 def test_main_callable_directly():

@@ -19,7 +19,7 @@ from bioperad.presentation import (IdealSpans, Presentation, _grow_once,
                                    quotient_dims, relation_span,
                                    signatures_within, spin, truncation)
 from bioperad.specfile import emit_spec, parse_spec
-from bioperad.trees import (CLOSED, OPEN, REGULAR, TRIVIAL, Collection,
+from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                             Element, VertexSpace, enumerate_basis, generator,
                             graft, parse_term, sig, symmetric_act)
 
@@ -235,6 +235,22 @@ def test_spin_spans_the_whole_orbit(case):
             full.add(ab.vector(symmetric_act(g, e)))
     full.finalize()
     assert spun.rows == full.rows
+
+
+def test_spin_keeps_the_sign_of_a_sign_generator():
+    # f2 is symmetric and l2 antisymmetric, so the orbit of f2 + l2 holds
+    # f2 - l2 and has rank 2; a spin that dropped the sign of a negative
+    # table entry would map f2 + l2 to itself and stop at rank 1
+    coll = Collection([generator("f2", sig(2, 0, CLOSED), 0, TRIVIAL),
+                       generator("l2", sig(2, 0, CLOSED), 0, SIGN)])
+    ab = ambient_basis(coll, sig(2, 0, CLOSED))
+    e = parse_term(coll, "f2(c1,c2)") + parse_term(coll, "l2(c1,c2)")
+    assert [ab.element({i: 1}) for i in range(ab.dim)] == [
+        parse_term(coll, "f2(c1,c2)"), parse_term(coll, "l2(c1,c2)")]
+    assert ab.transposition_tables() == [[1, -2]]
+    ech = Echelon()
+    assert spin(ab, [e], ech) == [e]
+    assert ech.rank == 2
 
 
 def test_saturation_grows_each_seed_once_and_acts_once_per_table_entry(

@@ -10,14 +10,16 @@ from bioperad.algebraside import (CofreePair, FreeAlgebra, GradedPair,
                                   coproduct_open, lift_phi, lift_psi)
 from bioperad.models import (PRESENTATION_BUILDERS, h0sc_dual_dg, lpinf_dg,
                              ocinf_dg)
-from bioperad.presentation import ambient_basis, signatures_within, truncation
+from bioperad.presentation import (ambient_basis, group_elements,
+                                   signatures_within, truncation)
 from bioperad.signs import compose
+from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
                             Collection, CompositionError, Element, Leaf,
-                            Node, Signature, _map_leaves, _recanonicalize, corolla,
+                            Node, Signature, _splice, corolla,
                             corolla_element, enumerate_basis, generator,
                             graft, max_weight, min_leaf_key, parse_term, sig,
-                            symmetric_act, text_form,
+                            substitute_element, symmetric_act, text_form,
                             text_form_signed, tree_degree, tree_element,
                             tree_signature, tree_weight)
 
@@ -460,23 +462,67 @@ def test_parse_of_signed_text_returns_the_same_node(data):
     assert u is t and c == sign and type(c) is int
 
 
+def _blocks_ascend(u):
+    """u's children ascend by min_leaf_key within each color block."""
+    keys = [min_leaf_key(c) for c in u.children]
+    n = u.space.signature.n_closed
+    return all(keys[i - 1] <= keys[i]
+               for i in range(1, len(keys)) if i != n)
+
+
 @_PROPERTY
 @given(st.data())
-def test_recanonicalize_is_idempotent(data):
+def test_splice_is_idempotent(data):
     coll = _collection(data.draw(st.sampled_from(_COLLECTION_NAMES)))
     t = _draw_tree(data.draw, coll, 4)
-    assert _recanonicalize(t).terms == {t: 1}
+    assert _splice(t, lambda lf: lf) == {t: 1}
     s = tree_signature(t)
     pc = data.draw(st.permutations(range(1, s.n_closed + 1)))
     po = data.draw(st.permutations(range(1, s.n_open + 1)))
-    moved = _map_leaves(t, lambda lf: Leaf(lf.color, (
+    once = _splice(t, lambda lf: Leaf(lf.color, (
         pc if lf.color == CLOSED else po)[lf.label - 1]))
-    once = _recanonicalize(moved)
-    assert not once.is_zero()
+    assert once
     index = ambient_basis(coll, s).index
-    for u in once.terms:
-        assert u.canonical and u in index
-        assert _recanonicalize(u).terms == {u: 1}
+    for u in once:
+        assert _blocks_ascend(u) and u in index
+        assert _splice(u, lambda lf: lf) == {u: 1}
+
+
+def test_node_refuses_children_out_of_order():
+    space = ev_collection()["f2"]
+    with pytest.raises(ValueError, match="canonical order"):
+        Node(space, 0, (Leaf(CLOSED, 2), Leaf(CLOSED, 1)))
+    assert not space.nodes
+    # equal keys pass, so a repeated label reaches tree_signature's message
+    t = Node(space, 0, (Leaf(CLOSED, 1), Leaf(CLOSED, 1)))
+    with pytest.raises(ValueError, match="not labelled 1..n"):
+        tree_signature(t)
+
+
+def test_only_canonical_nodes_are_interned():
+    # a fresh spec-file presentation, so no other test has built its nodes
+    P = parse_spec(emit_spec(PRESENTATION_BUILDERS["H0SCdual"]()))
+    coll = P.collection
+    for rel in P.relations:
+        s = rel.signature()
+        for g in group_elements(s):
+            symmetric_act(g, rel)
+        for space in coll:
+            cor = corolla_element(space)
+            for color, i in _all_slots(rel):
+                if space.signature.out == color:
+                    graft(rel, color, i, cor)
+            for color, i in _all_slots(cor):
+                if s.out == color:
+                    graft(cor, color, i, rel)
+        subs = {c: [Leaf(c, k) for k in range(count, 0, -1)]
+                for c, count in ((CLOSED, s.n_closed), (OPEN, s.n_open))}
+        substitute_element(rel, subs[CLOSED], subs[OPEN])
+    nodes = [u for space in coll for u in space.nodes.values()
+             if u.dec is not None]
+    assert len(nodes) > 100
+    for u in nodes:
+        assert _splice(u, lambda lf: lf) == {u: 1}
 
 
 @_PROPERTY
