@@ -1,21 +1,21 @@
 """Algebras over the builtin operads and strong-homotopy structure checks.
 
-Free algebras: the commutative-acting case (symmetric algebra tensor tensor
-algebra), the Lie-acting case (free Lie algebra, tensor algebra on decorated
-letters), and the unital-map case.  The Lie side is realized inside the
-tensor algebra, with Lyndon words as the basis.
+Free side: the free Lie-acting (LP) pair, the free Lie algebra acting by
+derivations on the tensor algebra of decorated letters.  The Lie side is
+realized inside the tensor algebra, with Lyndon words as the basis.
 
 Cofree side: the coalgebra pair (S^c(V_c), (S^c)+(V_c) (x) T^c(V_o)) with
 coderivation lifts of corestrictions, graded throughout (the ungraded case
-is the degree-0 special case).  The strong-homotopy checker builds the
-square-zero-coderivation formulation on the suspended pair and compares it
-instance by instance against the direct unshuffle relations.
+is the degree-0 special case).  One pair coderivation serves both the pair
+complex of a strict Leibniz pair and the strong-homotopy checker, which
+builds the square-zero-coderivation formulation on the suspended pair and
+compares it instance by instance against the direct unshuffle relations.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
-from .linalg import Echelon
+from .linalg import betti
 from .trees import accumulate
 
 
@@ -69,23 +69,22 @@ def merge_sign(left, right, degrees):
 
 
 def unshuffle_splits(word, degrees):
-    """(sign, A, B) for all splits of a sorted word with A moved in front."""
+    """(sign, A, B) for all splits of a sorted word with A moved in front.
+
+    The sign is (-1) to the number of odd picked symbols that pass an odd
+    symbol staying behind.
+    """
     n = len(word)
+    odd = [degrees[x] & 1 for x in word]
     out = []
     for k in range(n + 1):
         for picks in combinations(range(n), k):
-            picked = set(picks)
-            a = tuple(word[i] for i in range(n) if i in picked)
-            b = tuple(word[i] for i in range(n) if i not in picked)
-            sign = 1
-            for i in range(n):
-                if i in picked:
-                    continue
-                # word[i] stays; selected symbols after i cross it
-                for j in picks:
-                    if j > i and (degrees[word[i]] & 1) and (degrees[word[j]] & 1):
-                        sign = -sign
-            out.append((sign, a, b))
+            rest = [i for i in range(n) if i not in picks]
+            crossings = sum(odd[i] & odd[j]
+                            for i in rest for j in picks if j > i)
+            out.append((-1 if crossings & 1 else 1,
+                        tuple(word[j] for j in picks),
+                        tuple(word[i] for i in rest)))
     return out
 
 
@@ -105,31 +104,28 @@ def split_sign_back(word, picks, degrees):
 
 
 class FreeAlgebra:
-    """Free algebra over one of the builtin operads, truncated by weight.
+    """The free Lie-acting (LP) pair on degree-0 generators, by weight.
 
-    closed elements: Com tag -> multisets of closed symbols; LP tag ->
-    Lyndon basis of the free Lie algebra realized in the tensor algebra.
-    open elements: tag-dependent word bases.  All structure maps return
-    dicts basis_element -> coefficient, an int unless it is rational.
+    closed elements: the Lyndon basis of the free Lie algebra, realized in
+    the tensor algebra.  open elements: words in letters (u, o), a tensor
+    word u in the closed generators acting on the open generator o, of
+    weight len(u) + 1.  All structure maps return dicts basis_element ->
+    coefficient, an int unless it is rational.
     """
 
-    def __init__(self, tag, pair, weight_bound):
+    def __init__(self, pair, weight_bound):
         if any(d != 0 for _, d in pair.closed + pair.open):
             raise ValueError("free algebras are implemented for degree-0 "
                              "generators")
-        if tag not in ("H0SCvor", "LP", "H0SC"):
-            raise ValueError(f"unknown free-algebra tag {tag!r}")
-        self.tag = tag
         self.pair = pair
         self.bound = weight_bound
         self.nc = len(pair.closed)
         self.no = len(pair.open)
-        if tag == "LP":
-            self.lyndon = {w: _lyndon_words(self.nc, w)
-                           for w in range(1, weight_bound + 1)}
-            self.lie_expansion = {word: _expand_lyndon(word)
-                                  for words in self.lyndon.values()
-                                  for word in words}
+        self.lyndon = {w: _lyndon_words(self.nc, w)
+                       for w in range(1, weight_bound + 1)}
+        self.lie_expansion = {word: _expand_lyndon(word)
+                              for words in self.lyndon.values()
+                              for word in words}
         self._build_bases()
 
     # -- closed side -------------------------------------------------------
@@ -157,14 +153,10 @@ class FreeAlgebra:
         return out
 
     def closed_basis(self, weight):
-        if self.tag == "LP":
-            return [("lie", w) for w in self.lyndon.get(weight, [])]
-        return [("com", m) for m in _multisets(self.nc, weight)]
+        return [("lie", w) for w in self.lyndon.get(weight, [])]
 
     def bracket(self, x, y):
-        """Lie bracket of two closed basis elements (LP tag)."""
-        if self.tag != "LP":
-            raise ValueError(f"bracket needs the LP tag, not {self.tag!r}")
+        """Lie bracket of two closed basis elements."""
         _, u = x
         _, v = y
         if len(u) + len(v) > self.bound:
@@ -179,99 +171,42 @@ class FreeAlgebra:
         self._closed_by_weight = {w: self.closed_basis(w)
                                   for w in range(1, bound + 1)}
         self._open_by_weight = {w: [] for w in range(1, bound + 1)}
-        if self.tag == "LP":
-            letters = []
-            for lw in range(0, bound):
-                for u in _tensor_words(self.nc, lw):
-                    for o in range(self.no):
-                        letters.append((u, o))
-            for word in _letter_words(letters, bound,
-                                      lambda l: len(l[0]) + 1):
-                w = sum(len(l[0]) + 1 for l in word)
-                self._open_by_weight[w].append(("word", word))
-        else:
-            allow_empty_word = self.tag == "H0SC"
-            for mw in range(0, bound + 1):
-                for m in _multisets(self.nc, mw):
-                    for qw in range(0, bound - mw + 1):
-                        for w in _tensor_words(self.no, qw):
-                            if not m and not w:
-                                continue
-                            if not w and not allow_empty_word:
-                                continue
-                            total = mw + qw
-                            if 1 <= total <= bound:
-                                self._open_by_weight[total].append(
-                                    ("mw", m, w))
+        letters = [(u, o) for lw in range(0, bound)
+                   for u in product(range(self.nc), repeat=lw)
+                   for o in range(self.no)]
+        for word in _letter_words(letters, bound, lambda l: len(l[0]) + 1):
+            x = ("word", word)
+            self._open_by_weight[self.open_weight(x)].append(x)
 
     def open_weight(self, x):
-        if x[0] == "word":
-            return sum(len(l[0]) + 1 for l in x[1])
-        return len(x[1]) + len(x[2])
+        return sum(len(l[0]) + 1 for l in x[1])
 
     def closed_weight(self, x):
         return len(x[1])
 
     def open_product(self, x, y):
-        if self.tag == "LP":
-            word = x[1] + y[1]
-            if sum(len(l[0]) + 1 for l in word) > self.bound:
-                return {}
-            return {("word", word): 1}
-        m = tuple(sorted(x[1] + y[1]))
-        w = x[2] + y[2]
-        if len(m) + len(w) > self.bound:
+        word = x[1] + y[1]
+        if sum(len(l[0]) + 1 for l in word) > self.bound:
             return {}
-        return {("mw", m, w): 1}
+        return {("word", word): 1}
 
     def action(self, l, x):
         """rho(l, x): the closed element acting on an open one."""
-        if self.tag == "LP":
-            _, lw = l
-            word = x[1]
-            total = self.open_weight(x) + len(lw)
-            if total > self.bound:
-                return {}
-            expansion = self.lie_expansion[lw].items()
-            out = {}
-            for i, (u, o) in enumerate(word):
-                head, tail = word[:i], word[i + 1:]
-                accumulate(out, ((("word", head + ((tw + u, o),) + tail), c)
-                                 for tw, c in expansion))
-            return out
-        m = tuple(sorted(l[1] + x[1]))
-        if len(m) + len(x[2]) > self.bound:
+        _, lw = l
+        word = x[1]
+        if self.open_weight(x) + len(lw) > self.bound:
             return {}
-        return {("mw", m, x[2]): 1}
+        expansion = self.lie_expansion[lw].items()
+        out = {}
+        for i, (u, o) in enumerate(word):
+            head, tail = word[:i], word[i + 1:]
+            accumulate(out, ((("word", head + ((tw + u, o),) + tail), c)
+                             for tw, c in expansion))
+        return out
 
     def dims(self):
         return {("c", w): len(b) for w, b in self._closed_by_weight.items()} | \
                {("o", w): len(b) for w, b in self._open_by_weight.items()}
-
-
-def _multisets(n, k):
-    if k == 0:
-        return [()]
-    out = []
-
-    def rec(start, left, acc):
-        if left == 0:
-            out.append(tuple(acc))
-            return
-        for i in range(start, n):
-            acc.append(i)
-            rec(i, left - 1, acc)
-            acc.pop()
-
-    rec(0, k, [])
-    return out
-
-
-def _tensor_words(n, k):
-    if k == 0:
-        return [()]
-    prev = _tensor_words(n, k - 1)
-    return [w + (i,) for w in prev for i in range(n)]
 
 
 def _letter_words(letters, bound, weight_of):
@@ -295,7 +230,7 @@ def _letter_words(letters, bound, weight_of):
 def _lyndon_words(n, k):
     """Lyndon words of length k over 0..n-1 (Duval's algorithm)."""
     out = []
-    w = [-1]
+    w = [-1] if n else []
     while w:
         w[-1] += 1
         m = len(w)
@@ -353,7 +288,8 @@ class CofreePair:
                             for mw in range(0, closed_bound + 1)
                             for m in _graded_multisets(self.cdeg, mw)
                             for qw in range(1, open_bound + 1)
-                            for word in _tensor_words(len(self.odeg), qw)]
+                            for word in product(range(len(self.odeg)),
+                                                repeat=qw)]
 
     def mdeg(self, m):
         return sum(self.cdeg[i] for i in m)
@@ -363,9 +299,21 @@ class CofreePair:
 
 
 def _graded_multisets(degrees, k):
-    return [m for m in _multisets(len(degrees), k)
+    return [m for m in combinations_with_replacement(range(len(degrees)), k)
             if not any(a == b and (degrees[a] & 1)
                        for a, b in zip(m, m[1:]))]
+
+
+def _psi_terms(m, cdeg, psi):
+    """(multiset, coeff): psi on each nonempty front block of an unshuffle
+    of m, merged back into the rest."""
+    for sign, a, b in unshuffle_splits(m, cdeg):
+        if not a:
+            continue
+        for idx, c in psi.get(a, {}).items():
+            s2, merged = merge_sign((idx,), b, cdeg)
+            if s2:
+                yield merged, sign * s2 * c
 
 
 def lift_psi(cdeg, closed_bound, psi):
@@ -376,16 +324,9 @@ def lift_psi(cdeg, closed_bound, psi):
     closed_index -> coeff.  Returns a function multiset -> dict multiset ->
     coeff.
     """
-    def terms(m):
-        for sign, a, b in unshuffle_splits(m, cdeg):
-            if not a:
-                continue
-            for idx, c in psi.get(a, {}).items():
-                s2, merged = merge_sign((idx,), b, cdeg)
-                if s2 and len(merged) <= closed_bound:
-                    yield merged, sign * s2 * c
-
-    return lambda m: accumulate({}, terms(m))
+    return lambda m: accumulate({}, (
+        (merged, c) for merged, c in _psi_terms(m, cdeg, psi)
+        if len(merged) <= closed_bound))
 
 
 def lift_phi(cdeg, odeg, psi, phi, op_degree):
@@ -400,36 +341,25 @@ def lift_phi(cdeg, odeg, psi, phi, op_degree):
     def terms(m, w):
         # closed part: psi acts on the multiset factor
         if psi is not None:
-            for sign, a, b in unshuffle_splits(m, cdeg):
-                if not a:
-                    continue
-                for idx, c in psi.get(a, {}).items():
-                    s2, merged = merge_sign((idx,), b, cdeg)
-                    if s2:
-                        yield (merged, w), sign * s2 * c
+            for merged, c in _psi_terms(m, cdeg, psi):
+                yield (merged, w), c
         # mixed part: phi eats a sub-multiset and a window of the word
         q = len(w)
-        for k in range(len(m) + 1):
-            for picks in combinations(range(len(m)), k):
-                b_syms = tuple(m[i] for i in picks)
-                a_syms = tuple(m[i] for i in range(len(m))
-                               if i not in set(picks))
-                s_back = split_sign_back(m, picks, cdeg)
-                bdeg = sum(cdeg[i] for i in b_syms)
-                for i in range(0, q + 1):
-                    for j in range(i, q + 1):
-                        img = phi.get((b_syms, w[i:j]))
-                        if not img:
-                            continue
-                        prefix_deg = sum(odeg[x] for x in w[:i])
-                        sign = s_back
-                        if (bdeg & 1) and (prefix_deg & 1):
-                            sign = -sign
-                        adeg = sum(cdeg[x] for x in a_syms)
-                        if (op_degree & 1) and ((adeg + prefix_deg) & 1):
-                            sign = -sign
-                        for idx, c in img.items():
-                            yield (a_syms, w[:i] + (idx,) + w[j:]), sign * c
+        for s_back, a_syms, b_syms in unshuffle_splits(m, cdeg):
+            for i in range(0, q + 1):
+                for j in range(i, q + 1):
+                    img = phi.get((b_syms, w[i:j]))
+                    if not img:
+                        continue
+                    prefix_deg = sum(odeg[x] for x in w[:i])
+                    sign = s_back
+                    if (sum(cdeg[x] for x in b_syms) & 1) and (prefix_deg & 1):
+                        sign = -sign
+                    adeg = sum(cdeg[x] for x in a_syms)
+                    if (op_degree & 1) and ((adeg + prefix_deg) & 1):
+                        sign = -sign
+                    for idx, c in img.items():
+                        yield (a_syms, w[:i] + (idx,) + w[j:]), sign * c
 
     return lambda m, w: accumulate({}, terms(m, w))
 
@@ -439,19 +369,14 @@ def coproduct_open(cofree, m, w):
     cdeg = cofree.cdeg
 
     def terms():
-        for k in range(len(m) + 1):
-            for picks in combinations(range(len(m)), k):
-                b_syms = tuple(m[i] for i in picks)
-                a_syms = tuple(m[i] for i in range(len(m))
-                               if i not in set(picks))
-                s_back = split_sign_back(m, picks, cdeg)
-                bdeg = sum(cdeg[i] for i in b_syms)
-                for i in range(1, len(w)):
-                    prefix_deg = sum(cofree.odeg[x] for x in w[:i])
-                    sign = s_back
-                    if (bdeg & 1) and (prefix_deg & 1):
-                        sign = -sign
-                    yield ((a_syms, w[:i]), (b_syms, w[i:])), sign
+        for s_back, a_syms, b_syms in unshuffle_splits(m, cdeg):
+            bdeg = sum(cdeg[x] for x in b_syms)
+            for i in range(1, len(w)):
+                prefix_deg = sum(cofree.odeg[x] for x in w[:i])
+                sign = s_back
+                if (bdeg & 1) and (prefix_deg & 1):
+                    sign = -sign
+                yield ((a_syms, w[:i]), (b_syms, w[i:])), sign
 
     return accumulate({}, terms())
 
@@ -547,57 +472,44 @@ class LeibnizPairData:
             return self.bound is None or sum(ws) <= self.bound
 
         lb, ab = self.l_basis, self.a_basis
+        lw, aw = self.l_weight, self.a_weight
         br, mult, act = self.bracket, self.mult, self.action
-        for x in lb:
-            for y in lb:
-                if not within(self.l_weight(x), self.l_weight(y)):
-                    continue
-                if accumulate(dict(br(x, y)), br(y, x).items()):
-                    bad.append(("antisymmetry", x, y))
-        for x in lb:
-            for y in lb:
-                for z in lb:
-                    if not within(self.l_weight(x), self.l_weight(y),
-                                  self.l_weight(z)):
-                        continue
-                    jac = {}
-                    _compose(jac, br(x, y), lambda t: br(t, z))
-                    _compose(jac, br(y, z), lambda t: br(t, x))
-                    _compose(jac, br(z, x), lambda t: br(t, y))
-                    if jac:
-                        bad.append(("jacobi", x, y, z))
-        for x in ab:
-            for y in ab:
-                for z in ab:
-                    if not within(self.a_weight(x), self.a_weight(y),
-                                  self.a_weight(z)):
-                        continue
-                    diff = _compose({}, mult(x, y), lambda t: mult(t, z))
-                    _compose(diff, mult(y, z), lambda t: mult(x, t), -1)
-                    if diff:
-                        bad.append(("associativity", x, y, z))
-        for l in lb:
-            for x in ab:
-                for y in ab:
-                    if not within(self.l_weight(l), self.a_weight(x),
-                                  self.a_weight(y)):
-                        continue
-                    diff = _compose({}, mult(x, y), lambda t: act(l, t))
-                    _compose(diff, act(l, x), lambda t: mult(t, y), -1)
-                    _compose(diff, act(l, y), lambda t: mult(x, t), -1)
-                    if diff:
-                        bad.append(("derivation", l, x, y))
-        for l in lb:
-            for m in lb:
-                for x in ab:
-                    if not within(self.l_weight(l), self.l_weight(m),
-                                  self.a_weight(x)):
-                        continue
-                    diff = _compose({}, br(l, m), lambda t: act(t, x))
-                    _compose(diff, act(m, x), lambda t: act(l, t), -1)
-                    _compose(diff, act(l, x), lambda t: act(m, t))
-                    if diff:
-                        bad.append(("morphism", l, m, x))
+        for x, y in product(lb, repeat=2):
+            if within(lw(x), lw(y)) and accumulate(dict(br(x, y)),
+                                                   br(y, x).items()):
+                bad.append(("antisymmetry", x, y))
+        for x, y, z in product(lb, repeat=3):
+            if not within(lw(x), lw(y), lw(z)):
+                continue
+            jac = {}
+            _compose(jac, br(x, y), lambda t: br(t, z))
+            _compose(jac, br(y, z), lambda t: br(t, x))
+            _compose(jac, br(z, x), lambda t: br(t, y))
+            if jac:
+                bad.append(("jacobi", x, y, z))
+        for x, y, z in product(ab, repeat=3):
+            if not within(aw(x), aw(y), aw(z)):
+                continue
+            diff = _compose({}, mult(x, y), lambda t: mult(t, z))
+            _compose(diff, mult(y, z), lambda t: mult(x, t), -1)
+            if diff:
+                bad.append(("associativity", x, y, z))
+        for l, x, y in product(lb, ab, ab):
+            if not within(lw(l), aw(x), aw(y)):
+                continue
+            diff = _compose({}, mult(x, y), lambda t: act(l, t))
+            _compose(diff, act(l, x), lambda t: mult(t, y), -1)
+            _compose(diff, act(l, y), lambda t: mult(x, t), -1)
+            if diff:
+                bad.append(("derivation", l, x, y))
+        for l, m, x in product(lb, lb, ab):
+            if not within(lw(l), lw(m), aw(x)):
+                continue
+            diff = _compose({}, br(l, m), lambda t: act(t, x))
+            _compose(diff, act(m, x), lambda t: act(l, t), -1)
+            _compose(diff, act(l, x), lambda t: act(m, t))
+            if diff:
+                bad.append(("morphism", l, m, x))
         return bad
 
 
@@ -605,13 +517,17 @@ def ce_complex(data, bound):
     """The pair complex of a strict Leibniz pair, truncated by weight.
 
     The complex is the cofree pair on the suspended underlying spaces with
-    the coderivation lifted from the structure maps: closed chains are
-    symmetric words in suspended Lie elements (exterior powers downstairs),
-    mixed chains take a tensor word of suspended algebra letters.  The
-    displayed textbook formulas hold in these terms: the bracket part
-    carries (-1)^(i+j-1), the product part (-1)^(p+i); the action part's
-    letter alternation is the suspension of the letters (with unsuspended
-    letters it would not square to zero).
+    the coderivation that the strong-homotopy checker lifts from the strict
+    tensors l_2, n_{0,2} and n_{1,1} of the pair (strict_pair_tensors, then
+    suspended_corestrictions): closed chains are symmetric words in
+    suspended Lie elements (exterior powers downstairs), mixed chains take a
+    tensor word of suspended algebra letters.  Every binary corestriction
+    then carries the decalage sign -1, so d is -1 times the lift of the
+    bare structure maps, in which the displayed textbook formulas hold: the
+    bracket part carries (-1)^(i+j-1), the product part (-1)^(p+i), and the
+    action part's letter alternation is the suspension of the letters (with
+    unsuspended letters it would not square to zero).  A global sign
+    changes no rank, so the homology is that of the textbook complex.
 
     Returns (cells, d): cells maps ("c"|"o", weight, n) to its basis, n the
     number of factors; d(color, x) is the differential of a basis element.
@@ -622,28 +538,22 @@ def ce_complex(data, bound):
     a_index = {x: i for i, x in enumerate(a_basis)}
     nl, na = len(l_basis), len(a_basis)
 
-    def table(img, index):
-        return accumulate({}, ((index[k], v) for k, v in img.items()))
+    def table(structure, left, right, pairs, index):
+        return {(i, j): {index[k]: v
+                         for k, v in structure(left[i], right[j]).items()}
+                for i, j in pairs}
 
-    psi = {}
-    for i, j in combinations(range(nl), 2):
-        val = table(data.bracket(l_basis[i], l_basis[j]), l_index)
-        if val:
-            psi[(i, j)] = val
-    phi = {}
-    for i in range(nl):
-        for j in range(na):
-            val = table(data.action(l_basis[i], a_basis[j]), a_index)
-            if val:
-                phi[((i,), (j,))] = val
-    for i in range(na):
-        for j in range(na):
-            val = table(data.mult(a_basis[i], a_basis[j]), a_index)
-            if val:
-                phi[((), (i, j))] = val
-
-    d_closed = lift_psi([1] * nl, bound, psi)
-    d_mixed = lift_phi([1] * nl, [1] * na, psi, phi, -1)
+    tensors = strict_pair_tensors(
+        GradedPair.ungraded(nl, na),
+        table(data.bracket, l_basis, l_basis, combinations(range(nl), 2),
+              l_index),
+        table(data.mult, a_basis, a_basis, product(range(na), repeat=2),
+              a_index),
+        table(data.action, l_basis, a_basis, product(range(nl), range(na)),
+              a_index))
+    psi, phi = suspended_corestrictions(tensors)
+    d_closed = lift_psi(tensors.sl, bound, psi)
+    d_mixed = lift_phi(tensors.sl, tensors.sa, psi, phi, -1)
 
     lw = [data.l_weight(x) for x in l_basis]
     aw = [data.a_weight(x) for x in a_basis]
@@ -659,7 +569,7 @@ def ce_complex(data, bound):
             if base > bound:
                 continue
             for q in range(1, bound - base + 1):
-                for word in _tensor_words(na, q):
+                for word in product(range(na), repeat=q):
                     w = base + sum(aw[i] for i in word)
                     if w <= bound:
                         cells.setdefault(("o", w, p + q), []).append(
@@ -681,26 +591,24 @@ def ce_hochschild_homology(data, bound):
     if bad:
         raise ValueError(f"not a Leibniz pair: {bad[:3]}")
     cells, d = ce_complex(data, bound)
-    ranks = {}
-    for (color, w, n), basis in sorted(cells.items()):
+
+    def columns(key, n):
+        color, w = key
         target = cells.get((color, w, n - 1), [])
         tindex = {x: i for i, x in enumerate(target)}
-        ech = Echelon()
-        for x in basis:
+        cols = []
+        for x in cells[(color, w, n)]:
             col = {}
             for k, c in d(color, x).items():
                 if k not in tindex:
                     raise ValueError("differential left the truncation")
                 col[tindex[k]] = c
-            ech.add(col)
-        ranks[(color, w, n)] = ech.rank
-    out = {}
-    for (color, w, n), basis in cells.items():
-        h = len(basis) - ranks.get((color, w, n), 0) - ranks.get(
-            (color, w, n + 1), 0)
-        if h:
-            out[(color, w, n)] = h
-    return out
+            cols.append(col)
+        return cols
+
+    h = betti({((color, w), n): len(basis)
+               for (color, w, n), basis in cells.items()}, columns)
+    return {(color, w, n): v for ((color, w), n), v in h.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +729,7 @@ def suspended_corestrictions(data):
     phi = {}
     for (p, q) in data.n_tensors:
         for m in _graded_multisets(sl, p):
-            for w in _tensor_words(len(sa), q):
+            for w in product(range(len(sa)), repeat=q):
                 val = data.eval_n(m, w)
                 if val:
                     phi[(m, w)] = accumulate({}, val.items(), _decalage(
@@ -973,24 +881,20 @@ def strict_pair_tensors(data_pair, bracket, mult, action):
     """
     nc = len(data_pair.closed)
     no = len(data_pair.open)
-    l2 = {}
-    for i in range(nc):
-        for j in range(i + 1, nc):
-            val = accumulate({}, bracket.get((i, j), {}).items())
+
+    def tensor(values, pairs, key):
+        out = {}
+        for i, j in pairs:
+            val = accumulate({}, values.get((i, j), {}).items())
             if val:
-                l2[(i, j)] = val
-    n02 = {}
-    for i in range(no):
-        for j in range(no):
-            val = accumulate({}, mult.get((i, j), {}).items())
-            if val:
-                n02[((), (i, j))] = val
-    n11 = {}
-    for i in range(nc):
-        for j in range(no):
-            val = accumulate({}, action.get((i, j), {}).items())
-            if val:
-                n11[((i,), (j,))] = val
+                out[key(i, j)] = val
+        return out
+
+    l2 = tensor(bracket, combinations(range(nc), 2), lambda i, j: (i, j))
+    n02 = tensor(mult, product(range(no), repeat=2),
+                 lambda i, j: ((), (i, j)))
+    n11 = tensor(action, product(range(nc), range(no)),
+                 lambda i, j: ((i,), (j,)))
     return HomotopyAlgebraData(data_pair, {2: l2},
                                {(0, 2): n02, (1, 1): n11})
 

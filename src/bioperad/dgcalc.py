@@ -13,7 +13,7 @@ derivative of the ideal stays in the ideal.
 from fractions import Fraction
 from math import factorial
 
-from .linalg import Echelon
+from .linalg import betti
 from .presentation import signatures_within
 from .trees import (Element, Leaf, accumulate, component_basis, make_node,
                     substitute_element, tree_degree, tree_element)
@@ -168,11 +168,10 @@ class DgTruncation:
         return bad
 
 
-def verify_d_squared(dg, max_inputs=None):
+def verify_d_squared(dg):
     """Violations of d^2 = 0 per cell; empty list means the check passed."""
-    bound = max_inputs or dg.max_inputs
     violations = []
-    for sig_ in signatures_within(bound):
+    for sig_ in signatures_within(dg.max_inputs):
         for degree in dg.cell_degrees(sig_):
             for t in dg.chain_basis(sig_, degree):
                 twice = dg.differential(dg.differential(tree_element(t)))
@@ -183,33 +182,18 @@ def verify_d_squared(dg, max_inputs=None):
     return violations
 
 
-def homology_dims(dg, max_inputs=None):
+def homology_dims(dg):
     """dict (signature, degree) -> dim H, exact over Q.
 
-    Betti numbers per cell: dim C_d - rank d_d - rank d_(d+1).  Raises
-    ValueError when d^2 != 0.
+    Betti numbers per cell (``linalg.betti``): dim C_d - rank d_d -
+    rank d_(d+1).  Raises ValueError when d^2 != 0.
     """
-    bound = max_inputs or dg.max_inputs
-    bad = verify_d_squared(dg, bound)
+    bad = verify_d_squared(dg)
     if bad:
         raise ValueError(f"d^2 != 0: {bad[:3]}")
-    out = {}
-    for sig_ in signatures_within(bound):
-        degrees = dg.cell_degrees(sig_)
-        if not degrees:
-            continue
-        ranks = {}
-        for d in degrees:
-            ech = Echelon()
-            for col in dg.differential_columns(sig_, d):
-                ech.add(col)
-            ranks[d] = ech.rank
-        for d in degrees:
-            h = (dg.chain_dim(sig_, d) - ranks.get(d, 0)
-                 - ranks.get(d + 1, 0))
-            if h:
-                out[(sig_, d)] = h
-    return out
+    return betti({(sig_, d): dg.chain_dim(sig_, d)
+                  for sig_ in signatures_within(dg.max_inputs)
+                  for d in dg.cell_degrees(sig_)}, dg.differential_columns)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ finalised it holds the reduced row echelon form (RREF) of its span, which is
 unique, so a ``Subspace`` -- an ambient dimension plus those rows -- equals
 another exactly when the spaces are equal.  ``solve``, the one solver for
 linear systems, and ``meet_slice``, which meets a span with a coordinate
-slice, are built on ``Echelon`` too.
+slice, are built on ``Echelon`` too, and so is ``betti``, the one rank
+count behind every homology table.
 """
 
 from fractions import Fraction
@@ -136,6 +137,29 @@ def solve(rows, rhs):
     for p, row in ech.rows.items():
         sol[p] = row.get(n, Fraction(0))
     return sol
+
+
+def betti(dims, columns):
+    """Betti numbers of a chain complex split into cells.
+
+    ``dims`` maps (key, n) to dim C_n, and ``columns(key, n)`` returns the
+    sparse columns of d_n: C_n -> C_(n-1) (dicts row -> coefficient), one
+    per basis element of C_n.  Returns {(key, n): dim H_n}, with dim H_n =
+    dim C_n - rank d_n - rank d_(n+1), in the order of ``dims`` and with
+    the zeros dropped.
+    """
+    ranks = {}
+    for key, n in dims:
+        ech = Echelon()
+        for col in columns(key, n):
+            ech.add(col)
+        ranks[(key, n)] = ech.rank
+    out = {}
+    for (key, n), dim in dims.items():
+        h = dim - ranks[(key, n)] - ranks.get((key, n + 1), 0)
+        if h:
+            out[(key, n)] = h
+    return out
 
 
 def _clear_denominators(vec_items):

@@ -344,7 +344,8 @@ class Truncation:
 
     Per signature: ambient tree basis, finalized ideal echelon, and the coset
     basis given by non-pivot ambient trees.  Elements reduce to canonical
-    residues; composition grafts representatives and reduces.
+    residues; classes compose as the reduced graft of their representatives
+    (``class_of``).
     """
 
     def __init__(self, presentation, max_inputs):
@@ -401,11 +402,6 @@ class Truncation:
         """Representative Element of the q-th quotient basis class."""
         ab = self.ambient(sig_)
         return tree_element(ab.trees[self.basis(sig_)[q]])
-
-    def compose(self, sig1, q1, color, index, sig2, q2):
-        """Compose quotient classes; returns dict position -> coeff."""
-        e = graft(self.class_of(sig1, q1), color, index, self.class_of(sig2, q2))
-        return self.reduce(e)
 
     def act(self, pair, sig_, q):
         return self.reduce(symmetric_act(pair, self.class_of(sig_, q)))

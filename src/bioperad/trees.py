@@ -110,10 +110,6 @@ class VertexSpace:
             name if self.dim == 1 else f"{name}[{i}]" for i in range(self.dim))
         assert len(self.closed_swaps) == max(signature.n_closed - 1, 0)
         assert len(self.open_swaps) == max(signature.n_open - 1, 0)
-        self.monomial = all(
-            len(col) <= 1
-            for swaps in (self.closed_swaps, self.open_swaps)
-            for s in swaps for col in s)
         self._act_cache = {}
         self.nodes = {}  # (dec, children) -> the interned Node
 

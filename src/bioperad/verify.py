@@ -10,12 +10,12 @@ exit nonzero.
 import random
 import time
 from fractions import Fraction
-from itertools import permutations as _perms
+from itertools import permutations as _perms, product
 from math import factorial
 
 from .algebraside import (CofreePair, FreeAlgebra, GradedPair,
                           HomotopyAlgebraData, LeibnizPairData,
-                          _graded_multisets, _tensor_words,
+                          _graded_multisets,
                           ce_hochschild_homology, check_coderivation_laws,
                           shlp_ocha_check, strict_pair_tensors)
 from .dgcalc import (DgTruncation, extend_derivation, hilbert_series_gk_check,
@@ -206,7 +206,7 @@ def check_homology_is_suspended_top(bounds):
 
 def check_nonformality(bounds):
     oc = ocinf_dg(3)
-    h = homology_dims(oc, 3)
+    h = homology_dims(oc)
     chain_deg0 = oc.chain_dim(sig(1, 1, OPEN), 0)
     h0 = h.get((sig(1, 1, OPEN), 0), 0)
     target = quotient_dims(lambda_c_oc_presentation(), 3)
@@ -217,7 +217,7 @@ def check_nonformality(bounds):
 
 
 def check_ce_hochschild(bounds):
-    fa = FreeAlgebra("LP", GradedPair.ungraded(2, 1), 3)
+    fa = FreeAlgebra(GradedPair.ungraded(2, 1), 3)
     data = LeibnizPairData.from_free_algebra(fa)
     h = ce_hochschild_homology(data, 3)
     good = (h.get(("c", 1, 1)) == 2 and h.get(("o", 1, 1)) == 1
@@ -268,7 +268,7 @@ def _random_homotopy_data(rng):
         for q in range(1, 3):
             table = {}
             for ck in _graded_multisets([d + 1 for d in cdeg], p):
-                for ok in _tensor_words(2, q):
+                for ok in product(range(2), repeat=q):
                     din = sum(cdeg[i] for i in ck) + sum(odeg[i] for i in ok)
                     img = {i: Fraction(rng.randint(-1, 1)) for i in range(2)
                            if odeg[i] == din + p + q - 2
@@ -500,6 +500,17 @@ CHECKS = [
 
 
 def run_checks(selection=None, bounds=None, notes=True):
+    """Run the checks whose id or group is in selection (all by default).
+
+    Raises ValueError, naming the known check ids and groups, when the
+    selection holds a name that is neither.
+    """
+    known = {cid for cid, _, _, _ in CHECKS} | {g for _, g, _, _ in CHECKS}
+    unknown = set(selection or ()) - known
+    if unknown:
+        raise ValueError(f"unknown check or group "
+                         f"{', '.join(sorted(unknown))}; "
+                         f"known: {', '.join(sorted(known))}")
     bounds = {**DEFAULT_BOUNDS, **(bounds or {})}
     results = []
     for check_id, group, claim, fn in CHECKS:

@@ -87,3 +87,16 @@ def test_criterion_13_full_suite_under_ten_minutes():
     assert elapsed < 600, f"full suite took {elapsed:.0f}s"
     notes = [r for r in results if r.status == "note"]
     assert len(notes) >= 2  # the recorded discrepancy notes are present
+
+
+def test_run_checks_refuses_an_unknown_name():
+    # a misspelt id is an error naming the known ids and groups, not an
+    # empty (passing) result, and no check runs
+    with pytest.raises(ValueError) as info:
+        run_checks({"no-such-check"})
+    message = str(info.value)
+    assert message.startswith("unknown check or group no-such-check;")
+    assert all(cid in message and group in message
+               for cid, group, _, _ in CHECKS)
+    with pytest.raises(ValueError, match="unknown check or group nope;"):
+        run_checks({"duality", "nope"})

@@ -13,15 +13,8 @@ from bioperad.algebraside import (CofreePair, FreeAlgebra, GradedPair,
 from bioperad.verify import _random_homotopy_data
 
 
-def test_free_scvor_dims():
-    fa = FreeAlgebra("H0SCvor", GradedPair.ungraded(1, 1), 2)
-    dims = fa.dims()
-    assert dims[("c", 1)] == 1 and dims[("c", 2)] == 1
-    assert dims[("o", 1)] == 1 and dims[("o", 2)] == 2
-
-
 def test_free_lp_dims_and_basis():
-    fa = FreeAlgebra("LP", GradedPair.ungraded(1, 1), 2)
+    fa = FreeAlgebra(GradedPair.ungraded(1, 1), 2)
     dims = fa.dims()
     # closed: free Lie on one generator: dims 1, 0
     assert dims[("c", 1)] == 1
@@ -31,26 +24,19 @@ def test_free_lp_dims_and_basis():
 
 
 def test_free_lp_lie_dims_two_generators():
-    fa = FreeAlgebra("LP", GradedPair.ungraded(2, 1), 3)
+    fa = FreeAlgebra(GradedPair.ungraded(2, 1), 3)
     dims = fa.dims()
     assert dims[("c", 1)] == 2 and dims[("c", 2)] == 1 and dims[("c", 3)] == 2
     assert dims[("o", 1)] == 1 and dims[("o", 2)] == 3 and dims[("o", 3)] == 9
 
 
-def test_free_h0sc_includes_unit_words():
-    fa = FreeAlgebra("H0SC", GradedPair.ungraded(1, 1), 2)
-    dims = fa.dims()
-    # open weight 1: the generator and the unit image f(c)
-    assert dims[("o", 1)] == 2
-
-
 def test_empty_generators_zero_algebra():
-    fa = FreeAlgebra("H0SCvor", GradedPair([], []), 3)
+    fa = FreeAlgebra(GradedPair([], []), 3)
     assert all(v == 0 for v in fa.dims().values())
 
 
 def test_lp_bracket_jacobi_in_lyndon_basis():
-    fa = FreeAlgebra("LP", GradedPair.ungraded(2, 1), 3)
+    fa = FreeAlgebra(GradedPair.ungraded(2, 1), 3)
     basis1 = fa.closed_basis(1)
     x, y = basis1
     xy = fa.bracket(x, y)
@@ -64,7 +50,7 @@ def test_lp_bracket_jacobi_in_lyndon_basis():
 
 
 def test_action_is_by_derivations():
-    fa = FreeAlgebra("LP", GradedPair.ungraded(1, 1), 3)
+    fa = FreeAlgebra(GradedPair.ungraded(1, 1), 3)
     data = LeibnizPairData.from_free_algebra(fa)
     assert data.validate() == []
 
@@ -80,7 +66,7 @@ def test_ce_abelian_zero_differential():
 
 
 def test_ce_free_lp_concentrated_in_bottom_degree():
-    fa = FreeAlgebra("LP", GradedPair.ungraded(2, 1), 3)
+    fa = FreeAlgebra(GradedPair.ungraded(2, 1), 3)
     data = LeibnizPairData.from_free_algebra(fa)
     h = ce_hochschild_homology(data, 3)
     # closed: only the generators in weight 1 survive, at chain degree 1
@@ -251,7 +237,7 @@ def test_ce_differential_squares_to_zero():
     # coderivation on suspended letters) squares to zero on every cell of
     # the truncation, for two free pairs
     for n_closed, bound in ((2, 3), (1, 4)):
-        fa = FreeAlgebra("LP", GradedPair.ungraded(n_closed, 1), bound)
+        fa = FreeAlgebra(GradedPair.ungraded(n_closed, 1), bound)
         cells, d = ce_complex(LeibnizPairData.from_free_algebra(fa), bound)
         checked = 0
         for (color, _, _), basis in cells.items():
@@ -266,7 +252,7 @@ def test_ce_differential_squares_to_zero():
 
 
 def test_lie_decomposition_rejects_a_non_lie_vector():
-    fa = FreeAlgebra("LP", GradedPair.ungraded(2, 1), 3)
+    fa = FreeAlgebra(GradedPair.ungraded(2, 1), 3)
     x, y = fa.closed_basis(1)
     assert fa._lie_decompose({(0, 1): 1, (1, 0): -1}) == {(0, 1): 1}
     # xy alone is not a Lie element: its least word (0, 1) is Lyndon, and
@@ -276,12 +262,3 @@ def test_lie_decomposition_rejects_a_non_lie_vector():
     with pytest.raises(ValueError, match="not Lyndon"):
         fa._lie_decompose({(1, 0): 2, (1, 1): 1})
     assert fa.bracket(y, x) == {("lie", (0, 1)): -1}
-
-
-@pytest.mark.parametrize("tag", ["H0SCvor", "H0SC"])
-def test_bracket_rejects_a_commutative_tag(tag):
-    # a ValueError, not an assert, so it also holds under python -O
-    fa = FreeAlgebra(tag, GradedPair.ungraded(2, 1), 3)
-    x, y = fa.closed_basis(1)
-    with pytest.raises(ValueError, match=repr(tag)):
-        fa.bracket(x, y)

@@ -1,14 +1,18 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bioperad.dgcalc import (DgTruncation, compose_series, extend_derivation,
                              hilbert_series_gk_check, homology_dims,
                              series_from_dims, verify_d_squared)
 from bioperad.models import (h0sc_dual_dg, lp_formula_genmap, lpinf_dg,
                              ocinf_dg)
+from bioperad.presentation import group_elements
 from bioperad.trees import (CLOSED, OPEN, Element, component_basis,
                             enumerate_basis, graft, parse_term, sig,
                             symmetric_act, text_form, tree_degree)
@@ -98,6 +102,39 @@ def test_differential_commutes_with_action():
                     for po in permutations(range(1, s.n_open + 1)):
                         assert symmetric_act((pc, po), d.apply(e)) == \
                             d.apply(symmetric_act((pc, po), e))
+
+
+_DG_BUILDERS = {"OCinf": ocinf_dg, "LPinf": lpinf_dg,
+                "H0SCdual": h0sc_dual_dg}
+
+
+@lru_cache(maxsize=None)
+def _dg3_chain_trees(name):
+    """OCinf(3), LPinf(3) or H0SCdual(3) and its chain trees as (signature,
+    degree, tree), so that a draw is uniform over trees, not cells."""
+    dg = _DG_BUILDERS[name](3)
+    return dg, [(s, d, t) for s in dg.signatures()
+                for d in dg.cell_degrees(s) for t in dg.chain_basis(s, d)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_differential_is_equivariant(data):
+    # d(g.x) = g.d(x) for random x and g in S_n x S_m; for the quotient
+    # both sides are reduced to coset representatives
+    dg, trees = _dg3_chain_trees(
+        data.draw(st.sampled_from(sorted(_DG_BUILDERS))))
+    s, degree, t = data.draw(st.sampled_from(trees))
+    coeff = st.fractions(-2, 2, max_denominator=2).filter(bool)
+    terms = {t: data.draw(coeff)}
+    terms.update(data.draw(st.dictionaries(
+        st.sampled_from(dg.chain_basis(s, degree)), coeff, max_size=2)))
+    x = Element(terms)
+    g = data.draw(st.sampled_from(group_elements(s)))
+    reduce = (lambda e: e) if dg.trunc is None else \
+        dg.trunc.reduce_to_element
+    assert dg.differential(symmetric_act(g, x)) == \
+        reduce(symmetric_act(g, dg.differential(x)))
 
 
 def test_h0sc_dual_dg_respects_ideal_and_squares_to_zero():

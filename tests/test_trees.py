@@ -652,7 +652,7 @@ def test_algebra_side_coefficients_are_ints_or_proper_fractions(data):
                                     image, max_size=12))
     m = data.draw(st.sampled_from(cofree.closed_basis))
     mm, w = data.draw(st.sampled_from(cofree.mixed_basis))
-    fa = FreeAlgebra("LP", GradedPair.ungraded(2, 1), 4)
+    fa = FreeAlgebra(GradedPair.ungraded(2, 1), 4)
     lie = [x for k in range(1, 5) for x in fa.closed_basis(k)]
     x, y = data.draw(st.lists(st.sampled_from(lie), min_size=2, max_size=2))
     a = data.draw(st.sampled_from(
