@@ -10,9 +10,10 @@ is the degree-0 special case).  One pair coderivation serves both the pair
 complex of a strict Leibniz pair and the strong-homotopy checker, which
 builds the square-zero-coderivation formulation on the suspended pair and
 compares it instance by instance against the direct unshuffle relations.
+This module reads no files: ``specfile.parse_tensor_file`` turns a tensor
+file into HomotopyAlgebraData.
 """
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from .linalg import betti
@@ -641,21 +642,25 @@ class HomotopyAlgebraData:
             for key, img in table.items():
                 if len(key) != n:
                     raise ValueError(f"l_{n} key of wrong arity: {key}")
-                din = sum(self.cdeg[i] for i in key)
-                for idx, c in img.items():
-                    if c and self.cdeg[idx] != din + n - 2:
-                        raise ValueError(
-                            f"l_{n} must have degree {n - 2}: {key} -> {idx}")
+                self.check_degree(True, key, (), img)
         for (p, q), table in self.n_tensors.items():
             for (ck, ok), img in table.items():
                 if len(ck) != p or len(ok) != q:
                     raise ValueError(f"n_{p}{q} key of wrong arity")
-                din = sum(self.cdeg[i] for i in ck) + sum(
-                    self.odeg[i] for i in ok)
-                for idx, c in img.items():
-                    if c and self.odeg[idx] != din + p + q - 2:
-                        raise ValueError(
-                            f"n_{p},{q} must have degree {p + q - 2}")
+                self.check_degree(False, ck, ok, img)
+
+    def check_degree(self, closed, ckey, okey, img):
+        """Raise ValueError unless the entry ckey | okey -> img has the
+        degree of its tensor: l_n (closed output) n-2, n_{p,q} p+q-2."""
+        k = len(ckey) + len(okey)
+        din = sum(self.cdeg[i] for i in ckey) + sum(self.odeg[i] for i in okey)
+        out = self.cdeg if closed else self.odeg
+        for idx, c in img.items():
+            if c and out[idx] != din + k - 2:
+                name = (f"l_{k}" if closed
+                        else f"n_{len(ckey)},{len(okey)}")
+                raise ValueError(f"{name} must have degree {k - 2}: "
+                                 f"{ckey} | {okey} -> {idx}")
 
     def has_open_closed_extension(self):
         """Whether a q = 0 tensor is nonzero: OCHA data, not SHLP data."""
@@ -897,115 +902,3 @@ def strict_pair_tensors(data_pair, bracket, mult, action):
                  lambda i, j: ((i,), (j,)))
     return HomotopyAlgebraData(data_pair, {2: l2},
                                {(0, 2): n02, (1, 1): n11})
-
-
-# ---------------------------------------------------------------------------
-# Tensor files
-
-
-class TensorFileError(ValueError):
-    pass
-
-
-def parse_tensor_file(text):
-    """Parse the structure-tensor text format into HomotopyAlgebraData.
-
-    Grammar (one declaration per line, # comments):
-        closed <name> <degree>
-        open <name> <degree>
-        l <n>: <name>,...,<name> -> <coeff>*<name> [+-] ...
-        n <p> <q>: <names> | <names> -> <combo>
-    Coefficients are integers or rationals p/q; a bare name means 1*name.
-    """
-    closed, open_ = [], []
-    l_lines, n_lines = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            head, _, rest = line.partition(" ")
-            if head == "closed":
-                name, deg = rest.split()
-                closed.append((name, int(deg)))
-            elif head == "open":
-                name, deg = rest.split()
-                open_.append((name, int(deg)))
-            elif head == "l":
-                spec, _, value = rest.partition("->")
-                arity_s, _, args = spec.partition(":")
-                l_lines.append((int(arity_s), args.strip(), value.strip()))
-            elif head == "n":
-                spec, _, value = rest.partition("->")
-                pq, _, args = spec.partition(":")
-                p, q = pq.split()
-                n_lines.append((int(p), int(q), args.strip(), value.strip()))
-            else:
-                raise TensorFileError(f"line {lineno}: unknown declaration {head!r}")
-        except TensorFileError:
-            raise
-        except Exception as exc:
-            raise TensorFileError(f"line {lineno}: {exc}") from exc
-    if not (closed or open_ or l_lines or n_lines):
-        raise TensorFileError("empty tensor file: no declaration")
-    try:
-        pair = GradedPair(closed, open_)
-    except ValueError as exc:
-        raise TensorFileError(str(exc)) from exc
-    cindex = {n: i for i, (n, _) in enumerate(pair.closed)}
-    oindex = {n: i for i, (n, _) in enumerate(pair.open)}
-
-    def parse_combo(s, index):
-        out = {}
-        for term in s.replace("-", "+-").split("+"):
-            term = term.strip()
-            if not term:
-                continue
-            if "*" in term:
-                coeff_s, name = term.split("*")
-                coeff = Fraction(coeff_s.strip())
-            elif term.startswith("-"):
-                coeff, name = -1, term[1:]
-            else:
-                coeff, name = 1, term
-            name = name.strip()
-            if name not in index:
-                raise TensorFileError(f"unknown symbol {name!r}")
-            accumulate(out, ((index[name], coeff),))
-        return out
-
-    def lookup(index, name, kind):
-        name = name.strip()
-        if name not in index:
-            raise TensorFileError(f"unknown {kind} symbol {name!r}")
-        return index[name]
-
-    l_tensors = {}
-    for n, args, value in l_lines:
-        key = tuple(lookup(cindex, a, "closed")
-                    for a in args.split(",") if a.strip())
-        if len(key) != n:
-            raise TensorFileError(f"l {n}: expected {n} arguments")
-        sign, skey = _sort_wedge(key, [d for _, d in pair.closed])
-        if sign == 0:
-            raise TensorFileError(f"l {n}: degenerate wedge key {args}")
-        accumulate(l_tensors.setdefault(n, {}).setdefault(skey, {}),
-                   parse_combo(value, cindex).items(), sign)
-    n_tensors = {}
-    for p, q, args, value in n_lines:
-        cpart, _, opart = args.partition("|")
-        ckey = tuple(lookup(cindex, a, "closed")
-                     for a in cpart.split(",") if a.strip())
-        okey = tuple(lookup(oindex, a, "open")
-                     for a in opart.split(",") if a.strip())
-        if len(ckey) != p or len(okey) != q:
-            raise TensorFileError(f"n {p} {q}: wrong argument counts")
-        sign, skey = _sort_wedge(ckey, [d for _, d in pair.closed])
-        if sign == 0:
-            raise TensorFileError(f"n {p} {q}: degenerate wedge key")
-        accumulate(n_tensors.setdefault((p, q), {}).setdefault(
-            (skey, okey), {}), parse_combo(value, oindex).items(), sign)
-    try:
-        return HomotopyAlgebraData(pair, l_tensors, n_tensors)
-    except ValueError as exc:
-        raise TensorFileError(str(exc)) from exc

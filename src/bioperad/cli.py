@@ -11,14 +11,15 @@ import json
 import os
 import sys
 
-from .algebraside import TensorFileError, parse_tensor_file, shlp_ocha_check
+from .algebraside import shlp_ocha_check
 from .dgcalc import homology_dims, verify_d_squared
 from .duality import quadratic_dual
 from .models import (PRESENTATION_BUILDERS, builtin_presentation,
                      h0sc_dual_dg, lpinf_dg, ocinf_dg)
 from .presentation import (check_ql_conditions, quotient_dims, relation_span,
                            signatures_within)
-from .specfile import SpecFileError, emit_spec, parse_spec
+from .specfile import (FileFormatError, emit_spec, parse_spec,
+                       parse_tensor_file)
 from .trees import COLORS, Signature
 from .verify import DEFAULT_BOUNDS, closed_dim_table, run_checks
 from .dgcalc import hilbert_series_gk_check
@@ -61,7 +62,10 @@ def _parse_sig(text):
     if (len(parts) != 3 or not (parts[0].isdigit() and parts[1].isdigit())
             or parts[2] not in COLORS):
         raise UsageError(f"bad signature {text!r}; use n,m,c or n,m,o")
-    return Signature(int(parts[0]), int(parts[1]), parts[2])
+    n, m = int(parts[0]), int(parts[1])
+    if n + m == 0:
+        raise UsageError(f"signature {text!r} has no inputs")
+    return Signature(n, m, parts[2])
 
 
 def _emit(records, as_json, text_lines):
@@ -88,6 +92,9 @@ def cmd_dims(args):
 
 def cmd_dual(args):
     pres = _load_presentation(args.model)
+    if not pres.is_quadratic():
+        raise UsageError(f"{pres.name} is not quadratic; dual takes a "
+                         "quadratic presentation")
     dual = quadratic_dual(pres, rename=lambda n: n + "v",
                           name=f"{pres.name}_dual")
     text = emit_spec(dual)
@@ -263,7 +270,7 @@ def build_parser():
     d = sub.add_parser("span", help="relation span at a signature")
     d.add_argument("model")
     d.add_argument("--sig", required=True, help="n,m,c or n,m,o")
-    d.add_argument("--weight", type=int, default=2)
+    d.add_argument("--weight", type=bound, default=2)
     d.add_argument("--json", action="store_true")
     d.set_defaults(fn=cmd_span)
 
@@ -312,7 +319,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, SpecFileError, TensorFileError) as exc:
+    except (UsageError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

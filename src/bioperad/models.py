@@ -1,8 +1,8 @@
 """Builtin operads: the catalog every other component computes against.
 
-Relations are written in the canonical textual tree grammar, so this module
-doubles as a usage example of the term language.  Leaf conventions: closed
-inputs c1..cn, open inputs o1..om.
+Each relation is one expression string read by ``trees.parse_term``, so
+this module doubles as a usage example of the term language.  Leaf
+conventions: closed inputs c1..cn, open inputs o1..om.
 
 Catalog (presentations):
   Com        commutative algebras, closed color only
@@ -38,22 +38,14 @@ from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                     sig, symmetric_act)
 
 
-def _relations(collection, specs):
-    out = []
-    for terms in specs:
-        rel = Element()
-        for coeff, text in terms:
-            rel = rel + parse_term(collection, text).scale(coeff)
-        out.append(rel)
-    return out
+def _relations(collection, texts):
+    return [parse_term(collection, text) for text in texts]
 
 
 @lru_cache(maxsize=None)
 def com_presentation():
     coll = Collection([generator("f2", sig(2, 0, CLOSED), 0, TRIVIAL)])
-    rels = _relations(coll, [
-        [(1, "f2(f2(c1,c2),c3)"), (-1, "f2(c1,f2(c2,c3))")],
-    ])
+    rels = _relations(coll, ["f2(f2(c1,c2),c3) - f2(c1,f2(c2,c3))"])
     return Presentation(coll, rels, "Com")
 
 
@@ -61,9 +53,7 @@ def com_presentation():
 def lie_presentation():
     coll = Collection([generator("l2", sig(2, 0, CLOSED), 0, SIGN)])
     rels = _relations(coll, [
-        [(1, "l2(l2(c1,c2),c3)"), (1, "l2(l2(c2,c3),c1)"),
-         (1, "l2(l2(c3,c1),c2)")],
-    ])
+        "l2(l2(c1,c2),c3) + l2(l2(c2,c3),c1) + l2(l2(c3,c1),c2)"])
     return Presentation(coll, rels, "Lie")
 
 
@@ -77,14 +67,14 @@ def _scvor_generators():
 
 _SCVOR_RELS = [
     # associativity of the commutative product
-    [(1, "f2(f2(c1,c2),c3)"), (-1, "f2(c1,f2(c2,c3))")],
+    "f2(f2(c1,c2),c3) - f2(c1,f2(c2,c3))",
     # associativity of the open product
-    [(1, "e02(e02(o1,o2),o3)"), (-1, "e02(o1,e02(o2,o3))")],
+    "e02(e02(o1,o2),o3) - e02(o1,e02(o2,o3))",
     # module rule: acting twice is acting by the product
-    [(1, "e11(c1,e11(c2,o1))"), (-1, "e11(f2(c1,c2),o1)")],
+    "e11(c1,e11(c2,o1)) - e11(f2(c1,c2),o1)",
     # the action slides across the open product, both ways
-    [(1, "e11(c1,e02(o1,o2))"), (-1, "e02(e11(c1,o1),o2)")],
-    [(1, "e11(c1,e02(o1,o2))"), (-1, "e02(o1,e11(c1,o2))")],
+    "e11(c1,e02(o1,o2)) - e02(e11(c1,o1),o2)",
+    "e11(c1,e02(o1,o2)) - e02(o1,e11(c1,o2))",
 ]
 
 
@@ -96,15 +86,13 @@ def h0scvor_presentation():
 
 _LP_RELS = [
     # Jacobi
-    [(1, "l2(l2(c1,c2),c3)"), (1, "l2(l2(c2,c3),c1)"), (1, "l2(l2(c3,c1),c2)")],
+    "l2(l2(c1,c2),c3) + l2(l2(c2,c3),c1) + l2(l2(c3,c1),c2)",
     # associativity
-    [(1, "n02(n02(o1,o2),o3)"), (-1, "n02(o1,n02(o2,o3))")],
+    "n02(n02(o1,o2),o3) - n02(o1,n02(o2,o3))",
     # derivation rule
-    [(1, "n11(c1,n02(o1,o2))"), (-1, "n02(n11(c1,o1),o2)"),
-     (-1, "n02(o1,n11(c1,o2))")],
+    "n11(c1,n02(o1,o2)) - n02(n11(c1,o1),o2) - n02(o1,n11(c1,o2))",
     # Lie morphism rule
-    [(1, "n11(l2(c1,c2),o1)"), (-1, "n11(c1,n11(c2,o1))"),
-     (1, "n11(c2,n11(c1,o1))")],
+    "n11(l2(c1,c2),o1) - n11(c1,n11(c2,o1)) + n11(c2,n11(c1,o1))",
 ]
 
 
@@ -131,10 +119,10 @@ def h0sc_presentation():
                       + [generator("al", sig(1, 0, OPEN), 0, NONE)])
     rels = _relations(coll, _SCVOR_RELS + [
         # quadratic-linear: the unary map composed with the product is the action
-        [(1, "e02(al(c1),o1)"), (-1, "e11(c1,o1)")],
-        [(1, "e02(o1,al(c1))"), (-1, "e11(c1,o1)")],
+        "e02(al(c1),o1) - e11(c1,o1)",
+        "e02(o1,al(c1)) - e11(c1,o1)",
         # quadratic: the unary map is multiplicative through the action
-        [(1, "e11(c1,al(c2))"), (-1, "al(f2(c1,c2))")],
+        "e11(c1,al(c2)) - al(f2(c1,c2))",
     ])
     return Presentation(coll, rels, "H0SC")
 
@@ -146,8 +134,7 @@ def qh0sc_presentation():
 
 # the whistle of a bracket is the commutator of the action with the whistle;
 # pinned against the quadratic-linear dual pipeline and dg consistency
-_EYE_REL = [(1, "n10(l2(c1,c2))"), (-1, "n11(c1,n10(c2))"),
-            (1, "n11(c2,n10(c1))")]
+_EYE_REL = "n10(l2(c1,c2)) - n11(c1,n10(c2)) + n11(c2,n10(c1))"
 
 
 @lru_cache(maxsize=None)
@@ -165,11 +152,10 @@ def lambda_c_oc_presentation():
         generator("nt10", sig(1, 0, OPEN), -1, NONE),
     ])
     rels = _relations(coll, [
-        [(1, "lt2(lt2(c1,c2),c3)"), (1, "lt2(lt2(c2,c3),c1)"),
-         (1, "lt2(lt2(c3,c1),c2)")],
-        [(1, "nt02(nt02(o1,o2),o3)"), (-1, "nt02(o1,nt02(o2,o3))")],
+        "lt2(lt2(c1,c2),c3) + lt2(lt2(c2,c3),c1) + lt2(lt2(c3,c1),c2)",
+        "nt02(nt02(o1,o2),o3) - nt02(o1,nt02(o2,o3))",
         # centrality of the degree -1 map
-        [(1, "nt02(nt10(c1),o1)"), (-1, "nt02(o1,nt10(c1))")],
+        "nt02(nt10(c1),o1) - nt02(o1,nt10(c1))",
     ])
     return Presentation(coll, rels, "LambdaC_OC")
 
@@ -264,8 +250,7 @@ def lpinf_dg(max_inputs=5):
 def h0sc_dual_n11_image(coll):
     """d(n11) = n02(n10(c1),o1) - n02(o1,n10(c1)), the homotopy-centrality
     differential of the dual of H0SC, in a collection with those names."""
-    return (parse_term(coll, "n02(n10(c1),o1)")
-            - parse_term(coll, "n02(o1,n10(c1))"))
+    return parse_term(coll, "n02(n10(c1),o1) - n02(o1,n10(c1))")
 
 
 @lru_cache(maxsize=None)

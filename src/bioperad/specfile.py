@@ -1,6 +1,11 @@
-"""Declarative operad files: parse and emit presentations.
+"""The two text file formats: operad files and tensor files.
 
-Line-oriented format, # comments, blank lines ignored:
+Both are line-oriented, one declaration per line, with # comments and blank
+lines ignored, and both write linear combinations in the one grammar of
+``trees.parse_combination``: ``[sign] term {sign term}``, a term being
+``[coeff '*'] atom`` with an integer or ``p/q`` coefficient.
+
+Operad files (``parse_spec`` / ``emit_spec``):
 
     operad NAME
     generator f2 : (c,c) -> c degree 0 symmetry trivial
@@ -8,23 +13,29 @@ Line-oriented format, # comments, blank lines ignored:
     relation f2(f2(c1,c2),c3) - f2(c1,f2(c2,c3))
     relation 1/2*e02(o1,o2) + e02(o2,o1)
 
-Tree terms use the canonical textual grammar of the tree layer; rationals
-are written p/q.  Emission rearranges children to each vertex's stored
-arrangement and folds the reparse sign into the printed coefficient, so
+A relation is read by ``trees.parse_term`` and written by ``repr`` of its
+Element, which rearranges children to each vertex's stored arrangement and
+folds the reparse sign into the printed coefficient, so
 parse(emit(P)) reproduces the presentation relation by relation.
+
+Tensor files (``parse_tensor_file``) hold the structure tensors of a graded
+pair; their atoms are symbol names.  Every error names its line; a column
+counts within the combination of that line.
 """
 
-from fractions import Fraction
-
+from .algebraside import GradedPair, HomotopyAlgebraData, _sort_wedge
 from .presentation import Presentation, check_relation
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
-                    Element, TermSyntaxError, generator, parse_term, sig,
-                    text_form_signed)
+                    TermSyntaxError, accumulate, generator, parse_combination,
+                    parse_term, sig)
 
 SYMMETRIES = (TRIVIAL, SIGN, REGULAR, NONE)
 
 
-class SpecFileError(ValueError):
+class FileFormatError(ValueError):
+    """A malformed input file, located by line and, within a combination,
+    by column."""
+
     def __init__(self, message, line=None, column=None):
         loc = ""
         if line is not None:
@@ -37,85 +48,26 @@ class SpecFileError(ValueError):
         self.column = column
 
 
-def parse_relation_expression(collection, text, line=None):
-    """Signed rational combination of tree terms."""
-    elem = Element.zero()
-    pos = 0
-    n = len(text)
-    sign = 1
-    expect_term = True
-    while True:
-        while pos < n and text[pos].isspace():
-            pos += 1
-        if pos >= n:
-            break
-        ch = text[pos]
-        if ch == "+":
-            if expect_term:
-                raise SpecFileError("unexpected '+'", line, pos + 1)
-            sign, expect_term = 1, True
-            pos += 1
-            continue
-        if ch == "-":
-            if expect_term:
-                sign = -sign
-            else:
-                sign, expect_term = -1, True
-            pos += 1
-            continue
-        if not expect_term:
-            raise SpecFileError("expected '+' or '-' between terms",
-                                line, pos + 1)
-        coeff = Fraction(sign)
-        if ch.isdigit():
-            start = pos
-            while pos < n and (text[pos].isdigit() or text[pos] == "/"):
-                pos += 1
-            try:
-                coeff *= Fraction(text[start:pos])
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SpecFileError(f"bad coefficient: {exc}", line,
-                                    start + 1)
-            while pos < n and text[pos].isspace():
-                pos += 1
-            if pos < n and text[pos] == "*":
-                pos += 1
-            else:
-                raise SpecFileError("expected '*' after a coefficient",
-                                    line, pos + 1)
-        # find the term: balanced parentheses
-        start = pos
-        depth = 0
-        while pos < n:
-            if text[pos] == "(":
-                depth += 1
-            elif text[pos] == ")":
-                depth -= 1
-                if depth == 0:
-                    pos += 1
-                    break
-                if depth < 0:
-                    raise SpecFileError("unbalanced ')'", line, pos + 1)
-            elif text[pos] in "+-" and depth == 0:
-                break
-            pos += 1
-        if depth > 0:
-            raise SpecFileError("unbalanced '(' in tree term", line,
-                                start + 1)
-        term_text = text[start:pos].strip()
-        if not term_text:
-            raise SpecFileError("empty term", line, start + 1)
-        try:
-            elem = elem + parse_term(collection, term_text).scale(coeff)
-        except TermSyntaxError as exc:
-            raise SpecFileError(str(exc), line, start + exc.pos + 1)
-        except (ValueError, KeyError) as exc:
-            raise SpecFileError(str(exc), line, start + 1)
-        sign = 1
-        expect_term = False
-    if expect_term and not elem.is_zero():
-        raise SpecFileError("dangling sign", line, pos)
-    return elem
+class SpecFileError(FileFormatError):
+    """A malformed operad file."""
+
+
+class TensorFileError(FileFormatError):
+    """A malformed tensor file."""
+
+
+def _declarations(text, error, kind):
+    """(line, head, rest) for each declaration of a file; raises error when
+    the file holds none."""
+    declared = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            declared = True
+            head, _, rest = line.partition(" ")
+            yield lineno, head, rest.strip()
+    if not declared:
+        raise error(f"empty {kind} file: no declaration")
 
 
 def parse_spec(text):
@@ -123,26 +75,18 @@ def parse_spec(text):
     name = "operad"
     generators = []
     relation_lines = []
-    declared = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        declared = True
-        head, _, rest = line.partition(" ")
+    for lineno, head, rest in _declarations(text, SpecFileError, "operad"):
         if head == "operad":
-            name = rest.strip() or name
+            name = rest or name
         elif head == "colors":
             if rest.split() != ["c", "o"]:
                 raise SpecFileError("colors must be 'c o'", lineno)
         elif head == "generator":
             generators.append((lineno, rest))
         elif head == "relation":
-            relation_lines.append((lineno, rest.strip()))
+            relation_lines.append((lineno, rest))
         else:
             raise SpecFileError(f"unknown declaration {head!r}", lineno)
-    if not declared:
-        raise SpecFileError("empty operad file: no declaration")
     spaces = []
     for lineno, rest in generators:
         try:
@@ -178,7 +122,10 @@ def parse_spec(text):
     collection = Collection(spaces)
     relations = []
     for lineno, rest in relation_lines:
-        elem = parse_relation_expression(collection, rest, lineno)
+        try:
+            elem = parse_term(collection, rest)
+        except TermSyntaxError as exc:
+            raise SpecFileError(exc.message, lineno, exc.pos + 1) from exc
         if elem.is_zero():
             continue
         try:
@@ -204,18 +151,90 @@ def emit_spec(presentation):
         colors = ",".join([CLOSED] * s.n_closed + [OPEN] * s.n_open)
         lines.append(f"generator {space.name} : ({colors}) -> {s.out} "
                      f"degree {deg} symmetry {sym}")
-    for rel in presentation.relations:
-        bits = []
-        for t, c in sorted(rel.terms.items(),
-                           key=lambda tc: text_form_signed(tc[0])[1]):
-            reparse_sign, txt = text_form_signed(t)
-            coeff = c * reparse_sign
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            body = txt if mag == 1 else f"{mag}*{txt}"
-            bits.append(f"{sign} {body}")
-        joined = " ".join(bits)
-        if joined.startswith("+ "):
-            joined = joined[2:]
-        lines.append(f"relation {joined}")
+    lines.extend(f"relation {rel!r}" for rel in presentation.relations)
     return "\n".join(lines) + "\n"
+
+
+def parse_tensor_file(text):
+    """Parse the structure-tensor text format into HomotopyAlgebraData.
+
+    Grammar (one declaration per line, # comments):
+        closed <name> <degree>
+        open <name> <degree>
+        l <n>: <name>,...,<name> -> <combination of closed names>
+        n <p> <q>: <names> | <names> -> <combination of open names>
+    A combination is ``[sign] term {sign term}`` with term
+    ``[coeff '*'] name``: a coefficient is an integer or a rational p/q, a
+    bare name means 1*name, and a lone ``0`` is the zero combination.
+    """
+    degrees = {"closed": {}, "open": {}}
+    entries = []
+    for lineno, head, rest in _declarations(text, TensorFileError, "tensor"):
+        if head in degrees:
+            try:
+                name, degree = rest.split()
+                degree = int(degree)
+            except ValueError:
+                raise TensorFileError(
+                    f"expected '{head} <name> <degree>' with an integer "
+                    "degree", lineno) from None
+            if any(name in names for names in degrees.values()):
+                raise TensorFileError(f"duplicate symbol name {name}", lineno)
+            degrees[head][name] = degree
+        elif head in ("l", "n"):
+            entries.append((lineno, head, rest))
+        else:
+            raise TensorFileError(f"unknown declaration {head!r}", lineno)
+    data = HomotopyAlgebraData(
+        GradedPair(degrees["closed"].items(), degrees["open"].items()), {}, {})
+    positions = {kind: {name: i for i, name in enumerate(names)}
+                 for kind, names in degrees.items()}
+    for lineno, head, rest in entries:
+        try:
+            _add_tensor_entry(data, positions, head, rest)
+        except TermSyntaxError as exc:
+            raise TensorFileError(exc.message, lineno, exc.pos + 1) from exc
+        except ValueError as exc:
+            raise TensorFileError(str(exc), lineno) from exc
+    return data
+
+
+def _position(positions, kind, name):
+    if name not in positions[kind]:
+        raise ValueError(f"unknown {kind} symbol {name!r}")
+    return positions[kind][name]
+
+
+def _add_tensor_entry(data, positions, head, rest):
+    """Add the entry of one l or n declaration to data's tensors, under the
+    sorted wedge key of its closed arguments."""
+    spec, _, value = rest.partition("->")
+    counts, _, args = spec.partition(":")
+    cargs, _, oargs = args.partition("|") if head == "n" else (args, "", "")
+    ckey, okey = (tuple(_position(positions, kind, a.strip())
+                        for a in names.split(",") if a.strip())
+                  for kind, names in (("closed", cargs), ("open", oargs)))
+    got = (len(ckey), len(okey)) if head == "n" else (len(ckey),)
+    if counts.split() != [str(k) for k in got]:
+        raise ValueError(f"arity '{head} {counts.strip()}' does not fit "
+                         f"{len(ckey)} closed and {len(okey)} open arguments")
+    sign, skey = _sort_wedge(ckey, data.cdeg)
+    if sign == 0:
+        raise ValueError(f"degenerate wedge key {cargs.strip()}")
+    out = "closed" if head == "l" else "open"
+
+    def symbol(text, p):
+        start = p
+        while p < len(text) and not text[p].isspace() and text[p] not in "+-*":
+            p += 1
+        return _position(positions, out, text[start:p]), p
+
+    img = accumulate({}, ((i, c) for c, i in
+                          parse_combination(value.strip(), symbol)))
+    data.check_degree(head == "l", skey, okey, img)
+    if head == "l":
+        table = data.l_tensors.setdefault(len(skey), {}).setdefault(skey, {})
+    else:
+        table = data.n_tensors.setdefault(
+            (len(skey), len(okey)), {}).setdefault((skey, okey), {})
+    accumulate(table, img.items(), sign)

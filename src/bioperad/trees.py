@@ -467,11 +467,16 @@ class Element:
         return sorted({tree_weight(t) for t in self.terms})
 
     def __repr__(self):
+        """The text that parse_term reads back as this element: terms
+        sorted by text, the reparse sign folded into each coefficient."""
         if not self.terms:
             return "0"
         bits = []
         for t, c in sorted(self.terms.items(), key=lambda tc: text_form(tc[0])):
-            bits.append(f"{'+' if c > 0 else '-'} {abs(c)}*{text_form(t)}")
+            sign, txt = text_form_signed(t)
+            c *= sign
+            bits.append(f"{'-' if c < 0 else '+'} "
+                        f"{txt if abs(c) == 1 else f'{abs(c)}*{txt}'}")
         s = " ".join(bits)
         return s[2:] if s.startswith("+ ") else s
 
@@ -866,67 +871,112 @@ def text_form_signed(t):
 
 
 class TermSyntaxError(ValueError):
+    """A malformed term; ``message`` is the bare text, ``pos`` the 0-based
+    offset in the parsed string."""
+
     def __init__(self, message, pos):
         super().__init__(f"{message} at column {pos + 1}")
+        self.message = message
         self.pos = pos
 
 
-def parse_term(collection, text):
-    """Parse the canonical textual form of a tree; returns an Element.
+def _skip_ws(text, p):
+    while p < len(text) and text[p].isspace():
+        p += 1
+    return p
 
-    Grammar: term := name '(' term {',' term} ')' | leaf ; leaf := c<k> | o<k>.
-    Children may appear in any planar order; the result is the canonical
-    tree with the sign and decoration induced by re-sorting.
+
+def parse_combination(text, atom):
+    """The (coefficient, value) pairs of a signed rational combination.
+
+    Grammar: combination := [sign] term {sign term} | '0' ;
+    term := [coeff '*'] atom ; coeff := digits ['/' digits] ;
+    sign := '+' | '-', one per term.  A lone ``0`` is the empty
+    combination.  ``atom(text, pos)`` reads one atom starting at pos and
+    returns (value, end).  Errors are TermSyntaxErrors at a column of text;
+    a ValueError raised by atom becomes one at the atom's start.
     """
-    pos = 0
+    if text.strip() == "0":
+        return []
+    pairs = []
+    pos = _skip_ws(text, 0)
+    while not pairs or pos < len(text):
+        coeff = 1
+        if pos < len(text) and text[pos] in "+-":
+            coeff = -1 if text[pos] == "-" else 1
+            pos = _skip_ws(text, pos + 1)
+        elif pairs:
+            raise TermSyntaxError("expected '+' or '-' between terms", pos)
+        if pos < len(text) and text[pos].isdigit():
+            start = pos
+            while pos < len(text) and text[pos] in "0123456789/":
+                pos += 1
+            try:
+                coeff = _exact(coeff * Fraction(text[start:pos]))
+            except (ValueError, ZeroDivisionError):
+                raise TermSyntaxError(
+                    f"bad coefficient {text[start:pos]!r}", start) from None
+            pos = _skip_ws(text, pos)
+            if pos >= len(text) or text[pos] != "*":
+                raise TermSyntaxError("expected '*' after a coefficient", pos)
+            pos = _skip_ws(text, pos + 1)
+        if pos >= len(text) or text[pos] in "+-":
+            raise TermSyntaxError("expected a term", pos)
+        start = pos
+        try:
+            value, pos = atom(text, pos)
+        except TermSyntaxError:
+            raise
+        except ValueError as exc:
+            raise TermSyntaxError(str(exc), start) from exc
+        pairs.append((coeff, value))
+        pos = _skip_ws(text, pos)
+    return pairs
 
-    def skip_ws(p):
-        while p < len(text) and text[p].isspace():
-            p += 1
-        return p
 
-    def parse_at(p):
-        p = skip_ws(p)
+def parse_term(collection, text):
+    """Parse a signed rational combination of trees; returns an Element.
+
+    Grammar: the combination of parse_combination whose atoms are trees,
+    tree := name '(' tree {',' tree} ')' | leaf ; leaf := c<k> | o<k>.
+    Children may appear in any planar order; each tree is the canonical
+    tree with the sign and decoration induced by re-sorting.  This is the
+    grammar ``repr`` of an Element prints.
+    """
+
+    def tree(text, p):
         start = p
         while p < len(text) and (text[p].isalnum() or text[p] == "_"):
             p += 1
         name = text[start:p]
         if not name:
             raise TermSyntaxError("expected a generator or leaf name", start)
-        p = skip_ws(p)
+        p = _skip_ws(text, p)
         if p < len(text) and text[p] == "(":
             if name not in collection:
                 raise TermSyntaxError(f"unknown generator {name!r}", start)
-            space = collection[name]
-            children = []
-            p += 1
-            while True:
-                elem, p = parse_at(p)
+            space, children = collection[name], []
+            while text[p] != ")":  # at the '(' or a ','
+                elem, p = tree(text, _skip_ws(text, p + 1))
                 children.append(elem)
-                p = skip_ws(p)
+                p = _skip_ws(text, p)
                 if p >= len(text):
                     raise TermSyntaxError("unbalanced parenthesis", start)
-                if text[p] == ",":
-                    p += 1
-                    continue
-                if text[p] == ")":
-                    p += 1
-                    break
-                raise TermSyntaxError("expected ',' or ')'", p)
+                if text[p] not in ",)":
+                    raise TermSyntaxError("expected ',' or ')'", p)
             acc = {}
             for combo, coeff in _expand([e.terms for e in children]):
                 accumulate(acc, make_node(space, 0, combo).terms.items(),
                            coeff)
-            return Element.of(acc), p
+            return Element.of(acc), p + 1
         if name[0] in COLORS and name[1:].isdigit():
             return tree_element(Leaf(name[0], int(name[1:]))), p
         raise TermSyntaxError(f"unknown leaf or generator {name!r}", start)
 
-    elem, pos = parse_at(pos)
-    pos = skip_ws(pos)
-    if pos != len(text):
-        raise TermSyntaxError("trailing input after term", pos)
-    return elem
+    acc = {}
+    for coeff, elem in parse_combination(text, tree):
+        accumulate(acc, elem.terms.items(), coeff)
+    return Element.of(acc)
 
 
 def _text_form(t):

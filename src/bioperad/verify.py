@@ -33,7 +33,7 @@ from .models import (LawFailure, alpha_distributive_law,
                      whistle_distributive_law)
 from .presentation import (Presentation, ambient_basis, project_q,
                            quotient_dims, relation_span, signatures_within)
-from .trees import CLOSED, OPEN, Element, parse_term, sig
+from .trees import CLOSED, OPEN, parse_term, sig
 
 DEFAULT_BOUNDS = {"dims": 5, "d2": 5, "homology": 4, "laws": 4}
 
@@ -113,13 +113,11 @@ def check_ql_and_projection(bounds):
     bad = _ql_dual_mismatches(data)
     q = project_q(h)
     coll = h.collection
-    stated = list(h0scvor_presentation().relations)
-    stated = [_relabel_into(coll, r) for r in stated]
-    stated += [
-        parse_term(coll, "e02(al(c1),o1)"),
-        parse_term(coll, "e02(o1,al(c1))"),
-        parse_term(coll, "e11(c1,al(c2))") - parse_term(coll, "al(f2(c1,c2))"),
-    ]
+    # H0SCvor's relations, read into H0SC's collection, and qR's three more
+    stated = [parse_term(coll, repr(r))
+              for r in h0scvor_presentation().relations]
+    stated += [parse_term(coll, text) for text in (
+        "e02(al(c1),o1)", "e02(o1,al(c1))", "e11(c1,al(c2)) - al(f2(c1,c2))")]
     alt = Presentation(coll, stated, "stated-qR")
     for s in weight2_signatures(coll):
         if relation_span(q, s, 2) != relation_span(alt, s, 2):
@@ -143,18 +141,6 @@ def _ql_dual_mismatches(data):
         if relation_span(dual, s, 2) != relation_span(stated, s, 2):
             bad.append(("dual relations", str(s)))
     return bad
-
-
-def _relabel_into(collection, relation):
-    from .trees import Leaf, Node
-
-    def conv(t):
-        if isinstance(t, Leaf):
-            return t
-        return Node(collection[t.space.name], t.dec,
-                    tuple(conv(c) for c in t.children))
-
-    return Element({conv(t): c for t, c in relation.terms.items()})
 
 
 def check_d_squared(bounds):

@@ -5,11 +5,11 @@ import pytest
 
 from bioperad.algebraside import (CofreePair, FreeAlgebra, GradedPair,
                                   HomotopyAlgebraData, LeibnizPairData,
-                                  TensorFileError, ce_complex,
-                                  ce_hochschild_homology,
+                                  ce_complex, ce_hochschild_homology,
                                   check_coderivation_laws, lift_phi, lift_psi,
-                                  parse_tensor_file, shlp_ocha_check,
-                                  strict_pair_tensors, _lyndon_words)
+                                  shlp_ocha_check, strict_pair_tensors,
+                                  _lyndon_words)
+from bioperad.specfile import TensorFileError, parse_tensor_file
 from bioperad.verify import _random_homotopy_data
 
 

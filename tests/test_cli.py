@@ -150,6 +150,7 @@ def test_main_callable_directly():
     ["verify-paper", "--dims-bound", "0"],
     ["verify-paper", "--d2-bound", "-3"],
     ["verify-paper", "--homology-bound", "two"],
+    ["span", "LP", "--sig", "2,1,o", "--weight", "0"],
 ])
 def test_nonpositive_bound_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -178,6 +179,8 @@ def test_empty_input_files_rejected(tmp_path, capsys):
     ["span", "LP", "--sig", "2,x,o"],
     ["span", "LP", "--sig", "2,1,z"],
     ["span", "LP", "--sig", "1,-1,o"],
+    ["span", "LP", "--sig", "0,0,c"],
+    ["dual", "H0SC"],
     ["shlp-check", "no-such-file"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
@@ -229,3 +232,12 @@ def test_malformed_tensor_file_exit_code_from_process(tmp_path):
     code, _, err = run_cli(["shlp-check", str(f)])
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bad_tensor_coefficient_exit_code_from_process(tmp_path):
+    f = tmp_path / "zero-denominator.tensors"
+    f.write_text("open a 0\nn 0 2: | a,a -> 1/0*a\n")
+    code, _, err = run_cli(["shlp-check", str(f)])
+    assert code == 2
+    assert err.startswith("error: bad coefficient") and "(line 2" in err
+    assert "Traceback" not in err

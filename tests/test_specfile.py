@@ -4,8 +4,8 @@ from bioperad.models import (PRESENTATION_BUILDERS, h0sc_dual_presentation,
                              h0sc_presentation, lp_presentation)
 from bioperad.presentation import Presentation, relation_span
 from bioperad.duality import weight2_signatures
-from bioperad.specfile import (SpecFileError, emit_spec, parse_spec,
-                               parse_relation_expression)
+from bioperad.specfile import (SpecFileError, TensorFileError, emit_spec,
+                               parse_spec, parse_tensor_file)
 from bioperad.trees import Collection, parse_term, sig, OPEN, CLOSED
 
 
@@ -80,8 +80,7 @@ def test_parse_error_bad_symmetry():
 
 def test_relation_expression_signs():
     lp = lp_presentation()
-    e = parse_relation_expression(lp.collection,
-                                  "- n02(o1,o2) + 2*n02(o2,o1)")
+    e = parse_term(lp.collection, "- n02(o1,o2) + 2*n02(o2,o1)")
     assert len(e) == 2
     vals = sorted(e.terms.values())
     assert vals == [-1, 2]
@@ -99,3 +98,33 @@ def test_trivial_operad_roundtrip():
     back = parse_spec(text)
     assert back.name == "I"
     assert not list(back.collection) and not back.relations
+
+
+def test_relation_after_a_lone_sign_is_refused():
+    with pytest.raises(SpecFileError, match="line 3"):
+        parse_spec("operad x\ngenerator m : (o,o) -> o degree 0 symmetry "
+                   "regular\nrelation -")
+
+
+def test_tensor_combination_with_signs():
+    data = parse_tensor_file("open a 0\nopen b 0\nn 0 2: | a,a -> a - 3*b")
+    assert data.n_tensors[(0, 2)][((), (0, 0))] == {0: 1, 1: -3}
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1/0*a", "bad coefficient"),
+    ("a -", "expected a term"),
+    ("- - a", "expected a term"),
+    ("1.5*a", "expected '*'"),
+    ("a + c", "unknown open symbol 'c'"),
+])
+def test_malformed_tensor_combination_names_its_line(value, message):
+    with pytest.raises(TensorFileError, match=message) as err:
+        parse_tensor_file(f"open a 0\n\nn 0 2: | a,a -> {value}\n")
+    assert err.value.line == 3 and "(line 3" in str(err.value)
+
+
+def test_unknown_tensor_argument_names_its_line():
+    with pytest.raises(TensorFileError) as err:
+        parse_tensor_file("closed x 0\nl 2: x,z -> x")
+    assert str(err.value) == "unknown closed symbol 'z' (line 2)"

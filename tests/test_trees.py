@@ -462,6 +462,29 @@ def test_parse_of_signed_text_returns_the_same_node(data):
     assert u is t and c == sign and type(c) is int
 
 
+@_PROPERTY
+@given(st.data())
+def test_repr_reads_back(data):
+    # repr prints what parse_term reads: terms sorted by text, the reparse
+    # sign of crossing odd-degree children folded into the coefficient
+    coll = _collection(data.draw(st.sampled_from(_COLLECTION_NAMES)))
+    t = _draw_tree(data.draw, coll, 4)
+    same = [u for u in ambient_basis(coll, tree_signature(t)).trees
+            if tree_degree(u) == tree_degree(t)]
+    coeff = st.one_of(st.integers(-3, 3),
+                      st.fractions(-2, 2, max_denominator=3)).filter(bool)
+    e = Element(data.draw(st.dictionaries(st.sampled_from(same), coeff,
+                                          min_size=1, max_size=4)))
+    assert parse_term(coll, repr(e)) == e
+
+
+def test_zero_reads_back():
+    coll = _collection("LP")
+    assert repr(Element()) == "0"
+    assert parse_term(coll, "0").is_zero()
+    assert parse_term(coll, "n02(o1,o2) - n02(o1,o2)").is_zero()
+
+
 def _blocks_ascend(u):
     """u's children ascend by min_leaf_key within each color block."""
     keys = [min_leaf_key(c) for c in u.children]
