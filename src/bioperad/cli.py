@@ -14,8 +14,7 @@ import sys
 from .algebraside import shlp_ocha_check
 from .dgcalc import homology_dims, verify_d_squared
 from .duality import quadratic_dual
-from .models import (PRESENTATION_BUILDERS, builtin_presentation,
-                     h0sc_dual_dg, lpinf_dg, ocinf_dg)
+from .models import PRESENTATION_BUILDERS, h0sc_dual_dg, lpinf_dg, ocinf_dg
 from .presentation import (check_ql_conditions, quotient_dims, relation_span,
                            signatures_within)
 from .specfile import (FileFormatError, emit_spec, parse_spec,
@@ -51,7 +50,7 @@ def _load_presentation(source):
         with open(source, encoding="utf-8") as f:
             return parse_spec(f.read())
     if source in PRESENTATION_BUILDERS:
-        return builtin_presentation(source)
+        return PRESENTATION_BUILDERS[source]()
     known = ", ".join(sorted(PRESENTATION_BUILDERS))
     raise UsageError(f"unknown model or missing file {source!r}; "
                      f"builtin models: {known}")
@@ -122,8 +121,6 @@ def _load_dg(name, inputs):
     if name not in DG_MODELS:
         known = ", ".join(sorted(DG_MODELS))
         raise UsageError(f"unknown dg model {name!r}; known: {known}")
-    if name == "H0SCdual":
-        inputs = min(inputs, 4)
     return DG_MODELS[name](inputs)
 
 

@@ -63,32 +63,30 @@ class Derivation:
         return Element.of(acc)
 
 
-def extend_derivation(collection, genmap):
-    """Check the genmap contract and wrap it as a Derivation."""
-    for space in collection:
-        for dec in range(space.dim):
-            img = genmap(space, dec)
-            if img.is_zero():
-                continue
-            if img.signature() != space.signature:
-                raise ValueError(f"genmap changes the signature of {space.name}")
-            if img.degree() != space.degrees[dec] - 1:
-                raise ValueError(f"genmap must lower degree by 1 on {space.name}")
-    return Derivation(collection, genmap)
-
-
 class DgTruncation:
     """A free or quotient operad truncation with a differential.
 
-    For quotient truncations the derivative of a class is the reduced
-    derivative of its representative; ``ideal_respected`` certifies that this
-    is well defined.
+    The differential is the derivation extended from ``genmap``, which sends
+    each vertex-space basis element to an Element of the same signature one
+    degree lower; the contract is checked here.  For quotient truncations
+    the derivative of a class is the reduced derivative of its
+    representative; ``ideal_respected`` certifies that this is well defined.
     """
 
-    def __init__(self, collection, derivation, max_inputs, trunc=None,
-                 name=""):
+    def __init__(self, collection, genmap, max_inputs, trunc=None, name=""):
+        for space in collection:
+            for dec in range(space.dim):
+                img = genmap(space, dec)
+                if img.is_zero():
+                    continue
+                if img.signature() != space.signature:
+                    raise ValueError(
+                        f"genmap changes the signature of {space.name}")
+                if img.degree() != space.degrees[dec] - 1:
+                    raise ValueError(
+                        f"genmap must lower degree by 1 on {space.name}")
         self.collection = collection
-        self.derivation = derivation
+        self.derivation = Derivation(collection, genmap)
         self.max_inputs = max_inputs
         self.trunc = trunc
         self.name = name

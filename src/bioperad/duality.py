@@ -24,15 +24,16 @@ cobar_genmap.
 
 from fractions import Fraction
 
-from .linalg import solve
+from .dgcalc import DgTruncation
+from .linalg import Echelon, solve
 from .presentation import (Presentation, adjacent_transpositions,
-                           check_ql_conditions, group_elements, project_q,
-                           relation_span, signatures_within, truncation)
+                           ambient_basis, check_ql_conditions, project_q,
+                           relation_span, signatures_within, spin,
+                           truncation)
 from .signs import perm_sign
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                     Element, Leaf, Node, Signature, VertexSpace,
-                    enumerate_basis, generator, graft, symmetric_act,
-                    tree_weight)
+                    enumerate_basis, generator, graft, symmetric_act)
 
 _SYM_DUAL = {TRIVIAL: SIGN, SIGN: TRIVIAL, REGULAR: REGULAR, NONE: NONE}
 
@@ -174,14 +175,11 @@ def quadratic_dual(presentation, rename=None, name=None):
 
 
 class QLKoszulData:
-    """phi: qR -> E extracted from the inhomogeneous relations, and the
-    derivative it induces on the generators of the quadratic dual."""
+    """The quadratic dual of qP and the derivative that phi: qR -> E
+    induces on its generators."""
 
-    def __init__(self, presentation, dual_presentation, phi_pairs,
-                 dual_genmap):
-        self.presentation = presentation
+    def __init__(self, dual_presentation, dual_genmap):
         self.dual_presentation = dual_presentation
-        self.phi_pairs = phi_pairs      # [(weight-2 Element, weight-1 Element)]
         self.dual_genmap = dual_genmap  # dual space name -> {dec: Element}
 
 
@@ -198,11 +196,14 @@ def ql_koszul_data(presentation, rename=None, name=None):
 
     The quadratic dual of qP is computed first; each dual generator then
     receives a derivative solved from  <delta(g'), rho> = <g', phi(rho)>
-    over the quadratic relation span at the generator's signature, with the
-    slot weight (-1)^(i-1) on trees whose unary inner vertex sits at linear
-    slot i.  The sign convention is pinned by the homotopy-centrality
-    differential of the dual of the unital swiss-cheese presentation and by
-    delta squaring to zero; both are exercised by the test suite.
+    for rho over the rows of R, the relations at the generator's signature
+    spun under S_n x S_m as in check_ql_conditions: the weight-2 part of rho
+    goes through the pairing, with the slot weight (-1)^(i-1) on trees
+    whose unary inner vertex sits at linear slot i, and phi(rho) is minus
+    its weight-1 part.  The sign convention is pinned by the
+    homotopy-centrality differential of the dual of the unital swiss-cheese
+    presentation and by delta squaring to zero; both are exercised by the
+    test suite.
     """
     report = check_ql_conditions(presentation)
     if not (report["ql1"] and report["ql2"]):
@@ -212,49 +213,44 @@ def ql_koszul_data(presentation, rename=None, name=None):
     dual = quadratic_dual(qP, rename=rename, name=name or f"{P.name}!")
     E, Ed = P.collection, dual.collection
 
-    phi_pairs = []
-    for r in P.relations:
-        for g in group_elements(r.signature()):
-            rt = symmetric_act(g, r)
-            q2 = Element({t: c for t, c in rt.terms.items()
-                          if tree_weight(t) == 2})
-            r1 = Element({t: c for t, c in rt.terms.items()
-                          if tree_weight(t) == 1})
-            if not q2.is_zero():
-                phi_pairs.append((q2, r1))
-
     genmap = {}
     for s, sd in zip(E.spaces, Ed.spaces):
         sig_ = s.signature
-        pairs = [(q2, r1) for q2, r1 in phi_pairs if q2.signature() == sig_]
+        rels = [r for r in P.relations if r.signature() == sig_]
+        if not rels:
+            continue
+        ab = ambient_basis(E, sig_)
+        span = Echelon()
+        spin(ab, rels, span)
+        pairing, prim, dual_basis = pairing_matrix(E, Ed, sig_)
+        prim_index = {t: i for i, t in enumerate(prim)}
+        # equations: sum_j x_j <dual_j, rho> = <g', phi(rho)>
+        rows, phis = [], []
+        for vec in span.rows.values():
+            row = [Fraction(0)] * len(dual_basis)
+            phi = {}
+            for c, x in vec.items():
+                if ab.weights[c] == 2:
+                    j, v = pairing[prim_index[ab.trees[c]]]
+                    row[j] += x * v
+                else:
+                    phi[ab.trees[c]] = -x
+            rows.append(row)
+            phis.append(Element(phi))
         images = {}
-        if pairs:
-            pairing, prim, dual_basis = pairing_matrix(E, Ed, sig_)
-            prim_index = {t: i for i, t in enumerate(prim)}
-            # equations: sum_j x_j <dual_j, rho> = <g', phi(rho)>
-            rows = []
-            for q2, _ in pairs:
-                row = [Fraction(0)] * len(dual_basis)
-                for t, c in q2.terms.items():
-                    j, v = pairing[prim_index[t]]
-                    row[j] += c * v
-                rows.append(row)
-            for dec in range(sd.dim):
-                rhs = [_gen_pairing(sd, dec, r1.scale(-1), E)
-                       for _, r1 in pairs]
-                sol = solve(rows, rhs)
-                if sol is None:
-                    raise ValueError("inconsistent phi system")
-                img = Element({dual_basis[j]: c
-                               for j, c in enumerate(sol) if c})
-                if not img.is_zero():
-                    images[dec] = img
+        for dec in range(sd.dim):
+            sol = solve(rows, [_gen_pairing(sd, dec, phi) for phi in phis])
+            if sol is None:
+                raise ValueError("inconsistent phi system")
+            img = Element({dual_basis[j]: c for j, c in enumerate(sol) if c})
+            if not img.is_zero():
+                images[dec] = img
         if images:
             genmap[sd.name] = images
-    return QLKoszulData(P, dual, phi_pairs, genmap)
+    return QLKoszulData(dual, genmap)
 
 
-def _gen_pairing(dual_space, dec, elem, primal_collection):
+def _gen_pairing(dual_space, dec, elem):
     """Pairing of the dual generator basis element against a weight-1
     Element: diagonal on decorations with the label-word sgn twist."""
     total = Fraction(0)
@@ -272,44 +268,32 @@ def _gen_pairing(dual_space, dec, elem, primal_collection):
 # Cobar construction on the dual of a degree-0 quotient truncation
 
 
-class CobarCollection:
-    """Vertex spaces of the cobar of (Lambda P)^*, P a degree-0 quotient."""
-
-    def __init__(self, trunc, max_inputs, tag=""):
-        self.trunc = trunc
-        self.max_inputs = max_inputs
-        spaces = []
-        self.sig_of_space = {}
-        for sig_ in signatures_within(max_inputs):
-            dim = trunc.dim(sig_)
-            if dim == 0:
-                continue
-            ab = trunc.ambient(sig_)
-            for i in trunc.basis(sig_):
-                if ab.degrees[i] != 0:
-                    raise ValueError("cobar input must be a degree-0 operad")
-            k = sig_.total
-            degrees = [k - 2] * dim
-            swaps = [self._dual_swap(trunc, sig_, pair)
-                     for pair in adjacent_transpositions(sig_)]
-            closed_swaps = swaps[:max(sig_.n_closed - 1, 0)]
-            open_swaps = swaps[len(closed_swaps):]
-            name = f"{tag}g{sig_.n_closed}_{sig_.n_open}{sig_.out}"
-            sp = VertexSpace(name, sig_, degrees, closed_swaps, open_swaps,
-                             labels=[f"{name}[{i}]" for i in range(dim)])
-            spaces.append(sp)
-            self.sig_of_space[sp.name] = sig_
-        self.collection = Collection(spaces)
-
-    @staticmethod
-    def _dual_swap(trunc, sig_, pair):
+def _cobar_collection(trunc, max_inputs, tag):
+    """Vertex spaces of the cobar of (Lambda P)^*, P a degree-0 quotient:
+    one space per signature, one basis element per quotient class."""
+    spaces = []
+    for sig_ in signatures_within(max_inputs):
         dim = trunc.dim(sig_)
-        cols = [[] for _ in range(dim)]
-        for b in range(dim):
-            for b2, coeff in trunc.act(pair, sig_, b).items():
-                # dual right action of an involution: transpose, sgn-twisted
-                cols[b2].append((b, -coeff))
-        return tuple(tuple(col) for col in cols)
+        if dim == 0:
+            continue
+        ab = trunc.ambient(sig_)
+        for i in trunc.basis(sig_):
+            if ab.degrees[i] != 0:
+                raise ValueError("cobar input must be a degree-0 operad")
+        swaps = []
+        for pair in adjacent_transpositions(sig_):
+            # dual right action of an involution: transpose, sgn-twisted
+            cols = [[] for _ in range(dim)]
+            for b in range(dim):
+                for b2, coeff in trunc.act(pair, sig_, b).items():
+                    cols[b2].append((b, -coeff))
+            swaps.append(cols)
+        n_closed_swaps = max(sig_.n_closed - 1, 0)
+        spaces.append(VertexSpace(
+            f"{tag}g{sig_.n_closed}_{sig_.n_open}{sig_.out}", sig_,
+            [sig_.total - 2] * dim, swaps[:n_closed_swaps],
+            swaps[n_closed_swaps:]))
+    return Collection(spaces)
 
 
 def cobar_genmap(collection, coefficient):
@@ -350,11 +334,12 @@ def cobar_genmap(collection, coefficient):
 
 
 def cobar_truncate(presentation, max_inputs, tag=""):
-    """Free operad on the desuspended dual of the quotient, with the
-    differential induced by dualized composition.  Returns (collection,
-    genmap) for the derivation machinery."""
+    """The cobar of the dual of a degree-0 quotient, as a DgTruncation
+    named cobar-<name>: the free operad on the desuspended dual of the
+    quotient up to max_inputs inputs, with the differential induced by
+    dualized composition.  Space names start with tag."""
     trunc = truncation(presentation, max_inputs)
-    coll = CobarCollection(trunc, max_inputs, tag=tag).collection
+    coll = _cobar_collection(trunc, max_inputs, tag)
     reduced = {}
 
     def coefficient(space, dec, tau, i):
@@ -373,4 +358,5 @@ def cobar_truncate(presentation, max_inputs, tag=""):
             hit = reduced[tau] = trunc.reduce(composite)
         return hit.get(dec, 0)
 
-    return coll, cobar_genmap(coll, coefficient)
+    return DgTruncation(coll, cobar_genmap(coll, coefficient), max_inputs,
+                        name=f"cobar-{presentation.name}")

@@ -215,7 +215,8 @@ class Echelon:
         and fixing the sign once, when the residue is stored, gives the same
         primitive row with a positive pivot as reducing after every step.
         """
-        assert not self._final, "cannot add after finalize"
+        if self._final:
+            raise RuntimeError("Echelon.add after finalize")
         v = _clear_denominators(vec.items() if isinstance(vec, dict) else vec)
         rows = self.rows
         while v:
@@ -283,7 +284,8 @@ class Echelon:
 
         Requires finalize().  vec and result are dicts col -> Fraction.
         """
-        assert self._final, "finalize before reduce"
+        if not self._final:
+            raise RuntimeError("Echelon.reduce before finalize")
         v = {c: Fraction(x) for c, x in
              (vec.items() if isinstance(vec, dict) else vec) if x != 0}
         for p in sorted(set(v) & set(self.rows)):

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .dgcalc import DgTruncation, extend_derivation
+from .dgcalc import DgTruncation
 from .duality import _arrangement_sign, cobar_genmap
 from .linalg import solve
 from .presentation import (Presentation, project_q, quotient_dims,
@@ -190,15 +190,10 @@ def _sh_generators(max_inputs, include_p0):
         gens.append(generator(f"l{n}", sig(n, 0, CLOSED), n - 2, SIGN))
     for p in range(0, max_inputs + 1):
         for q in range(0, max_inputs + 1 - p):
-            if p + q > max_inputs or p + q < 1:
-                continue
-            if q == 0:
-                if not include_p0 or p < 1:
-                    continue
-            elif p + q < 2:
-                continue
-            gens.append(generator(f"n{p}{q}", sig(p, q, OPEN), p + q - 2,
-                                  SIGN))
+            # n_p0 (p >= 1) only with include_p0; n_01 would be the identity
+            if (q == 0 and include_p0 and p >= 1) or (q > 0 and p + q >= 2):
+                gens.append(generator(f"n{p}{q}", sig(p, q, OPEN), p + q - 2,
+                                      SIGN))
     return gens
 
 
@@ -235,16 +230,16 @@ def _expansion_genmap(coll):
 def ocinf_dg(max_inputs=5):
     """The open-closed strong homotopy operad, truncated."""
     coll = Collection(_sh_generators(max_inputs, include_p0=True))
-    deriv = extend_derivation(coll, _expansion_genmap(coll))
-    return DgTruncation(coll, deriv, max_inputs, name="OCinf")
+    return DgTruncation(coll, _expansion_genmap(coll), max_inputs,
+                        name="OCinf")
 
 
 @lru_cache(maxsize=None)
 def lpinf_dg(max_inputs=5):
     """The strong homotopy Leibniz-pair operad, truncated."""
     coll = Collection(_sh_generators(max_inputs, include_p0=False))
-    deriv = extend_derivation(coll, _expansion_genmap(coll))
-    return DgTruncation(coll, deriv, max_inputs, name="LPinf")
+    return DgTruncation(coll, _expansion_genmap(coll), max_inputs,
+                        name="LPinf")
 
 
 def h0sc_dual_n11_image(coll):
@@ -265,8 +260,7 @@ def h0sc_dual_dg(max_inputs=4):
             return image
         return Element.zero()
 
-    deriv = extend_derivation(coll, genmap)
-    return DgTruncation(coll, deriv, max_inputs,
+    return DgTruncation(coll, genmap, max_inputs,
                         trunc=truncation(pres, max_inputs), name="H0SCdual")
 
 
@@ -366,14 +360,6 @@ PRESENTATION_BUILDERS = {
     "Palpha": palpha_presentation,
     "F_n10": f_n10_presentation,
 }
-
-
-def builtin_presentation(name):
-    builder = PRESENTATION_BUILDERS.get(name)
-    if builder is None:
-        known = ", ".join(sorted(PRESENTATION_BUILDERS))
-        raise KeyError(f"unknown model {name!r}; presentations: {known}")
-    return builder()
 
 
 # ---------------------------------------------------------------------------

@@ -97,9 +97,9 @@ def signatures_within(max_inputs):
 class AmbientBasis:
     """Ordered basis of the full free-operad component at one signature."""
 
-    def __init__(self, collection, signature, weight_cap=None):
+    def __init__(self, collection, signature):
         self.signature = signature
-        self.trees = component_basis(collection, signature, weight_cap)
+        self.trees = component_basis(collection, signature)
         self.index = {t: i for i, t in enumerate(self.trees)}
         self.weights = [tree_weight(t) for t in self.trees]
         self.degrees = [tree_degree(t) for t in self.trees]
@@ -151,12 +151,11 @@ class AmbientBasis:
         return Element({self.trees[i]: c for i, c in vec.items()})
 
 
-def ambient_basis(collection, signature, weight_cap=None):
-    key = (signature, weight_cap)
-    hit = collection.ambients.get(key)
+def ambient_basis(collection, signature):
+    hit = collection.ambients.get(signature)
     if hit is None:
-        hit = AmbientBasis(collection, signature, weight_cap)
-        collection.ambients[key] = hit
+        hit = AmbientBasis(collection, signature)
+        collection.ambients[signature] = hit
     return hit
 
 
@@ -321,31 +320,14 @@ def relation_span(presentation, signature, weight):
     return Subspace(len(cols), rows)
 
 
-def quotient_dims(presentation, max_inputs):
-    """dict (signature, degree) -> dimension of the quotient operad."""
-    spans = ideal_spans(presentation, max_inputs)
-    out = {}
-    for sig_ in signatures_within(max_inputs):
-        ab = ambient_basis(presentation.collection, sig_)
-        if ab.dim == 0:
-            continue
-        ech = spans.span(sig_)
-        pivots = ech.pivots
-        for i, t in enumerate(ab.trees):
-            if i in pivots:
-                continue
-            key = (sig_, ab.degrees[i])
-            out[key] = out.get(key, 0) + 1
-    return out
-
-
 class Truncation:
     """A quotient operad truncated to signatures with <= max_inputs inputs.
 
     Per signature: ambient tree basis, finalized ideal echelon, and the coset
-    basis given by non-pivot ambient trees.  Elements reduce to canonical
-    residues; classes compose as the reduced graft of their representatives
-    (``class_of``).
+    basis given by non-pivot ambient trees; ``basis`` is the one place that
+    decides which ambient trees represent classes.  Elements reduce to
+    canonical residues; classes compose as the reduced graft of their
+    representatives (``class_of``).
     """
 
     def __init__(self, presentation, max_inputs):
@@ -413,6 +395,14 @@ def truncation(presentation, max_inputs):
         hit = Truncation(presentation, max_inputs)
         presentation.truncations[max_inputs] = hit
     return hit
+
+
+def quotient_dims(presentation, max_inputs):
+    """dict (signature, degree) -> dimension of the quotient operad, read
+    off the coset basis of its truncation."""
+    trunc = truncation(presentation, max_inputs)
+    return {(sig_, d): dim for sig_ in signatures_within(max_inputs)
+            for d, dim in trunc.dims_by_degree(sig_).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -98,16 +98,13 @@ class VertexSpace:
     ``swaps[i][b] = ((b', coeff), ...)``.
     """
 
-    def __init__(self, name, signature, degrees, closed_swaps, open_swaps,
-                 labels=None):
+    def __init__(self, name, signature, degrees, closed_swaps, open_swaps):
         self.name = name
         self.signature = signature
         self.degrees = tuple(degrees)
         self.dim = len(self.degrees)
         self.closed_swaps = tuple(tuple(map(tuple, s)) for s in closed_swaps)
         self.open_swaps = tuple(tuple(map(tuple, s)) for s in open_swaps)
-        self.labels = tuple(labels) if labels else tuple(
-            name if self.dim == 1 else f"{name}[{i}]" for i in range(self.dim))
         assert len(self.closed_swaps) == max(signature.n_closed - 1, 0)
         assert len(self.open_swaps) == max(signature.n_open - 1, 0)
         self._act_cache = {}
@@ -208,10 +205,8 @@ def generator(name, signature, degree, symmetry):
         if symmetry == NONE:
             raise ValueError(f"{name}: open block of size {m} needs a symmetry")
         dim = len(arrangements)
-        labels = [name if p == identity(m) else
-                  f"{name}.{''.join(map(str, p))}" for p in arrangements]
         space = VertexSpace(name, signature, [degree] * dim,
-                            closed(max(n - 1, 0), dim), open_swaps, labels)
+                            closed(max(n - 1, 0), dim), open_swaps)
         space.arrangements = arrangements
     else:
         space = VertexSpace(name, signature, [degree],
@@ -227,7 +222,7 @@ class Collection:
 
     It also memoises what is enumerated over it, so the memos are freed with
     it: tree shapes and bases for ``enumerate_basis``, and the ambient bases
-    of ``presentation.ambient_basis`` keyed by (signature, weight_cap).
+    of ``presentation.ambient_basis`` keyed by signature.
     """
 
     def __init__(self, spaces):
@@ -841,11 +836,10 @@ def max_weight(collection, signature):
     return max(2 * total - 1, 1)
 
 
-def component_basis(collection, signature, weight_cap=None):
+def component_basis(collection, signature):
     """All basis trees of a signature across weights, grouped as one list."""
-    cap = weight_cap if weight_cap is not None else max_weight(collection, signature)
     out = []
-    for w in range(1, cap + 1):
+    for w in range(1, max_weight(collection, signature) + 1):
         out.extend(enumerate_basis(collection, signature, w))
     return out
 
@@ -938,7 +932,10 @@ def parse_term(collection, text):
     """Parse a signed rational combination of trees; returns an Element.
 
     Grammar: the combination of parse_combination whose atoms are trees,
-    tree := name '(' tree {',' tree} ')' | leaf ; leaf := c<k> | o<k>.
+    tree := name ['[' k ']'] '(' tree {',' tree} ')' | leaf ;
+    leaf := c<k> | o<k>.  ``name[k]`` is basis element k of a vertex space
+    with several basis elements and no open arrangements (the quotient
+    classes of a cobar collection); a bare name is basis element 0.
     Children may appear in any planar order; each tree is the canonical
     tree with the sign and decoration induced by re-sorting.  This is the
     grammar ``repr`` of an Element prints.
@@ -951,6 +948,9 @@ def parse_term(collection, text):
         name = text[start:p]
         if not name:
             raise TermSyntaxError("expected a generator or leaf name", start)
+        dec = 0
+        if text.startswith("[", p):
+            dec, p = _basis_index(collection, name, text, p)
         p = _skip_ws(text, p)
         if p < len(text) and text[p] == "(":
             if name not in collection:
@@ -966,7 +966,7 @@ def parse_term(collection, text):
                     raise TermSyntaxError("expected ',' or ')'", p)
             acc = {}
             for combo, coeff in _expand([e.terms for e in children]):
-                accumulate(acc, make_node(space, 0, combo).terms.items(),
+                accumulate(acc, make_node(space, dec, combo).terms.items(),
                            coeff)
             return Element.of(acc), p + 1
         if name[0] in COLORS and name[1:].isdigit():
@@ -979,6 +979,24 @@ def parse_term(collection, text):
     return Element.of(acc)
 
 
+def _indexed(space):
+    """Whether text names the vertices of space as name[k], k the basis
+    element: more than one of them and no open arrangements to print."""
+    return space.dim > 1 and getattr(space, "arrangements", None) is None
+
+
+def _basis_index(collection, name, text, p):
+    """Read the '[k]' of name[k] at p; returns (k, end)."""
+    end = text.find("]", p)
+    k = text[p + 1:end] if end > p else ""
+    space = collection.by_name.get(name)
+    if space is None or not _indexed(space):
+        raise TermSyntaxError(f"{name!r} takes no basis index", p)
+    if not k.isdigit() or int(k) >= space.dim:
+        raise TermSyntaxError(f"{name} has no basis element {k!r}", p)
+    return int(k), end + 1
+
+
 def _text_form(t):
     if isinstance(t, Leaf):
         return 1, f"{t.color}{t.label}"
@@ -986,19 +1004,16 @@ def _text_form(t):
     sig_ = space.signature
     children = list(t.children)
     sign = 1
-    arrangement = getattr(space, "arrangements", None)
-    if arrangement is not None and sig_.n_open > 1:
-        tau = arrangement[t.dec]
+    name = space.name
+    if _indexed(space):
+        name = f"{name}[{t.dec}]"
+    elif space.dim > 1:
+        tau = space.arrangements[t.dec]
         open_block = children[sig_.n_closed:]
         planar = [open_block[tau[i] - 1] for i in range(len(tau))]
         # reparsing re-sorts the planar order; account for the Koszul crossing
         sign *= koszul_sign(tau, [tree_degree(c) for c in planar])
         children = children[:sig_.n_closed] + planar
-        name = space.name
-    elif space.dim > 1:
-        name = space.labels[t.dec]
-    else:
-        name = space.name
     bits = []
     for c in children:
         s2, txt = _text_form(c)

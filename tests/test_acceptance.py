@@ -89,6 +89,12 @@ def test_criterion_13_full_suite_under_ten_minutes():
     assert len(notes) >= 2  # the recorded discrepancy notes are present
 
 
+def test_criterion_14_psi_boundaries():
+    # the comparison map and the iterated-element boundary identities at
+    # <= 4 inputs
+    _run("psi-boundaries")
+
+
 def test_run_checks_refuses_an_unknown_name():
     # a misspelt id is an error naming the known ids and groups, not an
     # empty (passing) result, and no check runs

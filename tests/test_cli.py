@@ -6,7 +6,9 @@ import sys
 import pytest
 
 import bioperad
+from bioperad import cli
 from bioperad.cli import main
+from bioperad.models import h0sc_dual_dg
 
 BIN = [sys.executable, "-m", "bioperad.cli"]
 # the child imports the bioperad this process imported, installed or not
@@ -187,6 +189,20 @@ def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_dg_commands_keep_the_requested_bound(monkeypatch, capsys):
+    # no silent clamp: d2 H0SCdual --inputs 5 builds the dual at 5 inputs
+    asked = []
+
+    def stub(inputs):
+        asked.append(inputs)
+        return h0sc_dual_dg(2)
+
+    monkeypatch.setitem(cli.DG_MODELS, "H0SCdual", stub)
+    assert main(["d2", "H0SCdual", "--inputs", "5"]) == 0
+    assert asked == [5]
+    assert capsys.readouterr().out.startswith("OK")
 
 
 def test_missing_file_exit_code_from_process(tmp_path):

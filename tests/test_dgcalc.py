@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bioperad.dgcalc import (DgTruncation, compose_series, extend_derivation,
+from bioperad.dgcalc import (DgTruncation, compose_series,
                              hilbert_series_gk_check, homology_dims,
                              series_from_dims, verify_d_squared)
 from bioperad.models import (h0sc_dual_dg, lp_formula_genmap, lpinf_dg,
@@ -20,9 +20,22 @@ from bioperad.trees import (CLOSED, OPEN, Element, component_basis,
 
 def test_zero_genmap_zero_differential():
     dg = ocinf_dg(3)
-    zero = extend_derivation(dg.collection, lambda s, d: Element.zero())
+    zero = DgTruncation(dg.collection, lambda s, d: Element.zero(),
+                        3).derivation
     for t in dg.chain_basis(sig(2, 1, OPEN), 1):
         assert zero.apply_tree(t).is_zero()
+
+
+def test_dg_truncation_checks_the_genmap_contract():
+    coll = lpinf_dg(3).collection
+    l3 = parse_term(coll, "l3(c1,c2,c3)")
+    # l2 -> l3 changes the signature; l3 -> l3 keeps the degree
+    with pytest.raises(ValueError, match="changes the signature of l2"):
+        DgTruncation(coll, lambda s, d: l3 if s.name == "l2" else
+                     Element.zero(), 3)
+    with pytest.raises(ValueError, match="lower degree by 1 on l3"):
+        DgTruncation(coll, lambda s, d: l3 if s.name == "l3" else
+                     Element.zero(), 3)
 
 
 def test_l3_expansion_three_terms():
@@ -65,10 +78,8 @@ def test_d_squared_oc_small():
 
 
 def test_flipped_sign_breaks_d_squared():
-    from bioperad.dgcalc import Derivation
     dg = lpinf_dg(4)
-    bad = Derivation(dg.collection, lp_formula_genmap(dg.collection,
-                                                      flip_one_sign=True))
+    bad = lp_formula_genmap(dg.collection, flip_one_sign=True)
     broken = DgTruncation(dg.collection, bad, 4, name="broken")
     assert verify_d_squared(broken) != []
 
@@ -145,8 +156,8 @@ def test_h0sc_dual_dg_respects_ideal_and_squares_to_zero():
 
 def test_homology_of_zero_differential_is_chains():
     dg3 = ocinf_dg(3)
-    zero = extend_derivation(dg3.collection, lambda s, d: Element.zero())
-    free = DgTruncation(dg3.collection, zero, 3, name="zero")
+    free = DgTruncation(dg3.collection, lambda s, d: Element.zero(), 3,
+                        name="zero")
     h = homology_dims(free)
     for s in [sig(2, 1, OPEN), sig(3, 0, CLOSED)]:
         for degree in free.cell_degrees(s):

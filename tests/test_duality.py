@@ -1,14 +1,13 @@
 import pytest
 
 from bioperad import verify
-from bioperad.dgcalc import DgTruncation, extend_derivation, homology_dims, \
-    verify_d_squared
+from bioperad.dgcalc import homology_dims, verify_d_squared
 from bioperad.duality import (cobar_truncate, dual_collection,
                               pairing_matrix, ql_koszul_data, quadratic_dual,
                               weight2_signatures)
-from bioperad.models import (com_presentation, h0sc_presentation,
-                             h0scvor_presentation, lie_presentation,
-                             lp_presentation, ocinf_dg)
+from bioperad.models import (com_presentation, h0sc_dual_presentation,
+                             h0sc_presentation, h0scvor_presentation,
+                             lie_presentation, lp_presentation, ocinf_dg)
 from bioperad.presentation import Presentation, ambient_basis, relation_span
 from bioperad.trees import (CLOSED, OPEN, Collection, corolla_element, graft,
                             sig)
@@ -81,12 +80,17 @@ def test_orthogonality_dimension_count():
 
 def test_cobar_of_trivial_operad():
     trivial = Presentation(Collection([]), [], "I")
-    coll, genmap = cobar_truncate(trivial, 3, tag="triv_")
-    assert len(coll.spaces) == 0
+    dg = cobar_truncate(trivial, 3, tag="triv_")
+    assert len(dg.collection.spaces) == 0
+
+
+def test_cobar_refuses_a_graded_operad():
+    with pytest.raises(ValueError, match="cobar input must be a degree-0"):
+        cobar_truncate(h0sc_dual_presentation(), 3)
 
 
 def test_cobar_generator_spaces_of_vor():
-    coll, _ = cobar_truncate(h0scvor_presentation(), 4, tag="vb_")
+    coll = cobar_truncate(h0scvor_presentation(), 4, tag="vb_").collection
     from math import factorial
     by_sig = {s.signature: s for s in coll}
     for n in range(2, 5):
@@ -106,7 +110,7 @@ def test_cobar_generator_spaces_of_vor():
 
 
 def test_cobar_of_unital_model_has_whistles():
-    coll, _ = cobar_truncate(h0sc_presentation(), 3, tag="hb_")
+    coll = cobar_truncate(h0sc_presentation(), 3, tag="hb_").collection
     by_sig = {s.signature: s for s in coll}
     assert by_sig[sig(1, 0, OPEN)].degrees == (-1,)
     assert by_sig[sig(2, 0, OPEN)].degrees == (0,)
@@ -115,8 +119,7 @@ def test_cobar_of_unital_model_has_whistles():
 def test_cobar_matches_expansion_model_homology():
     # the dualized-composition differential and the planar-word expansion
     # differential present the same dg operad: equal homology cell by cell
-    coll, genmap = cobar_truncate(h0sc_presentation(), 3, tag="cmp_")
-    dg = DgTruncation(coll, extend_derivation(coll, genmap), 3, name="cobar")
+    dg = cobar_truncate(h0sc_presentation(), 3, tag="cmp_")
     assert verify_d_squared(dg) == []
     h_cobar = homology_dims(dg)
     h_fusion = homology_dims(ocinf_dg(3))
@@ -126,7 +129,7 @@ def test_cobar_matches_expansion_model_homology():
 
 
 def test_cobar_chain_dims_match_expansion_model():
-    coll, _ = cobar_truncate(h0sc_presentation(), 3, tag="cd_")
+    coll = cobar_truncate(h0sc_presentation(), 3, tag="cd_").collection
     oc = ocinf_dg(3)
     from bioperad.trees import component_basis, tree_degree
     for s in [sig(1, 1, OPEN), sig(2, 0, OPEN), sig(2, 1, OPEN),

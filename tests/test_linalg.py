@@ -102,6 +102,19 @@ def test_echelon_rank_and_reduce():
     assert not e.reduce({0: 2, 1: 4})
 
 
+def test_echelon_misuse_raises():
+    # a residue before finalize would be wrong ({1: -1} for 2e0 + e1 where
+    # -1/2 is right), and a row added after it would not be reduced
+    e = Echelon()
+    e.add({0: 2, 1: 1})
+    with pytest.raises(RuntimeError, match="reduce before finalize"):
+        e.reduce({0: 1})
+    e.finalize()
+    assert e.reduce({0: 1}) == {1: Fraction(-1, 2)}
+    with pytest.raises(RuntimeError, match="add after finalize"):
+        e.add({1: 1})
+
+
 def test_echelon_fraction_input():
     e = Echelon()
     e.add({0: Fraction(1, 2), 1: Fraction(1, 3)})

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from bioperad.algebraside import (CofreePair, FreeAlgebra, GradedPair,
                                   coproduct_open, lift_phi, lift_psi)
-from bioperad.models import (PRESENTATION_BUILDERS, h0sc_dual_dg, lpinf_dg,
+from bioperad.duality import cobar_truncate
+from bioperad.models import (PRESENTATION_BUILDERS, h0sc_dual_dg,
+                             h0sc_presentation, lp_presentation, lpinf_dg,
                              ocinf_dg)
 from bioperad.presentation import (ambient_basis, group_elements,
                                    signatures_within, truncation)
@@ -16,9 +18,10 @@ from bioperad.signs import compose
 from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
                             Collection, CompositionError, Element, Leaf,
-                            Node, Signature, _splice, corolla,
-                            corolla_element, enumerate_basis, generator,
-                            graft, max_weight, min_leaf_key, parse_term, sig,
+                            Node, Signature, TermSyntaxError, _splice,
+                            corolla, corolla_element, enumerate_basis,
+                            generator, graft, max_weight, min_leaf_key,
+                            parse_term, sig,
                             substitute_element, symmetric_act, text_form,
                             text_form_signed, tree_degree, tree_element,
                             tree_signature, tree_weight)
@@ -412,10 +415,21 @@ _GRADED_NAMES = ["H0SCdual", "LPinf", "OCinf"]
 _PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
+# cobar collections: vertex spaces of quotient classes, printed name[k]
+_COBARS = {"cobar-LP": lp_presentation, "cobar-H0SC": h0sc_presentation}
+
+
 def _collection(name):
     if name in _DG_MODELS:
         return _DG_MODELS[name](3).collection
+    if name in _COBARS:
+        return _cobar(name)
     return PRESENTATION_BUILDERS[name]().collection
+
+
+@lru_cache(maxsize=None)
+def _cobar(name):
+    return cobar_truncate(_COBARS[name](), 3, tag="bar_").collection
 
 
 def _signatures(coll, max_inputs, out=None):
@@ -467,7 +481,8 @@ def test_parse_of_signed_text_returns_the_same_node(data):
 def test_repr_reads_back(data):
     # repr prints what parse_term reads: terms sorted by text, the reparse
     # sign of crossing odd-degree children folded into the coefficient
-    coll = _collection(data.draw(st.sampled_from(_COLLECTION_NAMES)))
+    coll = _collection(data.draw(st.sampled_from(
+        _COLLECTION_NAMES + sorted(_COBARS))))
     t = _draw_tree(data.draw, coll, 4)
     same = [u for u in ambient_basis(coll, tree_signature(t)).trees
             if tree_degree(u) == tree_degree(t)]
@@ -476,6 +491,24 @@ def test_repr_reads_back(data):
     e = Element(data.draw(st.dictionaries(st.sampled_from(same), coeff,
                                           min_size=1, max_size=4)))
     assert parse_term(coll, repr(e)) == e
+
+
+def test_indexed_vertices_read_back_and_refuse_bad_indices():
+    coll = _collection("cobar-LP")
+    assert coll["bar_g3_0c"].dim == 2
+    trees = [t for s in signatures_within(3)
+             for t in ambient_basis(coll, s).trees]
+    assert "bar_g3_0c[1](c1,c2,c3)" in {text_form(t) for t in trees}
+    for t in trees:
+        assert parse_term(coll, repr(tree_element(t))) == tree_element(t)
+    for name, text, message in [
+            ("cobar-LP", "bar_g3_0c[2](c1,c2,c3)", "no basis element '2'"),
+            ("cobar-LP", "bar_g3_0c[](c1,c2,c3)", "no basis element ''"),
+            ("cobar-LP", "bar_g3_0c[1(c1,c2,c3)", "no basis element"),
+            ("cobar-LP", "bar_g2_0c[0](c1,c2)", "takes no basis index"),
+            ("LP", "n02[0](o1,o2)", "takes no basis index")]:
+        with pytest.raises(TermSyntaxError, match=message):
+            parse_term(_collection(name), text)
 
 
 def test_zero_reads_back():
