@@ -20,11 +20,12 @@ from .trees import (Element, Leaf, accumulate, component_basis, make_node,
 
 
 class Derivation:
-    """Degree -1 derivation of a free operad, extended from a generator map."""
+    """Degree -1 derivation of a free operad, extended from the images of
+    its generators: ``images[space][dec]`` is the image of basis element
+    dec of a vertex space."""
 
-    def __init__(self, collection, genmap):
-        self.collection = collection
-        self.genmap = genmap
+    def __init__(self, images):
+        self.images = images
         self._tree_cache = {}
 
     def apply_tree(self, t):
@@ -37,7 +38,7 @@ class Derivation:
             sig_ = t.space.signature
             closed_subs = list(t.children[:sig_.n_closed])
             open_subs = list(t.children[sig_.n_closed:])
-            image = self.genmap(t.space, t.dec)
+            image = self.images[t.space][t.dec]
             acc = dict(substitute_element(image, closed_subs,
                                           open_subs).terms)
             prefix = t.space.degrees[t.dec]
@@ -68,15 +69,17 @@ class DgTruncation:
 
     The differential is the derivation extended from ``genmap``, which sends
     each vertex-space basis element to an Element of the same signature one
-    degree lower; the contract is checked here.  For quotient truncations
-    the derivative of a class is the reduced derivative of its
-    representative; ``ideal_respected`` certifies that this is well defined.
+    degree lower.  The images are computed once, here, where the contract
+    is checked, and the derivation keeps them.  For quotient truncations the
+    derivative of a class is the reduced derivative of its representative;
+    ``ideal_respected`` certifies that this is well defined.
     """
 
     def __init__(self, collection, genmap, max_inputs, trunc=None, name=""):
+        images = {}
         for space in collection:
-            for dec in range(space.dim):
-                img = genmap(space, dec)
+            images[space] = [genmap(space, dec) for dec in range(space.dim)]
+            for dec, img in enumerate(images[space]):
                 if img.is_zero():
                     continue
                 if img.signature() != space.signature:
@@ -86,7 +89,7 @@ class DgTruncation:
                     raise ValueError(
                         f"genmap must lower degree by 1 on {space.name}")
         self.collection = collection
-        self.derivation = Derivation(collection, genmap)
+        self.derivation = Derivation(images)
         self.max_inputs = max_inputs
         self.trunc = trunc
         self.name = name
@@ -209,7 +212,8 @@ def compose_series(outer, inner):
     Series are lists of coefficients for t^1..t^order.
     """
     order = len(outer)
-    assert len(inner) == order
+    if len(inner) != order:
+        raise ValueError("outer and inner series differ in order")
     result = [Fraction(0)] * order
     power_list = inner[:]
     for k in range(1, order + 1):

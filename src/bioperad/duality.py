@@ -1,8 +1,9 @@
 """Quadratic duality and the cobar construction.
 
 The weight-2 pairing between trees on generators E and trees on the shifted
-dual generators is diagonal on labeled shapes.  Its value on a matching pair
-is a product of four signs:
+dual generators pairs each tree only with its mirror, the same tree with
+every generator swapped for its dual.  Its value on that pair is a product
+of four signs:
 
 * the signatures of the closed and open label words read in slot order,
 * (-1)^((k2-1)(i-1)) for the inner vertex of arity k2 at linear slot i
@@ -53,16 +54,14 @@ def dual_collection(collection, rename=None):
     return Collection(spaces)
 
 
-def _shape_key(t):
-    """Labeled shape of a tree, blind to which side's generators decorate it.
-
-    Uses the signature path + decoration indices + leaf labels, so primal and
-    dual canonical bases correspond entry by entry.
-    """
+def _mirror(t, partner):
+    """t with every vertex space swapped for its partner.  Canonical order
+    depends on the leaves alone, so the mirror of a canonical tree is
+    canonical."""
     if isinstance(t, Leaf):
-        return ("leaf", t.color, t.label)
-    return ("node", t.space.signature, t.dec,
-            tuple(_shape_key(c) for c in t.children))
+        return t
+    return Node(partner[t.space], t.dec,
+                tuple(_mirror(c, partner) for c in t.children))
 
 
 def _label_words(t):
@@ -118,19 +117,22 @@ def pair_value(t):
 
 
 def pairing_matrix(primal_collection, dual_coll, signature):
-    """Diagonal-on-shapes pairing of the weight-2 components.
+    """The pairing of the weight-2 components, tree against mirror.
 
-    Both bases are enumerated canonically and matched by labeled shape, so
-    the pairing is a signed permutation: entry i of the returned list is
-    (j, v), the dual index paired with primal index i and the value v = +-1
-    of the pairing there; every other pairing of basis trees is 0.
+    ``dual_coll`` holds the partners of the primal generators in the same
+    order, as ``dual_collection`` builds it.  Both bases are enumerated
+    canonically and each primal tree is matched with its mirror, so the
+    pairing is a signed permutation: entry i of the returned list is (j, v),
+    the dual index paired with primal index i and the value v = +-1 of the
+    pairing there; every other pairing of basis trees is 0.
     """
     prim = enumerate_basis(primal_collection, signature, 2)
     dual = enumerate_basis(dual_coll, signature, 2)
     if len(prim) != len(dual):
         raise ValueError("primal and dual weight-2 components differ in size")
-    dual_index = {_shape_key(t): j for j, t in enumerate(dual)}
-    pairing = [(dual_index[_shape_key(t)], pair_value(t)) for t in prim]
+    partner = dict(zip(primal_collection.spaces, dual_coll.spaces))
+    dual_index = {t: j for j, t in enumerate(dual)}
+    pairing = [(dual_index[_mirror(t, partner)], pair_value(t)) for t in prim]
     return pairing, prim, dual
 
 
@@ -162,7 +164,8 @@ def quadratic_dual(presentation, rename=None, name=None):
         if span.dim == len(dual):
             continue
         orth = span.orthogonal_complement(pairing)
-        assert span.dim + orth.dim == len(dual), "pairing is degenerate"
+        if span.dim + orth.dim != len(dual):
+            raise ValueError("pairing is degenerate")
         for p in sorted(orth.rows):
             relations.append(Element(
                 {dual[j]: c for j, c in orth.rows[p].items()}))
@@ -224,25 +227,24 @@ def ql_koszul_data(presentation, rename=None, name=None):
         spin(ab, rels, span)
         pairing, prim, dual_basis = pairing_matrix(E, Ed, sig_)
         prim_index = {t: i for i, t in enumerate(prim)}
-        # equations: sum_j x_j <dual_j, rho> = <g', phi(rho)>
-        rows, phis = [], []
-        for vec in span.rows.values():
-            row = [Fraction(0)] * len(dual_basis)
+        # equation k: sum_j x_j <dual_j, rho_k> = <g', phi(rho_k)>
+        columns, phis = [{} for _ in dual_basis], []
+        for k, vec in enumerate(span.rows.values()):
             phi = {}
             for c, x in vec.items():
                 if ab.weights[c] == 2:
                     j, v = pairing[prim_index[ab.trees[c]]]
-                    row[j] += x * v
+                    columns[j][k] = x * v
                 else:
                     phi[ab.trees[c]] = -x
-            rows.append(row)
             phis.append(Element(phi))
         images = {}
         for dec in range(sd.dim):
-            sol = solve(rows, [_gen_pairing(sd, dec, phi) for phi in phis])
+            sol = solve(columns, {k: _gen_pairing(s, dec, phi)
+                                  for k, phi in enumerate(phis)})
             if sol is None:
                 raise ValueError("inconsistent phi system")
-            img = Element({dual_basis[j]: c for j, c in enumerate(sol) if c})
+            img = Element({dual_basis[j]: c for j, c in sol.items()})
             if not img.is_zero():
                 images[dec] = img
         if images:
@@ -250,14 +252,13 @@ def ql_koszul_data(presentation, rename=None, name=None):
     return QLKoszulData(dual, genmap)
 
 
-def _gen_pairing(dual_space, dec, elem):
-    """Pairing of the dual generator basis element against a weight-1
-    Element: diagonal on decorations with the label-word sgn twist."""
+def _gen_pairing(space, dec, elem):
+    """Pairing of the dual partner of basis element dec of the generator
+    space against a weight-1 Element: it pairs only with the corollas of
+    that element, with the label-word sgn twist."""
     total = Fraction(0)
     for t, c in elem.terms.items():
-        if not isinstance(t, Node):
-            continue
-        if t.space.signature != dual_space.signature or t.dec != dec:
+        if not isinstance(t, Node) or t.space is not space or t.dec != dec:
             continue
         cw, ow = _label_words(t)
         total += c * perm_sign(cw) * perm_sign(ow) * _arrangement_sign(t)
@@ -306,29 +307,23 @@ def cobar_genmap(collection, coefficient):
     with k1 and k2 the arities of the root and of the inner vertex, i the
     inner vertex's linear slot, and the label words read in slot order.
     The global sign makes the cobar differential match the derivative of
-    the quadratic-linear dual through the counit comparison map.  Images
-    are memoised by (space name, dec).
+    the quadratic-linear dual through the counit comparison map.
     """
-    cache = {}
 
     def genmap(space, dec):
-        key = (space.name, dec)
-        hit = cache.get(key)
-        if hit is None:
-            terms = {}
-            for tau in enumerate_basis(collection, space.signature, 2):
-                i, k2 = _two_vertex_data(tau)
-                coeff = coefficient(space, dec, tau, i)
-                if not coeff:
-                    continue
-                k1 = tau.space.signature.total
-                cw, ow = _label_words(tau)
-                sgn = perm_sign(cw) * perm_sign(ow)
-                if (k1 + (k2 - 1) * (i - 1) + (k1 - 1) * (k2 - 1)) & 1:
-                    sgn = -sgn
-                terms[tau] = sgn * coeff
-            hit = cache[key] = Element(terms)
-        return hit
+        terms = {}
+        for tau in enumerate_basis(collection, space.signature, 2):
+            i, k2 = _two_vertex_data(tau)
+            coeff = coefficient(space, dec, tau, i)
+            if not coeff:
+                continue
+            k1 = tau.space.signature.total
+            cw, ow = _label_words(tau)
+            sgn = perm_sign(cw) * perm_sign(ow)
+            if (k1 + (k2 - 1) * (i - 1) + (k1 - 1) * (k2 - 1)) & 1:
+                sgn = -sgn
+            terms[tau] = sgn * coeff
+        return Element(terms)
 
     return genmap
 

@@ -112,31 +112,32 @@ def meet_slice(rows, cols):
             for p in sorted(ech.rows) if p >= shift]
 
 
-def solve(rows, rhs):
-    """One solution x of rows . x = rhs over Q, or None if inconsistent.
+def solve(columns, target):
+    """One x with sum_j x_j columns[j] = target over Q, or None if there is
+    none.
 
-    ``rows`` holds m coefficient rows of equal length n and ``rhs`` the m
-    right-hand sides.  Free variables are set to 0.  With no rows there are
-    no columns either, and the solution is empty.  The augmented rows go
-    into one ``Echelon``: a pivot on the right-hand-side column is a row
-    0 = b with b nonzero, and otherwise each reduced row sets its pivot's
-    variable to its right-hand side.
+    ``columns`` and ``target`` are sparse vectors (dicts row -> coefficient;
+    a missing entry is 0).  Returns x as a dict j -> x_j of its nonzero
+    entries; free variables are set to 0.  Each row, in ascending order,
+    gives one augmented equation to one ``Echelon``, with the right-hand
+    side in column len(columns): a pivot there is a row 0 = b with b
+    nonzero, and otherwise each reduced row sets its pivot's variable to
+    its right-hand side.
     """
-    if len(rows) != len(rhs):
-        raise ValueError("row count does not match the right-hand side")
-    if not rows:
-        return []
-    n = len(rows[0])
+    n = len(columns)
+    equations = {}
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            equations.setdefault(i, {})[j] = x
+    for i, b in target.items():
+        equations.setdefault(i, {})[n] = b
     ech = Echelon()
-    for row, b in zip(rows, rhs):
-        ech.add(list(enumerate(row)) + [(n, b)])
+    for i in sorted(equations):
+        ech.add(equations[i])
     if n in ech.rows:
         return None
     ech.finalize()
-    sol = [Fraction(0)] * n
-    for p, row in ech.rows.items():
-        sol[p] = row.get(n, Fraction(0))
-    return sol
+    return {p: row[n] for p, row in ech.rows.items() if n in row}
 
 
 def betti(dims, columns):

@@ -22,7 +22,6 @@ Dg truncations (LPinf, OCinf, H0SCdual) are built below on the
 differential machinery of dgcalc.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -264,15 +263,14 @@ def h0sc_dual_dg(max_inputs=4):
                         trunc=truncation(pres, max_inputs), name="H0SCdual")
 
 
-def lp_formula_genmap(coll, flip_one_sign=False):
+def lp_formula_genmap(coll):
     """Vertex-expansion differential per the printed unshuffle formulas.
 
     Transcribed literally at the identity arrangement: the closed expansion
     carries sgn(sigma); the mixed expansion with the inner corolla over I2
     and open window i+1..j carries (-1)^(|sigma| + i + |I1| + i|I2|).  Only
     q >= 1 inner corollas appear (the strong homotopy Leibniz-pair case).
-    Other arrangements are the symmetric translates.  ``flip_one_sign``
-    deliberately corrupts one term for negative testing.
+    Other arrangements are the symmetric translates.
     """
     def identity_image(space):
         sig_ = space.signature
@@ -303,8 +301,6 @@ def lp_formula_genmap(coll, flip_one_sign=False):
                             [Leaf(CLOSED, l) for l in i2]
                             + [Leaf(OPEN, k) for k in range(i + 1, j + 1)]))
                         sgn = base * (-1) ** ((i + len(i1) + i * len(i2)) & 1)
-                        if flip_one_sign and i == 1 and j == q and len(i2) == 1:
-                            sgn = -sgn
                         for itree, icoef in inner.terms.items():
                             kids = ([Leaf(CLOSED, l) for l in i1]
                                     + [Leaf(OPEN, k) for k in range(1, i + 1)]
@@ -329,21 +325,12 @@ def lp_formula_genmap(coll, flip_one_sign=False):
                     coll[outer_name], 0, kids).terms.items(), sgn)
         return Element.of(out)
 
-    cache = {}
-
     def genmap(space, dec):
-        key = (space.name, dec)
-        hit = cache.get(key)
-        if hit is None:
-            base = identity_image(space)
-            sig_ = space.signature
-            if dec == 0 or sig_.n_open <= 1:
-                hit = base
-            else:
-                arr = space.arrangements[dec]
-                hit = symmetric_act((identity(sig_.n_closed), arr), base)
-            cache[key] = hit
-        return hit
+        base = identity_image(space)
+        if dec == 0:
+            return base
+        arr = space.arrangements[dec]
+        return symmetric_act((identity(space.signature.n_closed), arr), base)
 
     return genmap
 
@@ -440,16 +427,14 @@ def whistle_distributive_law(bound=4):
     return DistributiveLaw("whistle", h0sc_dual_presentation(), composite)
 
 
-def identity_distributive_law(presentation, bound=4):
-    """The trivial law of the unit layer: the composite is the operad."""
-    dims = _with_identity(quotient_dims(presentation, bound))
+def identity_distributive_law(presentation):
+    """The trivial law of the unit layer: the composite of the unary map
+    with the identity is the free operad on the unary map, whose one tree
+    al(c1) lies in (1,0;o) at degree 0."""
+    dims = _with_identity({(Signature(1, 0, OPEN), 0): 1})
 
     def composite(sig_):
-        out = {}
-        for (s, deg), d in dims.items():
-            if s == sig_:
-                out[deg] = out.get(deg, 0) + d
-        return out
+        return {deg: d for (s, deg), d in dims.items() if s == sig_}
 
     return DistributiveLaw("identity", presentation, composite)
 
@@ -515,9 +500,8 @@ def psi_commutes_with_differentials(bound=4):
     oc = ocinf_dg(bound)
     hd = h0sc_dual_dg(bound)
     bad = []
-    for space in oc.collection:
-        for dec in range(space.dim):
-            img = oc.derivation.genmap(space, dec)
+    for space, images in oc.derivation.images.items():
+        for dec, img in enumerate(images):
             lhs = hd.trunc.reduce_to_element(
                 psi_map_element(img, hd.collection))
             if space.name in PSI_GENERATORS:
@@ -582,9 +566,9 @@ def boundary_identities(bound=4):
                 t = product_term(kappa_element(trunc, len(a)), a,
                                  kappa_element(trunc, len(b)), b)
                 terms.append(trunc.reduce(t))
-        coeffs = _solve_combo(d_img, terms)
-        if coeffs is None or any(abs(c) != 1 for c in coeffs):
-            failures.append(("kappa", n, coeffs))
+        x = solve(terms, d_img)
+        if x is None or any(abs(x.get(j, 0)) != 1 for j in range(len(terms))):
+            failures.append(("kappa", n, x))
     for n in range(1, bound):
         gam = gamma_element(trunc, n)
         d_img = trunc.reduce(dg.derivation.apply(gam))
@@ -606,31 +590,13 @@ def boundary_identities(bound=4):
                 keys.append(("kg", a, b))
                 terms.append(trunc.reduce(t2))
                 keys.append(("gk", a, b))
-        coeffs = _solve_combo(d_img, terms)
-        if coeffs is None or any(abs(c) != 1 for c in coeffs):
-            failures.append(("gamma", n, coeffs))
+        x = solve(terms, d_img)
+        if x is None or any(abs(x.get(j, 0)) != 1 for j in range(len(terms))):
+            failures.append(("gamma", n, x))
             continue
-        paired = dict(zip(keys, coeffs))
+        paired = {key: x.get(j, 0) for j, key in enumerate(keys)}
         for (kind, a, b), c in paired.items():
             if kind == "kg" and paired.get(("gk", a, b)) != -c:
                 failures.append(("gamma-pairing", n, a, b))
     return failures
 
-
-def _solve_combo(target, terms):
-    """Coefficients writing target as a combination of the given vectors."""
-    cols = sorted({c for t in terms for c in t} | set(target))
-    if not cols:
-        return [Fraction(0)] * len(terms)
-    rows = [[t.get(c, Fraction(0)) for t in terms] for c in cols]
-    sol = solve(rows, [target.get(c, Fraction(0)) for c in cols])
-    if sol is None:
-        return None
-    # verify exactly (free variables are zero)
-    residual = dict(target)
-    for c, t in zip(sol, terms):
-        for k, v in t.items():
-            residual[k] = residual.get(k, Fraction(0)) - c * v
-    if any(v for v in residual.values()):
-        return None
-    return sol

@@ -18,7 +18,8 @@ def identity(n):
 
 def compose(p, q):
     """p after q: (compose(p, q))(i) = p(q(i))."""
-    assert len(p) == len(q)
+    if len(p) != len(q):
+        raise ValueError("composing permutations of different lengths")
     return tuple(p[q[i] - 1] for i in range(len(q)))
 
 
@@ -81,7 +82,8 @@ def unshuffle_perm(a, b):
     """
     seq = tuple(a) + tuple(b)
     n = len(seq)
-    assert sorted(seq) == list(range(1, n + 1))
+    if sorted(seq) != list(range(1, n + 1)):
+        raise ValueError(f"{a} and {b} do not split 1..{n}")
     perm = [0] * n
     for pos, label in enumerate(seq):
         perm[label - 1] = pos + 1

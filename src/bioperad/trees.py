@@ -105,8 +105,10 @@ class VertexSpace:
         self.dim = len(self.degrees)
         self.closed_swaps = tuple(tuple(map(tuple, s)) for s in closed_swaps)
         self.open_swaps = tuple(tuple(map(tuple, s)) for s in open_swaps)
-        assert len(self.closed_swaps) == max(signature.n_closed - 1, 0)
-        assert len(self.open_swaps) == max(signature.n_open - 1, 0)
+        if (len(self.closed_swaps) != max(signature.n_closed - 1, 0)
+                or len(self.open_swaps) != max(signature.n_open - 1, 0)):
+            raise ValueError(f"{name}: one swap table per adjacent "
+                             f"transposition of {signature} is needed")
         self._act_cache = {}
         self.nodes = {}  # (dec, children) -> the interned Node
 
@@ -500,11 +502,11 @@ def _sorted_block(children, lo, hi, degrees):
     return perm, koszul_sign(perm, degrees[lo:hi])
 
 
-def make_node(space, dec_vector, children):
+def make_node(space, dec, children):
     """Assemble a vertex from possibly unsorted children; returns an Element.
 
-    ``dec_vector`` is either a basis index or an iterable of (index, coeff).
-    Children must already be canonical trees (or leaves).
+    ``dec`` is a basis index of the space.  Children must already be
+    canonical trees (or leaves).
     """
     _check_child_colors(space, children)
     n = space.signature.n_closed
@@ -513,18 +515,13 @@ def make_node(space, dec_vector, children):
     cperm, csign = _sorted_block(children, 0, n, degs)
     operm, osign = _sorted_block(children, n, len(children), degs)
     children = tuple(children)
-    if isinstance(dec_vector, int):
-        if cperm is None and operm is None:
-            return Element.of({Node(space, dec_vector, children): 1})
-        dec_vector = ((dec_vector, 1),)
+    if cperm is None and operm is None:
+        return Element.of({Node(space, dec, children): 1})
     cperm = cperm or identity(n)
     operm = operm or identity(len(children) - n)
-    acc = {}
-    for dec, coeff in dec_vector:
-        accumulate(acc, ((Node(space, b, children), c2) for b, c2 in
-                         space.act_block(dec, cperm, operm)),
-                   coeff * csign * osign)
-    return Element.of(acc)
+    return Element.of(accumulate(
+        {}, ((Node(space, b, children), c) for b, c in
+             space.act_block(dec, cperm, operm)), csign * osign))
 
 
 def corolla(space, dec=0):

@@ -90,13 +90,16 @@ def check_koszul_dual_identification(bounds):
     dual = quadratic_dual(lp, rename=lambda n: ren[n])
     back = quadratic_dual(vor, rename=lambda n: {v: k for k, v in
                                                  ren.items()}[n])
-    bad = []
-    for s in weight2_signatures(lp.collection):
-        if relation_span(dual, s, 2) != relation_span(vor, s, 2):
-            bad.append(("dual(LP)", str(s)))
-        if relation_span(back, s, 2) != relation_span(lp, s, 2):
-            bad.append(("dual(H0SCvor)", str(s)))
+    bad = (_span_mismatches("dual(LP)", dual, vor)
+           + _span_mismatches("dual(H0SCvor)", back, lp))
     return _ok(not bad, bad)
+
+
+def _span_mismatches(label, a, b):
+    """(label, signature) at every weight-2 signature of a's generators
+    where the weight-2 relation spans of a and b differ."""
+    return [(label, str(s)) for s in weight2_signatures(a.collection)
+            if relation_span(a, s, 2) != relation_span(b, s, 2)]
 
 
 # H0SC generator -> its dual generator in H0SCdual
@@ -117,10 +120,7 @@ def check_ql_and_projection(bounds):
               for r in h0scvor_presentation().relations]
     stated += [parse_term(coll, text) for text in (
         "e02(al(c1),o1)", "e02(o1,al(c1))", "e11(c1,al(c2)) - al(f2(c1,c2))")]
-    alt = Presentation(coll, stated, "stated-qR")
-    for s in weight2_signatures(coll):
-        if relation_span(q, s, 2) != relation_span(alt, s, 2):
-            bad.append(("qR", str(s)))
+    bad += _span_mismatches("qR", q, Presentation(coll, stated, "stated-qR"))
     return _ok(not bad, bad)
 
 
@@ -135,11 +135,8 @@ def _ql_dual_mismatches(data):
         bad.append(("differential",
                     {name: {dec: str(img) for dec, img in images.items()}
                      for name, images in data.dual_genmap.items()}))
-    stated = h0sc_dual_presentation()
-    for s in weight2_signatures(dual.collection):
-        if relation_span(dual, s, 2) != relation_span(stated, s, 2):
-            bad.append(("dual relations", str(s)))
-    return bad
+    return bad + _span_mismatches("dual relations", dual,
+                                  h0sc_dual_presentation())
 
 
 def check_d_squared(bounds):
@@ -300,25 +297,30 @@ def check_distributive_laws(bounds):
     try:
         apply_distributive_law(alpha_distributive_law(n), n)
         apply_distributive_law(whistle_distributive_law(n), n)
-        apply_distributive_law(identity_distributive_law(
-            palpha_presentation(), 3), 3)
+        apply_distributive_law(
+            identity_distributive_law(palpha_presentation()), 3)
     except LawFailure as exc:
         return "fail", exc.witnesses[:3]
     return "pass", None
 
 
-def closed_dim_table(which, order, cross_check_bound=5):
+# the arity up to which closed_dim_table computes quotients
+CROSS_CHECK_BOUND = 5
+
+
+def closed_dim_table(which, order):
     """dim P(n) for the closed parts, engine-computed.
 
-    Quotient dimensions up to the cross-check bound; beyond it the
-    multilinear basis counts of the free algebra (multisets for the
-    commutative side, multilinear Lyndon words for the Lie side), which are
-    asserted to agree on the overlap.
+    Quotient dimensions up to CROSS_CHECK_BOUND; beyond it the multilinear
+    basis counts of the free algebra (multisets for the commutative side,
+    multilinear Lyndon words for the Lie side), which must agree on the
+    overlap.
     """
     pres = com_presentation() if which == "Com" else lie_presentation()
     dims = {}
-    table = quotient_dims(pres, min(order, cross_check_bound))
-    for n in range(2, min(order, cross_check_bound) + 1):
+    bound = min(order, CROSS_CHECK_BOUND)
+    table = quotient_dims(pres, bound)
+    for n in range(2, bound + 1):
         dims[n] = table.get((sig(n, 0, CLOSED), 0), 0)
     dims[1] = 1  # the identity component
     for n in range(2, order + 1):
@@ -331,22 +333,6 @@ def closed_dim_table(which, order, cross_check_bound=5):
         else:
             dims[n] = count
     return dims
-
-
-def _lp_open_multilinear(p, q):
-    """Multilinear open dimension of the free Lie-acting algebra: words of
-    q decorated letters, each closed generator prepended into one letter in
-    some order.  Brute-force enumeration."""
-    if q == 0:
-        return 0
-    total = 0
-    for assignment in product(range(q), repeat=p):
-        fibers = [sum(1 for a in assignment if a == j) for j in range(q)]
-        ways = 1
-        for f in fibers:
-            ways *= factorial(f)
-        total += ways
-    return total * factorial(q)
 
 
 def check_quotient_dims(bounds):
@@ -372,7 +358,10 @@ def check_quotient_dims(bounds):
             want_vor = factorial(q) if q >= 1 else 0
             if vor.get((s, 0), 0) != want_vor:
                 bad.append(("vor", str(s), vor.get((s, 0), 0), want_vor))
-            want_lp = _lp_open_multilinear(p, q)
+            # words of q decorated letters, the p closed generators
+            # prepended into the letters in some order: q! orders of the
+            # letters times (p+q-1)!/(q-1)! ways to fill them
+            want_lp = q * factorial(p + q - 1)
             if lp.get((s, 0), 0) != want_lp:
                 bad.append(("lp", str(s), lp.get((s, 0), 0), want_lp))
     return _ok(not bad, bad[:5])

@@ -64,7 +64,7 @@ def test_formula_oracle_matches_up_to_global_sign():
     for name in ("l3", "n21", "n12", "n03"):
         space = coll[name]
         for dec in range(space.dim):
-            mine = dg.derivation.genmap(space, dec)
+            mine = dg.derivation.images[space][dec]
             theirs = oracle(space, dec)
             assert mine == theirs.scale(-1), (space.name, dec)
 
@@ -78,10 +78,24 @@ def test_d_squared_oc_small():
 
 
 def test_flipped_sign_breaks_d_squared():
+    # the engine's generator images with the sign of one term of d(n12)
+    # flipped; the unflipped images square to zero
     dg = lpinf_dg(4)
-    bad = lp_formula_genmap(dg.collection, flip_one_sign=True)
-    broken = DgTruncation(dg.collection, bad, 4, name="broken")
+    (t, _), = parse_term(dg.collection, "n02(o1,n11(c1,o2))")
+
+    def flipped(space, dec):
+        img = dg.derivation.images[space][dec]
+        if space.name == "n12" and dec == 0:
+            assert t in img.terms
+            return Element({u: -c if u is t else c for u, c in img})
+        return img
+
+    broken = DgTruncation(dg.collection, flipped, 4, name="broken")
     assert verify_d_squared(broken) != []
+    same = DgTruncation(dg.collection,
+                        lambda space, dec: dg.derivation.images[space][dec],
+                        4, name="same")
+    assert verify_d_squared(same) == []
 
 
 def test_leibniz_rule():

@@ -5,12 +5,14 @@ from bioperad.dgcalc import homology_dims, verify_d_squared
 from bioperad.duality import (cobar_truncate, dual_collection,
                               pairing_matrix, ql_koszul_data, quadratic_dual,
                               weight2_signatures)
-from bioperad.models import (com_presentation, h0sc_dual_presentation,
-                             h0sc_presentation, h0scvor_presentation,
-                             lie_presentation, lp_presentation, ocinf_dg)
+from bioperad.models import (com_presentation, h0sc_dual_n11_image,
+                             h0sc_dual_presentation, h0sc_presentation,
+                             h0scvor_presentation, lie_presentation,
+                             lp_presentation, ocinf_dg)
 from bioperad.presentation import Presentation, ambient_basis, relation_span
-from bioperad.trees import (CLOSED, OPEN, Collection, corolla_element, graft,
-                            sig)
+from bioperad.trees import (CLOSED, NONE, OPEN, Collection, corolla_element,
+                            enumerate_basis, generator, graft, parse_term,
+                            sig, text_form, tree_element)
 
 
 def _pairing_entry(com, dual, a, b):
@@ -152,3 +154,48 @@ def test_ql_check_reports_sign_flipped_dual_differential(monkeypatch):
     status, witness = verify.check_ql_and_projection(verify.DEFAULT_BOUNDS)
     assert status == "fail"
     assert [w[0] for w in witness] == ["differential"]
+
+
+def _beside(presentation, extra):
+    """presentation's relations read into its generators plus extra."""
+    coll = Collection([generator(s.name, s.signature, s.gen_degree,
+                                 s.symmetry) for s in presentation.collection]
+                      + [extra])
+    return Presentation(coll, [parse_term(coll, repr(r))
+                               for r in presentation.relations],
+                        f"{presentation.name}+{extra.name}")
+
+
+def _assert_dual_spans(dual, stated, free_name):
+    """dual spans stated's relations and every weight-2 tree through the
+    free generator, signature by signature."""
+    coll = dual.collection
+    relations = [parse_term(coll, repr(r)) for r in stated.relations]
+    for s in weight2_signatures(coll):
+        relations += [tree_element(t) for t in enumerate_basis(coll, s, 2)
+                      if f"{free_name}(" in text_form(t)]
+    want = Presentation(coll, relations, "stated")
+    for s in weight2_signatures(coll):
+        assert relation_span(dual, s, 2) == relation_span(want, s, 2), s
+
+
+def test_dual_pairs_two_generators_of_one_signature_apart():
+    # a free m11 beside n11 at (1,1;o): each tree pairs with its own mirror
+    big = _beside(lp_presentation(), generator("m11", sig(1, 1, OPEN), 0,
+                                               NONE))
+    ren = {"l2": "f2", "n02": "e02", "n11": "e11", "m11": "m11v"}
+    dual = quadratic_dual(big, rename=ren.__getitem__)
+    assert len(dual.relations) == 27
+    _assert_dual_spans(dual, h0scvor_presentation(), "m11v")
+
+
+def test_ql_dual_pairs_two_generators_of_one_signature_apart():
+    # a free b11 beside e11 at (1,1;o): the derivative stays on n11 alone
+    big = _beside(h0sc_presentation(), generator("b11", sig(1, 1, OPEN), 0,
+                                                 NONE))
+    ren = {**verify.H0SC_DUAL_NAMES, "b11": "b11v"}
+    data = ql_koszul_data(big, rename=ren.__getitem__)
+    dual = data.dual_presentation
+    assert data.dual_genmap == {
+        "n11": {0: h0sc_dual_n11_image(dual.collection)}}
+    _assert_dual_spans(dual, h0sc_dual_presentation(), "b11v")

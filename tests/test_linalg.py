@@ -200,9 +200,14 @@ def test_meet_slice_matches_the_dimension_formula(rows, cols):
 
 
 def test_solve_picks_free_variables_zero():
-    assert solve([[1, 1, 0], [0, 0, 1]], [3, 5]) == [3, 0, 5]
-    assert solve([[1, 1], [2, 2]], [1, 3]) is None
-    assert solve([], []) == []
+    # x0 + x1 = 3, x2 = 5
+    assert solve([{0: 1}, {0: 1}, {1: 1}], {0: 3, 1: 5}) == {0: 3, 2: 5}
+    # x0 + x1 = 1, 2 x0 + 2 x1 = 3
+    assert solve([{0: 1, 1: 2}, {0: 1, 1: 2}], {0: 1, 1: 3}) is None
+    assert solve([], {}) == {}
+    # a missing entry is 0: x0 + x1 = 0, x1 = 2
+    assert solve([{0: 1}, {0: 1, 1: 1}], {1: 2}) == {0: -2, 1: 2}
+    assert solve([{0: 1}], {1: 1}) is None
 
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -215,11 +220,15 @@ fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 def test_solve_exact_or_inconsistent(augmented):
     rows = [row[:-1] for row in augmented]
     rhs = [row[-1] for row in augmented]
-    x = solve(rows, rhs)
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]}
+               for j in range(len(rows[0]))]
+    x = solve(columns, {i: b for i, b in enumerate(rhs) if b})
     consistent = (sympy.Matrix(augmented).rank() == sympy.Matrix(rows).rank())
     assert (x is not None) == consistent
     if x is not None:
-        assert [sum(a * b for a, b in zip(row, x)) for row in rows] == rhs
+        assert all(x.values())
+        assert [sum(a * x.get(j, 0) for j, a in enumerate(row))
+                for row in rows] == rhs
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -58,7 +58,19 @@ def test_whistle_law_matches_composite():
 
 
 def test_identity_law():
-    apply_distributive_law(identity_distributive_law(palpha_presentation(), 3), 3)
+    trunc = apply_distributive_law(
+        identity_distributive_law(palpha_presentation()), 3)
+    assert trunc.dims_by_degree(sig(1, 0, OPEN)) == {0: 1}
+
+
+def test_identity_law_refuses_a_collapsed_unary_map():
+    # the relation al(c1) kills the one tree the composite states
+    coll = palpha_presentation().collection
+    collapsed = Presentation(coll, _relations(coll, ["al(c1)"]), "collapsed")
+    with pytest.raises(LawFailure) as err:
+        apply_distributive_law(identity_distributive_law(collapsed), 3)
+    assert err.value.witnesses == [{"signature": "(1,0;o)", "quotient": {},
+                                    "composite": {0: 1}}]
 
 
 def test_broken_law_reports_witness():
