@@ -14,6 +14,7 @@ This module reads no files: ``specfile.parse_tensor_file`` turns a tensor
 file into HomotopyAlgebraData.
 """
 
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from .linalg import betti
@@ -75,8 +76,14 @@ def unshuffle_splits(word, degrees):
     The sign is (-1) to the number of odd picked symbols that pass an odd
     symbol staying behind.
     """
+    word = tuple(word)
+    return _unshuffle_splits(word, tuple(degrees[x] & 1 for x in word))
+
+
+@lru_cache(maxsize=None)
+def _unshuffle_splits(word, odd):
+    """unshuffle_splits of a word whose symbols have the parities odd."""
     n = len(word)
-    odd = [degrees[x] & 1 for x in word]
     out = []
     for k in range(n + 1):
         for picks in combinations(range(n), k):
@@ -86,7 +93,7 @@ def unshuffle_splits(word, degrees):
             out.append((-1 if crossings & 1 else 1,
                         tuple(word[j] for j in picks),
                         tuple(word[i] for i in rest)))
-    return out
+    return tuple(out)
 
 
 def split_sign_back(word, picks, degrees):

@@ -15,7 +15,7 @@ from math import factorial
 
 from .linalg import betti
 from .presentation import signatures_within
-from .trees import (Element, Leaf, accumulate, component_basis, make_node,
+from .trees import (Element, Leaf, accumulate, assemble, component_basis,
                     substitute_element, tree_degree, tree_element)
 
 
@@ -33,7 +33,7 @@ class Derivation:
         if hit is not None:
             return hit
         if isinstance(t, Leaf):
-            out = Element.zero()
+            out = Element()
         else:
             sig_ = t.space.signature
             closed_subs = list(t.children[:sig_.n_closed])
@@ -43,15 +43,15 @@ class Derivation:
                                           open_subs).terms)
             prefix = t.space.degrees[t.dec]
             for i, child in enumerate(t.children):
-                dchild = self.apply_tree(child) if not isinstance(child, Leaf) \
-                    else Element.zero()
-                if not dchild.is_zero():
-                    sign = -1 if prefix & 1 else 1
-                    for u, c in dchild.terms.items():
-                        kids = list(t.children)
-                        kids[i] = u
-                        terms = make_node(t.space, t.dec, kids).terms
-                        accumulate(acc, terms.items(), c * sign)
+                if isinstance(child, Leaf):
+                    continue  # degree 0, derivative 0
+                dchild = self.apply_tree(child).terms
+                if dchild:
+                    # the Leibniz term: child i replaced by its derivative
+                    parts = [{c: 1} for c in t.children]
+                    parts[i] = dchild
+                    accumulate(acc, assemble(t.space, t.dec, parts).items(),
+                               -1 if prefix & 1 else 1)
                 prefix += tree_degree(child)
             out = Element.of(acc)
         self._tree_cache[t] = out

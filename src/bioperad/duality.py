@@ -44,13 +44,11 @@ def dual_collection(collection, rename=None):
     rename = rename or (lambda n: n + "'")
     spaces = []
     for s in collection:
-        sym = getattr(s, "symmetry", None)
-        if sym is None:
+        if s.symmetry is None:
             raise ValueError("dual_collection needs named generators")
-        k = s.signature.total
-        d = s.gen_degree
-        spaces.append(generator(rename(s.name), s.signature, k - 2 - d,
-                                _SYM_DUAL[sym]))
+        spaces.append(generator(rename(s.name), s.signature,
+                                s.signature.total - 2 - s.degrees[0],
+                                _SYM_DUAL[s.symmetry]))
     return Collection(spaces)
 
 
@@ -83,10 +81,7 @@ def _arrangement_sign(t):
     """Product of sgn of the open-block arrangements at every vertex."""
     if isinstance(t, Leaf):
         return 1
-    sign = 1
-    arr = getattr(t.space, "arrangements", None)
-    if arr is not None and t.space.signature.n_open > 1:
-        sign *= perm_sign(arr[t.dec])
+    sign = perm_sign(t.space.arrangements[t.dec])
     for c in t.children:
         sign *= _arrangement_sign(c)
     return sign

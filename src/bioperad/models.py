@@ -33,8 +33,8 @@ from .presentation import (Presentation, project_q, quotient_dims,
 from .signs import identity, perm_sign, unshuffle_perm, unshuffles
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                     Element, Leaf, Node, Signature, accumulate,
-                    corolla_element, generator, graft, make_node, parse_term,
-                    sig, symmetric_act)
+                    assemble, corolla_element, generator, graft, parse_term,
+                    planar_order, sig, symmetric_act)
 
 
 def _relations(collection, texts):
@@ -197,30 +197,21 @@ def _sh_generators(max_inputs, include_p0):
 
 
 def _planar_open_word(t):
-    """Open leaf labels in planar order; closed subtrees contribute nothing."""
+    """Open leaf labels in planar order."""
     if isinstance(t, Leaf):
         return (t.label,) if t.color == OPEN else ()
-    sig_ = t.space.signature
-    open_kids = t.children[sig_.n_closed:]
-    arr = t.space.arrangements[t.dec] if sig_.n_open > 1 else tuple(
-        range(1, sig_.n_open + 1))
     word = []
-    for i in range(sig_.n_open):
-        word.extend(_planar_open_word(open_kids[arr[i] - 1]))
+    for c in planar_order(t)[1]:
+        word.extend(_planar_open_word(c))
     return tuple(word)
 
 
 def _expansion_genmap(coll):
     def coefficient(space, dec, tau, slot):
-        sig_ = space.signature
-        if sig_.n_open <= 1:
-            target, tsgn = tuple(range(1, sig_.n_open + 1)), 1
-        else:
-            target = space.arrangements[dec]
-            tsgn = perm_sign(target)
+        target = space.arrangements[dec]
         if _planar_open_word(tau) != target:
             return 0
-        return _arrangement_sign(tau) * tsgn
+        return _arrangement_sign(tau) * perm_sign(target)
 
     return cobar_genmap(coll, coefficient)
 
@@ -257,10 +248,15 @@ def h0sc_dual_dg(max_inputs=4):
     def genmap(space, dec):
         if space.name == "n11":
             return image
-        return Element.zero()
+        return Element()
 
     return DgTruncation(coll, genmap, max_inputs,
                         trunc=truncation(pres, max_inputs), name="H0SCdual")
+
+
+def _singles(trees):
+    """One single-term part per tree, as trees.assemble takes them."""
+    return [{t: 1} for t in trees]
 
 
 def lp_formula_genmap(coll):
@@ -284,7 +280,7 @@ def lp_formula_genmap(coll):
                                  tuple(Leaf(CLOSED, l) for l in i1))
                     kids = [inner] + [Leaf(CLOSED, l) for l in i2]
                     sgn = perm_sign(unshuffle_perm(i1, i2))
-                    accumulate(out, make_node(outer, 0, kids).terms.items(),
+                    accumulate(out, assemble(outer, 0, _singles(kids)).items(),
                                sgn)
             return Element.of(out)
         # mixed expansion
@@ -297,19 +293,18 @@ def lp_formula_genmap(coll):
                         outer_name = f"n{len(i1)}{q - (j - i) + 1}"
                         if inner_name not in coll or outer_name not in coll:
                             continue
-                        inner = make_node(coll[inner_name], 0, tuple(
+                        inner = assemble(coll[inner_name], 0, _singles(
                             [Leaf(CLOSED, l) for l in i2]
                             + [Leaf(OPEN, k) for k in range(i + 1, j + 1)]))
                         sgn = base * (-1) ** ((i + len(i1) + i * len(i2)) & 1)
-                        for itree, icoef in inner.terms.items():
-                            kids = ([Leaf(CLOSED, l) for l in i1]
-                                    + [Leaf(OPEN, k) for k in range(1, i + 1)]
-                                    + [itree]
-                                    + [Leaf(OPEN, k)
-                                       for k in range(j + 1, q + 1)])
-                            accumulate(out, make_node(
-                                coll[outer_name], 0, kids).terms.items(),
-                                sgn * icoef)
+                        parts = _singles(
+                            [Leaf(CLOSED, l) for l in i1]
+                            + [Leaf(OPEN, k) for k in range(1, i + 1)])
+                        parts.append(inner)
+                        parts += _singles(
+                            [Leaf(OPEN, k) for k in range(j + 1, q + 1)])
+                        accumulate(out, assemble(coll[outer_name], 0,
+                                                 parts).items(), sgn)
         # closed expansion: a closed corolla over I1 in the first closed slot
         for size in range(2, p + 1):
             for i1, i2 in unshuffles(range(1, p + 1), size):
@@ -321,8 +316,8 @@ def lp_formula_genmap(coll):
                 kids = ([inner] + [Leaf(CLOSED, l) for l in i2]
                         + [Leaf(OPEN, k) for k in range(1, q + 1)])
                 sgn = perm_sign(unshuffle_perm(i1, i2))
-                accumulate(out, make_node(
-                    coll[outer_name], 0, kids).terms.items(), sgn)
+                accumulate(out, assemble(coll[outer_name], 0,
+                                         _singles(kids)).items(), sgn)
         return Element.of(out)
 
     def genmap(space, dec):
@@ -508,7 +503,7 @@ def psi_commutes_with_differentials(bound=4):
                 rhs = hd.trunc.reduce_to_element(hd.derivation.apply(
                     corolla_element(hd.collection[space.name], dec)))
             else:
-                rhs = Element.zero()
+                rhs = Element()
             if lhs != rhs:
                 bad.append((space.name, dec, lhs, rhs))
     return bad

@@ -26,9 +26,10 @@ back below it.
 from itertools import permutations
 
 from .linalg import Echelon, Subspace, meet_slice
-from .trees import (CLOSED, OPEN, Element, component_basis, corolla_element,
-                    graft, symmetric_act, text_form, tree_degree,
-                    tree_element, tree_signature, tree_weight, Signature)
+from .trees import (CLOSED, OPEN, Element, Leaf, component_basis,
+                    corolla_element, graft, symmetric_act, text_form,
+                    tree_degree, tree_element, tree_signature, tree_weight,
+                    Signature)
 
 
 class Presentation:
@@ -71,7 +72,6 @@ def check_relation(collection, r):
 
 
 def _check_spaces(collection, t):
-    from .trees import Leaf
     if isinstance(t, Leaf):
         return
     if t.space.name not in collection or collection[t.space.name] is not t.space:
@@ -361,24 +361,26 @@ class Truncation:
             out[d] = out.get(d, 0) + 1
         return out
 
+    def _residue(self, elem):
+        """(signature, ambient basis, residue) of a nonzero Element: the
+        residue is its reduced ambient index vector."""
+        sig_ = elem.signature()
+        ab = self.ambient(sig_)
+        return sig_, ab, self.spans.span(sig_).reduce(ab.vector(elem))
+
     def reduce(self, elem):
         """Class of an Element as dict (quotient position -> coeff)."""
         if elem.is_zero():
             return {}
-        sig_ = elem.signature()
-        ab = self.ambient(sig_)
-        ech = self.spans.span(sig_)
-        residue = ech.reduce(ab.vector(elem))
+        sig_, _, residue = self._residue(elem)
         positions = {amb: q for q, amb in enumerate(self.basis(sig_))}
         return {positions[c]: x for c, x in residue.items()}
 
     def reduce_to_element(self, elem):
         if elem.is_zero():
-            return Element.zero()
-        sig_ = elem.signature()
-        ab = self.ambient(sig_)
-        ech = self.spans.span(sig_)
-        return ab.element(ech.reduce(ab.vector(elem)))
+            return Element()
+        _, ab, residue = self._residue(elem)
+        return ab.element(residue)
 
     def class_of(self, sig_, q):
         """Representative Element of the q-th quotient basis class."""

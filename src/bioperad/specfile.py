@@ -142,15 +142,13 @@ def emit_spec(presentation):
              else "operad anonymous"]
     lines.append("colors c o")
     for space in presentation.collection:
-        sym = getattr(space, "symmetry", None)
-        deg = getattr(space, "gen_degree", None)
-        if sym is None or deg is None:
+        if space.symmetry is None:
             raise ValueError("only named-generator presentations can be "
                              "emitted")
         s = space.signature
         colors = ",".join([CLOSED] * s.n_closed + [OPEN] * s.n_open)
         lines.append(f"generator {space.name} : ({colors}) -> {s.out} "
-                     f"degree {deg} symmetry {sym}")
+                     f"degree {space.degrees[0]} symmetry {space.symmetry}")
     lines.extend(f"relation {rel!r}" for rel in presentation.relations)
     return "\n".join(lines) + "\n"
 

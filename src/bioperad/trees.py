@@ -95,10 +95,14 @@ class VertexSpace:
 
     ``closed_swaps[i]`` / ``open_swaps[i]`` give the right action of the
     adjacent transposition (i+1, i+2) of the block as sparse columns:
-    ``swaps[i][b] = ((b', coeff), ...)``.
+    ``swaps[i][b] = ((b', coeff), ...)``.  A named generator also declares
+    ``arrangements``, the open-block arrangement of each basis element (the
+    identity when it has at most one open input), and its ``symmetry`` tag;
+    both are None for any other space, such as a quotient component.
     """
 
-    def __init__(self, name, signature, degrees, closed_swaps, open_swaps):
+    def __init__(self, name, signature, degrees, closed_swaps, open_swaps,
+                 arrangements=None, symmetry=None):
         self.name = name
         self.signature = signature
         self.degrees = tuple(degrees)
@@ -109,6 +113,8 @@ class VertexSpace:
                 or len(self.open_swaps) != max(signature.n_open - 1, 0)):
             raise ValueError(f"{name}: one swap table per adjacent "
                              f"transposition of {signature} is needed")
+        self.arrangements = arrangements
+        self.symmetry = symmetry
         self._act_cache = {}
         self.nodes = {}  # (dec, children) -> the interned Node
 
@@ -155,14 +161,9 @@ def _adjacent_decomposition(perm):
     return tuple(ops)
 
 
-def _identity_swaps(count, dim):
-    col = tuple(((b, 1),) for b in range(dim))
-    return tuple(col for _ in range(count))
-
-
-def _sign_swaps(count, dim):
-    col = tuple(((b, -1),) for b in range(dim))
-    return tuple(col for _ in range(count))
+def _scalar_swaps(count, dim, s):
+    """count swap tables, each acting on every basis element as s."""
+    return (tuple(((b, s),) for b in range(dim)),) * count
 
 
 @lru_cache(maxsize=None)
@@ -194,37 +195,25 @@ def generator(name, signature, degree, symmetry):
     where no block has more than one input.
     """
     n, m = signature.n_closed, signature.n_open
-    if symmetry in (TRIVIAL, SIGN):
-        closed = (_identity_swaps if symmetry == TRIVIAL else _sign_swaps)
-    elif symmetry in (REGULAR, NONE):
-        if n > 1 and symmetry == NONE:
-            raise ValueError(f"{name}: closed block of size {n} needs a symmetry")
-        closed = _identity_swaps
-    else:
+    if symmetry not in (TRIVIAL, SIGN, REGULAR, NONE):
         raise ValueError(f"unknown symmetry {symmetry!r}")
-    if m > 1:
-        arrangements, open_swaps = _regular_swap_tables(m)
-        if symmetry == NONE:
-            raise ValueError(f"{name}: open block of size {m} needs a symmetry")
-        dim = len(arrangements)
-        space = VertexSpace(name, signature, [degree] * dim,
-                            closed(max(n - 1, 0), dim), open_swaps)
-        space.arrangements = arrangements
-    else:
-        space = VertexSpace(name, signature, [degree],
-                            closed(max(n - 1, 0), 1), _identity_swaps(0, 1))
-        space.arrangements = (identity(m),)
-    space.symmetry = symmetry
-    space.gen_degree = degree
-    return space
+    if symmetry == NONE and n > 1:
+        raise ValueError(f"{name}: closed block of size {n} needs a symmetry")
+    if symmetry == NONE and m > 1:
+        raise ValueError(f"{name}: open block of size {m} needs a symmetry")
+    arrangements, open_swaps = _regular_swap_tables(m)
+    dim = len(arrangements)
+    closed = _scalar_swaps(max(n - 1, 0), dim, -1 if symmetry == SIGN else 1)
+    return VertexSpace(name, signature, [degree] * dim, closed, open_swaps,
+                       arrangements, symmetry)
 
 
 class Collection:
     """A finite family of vertex spaces, looked up by name or signature.
 
     It also memoises what is enumerated over it, so the memos are freed with
-    it: tree shapes and bases for ``enumerate_basis``, and the ambient bases
-    of ``presentation.ambient_basis`` keyed by signature.
+    it: the decorated subtrees and bases of ``enumerate_basis``, and the
+    ambient bases of ``presentation.ambient_basis`` keyed by signature.
     """
 
     def __init__(self, spaces):
@@ -237,7 +226,7 @@ class Collection:
         self.by_out = {CLOSED: [], OPEN: []}
         for s in self.spaces:
             self.by_out[s.signature.out].append(s)
-        self.shapes = {}
+        self.subtrees = {}
         self.bases = {}
         self.ambients = {}
 
@@ -273,7 +262,8 @@ class Node:
     ``Node(space, dec, children)`` returns the node interned in
     ``space.nodes`` for (dec, children), creating it on first use, so
     equality and hashing are by identity.  Only canonical nodes are
-    interned: creating one whose color blocks do not ascend by
+    interned: creating one whose children do not fill the space's slots
+    raises CompositionError, and one whose color blocks do not ascend by
     ``min_leaf_key`` raises ValueError, so a node found in ``space.nodes``
     has its children in canonical order.
     """
@@ -285,6 +275,7 @@ class Node:
         key = (dec, tuple(children))
         node = space.nodes.get(key)
         if node is None:
+            _check_child_colors(space, key[1])
             n = space.signature.n_closed
             keys = [min_leaf_key(c) for c in key[1]]
             for i in range(1, len(keys)):
@@ -415,10 +406,6 @@ class Element:
                 (terms.items() if isinstance(terms, dict) else terms)))
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def of(cls, terms):
         """Wrap a dict of nonzero, already normalised coefficients."""
         e = cls()
@@ -536,41 +523,35 @@ def corolla_element(space, dec=0, coeff=1):
     return tree_element(corolla(space, dec), coeff)
 
 
-def _splice(t, leaf_fn):
-    """t with every leaf replaced by the canonical tree leaf_fn(leaf), as
+def assemble(space, dec, parts):
+    """Basis element dec of space over children given as term dicts
+    {tree: coeff}, one per slot, expanded multilinearly; returns the
     canonical terms {tree: coeff}.
 
-    Bottom-up.  A vertex whose new children are single trees is looked up
-    in its space's interned nodes; a hit is canonical as it stands.  Any
-    other vertex goes through make_node, which re-sorts its blocks.
+    A children tuple found in the space's interned nodes is canonical as it
+    stands; any other goes through make_node, which re-sorts its blocks.
     """
-    if isinstance(t, Leaf):
-        return {leaf_fn(t): 1}
-    parts = [_splice(c, leaf_fn) for c in t.children]
-    if all(len(p) == 1 for p in parts):
-        children, coeff = [], 1
-        for p in parts:
-            (u, c), = p.items()
-            children.append(u)
-            coeff *= c
-        node = t.space.nodes.get((t.dec, tuple(children)))
-        if node is not None:
-            return {node: coeff}
-    acc = {}
-    for children, coeff in _expand(parts):
-        accumulate(acc, make_node(t.space, t.dec, children).terms.items(),
-                   coeff)
-    return acc
-
-
-def _expand(parts):
-    """Cartesian expansion of child term dicts into (children tuple, coeff)."""
+    nodes, acc = space.nodes, {}
     for combo in product(*(p.items() for p in parts)):
         children = tuple(t for t, _ in combo)
         coeff = 1
         for _, c in combo:
             coeff *= c
-        yield children, coeff
+        node = nodes.get((dec, children))
+        if node is not None:
+            accumulate(acc, ((node, coeff),))
+        else:
+            accumulate(acc, make_node(space, dec, children).terms.items(),
+                       coeff)
+    return acc
+
+
+def _splice(t, leaf_fn):
+    """t with every leaf replaced by the canonical tree leaf_fn(leaf), as
+    canonical terms {tree: coeff}, assembled bottom-up."""
+    if isinstance(t, Leaf):
+        return {leaf_fn(t): 1}
+    return assemble(t.space, t.dec, [_splice(c, leaf_fn) for c in t.children])
 
 
 # ---------------------------------------------------------------------------
@@ -696,14 +677,12 @@ def _subsets(seq):
         yield tuple(seq[i] for i in range(n) if mask >> i & 1)
 
 
-def enumerate_shapes(collection, closed_labels, open_labels, out, weight):
-    """All canonical tree shapes with the given leaf label sets.
-
-    A shape is a tree whose decorations are None placeholders; decorations
-    multiply in afterwards.  Labels are tuples of ints (ascending).
-    """
+def enumerate_subtrees(collection, closed_labels, open_labels, out, weight):
+    """All canonical decorated trees with the given leaf label sets, output
+    color and vertex count, in enumeration order.  Labels are tuples of
+    ints (ascending).  Memoised on the collection."""
     key = (closed_labels, open_labels, out, weight)
-    hit = collection.shapes.get(key)
+    hit = collection.subtrees.get(key)
     if hit is not None:
         return hit
 
@@ -713,17 +692,16 @@ def enumerate_shapes(collection, closed_labels, open_labels, out, weight):
             results.append(Leaf(CLOSED, closed_labels[0]))
         if out == OPEN and len(open_labels) == 1 and not closed_labels:
             results.append(Leaf(OPEN, open_labels[0]))
-        collection.shapes[key] = results
-        return results
-    if weight >= 1:
+    elif weight > 0:
         for space in collection.by_out[out]:
             sig_ = space.signature
             if sig_.total == 0:
                 continue
-            for assignment in _slot_assignments(
+            for children in _slot_assignments(
                     collection, sig_, closed_labels, open_labels, weight - 1):
-                results.append(Node(space, None, assignment))
-    collection.shapes[key] = results
+                results.extend(Node(space, dec, children)
+                               for dec in range(space.dim))
+    collection.subtrees[key] = results
     return results
 
 
@@ -746,8 +724,8 @@ def _slot_assignments(collection, sig_, closed_labels, open_labels, budget):
             # label tuples ascend, so the minimal key is the first label
             k = (0, c_rest[0]) if c_rest else (1, o_rest[0])
             if prev is None or k > prev:
-                for sub in enumerate_shapes(collection, c_rest, o_rest,
-                                            color, w_rest):
+                for sub in enumerate_subtrees(collection, c_rest, o_rest,
+                                              color, w_rest):
                     acc.append(sub)
                     yield tuple(acc)
                     acc.pop()
@@ -770,8 +748,8 @@ def _slot_assignments(collection, sig_, closed_labels, open_labels, budget):
                 c_next = tuple(x for x in c_rest if x not in c_sub)
                 o_next = tuple(x for x in o_rest if x not in o_sub)
                 for w in range(0, w_rest + 1):
-                    for sub in enumerate_shapes(collection, c_sub, o_sub,
-                                                color, w):
+                    for sub in enumerate_subtrees(collection, c_sub, o_sub,
+                                                  color, w):
                         acc.append(sub)
                         yield from fill(slot_idx + 1, c_next, o_next,
                                         w_rest - w, p_closed, p_open, acc)
@@ -779,18 +757,6 @@ def _slot_assignments(collection, sig_, closed_labels, open_labels, budget):
 
     yield from fill(0, tuple(closed_labels), tuple(open_labels), budget,
                     None, None, [])
-
-
-def _decorate(shape):
-    """Expand decoration placeholders into all basis choices."""
-    if isinstance(shape, Leaf):
-        return [shape]
-    child_options = [_decorate(c) for c in shape.children]
-    out = []
-    for combo in product(*child_options) if child_options else [()]:
-        for b in range(shape.space.dim):
-            out.append(Node(shape.space, b, combo))
-    return out
 
 
 def enumerate_basis(collection, signature, weight):
@@ -802,12 +768,8 @@ def enumerate_basis(collection, signature, weight):
         return hit
     closed_labels = tuple(range(1, signature.n_closed + 1))
     open_labels = tuple(range(1, signature.n_open + 1))
-    shapes = enumerate_shapes(collection, closed_labels, open_labels,
-                              signature.out, weight)
-    trees = []
-    for sh in shapes:
-        trees.extend(_decorate(sh))
-    trees.sort(key=text_form)
+    trees = sorted(enumerate_subtrees(collection, closed_labels, open_labels,
+                                      signature.out, weight), key=text_form)
     collection.bases[bkey] = trees
     return trees
 
@@ -848,17 +810,46 @@ def component_basis(collection, signature):
 def text_form(t):
     """Canonical text of a tree: gen(child, ...) with leaves c1.., o1..
 
-    Vertices of named generators with a regular open block are printed with
-    their children rearranged to the stored arrangement, so the text matches
-    the planar picture.  Use text_form_signed when the emitted string must
-    reparse to exactly this tree (odd-degree children can cross).
+    Children are printed in planar order (``planar_order``), so the text
+    matches the planar picture.  Use text_form_signed when the emitted
+    string must reparse to exactly this tree (odd-degree children can
+    cross).
     """
-    return _text_form(t)[1]
+    return text_form_signed(t)[1]
 
 
 def text_form_signed(t):
     """(sign, text) with parse(text) == sign * tree."""
-    return _text_form(t)
+    if isinstance(t, Leaf):
+        return 1, f"{t.color}{t.label}"
+    tau, children = planar_order(t)
+    # reparsing re-sorts the planar order; account for the Koszul crossing
+    sign = 1 if tau is None else koszul_sign(
+        tau, [tree_degree(c) for c in children[len(children) - len(tau):]])
+    name = t.space.name
+    if _indexed(t.space):
+        name = f"{name}[{t.dec}]"
+    bits = []
+    for c in children:
+        s2, txt = text_form_signed(c)
+        sign *= s2
+        bits.append(txt)
+    return sign, f"{name}({','.join(bits)})"
+
+
+def planar_order(t):
+    """(tau, children of vertex t in planar order).
+
+    tau is the arrangement of t's basis element that the open block is
+    read through, or None when the children are planar as stored: a space
+    without arrangements, or with a single one (the identity).
+    """
+    arrangements = t.space.arrangements
+    if arrangements is None or len(arrangements) == 1:
+        return None, t.children
+    tau = arrangements[t.dec]
+    n = len(t.children) - len(tau)
+    return tau, t.children[:n] + tuple(t.children[n + i - 1] for i in tau)
 
 
 class TermSyntaxError(ValueError):
@@ -961,11 +952,8 @@ def parse_term(collection, text):
                     raise TermSyntaxError("unbalanced parenthesis", start)
                 if text[p] not in ",)":
                     raise TermSyntaxError("expected ',' or ')'", p)
-            acc = {}
-            for combo, coeff in _expand([e.terms for e in children]):
-                accumulate(acc, make_node(space, dec, combo).terms.items(),
-                           coeff)
-            return Element.of(acc), p + 1
+            return (Element.of(assemble(space, dec,
+                                        [e.terms for e in children])), p + 1)
         if name[0] in COLORS and name[1:].isdigit():
             return tree_element(Leaf(name[0], int(name[1:]))), p
         raise TermSyntaxError(f"unknown leaf or generator {name!r}", start)
@@ -979,7 +967,7 @@ def parse_term(collection, text):
 def _indexed(space):
     """Whether text names the vertices of space as name[k], k the basis
     element: more than one of them and no open arrangements to print."""
-    return space.dim > 1 and getattr(space, "arrangements", None) is None
+    return space.dim > 1 and space.arrangements is None
 
 
 def _basis_index(collection, name, text, p):
@@ -992,28 +980,3 @@ def _basis_index(collection, name, text, p):
     if not k.isdigit() or int(k) >= space.dim:
         raise TermSyntaxError(f"{name} has no basis element {k!r}", p)
     return int(k), end + 1
-
-
-def _text_form(t):
-    if isinstance(t, Leaf):
-        return 1, f"{t.color}{t.label}"
-    space = t.space
-    sig_ = space.signature
-    children = list(t.children)
-    sign = 1
-    name = space.name
-    if _indexed(space):
-        name = f"{name}[{t.dec}]"
-    elif space.dim > 1:
-        tau = space.arrangements[t.dec]
-        open_block = children[sig_.n_closed:]
-        planar = [open_block[tau[i] - 1] for i in range(len(tau))]
-        # reparsing re-sorts the planar order; account for the Koszul crossing
-        sign *= koszul_sign(tau, [tree_degree(c) for c in planar])
-        children = children[:sig_.n_closed] + planar
-    bits = []
-    for c in children:
-        s2, txt = _text_form(c)
-        sign *= s2
-        bits.append(txt)
-    return sign, f"{name}({','.join(bits)})"

@@ -20,7 +20,7 @@ from bioperad.trees import (CLOSED, OPEN, Element, component_basis,
 
 def test_zero_genmap_zero_differential():
     dg = ocinf_dg(3)
-    zero = DgTruncation(dg.collection, lambda s, d: Element.zero(),
+    zero = DgTruncation(dg.collection, lambda s, d: Element(),
                         3).derivation
     for t in dg.chain_basis(sig(2, 1, OPEN), 1):
         assert zero.apply_tree(t).is_zero()
@@ -32,10 +32,10 @@ def test_dg_truncation_checks_the_genmap_contract():
     # l2 -> l3 changes the signature; l3 -> l3 keeps the degree
     with pytest.raises(ValueError, match="changes the signature of l2"):
         DgTruncation(coll, lambda s, d: l3 if s.name == "l2" else
-                     Element.zero(), 3)
+                     Element(), 3)
     with pytest.raises(ValueError, match="lower degree by 1 on l3"):
         DgTruncation(coll, lambda s, d: l3 if s.name == "l3" else
-                     Element.zero(), 3)
+                     Element(), 3)
 
 
 def test_l3_expansion_three_terms():
@@ -170,7 +170,7 @@ def test_h0sc_dual_dg_respects_ideal_and_squares_to_zero():
 
 def test_homology_of_zero_differential_is_chains():
     dg3 = ocinf_dg(3)
-    free = DgTruncation(dg3.collection, lambda s, d: Element.zero(), 3,
+    free = DgTruncation(dg3.collection, lambda s, d: Element(), 3,
                         name="zero")
     h = homology_dims(free)
     for s in [sig(2, 1, OPEN), sig(3, 0, CLOSED)]:

@@ -10,6 +10,7 @@ from bioperad.models import (com_presentation, h0sc_dual_n11_image,
                              h0scvor_presentation, lie_presentation,
                              lp_presentation, ocinf_dg)
 from bioperad.presentation import Presentation, ambient_basis, relation_span
+from bioperad.specfile import emit_spec
 from bioperad.trees import (CLOSED, NONE, OPEN, Collection, corolla_element,
                             enumerate_basis, generator, graft, parse_term,
                             sig, text_form, tree_element)
@@ -91,6 +92,15 @@ def test_cobar_refuses_a_graded_operad():
         cobar_truncate(h0sc_dual_presentation(), 3)
 
 
+def test_named_generator_formats_refuse_a_cobar_collection():
+    coll = cobar_truncate(lp_presentation(), 3).collection
+    assert all(s.arrangements is None and s.symmetry is None for s in coll)
+    with pytest.raises(ValueError, match="needs named generators"):
+        dual_collection(coll)
+    with pytest.raises(ValueError, match="named-generator presentations"):
+        emit_spec(Presentation(coll, [], "cobar-LP"))
+
+
 def test_cobar_generator_spaces_of_vor():
     coll = cobar_truncate(h0scvor_presentation(), 4, tag="vb_").collection
     from math import factorial
@@ -158,7 +168,7 @@ def test_ql_check_reports_sign_flipped_dual_differential(monkeypatch):
 
 def _beside(presentation, extra):
     """presentation's relations read into its generators plus extra."""
-    coll = Collection([generator(s.name, s.signature, s.gen_degree,
+    coll = Collection([generator(s.name, s.signature, s.degrees[0],
                                  s.symmetry) for s in presentation.collection]
                       + [extra])
     return Presentation(coll, [parse_term(coll, repr(r))

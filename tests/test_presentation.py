@@ -118,7 +118,7 @@ def test_truncation_composition_well_defined():
     alt = graft(rep, CLOSED, 1,
                 parse_term(lp.collection, "l2(c1,c2)")) + graft(
                     tr.reduce_to_element(rep), CLOSED, 1,
-                    Element.zero())
+                    Element())
     assert tr.reduce(lifted) == tr.reduce(alt)
     # ideal itself reduces to zero after grafting
     grown = graft(parse_term(lp.collection, "n11(c1,o1)"), CLOSED, 1,

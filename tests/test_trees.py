@@ -19,8 +19,9 @@ from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
                             Collection, CompositionError, Element, Leaf,
                             Node, Signature, TermSyntaxError, _splice,
-                            corolla, corolla_element, enumerate_basis,
-                            generator, graft, max_weight, min_leaf_key,
+                            accumulate, assemble, component_basis, corolla,
+                            corolla_element, enumerate_basis, generator,
+                            graft, make_node, max_weight, min_leaf_key,
                             parse_term, sig,
                             substitute_element, symmetric_act, text_form,
                             text_form_signed, tree_degree, tree_element,
@@ -76,9 +77,9 @@ def _compositions(total, parts):
                  for rest in _compositions(total - first, parts - 1))
 
 
-def _naive_shapes(collection, closed_labels, open_labels, out, weight, memo):
-    """Every block-sorted shape, found by trying every ordered split of the
-    labels and the weight over the slots of every vertex."""
+def _naive_trees(collection, closed_labels, open_labels, out, weight, memo):
+    """Every block-sorted decorated tree, found by trying every ordered
+    split of the labels and the weight over the slots of every vertex."""
     key = (closed_labels, open_labels, out, weight)
     if key in memo:
         return memo[key]
@@ -98,29 +99,22 @@ def _naive_shapes(collection, closed_labels, open_labels, out, weight, memo):
                 parts = [(tuple(l for l, i in zip(closed_labels, c_at) if i == j),
                           tuple(l for l, i in zip(open_labels, o_at) if i == j),
                           color) for j, color in enumerate(slots)]
-                by_weight = [[_naive_shapes(collection, c, o, color, w, memo)
+                by_weight = [[_naive_trees(collection, c, o, color, w, memo)
                               for w in range(weight)] for c, o, color in parts]
-                if not all(any(shapes) for shapes in by_weight):
+                if not all(any(trees) for trees in by_weight):
                     continue  # some slot can hold no subtree at all
                 for ws in _compositions(weight - 1, len(slots)):
-                    options = [shapes[w] for shapes, w in zip(by_weight, ws)]
+                    options = [trees[w] for trees, w in zip(by_weight, ws)]
                     for children in product(*options):
                         keys = [min_leaf_key(c) for c in children]
                         closed_keys = keys[:s.n_closed]
                         open_keys = keys[s.n_closed:]
                         if (closed_keys == sorted(set(closed_keys))
                                 and open_keys == sorted(set(open_keys))):
-                            found.append(Node(space, None, children))
+                            found.extend(Node(space, b, children)
+                                         for b in range(space.dim))
     memo[key] = found
     return found
-
-
-def _naive_decorations(shape):
-    if isinstance(shape, Leaf):
-        return [shape]
-    return [Node(shape.space, b, children)
-            for children in product(*map(_naive_decorations, shape.children))
-            for b in range(shape.space.dim)]
 
 
 BUILTIN_MODELS = {**PRESENTATION_BUILDERS,
@@ -136,15 +130,22 @@ def test_enumerate_basis_matches_a_naive_enumerator(name):
     cells = 0
     for s in signatures_within(4):
         for w in range(1, max_weight(collection, s) + 1):
-            shapes = _naive_shapes(collection, tuple(range(1, s.n_closed + 1)),
-                                   tuple(range(1, s.n_open + 1)), s.out, w,
-                                   memo)
-            naive = [t for sh in shapes for t in _naive_decorations(sh)]
+            naive = _naive_trees(collection, tuple(range(1, s.n_closed + 1)),
+                                 tuple(range(1, s.n_open + 1)), s.out, w, memo)
             assert len(set(naive)) == len(naive)
             assert enumerate_basis(collection, s, w) == sorted(naive,
                                                                 key=text_form)
             cells += bool(naive)
     assert cells
+
+
+def test_enumeration_interns_decorated_nodes_only():
+    for name in sorted(BUILTIN_MODELS):
+        collection = BUILTIN_MODELS[name]().collection
+        for s in signatures_within(4):
+            component_basis(collection, s)
+        decs = {type(dec) for space in collection for dec, _ in space.nodes}
+        assert decs == {int}, name
 
 
 def test_enumerate_relabel_invariance():
@@ -544,11 +545,72 @@ def test_splice_is_idempotent(data):
         assert _splice(u, lambda lf: lf) == {u: 1}
 
 
+def _same_leaves(coll, t):
+    """Every tree of coll on the leaves and output color of t: the
+    standard-labelled trees relabelled in order onto t's leaf labels, which
+    keeps them canonical."""
+    labels = {CLOSED: [], OPEN: []}
+    stack = [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Leaf):
+            labels[x.color].append(x.label)
+        else:
+            stack.extend(x.children)
+    for block in labels.values():
+        block.sort()
+
+    def relabel(lf):
+        return Leaf(lf.color, labels[lf.color][lf.label - 1])
+
+    s = Signature(len(labels[CLOSED]), len(labels[OPEN]),
+                  t.space.signature.out)
+    return [v for u in ambient_basis(coll, s).trees
+            for v in _splice(u, relabel)]
+
+
+@_PROPERTY
+@given(st.data())
+def test_assemble_is_the_make_node_expansion(data):
+    coll = _collection(data.draw(st.sampled_from(["H0SC", "LPinf", "OCinf"])))
+    t = _draw_tree(data.draw, coll, 3)
+    assume(isinstance(t, Node))
+    coeff = st.fractions(-2, 2, max_denominator=3).filter(bool)
+    parts = []
+    for child in t.children:
+        options = _same_leaves(coll, child) if isinstance(child, Node) \
+            else [child]
+        chosen = data.draw(st.lists(st.sampled_from(options), min_size=1,
+                                    max_size=3, unique=True))
+        parts.append(Element({u: data.draw(coeff) for u in chosen}).terms)
+    # permute each color block, so that the children need re-sorting
+    n = t.space.signature.n_closed
+    order = (data.draw(st.permutations(range(n)))
+             + data.draw(st.permutations(range(n, len(parts)))))
+    parts = [parts[i] for i in order]
+    expected = {}
+    for combo in product(*(p.items() for p in parts)):
+        scale = 1
+        for _, c in combo:
+            scale *= c
+        accumulate(expected, make_node(t.space, t.dec, [u for u, _ in combo]
+                                       ).terms.items(), scale)
+    assert assemble(t.space, t.dec, parts) == expected
+
+
 def test_node_refuses_children_out_of_order():
-    space = ev_collection()["f2"]
+    coll = ev_collection()
+    space = coll["f2"]
     with pytest.raises(ValueError, match="canonical order"):
         Node(space, 0, (Leaf(CLOSED, 2), Leaf(CLOSED, 1)))
+    with pytest.raises(CompositionError, match="slot 1 of f2 is c"):
+        Node(space, 0, (Leaf(OPEN, 1), Leaf(OPEN, 2)))
+    with pytest.raises(CompositionError, match="takes 2 children"):
+        Node(space, 0, (Leaf(CLOSED, 1),))
     assert not space.nodes
+    # so a vertex read from text never finds a malformed node interned
+    with pytest.raises(TermSyntaxError, match="slot 1 of f2 is c"):
+        parse_term(coll, "f2(o1,o2)")
     # equal keys pass, so a repeated label reaches tree_signature's message
     t = Node(space, 0, (Leaf(CLOSED, 1), Leaf(CLOSED, 1)))
     with pytest.raises(ValueError, match="not labelled 1..n"):
@@ -574,8 +636,7 @@ def test_only_canonical_nodes_are_interned():
         subs = {c: [Leaf(c, k) for k in range(count, 0, -1)]
                 for c, count in ((CLOSED, s.n_closed), (OPEN, s.n_open))}
         substitute_element(rel, subs[CLOSED], subs[OPEN])
-    nodes = [u for space in coll for u in space.nodes.values()
-             if u.dec is not None]
+    nodes = [u for space in coll for u in space.nodes.values()]
     assert len(nodes) > 100
     for u in nodes:
         assert _splice(u, lambda lf: lf) == {u: 1}
