@@ -212,10 +212,6 @@ class FreeAlgebra:
                              for tw, c in expansion))
         return out
 
-    def dims(self):
-        return {("c", w): len(b) for w, b in self._closed_by_weight.items()} | \
-               {("o", w): len(b) for w, b in self._open_by_weight.items()}
-
 
 def _letter_words(letters, bound, weight_of):
     """Nonempty words in letters with total weight <= bound."""
@@ -291,10 +287,10 @@ class CofreePair:
         self.closed_bound = closed_bound
         self.open_bound = open_bound
         self.closed_basis = [m for w in range(1, closed_bound + 1)
-                             for m in _graded_multisets(self.cdeg, w)]
+                             for m in graded_multisets(self.cdeg, w)]
         self.mixed_basis = [(m, word)
                             for mw in range(0, closed_bound + 1)
-                            for m in _graded_multisets(self.cdeg, mw)
+                            for m in graded_multisets(self.cdeg, mw)
                             for qw in range(1, open_bound + 1)
                             for word in product(range(len(self.odeg)),
                                                 repeat=qw)]
@@ -306,7 +302,9 @@ class CofreePair:
         return sum(self.odeg[i] for i in w)
 
 
-def _graded_multisets(degrees, k):
+def graded_multisets(degrees, k):
+    """Sorted k-tuples of symbol indices in which only even-degree symbols
+    repeat: the monomial keys of the graded-symmetric power S^k."""
     return [m for m in combinations_with_replacement(range(len(degrees)), k)
             if not any(a == b and (degrees[a] & 1)
                        for a, b in zip(m, m[1:]))]
@@ -630,7 +628,8 @@ class HomotopyAlgebraData:
     n_tensors[(p, q)]: dict (sorted-L-tuple, A-tuple) -> dict A-index -> coeff,
     degree p+q-2.  Keys are canonical: the closed tuple ascending, repeats
     allowed exactly for odd-degree symbols (the suspended symbols are then
-    even).  q = 0 tensors are the open-closed extension.
+    even); ``add_entry`` files every entry so.  q = 0 tensors are the
+    open-closed extension.
     """
 
     def __init__(self, pair, l_tensors, n_tensors):
@@ -639,26 +638,28 @@ class HomotopyAlgebraData:
         self.odeg = [d for _, d in pair.open]
         self.sl = [d + 1 for d in self.cdeg]
         self.sa = [d + 1 for d in self.odeg]
-        self.l_tensors = {int(n): dict(t) for n, t in l_tensors.items()}
-        self.n_tensors = {(int(p), int(q)): dict(t)
-                          for (p, q), t in n_tensors.items()}
-        self._check_degrees()
-
-    def _check_degrees(self):
-        for n, table in self.l_tensors.items():
+        self.l_tensors, self.n_tensors = {}, {}
+        for n, table in l_tensors.items():
             for key, img in table.items():
-                if len(key) != n:
+                if len(key) != int(n):
                     raise ValueError(f"l_{n} key of wrong arity: {key}")
-                self.check_degree(True, key, (), img)
-        for (p, q), table in self.n_tensors.items():
+                self.add_entry(True, key, (), img)
+        for (p, q), table in n_tensors.items():
             for (ck, ok), img in table.items():
-                if len(ck) != p or len(ok) != q:
+                if len(ck) != int(p) or len(ok) != int(q):
                     raise ValueError(f"n_{p}{q} key of wrong arity")
-                self.check_degree(False, ck, ok, img)
+                self.add_entry(False, ck, ok, img)
 
-    def check_degree(self, closed, ckey, okey, img):
-        """Raise ValueError unless the entry ckey | okey -> img has the
-        degree of its tensor: l_n (closed output) n-2, n_{p,q} p+q-2."""
+    def add_entry(self, closed, ckey, okey, img):
+        """Add img to the entry of l_n (closed) or n_{p,q} at the closed
+        arguments ckey, in any order, and the open arguments okey, filed
+        under the sorted wedge key with its Koszul sign.  Raises ValueError
+        on a degenerate key or unless img has the degree of its tensor:
+        l_n (closed output) n-2, n_{p,q} p+q-2."""
+        sign, key = _sort_wedge(ckey, self.cdeg)
+        if sign == 0:
+            raise ValueError("degenerate wedge key "
+                             + ",".join(self.pair.closed[i][0] for i in ckey))
         k = len(ckey) + len(okey)
         din = sum(self.cdeg[i] for i in ckey) + sum(self.odeg[i] for i in okey)
         out = self.cdeg if closed else self.odeg
@@ -667,7 +668,13 @@ class HomotopyAlgebraData:
                 name = (f"l_{k}" if closed
                         else f"n_{len(ckey)},{len(okey)}")
                 raise ValueError(f"{name} must have degree {k - 2}: "
-                                 f"{ckey} | {okey} -> {idx}")
+                                 f"{key} | {okey} -> {idx}")
+        if closed:
+            table = self.l_tensors.setdefault(len(key), {}).setdefault(key, {})
+        else:
+            table = self.n_tensors.setdefault(
+                (len(key), len(okey)), {}).setdefault((key, okey), {})
+        accumulate(table, img.items(), sign)
 
     def has_open_closed_extension(self):
         """Whether a q = 0 tensor is nonzero: OCHA data, not SHLP data."""
@@ -733,14 +740,14 @@ def suspended_corestrictions(data):
     sl, sa = data.sl, data.sa
     psi = {}
     for n in data.l_tensors:
-        for m in _graded_multisets(sl, n):
+        for m in graded_multisets(sl, n):
             val = data.eval_l(m)
             if val:
                 psi[m] = accumulate({}, val.items(),
                                     _decalage([sl[x] for x in m]))
     phi = {}
     for (p, q) in data.n_tensors:
-        for m in _graded_multisets(sl, p):
+        for m in graded_multisets(sl, p):
             for w in product(range(len(sa)), repeat=q):
                 val = data.eval_n(m, w)
                 if val:

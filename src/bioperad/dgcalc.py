@@ -67,18 +67,23 @@ class Derivation:
 class DgTruncation:
     """A free or quotient operad truncation with a differential.
 
-    The differential is the derivation extended from ``genmap``, which sends
-    each vertex-space basis element to an Element of the same signature one
-    degree lower.  The images are computed once, here, where the contract
-    is checked, and the derivation keeps them.  For quotient truncations the
-    derivative of a class is the reduced derivative of its representative;
+    The differential is the derivation extended from ``genmap``: called on
+    a vertex space, it returns the list of the space's ``dim`` images, an
+    Element of the same signature one degree lower per basis element.  The
+    images are computed once, here, where the contract is checked, and the
+    derivation keeps them.  For quotient truncations the derivative of a
+    class is the reduced derivative of its representative;
     ``ideal_respected`` certifies that this is well defined.
     """
 
     def __init__(self, collection, genmap, max_inputs, trunc=None, name=""):
         images = {}
         for space in collection:
-            images[space] = [genmap(space, dec) for dec in range(space.dim)]
+            images[space] = list(genmap(space))
+            if len(images[space]) != space.dim:
+                raise ValueError(
+                    f"genmap returns {len(images[space])} images for the "
+                    f"{space.dim} basis elements of {space.name}")
             for dec, img in enumerate(images[space]):
                 if img.is_zero():
                     continue

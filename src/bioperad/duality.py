@@ -26,11 +26,10 @@ cobar_genmap.
 from fractions import Fraction
 
 from .dgcalc import DgTruncation
-from .linalg import Echelon, solve
+from .linalg import solve
 from .presentation import (Presentation, adjacent_transpositions,
                            ambient_basis, check_ql_conditions, project_q,
-                           relation_span, signatures_within, spin,
-                           truncation)
+                           relation_span, signatures_within, truncation)
 from .signs import perm_sign
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                     Element, Leaf, Node, Signature, VertexSpace,
@@ -77,13 +76,19 @@ def _label_words(t):
     return tuple(closed), tuple(open_)
 
 
-def _arrangement_sign(t):
+def _label_word_sign(t):
+    """sgn(closed label word) sgn(open label word), in slot order."""
+    cw, ow = _label_words(t)
+    return perm_sign(cw) * perm_sign(ow)
+
+
+def arrangement_sign(t):
     """Product of sgn of the open-block arrangements at every vertex."""
     if isinstance(t, Leaf):
         return 1
     sign = perm_sign(t.space.arrangements[t.dec])
     for c in t.children:
-        sign *= _arrangement_sign(c)
+        sign *= arrangement_sign(c)
     return sign
 
 
@@ -103,12 +108,11 @@ def pair_value(t):
     dual generator crossing the first i-1 slots; their product is arity
     independent.
     """
-    cw, ow = _label_words(t)
-    sign = perm_sign(cw) * perm_sign(ow)
+    sign = _label_word_sign(t)
     i, _k2 = _two_vertex_data(t)
     if (i - 1) & 1:
         sign = -sign
-    return sign * _arrangement_sign(t)
+    return sign * arrangement_sign(t)
 
 
 def pairing_matrix(primal_collection, dual_coll, signature):
@@ -195,10 +199,10 @@ def ql_koszul_data(presentation, rename=None, name=None):
     The quadratic dual of qP is computed first; each dual generator then
     receives a derivative solved from  <delta(g'), rho> = <g', phi(rho)>
     for rho over the rows of R, the relations at the generator's signature
-    spun under S_n x S_m as in check_ql_conditions: the weight-2 part of rho
-    goes through the pairing, with the slot weight (-1)^(i-1) on trees
-    whose unary inner vertex sits at linear slot i, and phi(rho) is minus
-    its weight-1 part.  The sign convention is pinned by the
+    spun under S_n x S_m, as check_ql_conditions reports them: the weight-2
+    part of rho goes through the pairing, with the slot weight (-1)^(i-1)
+    on trees whose unary inner vertex sits at linear slot i, and phi(rho)
+    is minus its weight-1 part.  The sign convention is pinned by the
     homotopy-centrality differential of the dual of the unital swiss-cheese
     presentation and by delta squaring to zero; both are exercised by the
     test suite.
@@ -214,12 +218,10 @@ def ql_koszul_data(presentation, rename=None, name=None):
     genmap = {}
     for s, sd in zip(E.spaces, Ed.spaces):
         sig_ = s.signature
-        rels = [r for r in P.relations if r.signature() == sig_]
-        if not rels:
+        span = report["spans"].get(sig_)
+        if span is None:
             continue
         ab = ambient_basis(E, sig_)
-        span = Echelon()
-        spin(ab, rels, span)
         pairing, prim, dual_basis = pairing_matrix(E, Ed, sig_)
         prim_index = {t: i for i, t in enumerate(prim)}
         # equation k: sum_j x_j <dual_j, rho_k> = <g', phi(rho_k)>
@@ -255,8 +257,7 @@ def _gen_pairing(space, dec, elem):
     for t, c in elem.terms.items():
         if not isinstance(t, Node) or t.space is not space or t.dec != dec:
             continue
-        cw, ow = _label_words(t)
-        total += c * perm_sign(cw) * perm_sign(ow) * _arrangement_sign(t)
+        total += c * _label_word_sign(t) * arrangement_sign(t)
     return total
 
 
@@ -292,33 +293,35 @@ def _cobar_collection(trunc, max_inputs, tag):
     return Collection(spaces)
 
 
-def cobar_genmap(collection, coefficient):
+def cobar_genmap(collection, coordinates):
     """Generator map of a vertex-expansion differential on a free operad.
 
-    The image of the basis element dec of a vertex space is the sum, over
-    the weight-2 trees tau of its signature, of
+    ``coordinates(space, tau, i)`` gives the weight-2 tree tau of the
+    space's signature as a dict dec -> coefficient over the space's basis.
+    The image of basis element dec is the sum over tau of
         (-1)^(k1 + (k2-1)(i-1) + (k1-1)(k2-1)) sgn(closed word)
-            sgn(open word) coefficient(space, dec, tau, i) tau,
+            sgn(open word) coordinates(space, tau, i)[dec] tau,
     with k1 and k2 the arities of the root and of the inner vertex, i the
     inner vertex's linear slot, and the label words read in slot order.
-    The global sign makes the cobar differential match the derivative of
-    the quadratic-linear dual through the counit comparison map.
+    Each tree is enumerated, signed and read once per space.  The global
+    sign makes the cobar differential match the derivative of the
+    quadratic-linear dual through the counit comparison map.
     """
 
-    def genmap(space, dec):
-        terms = {}
+    def genmap(space):
+        images = [{} for _ in range(space.dim)]
         for tau in enumerate_basis(collection, space.signature, 2):
             i, k2 = _two_vertex_data(tau)
-            coeff = coefficient(space, dec, tau, i)
-            if not coeff:
+            coords = coordinates(space, tau, i)
+            if not coords:
                 continue
             k1 = tau.space.signature.total
-            cw, ow = _label_words(tau)
-            sgn = perm_sign(cw) * perm_sign(ow)
+            sgn = _label_word_sign(tau)
             if (k1 + (k2 - 1) * (i - 1) + (k1 - 1) * (k2 - 1)) & 1:
                 sgn = -sgn
-            terms[tau] = sgn * coeff
-        return Element(terms)
+            for dec, c in coords.items():
+                images[dec][tau] = sgn * c
+        return [Element(terms) for terms in images]
 
     return genmap
 
@@ -330,23 +333,17 @@ def cobar_truncate(presentation, max_inputs, tag=""):
     dualized composition.  Space names start with tag."""
     trunc = truncation(presentation, max_inputs)
     coll = _cobar_collection(trunc, max_inputs, tag)
-    reduced = {}
 
-    def coefficient(space, dec, tau, i):
-        # the coordinate on quotient basis element dec of the composite the
-        # two-vertex tree tau encodes, relabelled by its label words; the
-        # reduced composite depends on tau alone and is memoised by it
-        hit = reduced.get(tau)
-        if hit is None:
-            sig1 = tau.space.signature
-            inner = tau.children[i - 1]
-            color = sig1.slot_color(i)
-            index = i if color == CLOSED else i - sig1.n_closed
-            composite = graft(trunc.class_of(sig1, tau.dec), color, index,
-                              trunc.class_of(inner.space.signature, inner.dec))
-            composite = symmetric_act(_label_words(tau), composite)
-            hit = reduced[tau] = trunc.reduce(composite)
-        return hit.get(dec, 0)
+    def coordinates(space, tau, i):
+        # the composite the two-vertex tree tau encodes, relabelled by its
+        # label words, over the quotient basis
+        sig1 = tau.space.signature
+        inner = tau.children[i - 1]
+        color = sig1.slot_color(i)
+        index = i if color == CLOSED else i - sig1.n_closed
+        composite = graft(trunc.class_of(sig1, tau.dec), color, index,
+                          trunc.class_of(inner.space.signature, inner.dec))
+        return trunc.reduce(symmetric_act(_label_words(tau), composite))
 
-    return DgTruncation(coll, cobar_genmap(coll, coefficient), max_inputs,
+    return DgTruncation(coll, cobar_genmap(coll, coordinates), max_inputs,
                         name=f"cobar-{presentation.name}")

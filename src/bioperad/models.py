@@ -26,15 +26,15 @@ from functools import lru_cache
 from math import comb
 
 from .dgcalc import DgTruncation
-from .duality import _arrangement_sign, cobar_genmap
+from .duality import arrangement_sign, cobar_genmap
 from .linalg import solve
 from .presentation import (Presentation, project_q, quotient_dims,
                            signatures_within, truncation)
 from .signs import identity, perm_sign, unshuffle_perm, unshuffles
-from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
-                    Element, Leaf, Node, Signature, accumulate,
-                    assemble, corolla_element, generator, graft, parse_term,
-                    planar_order, sig, symmetric_act)
+from .trees import (CLOSED, IDENTITY_SIGS, NONE, OPEN, REGULAR, SIGN,
+                    TRIVIAL, Collection, Element, Leaf, Node, Signature,
+                    accumulate, assemble, corolla_element, generator, graft,
+                    parse_term, planar_order, sig, symmetric_act)
 
 
 def _relations(collection, texts):
@@ -178,9 +178,9 @@ def f_n10_presentation():
 # symmetry) and n_{p,q} (degree p+q-2, sign on closed labels, planar open
 # labels); the differential is vertex expansion.  Its coefficients implement
 # the cobar differential of the dual of the degree-0 quotient in the
-# generator basis: a two-vertex tree contributes when its planar open-label
-# readout fuses to the generator's arrangement, with the cobar sign of
-# duality.cobar_genmap times sgn(arrangements).
+# generator basis: a two-vertex tree has one coordinate, on the basis
+# element whose arrangement is its planar open-label readout, with the
+# cobar sign of duality.cobar_genmap times sgn(arrangements).
 
 
 def _sh_generators(max_inputs, include_p0):
@@ -207,13 +207,12 @@ def _planar_open_word(t):
 
 
 def _expansion_genmap(coll):
-    def coefficient(space, dec, tau, slot):
-        target = space.arrangements[dec]
-        if _planar_open_word(tau) != target:
-            return 0
-        return _arrangement_sign(tau) * perm_sign(target)
+    def coordinates(space, tau, slot):
+        word = _planar_open_word(tau)
+        return {space.arrangements.index(word):
+                arrangement_sign(tau) * perm_sign(word)}
 
-    return cobar_genmap(coll, coefficient)
+    return cobar_genmap(coll, coordinates)
 
 
 @lru_cache(maxsize=None)
@@ -245,10 +244,9 @@ def h0sc_dual_dg(max_inputs=4):
     coll = pres.collection
     image = h0sc_dual_n11_image(coll)
 
-    def genmap(space, dec):
-        if space.name == "n11":
-            return image
-        return Element()
+    def genmap(space):
+        return [image if space.name == "n11" else Element()
+                for _ in range(space.dim)]
 
     return DgTruncation(coll, genmap, max_inputs,
                         trunc=truncation(pres, max_inputs), name="H0SCdual")
@@ -320,12 +318,11 @@ def lp_formula_genmap(coll):
                                          _singles(kids)).items(), sgn)
         return Element.of(out)
 
-    def genmap(space, dec):
+    def genmap(space):
         base = identity_image(space)
-        if dec == 0:
-            return base
-        arr = space.arrangements[dec]
-        return symmetric_act((identity(space.signature.n_closed), arr), base)
+        closed = identity(space.signature.n_closed)
+        return [base] + [symmetric_act((closed, arr), base)
+                         for arr in space.arrangements[1:]]
 
     return genmap
 
@@ -367,7 +364,7 @@ class DistributiveLaw:
 def _with_identity(dims):
     """Quotient dims plus the implicit identity components."""
     table = dict(dims)
-    for s in (Signature(1, 0, CLOSED), Signature(0, 1, OPEN)):
+    for s in IDENTITY_SIGS:
         table[(s, 0)] = table.get((s, 0), 0) + 1
     return table
 
@@ -443,11 +440,10 @@ def apply_distributive_law(law, bound):
     """
     trunc = truncation(law.merged, bound)
     witnesses = []
-    identities = {Signature(1, 0, CLOSED), Signature(0, 1, OPEN)}
     for sig_ in signatures_within(bound):
         got = trunc.dims_by_degree(sig_)
         want = dict(law.composite_dims(sig_))
-        if sig_ in identities:
+        if sig_ in IDENTITY_SIGS:
             want[0] = want.get(0, 0) - 1
             want = {k: v for k, v in want.items() if v}
         if got != want:

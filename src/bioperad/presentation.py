@@ -414,15 +414,15 @@ def quotient_dims(presentation, max_inputs):
 def check_ql_conditions(presentation):
     """(ql1) R cap F^(1) = 0 and (ql2) one-step grafts meet F^(2) inside R.
 
-    Returns {"ql1": bool, "ql2": bool, "witnesses": [...]}.
+    Returns {"ql1": bool, "ql2": bool, "witnesses": [...], "spans": {...}},
+    spans holding the Echelon of the S_n x S_m span of R per signature.
     """
     P = presentation
     if not P.is_quadratic_linear():
         raise ValueError("relations must live in weights 1 and 2")
-    report = {"ql1": True, "ql2": True, "witnesses": []}
-
     # the S-module R spanned by the relations, per signature
     rspan = {}
+    report = {"ql1": True, "ql2": True, "witnesses": [], "spans": rspan}
     r_seeds = []
     for r in P.relations:
         sig_ = r.signature()

@@ -23,7 +23,7 @@ pair; their atoms are symbol names.  Every error names its line; a column
 counts within the combination of that line.
 """
 
-from .algebraside import GradedPair, HomotopyAlgebraData, _sort_wedge
+from .algebraside import GradedPair, HomotopyAlgebraData
 from .presentation import Presentation, check_relation
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                     TermSyntaxError, accumulate, generator, parse_combination,
@@ -204,8 +204,7 @@ def _position(positions, kind, name):
 
 
 def _add_tensor_entry(data, positions, head, rest):
-    """Add the entry of one l or n declaration to data's tensors, under the
-    sorted wedge key of its closed arguments."""
+    """Add the entry of one l or n declaration to data's tensors."""
     spec, _, value = rest.partition("->")
     counts, _, args = spec.partition(":")
     cargs, _, oargs = args.partition("|") if head == "n" else (args, "", "")
@@ -216,9 +215,6 @@ def _add_tensor_entry(data, positions, head, rest):
     if counts.split() != [str(k) for k in got]:
         raise ValueError(f"arity '{head} {counts.strip()}' does not fit "
                          f"{len(ckey)} closed and {len(okey)} open arguments")
-    sign, skey = _sort_wedge(ckey, data.cdeg)
-    if sign == 0:
-        raise ValueError(f"degenerate wedge key {cargs.strip()}")
     out = "closed" if head == "l" else "open"
 
     def symbol(text, p):
@@ -229,10 +225,4 @@ def _add_tensor_entry(data, positions, head, rest):
 
     img = accumulate({}, ((i, c) for c, i in
                           parse_combination(value.strip(), symbol)))
-    data.check_degree(head == "l", skey, okey, img)
-    if head == "l":
-        table = data.l_tensors.setdefault(len(skey), {}).setdefault(skey, {})
-    else:
-        table = data.n_tensors.setdefault(
-            (len(skey), len(okey)), {}).setdefault((skey, okey), {})
-    accumulate(table, img.items(), sign)
+    data.add_entry(head == "l", ckey, okey, img)

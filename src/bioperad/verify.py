@@ -15,9 +15,9 @@ from math import factorial
 
 from .algebraside import (CofreePair, FreeAlgebra, GradedPair,
                           HomotopyAlgebraData, LeibnizPairData,
-                          _graded_multisets,
                           ce_hochschild_homology, check_coderivation_laws,
-                          shlp_ocha_check, strict_pair_tensors)
+                          graded_multisets, shlp_ocha_check,
+                          strict_pair_tensors)
 from .dgcalc import hilbert_series_gk_check, homology_dims, verify_d_squared
 from .duality import (QLFailure, cobar_truncate, ql_koszul_data,
                       quadratic_dual, weight2_signatures)
@@ -233,7 +233,7 @@ def _random_homotopy_data(rng):
     l_tensors = {}
     for n in (1, 2, 3):
         table = {}
-        for key in _graded_multisets([d + 1 for d in cdeg], n):
+        for key in graded_multisets([d + 1 for d in cdeg], n):
             din = sum(cdeg[i] for i in key)
             img = {i: Fraction(rng.randint(-1, 1)) for i in range(2)
                    if cdeg[i] == din + n - 2 and rng.random() < 0.5}
@@ -246,7 +246,7 @@ def _random_homotopy_data(rng):
     for p in range(0, 3):
         for q in range(1, 3):
             table = {}
-            for ck in _graded_multisets([d + 1 for d in cdeg], p):
+            for ck in graded_multisets([d + 1 for d in cdeg], p):
                 for ok in product(range(2), repeat=q):
                     din = sum(cdeg[i] for i in ck) + sum(odeg[i] for i in ok)
                     img = {i: Fraction(rng.randint(-1, 1)) for i in range(2)

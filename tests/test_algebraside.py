@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,9 +14,16 @@ from bioperad.specfile import TensorFileError, parse_tensor_file
 from bioperad.verify import _random_homotopy_data
 
 
+def _dims_by_weight(fa):
+    """Closed and open basis sizes of a free algebra, by weight."""
+    lp = LeibnizPairData.from_free_algebra(fa)
+    return (Counter(("c", lp.l_weight(x)) for x in lp.l_basis)
+            + Counter(("o", lp.a_weight(x)) for x in lp.a_basis))
+
+
 def test_free_lp_dims_and_basis():
     fa = FreeAlgebra(GradedPair.ungraded(1, 1), 2)
-    dims = fa.dims()
+    dims = _dims_by_weight(fa)
     # closed: free Lie on one generator: dims 1, 0
     assert dims[("c", 1)] == 1
     assert dims.get(("c", 2), 0) == 0
@@ -25,14 +33,14 @@ def test_free_lp_dims_and_basis():
 
 def test_free_lp_lie_dims_two_generators():
     fa = FreeAlgebra(GradedPair.ungraded(2, 1), 3)
-    dims = fa.dims()
+    dims = _dims_by_weight(fa)
     assert dims[("c", 1)] == 2 and dims[("c", 2)] == 1 and dims[("c", 3)] == 2
     assert dims[("o", 1)] == 1 and dims[("o", 2)] == 3 and dims[("o", 3)] == 9
 
 
 def test_empty_generators_zero_algebra():
     fa = FreeAlgebra(GradedPair([], []), 3)
-    assert all(v == 0 for v in fa.dims().values())
+    assert _dims_by_weight(fa) == Counter()
 
 
 def test_lp_bracket_jacobi_in_lyndon_basis():
@@ -134,6 +142,22 @@ def test_coderivation_laws_exhaustive():
         if img:
             phi[key] = img
     assert check_coderivation_laws(cofree, psi, phi, -1) == []
+
+
+def test_entries_are_filed_in_wedge_order():
+    # the constructor and the tensor file file an entry alike: under its
+    # sorted wedge key with the Koszul sign, refusing a degenerate key
+    pair = GradedPair.ungraded(2, 1)
+    data = HomotopyAlgebraData(pair, {2: {(1, 0): {0: 1}}}, {})
+    assert data.l_tensors == {2: {(0, 1): {0: -1}}}
+    assert data.eval_l((1, 0)) == {0: 1}
+    spec = "closed x1 0\nclosed x2 0\nl 2: {} -> x1"
+    assert parse_tensor_file(spec.format("x2,x1")).l_tensors == \
+        data.l_tensors
+    with pytest.raises(ValueError, match="degenerate wedge key x1,x1"):
+        HomotopyAlgebraData(pair, {2: {(0, 0): {0: 1}}}, {})
+    with pytest.raises(TensorFileError, match="degenerate wedge key x1,x1"):
+        parse_tensor_file(spec.format("x1,x1"))
 
 
 def test_shlp_zero_tensors_pass():

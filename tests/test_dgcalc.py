@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bioperad import duality, models
 from bioperad.dgcalc import (DgTruncation, compose_series,
                              hilbert_series_gk_check, homology_dims,
                              series_from_dims, verify_d_squared)
@@ -20,7 +22,7 @@ from bioperad.trees import (CLOSED, OPEN, Element, component_basis,
 
 def test_zero_genmap_zero_differential():
     dg = ocinf_dg(3)
-    zero = DgTruncation(dg.collection, lambda s, d: Element(),
+    zero = DgTruncation(dg.collection, lambda s: [Element()] * s.dim,
                         3).derivation
     for t in dg.chain_basis(sig(2, 1, OPEN), 1):
         assert zero.apply_tree(t).is_zero()
@@ -31,11 +33,42 @@ def test_dg_truncation_checks_the_genmap_contract():
     l3 = parse_term(coll, "l3(c1,c2,c3)")
     # l2 -> l3 changes the signature; l3 -> l3 keeps the degree
     with pytest.raises(ValueError, match="changes the signature of l2"):
-        DgTruncation(coll, lambda s, d: l3 if s.name == "l2" else
-                     Element(), 3)
+        DgTruncation(coll, lambda s: [l3 if s.name == "l2" else
+                                      Element()] * s.dim, 3)
     with pytest.raises(ValueError, match="lower degree by 1 on l3"):
-        DgTruncation(coll, lambda s, d: l3 if s.name == "l3" else
-                     Element(), 3)
+        DgTruncation(coll, lambda s: [l3 if s.name == "l3" else
+                                      Element()] * s.dim, 3)
+    # one image per basis element: n12 has two
+    assert coll["n12"].dim == 2
+    with pytest.raises(ValueError, match="1 images for the 2 basis "
+                                         "elements of n12"):
+        DgTruncation(coll, lambda s: [Element()] * (
+            1 if s.name == "n12" else s.dim), 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: models.ocinf_dg.__wrapped__(3),
+    lambda: duality.cobar_truncate(models.lp_presentation(), 3)],
+    ids=["OCinf(3)", "cobar(LP,3)"])
+def test_cobar_genmap_reads_each_two_vertex_tree_once(monkeypatch, build):
+    # the coordinates callback sees each weight-2 tree of each vertex
+    # space exactly once while the dg is built
+    seen = Counter()
+    real = duality.cobar_genmap
+
+    def counting(coll, coordinates):
+        def counted(space, tau, slot):
+            seen[space, tau] += 1
+            return coordinates(space, tau, slot)
+        return real(coll, counted)
+
+    monkeypatch.setattr(duality, "cobar_genmap", counting)
+    monkeypatch.setattr(models, "cobar_genmap", counting)
+    dg = build()
+    want = Counter((space, tau) for space in dg.collection
+                   for tau in enumerate_basis(dg.collection,
+                                              space.signature, 2))
+    assert want and seen == want
 
 
 def test_l3_expansion_three_terms():
@@ -63,10 +96,10 @@ def test_formula_oracle_matches_up_to_global_sign():
     oracle = lp_formula_genmap(coll)
     for name in ("l3", "n21", "n12", "n03"):
         space = coll[name]
-        for dec in range(space.dim):
-            mine = dg.derivation.images[space][dec]
-            theirs = oracle(space, dec)
-            assert mine == theirs.scale(-1), (space.name, dec)
+        theirs = oracle(space)
+        assert len(theirs) == space.dim
+        for dec, mine in enumerate(dg.derivation.images[space]):
+            assert mine == theirs[dec].scale(-1), (space.name, dec)
 
 
 def test_d_squared_lp_small():
@@ -83,17 +116,17 @@ def test_flipped_sign_breaks_d_squared():
     dg = lpinf_dg(4)
     (t, _), = parse_term(dg.collection, "n02(o1,n11(c1,o2))")
 
-    def flipped(space, dec):
-        img = dg.derivation.images[space][dec]
-        if space.name == "n12" and dec == 0:
-            assert t in img.terms
-            return Element({u: -c if u is t else c for u, c in img})
-        return img
+    def flipped(space):
+        images = list(dg.derivation.images[space])
+        if space.name == "n12":
+            assert t in images[0].terms
+            images[0] = Element({u: -c if u is t else c
+                                 for u, c in images[0]})
+        return images
 
     broken = DgTruncation(dg.collection, flipped, 4, name="broken")
     assert verify_d_squared(broken) != []
-    same = DgTruncation(dg.collection,
-                        lambda space, dec: dg.derivation.images[space][dec],
+    same = DgTruncation(dg.collection, dg.derivation.images.__getitem__,
                         4, name="same")
     assert verify_d_squared(same) == []
 
@@ -170,7 +203,7 @@ def test_h0sc_dual_dg_respects_ideal_and_squares_to_zero():
 
 def test_homology_of_zero_differential_is_chains():
     dg3 = ocinf_dg(3)
-    free = DgTruncation(dg3.collection, lambda s, d: Element(), 3,
+    free = DgTruncation(dg3.collection, lambda s: [Element()] * s.dim, 3,
                         name="zero")
     h = homology_dims(free)
     for s in [sig(2, 1, OPEN), sig(3, 0, CLOSED)]:
