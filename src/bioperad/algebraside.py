@@ -18,6 +18,8 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 
 from .linalg import betti
+from .signs import (koszul_sign, perm_sign, sort_key_perm, unshuffle_perm,
+                    unshuffles)
 from .trees import accumulate
 
 
@@ -43,31 +45,16 @@ class GradedPair:
                    [(f"a{i}", 0) for i in range(1, n_open + 1)])
 
 
-def merge_sign(left, right, degrees):
-    """Koszul sign of merging two sorted index tuples into sorted order.
+def _insert_symbol(idx, word, degrees):
+    """Koszul sign of moving idx from the front of a sorted word into place.
 
     Returns (sign, merged) or (0, None) when an odd symbol repeats.
     """
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if right[j] < left[i]:
-            # right[j] crosses the remaining left symbols
-            cross = sum(degrees[x] for x in left[i:])
-            if (degrees[right[j]] & 1) and (cross & 1):
-                sign = -sign
-            merged.append(right[j])
-            j += 1
-        else:
-            merged.append(left[i])
-            i += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    for a, b in zip(merged, merged[1:]):
-        if a == b and (degrees[a] & 1):
-            return 0, None
-    return sign, tuple(merged)
+    seq = (idx,) + word
+    merged = tuple(sorted(seq))
+    if any(a == b and (degrees[a] & 1) for a, b in zip(merged, merged[1:])):
+        return 0, None
+    return koszul_sign(sort_key_perm(seq), [degrees[x] for x in seq]), merged
 
 
 def unshuffle_splits(word, degrees):
@@ -83,17 +70,11 @@ def unshuffle_splits(word, degrees):
 @lru_cache(maxsize=None)
 def _unshuffle_splits(word, odd):
     """unshuffle_splits of a word whose symbols have the parities odd."""
-    n = len(word)
-    out = []
-    for k in range(n + 1):
-        for picks in combinations(range(n), k):
-            rest = [i for i in range(n) if i not in picks]
-            crossings = sum(odd[i] & odd[j]
-                            for i in rest for j in picks if j > i)
-            out.append((-1 if crossings & 1 else 1,
-                        tuple(word[j] for j in picks),
-                        tuple(word[i] for i in rest)))
-    return tuple(out)
+    positions = range(1, len(word) + 1)
+    return tuple((koszul_sign(unshuffle_perm(a, b), odd),
+                  tuple(word[i - 1] for i in a), tuple(word[i - 1] for i in b))
+                 for k in range(len(word) + 1)
+                 for a, b in unshuffles(positions, k))
 
 
 def split_sign_back(word, picks, degrees):
@@ -117,24 +98,27 @@ class FreeAlgebra:
     closed elements: the Lyndon basis of the free Lie algebra, realized in
     the tensor algebra.  open elements: words in letters (u, o), a tensor
     word u in the closed generators acting on the open generator o, of
-    weight len(u) + 1.  All structure maps return dicts basis_element ->
-    coefficient, an int unless it is rational.
+    weight len(u) + 1.  l_basis and a_basis list both bases up to the weight
+    bound, by ascending weight.  All structure maps return dicts
+    basis_element -> coefficient, an int unless it is rational.
     """
 
     def __init__(self, pair, weight_bound):
         if any(d != 0 for _, d in pair.closed + pair.open):
             raise ValueError("free algebras are implemented for degree-0 "
                              "generators")
-        self.pair = pair
         self.bound = weight_bound
-        self.nc = len(pair.closed)
-        self.no = len(pair.open)
-        self.lyndon = {w: _lyndon_words(self.nc, w)
-                       for w in range(1, weight_bound + 1)}
-        self.lie_expansion = {word: _expand_lyndon(word)
-                              for words in self.lyndon.values()
-                              for word in words}
-        self._build_bases()
+        nc = len(pair.closed)
+        self.l_basis = [("lie", u) for w in range(1, weight_bound + 1)
+                        for u in _lyndon_words(nc, w)]
+        self.lie_expansion = {u: _expand_lyndon(u) for _, u in self.l_basis}
+        letters = [(u, o) for lw in range(0, weight_bound)
+                   for u in product(range(nc), repeat=lw)
+                   for o in range(len(pair.open))]
+        self.a_basis = sorted(
+            (("word", word) for word in _letter_words(
+                letters, weight_bound, lambda l: len(l[0]) + 1)),
+            key=self.open_weight)
 
     # -- closed side -------------------------------------------------------
 
@@ -160,9 +144,6 @@ class FreeAlgebra:
             accumulate(rest, expansion.items(), -c)
         return out
 
-    def closed_basis(self, weight):
-        return [("lie", w) for w in self.lyndon.get(weight, [])]
-
     def bracket(self, x, y):
         """Lie bracket of two closed basis elements."""
         _, u = x
@@ -173,18 +154,6 @@ class FreeAlgebra:
         return {("lie", w): c for w, c in self._lie_decompose(comm).items()}
 
     # -- open side ----------------------------------------------------------
-
-    def _build_bases(self):
-        bound = self.bound
-        self._closed_by_weight = {w: self.closed_basis(w)
-                                  for w in range(1, bound + 1)}
-        self._open_by_weight = {w: [] for w in range(1, bound + 1)}
-        letters = [(u, o) for lw in range(0, bound)
-                   for u in product(range(self.nc), repeat=lw)
-                   for o in range(self.no)]
-        for word in _letter_words(letters, bound, lambda l: len(l[0]) + 1):
-            x = ("word", word)
-            self._open_by_weight[self.open_weight(x)].append(x)
 
     def open_weight(self, x):
         return sum(len(l[0]) + 1 for l in x[1])
@@ -281,7 +250,6 @@ class CofreePair:
     """
 
     def __init__(self, pair, closed_bound, open_bound):
-        self.pair = pair
         self.cdeg = [d for _, d in pair.closed]
         self.odeg = [d for _, d in pair.open]
         self.closed_bound = closed_bound
@@ -317,7 +285,7 @@ def _psi_terms(m, cdeg, psi):
         if not a:
             continue
         for idx, c in psi.get(a, {}).items():
-            s2, merged = merge_sign((idx,), b, cdeg)
+            s2, merged = _insert_symbol(idx, b, cdeg)
             if s2:
                 yield merged, sign * s2 * c
 
@@ -461,13 +429,9 @@ class LeibnizPairData:
 
     @classmethod
     def from_free_algebra(cls, fa):
-        l_basis = [x for w in sorted(fa._closed_by_weight)
-                   for x in fa._closed_by_weight[w]]
-        a_basis = [x for w in sorted(fa._open_by_weight)
-                   for x in fa._open_by_weight[w]]
-        return cls(l_basis, a_basis, fa.bracket, fa.open_product, fa.action,
-                   l_weight=fa.closed_weight, a_weight=fa.open_weight,
-                   bound=fa.bound)
+        return cls(fa.l_basis, fa.a_basis, fa.bracket, fa.open_product,
+                   fa.action, l_weight=fa.closed_weight,
+                   a_weight=fa.open_weight, bound=fa.bound)
 
     def validate(self):
         """Check the Leibniz-pair axioms on all basis tuples (within the
@@ -700,22 +664,12 @@ class HomotopyAlgebraData:
 
 
 def _sort_wedge(tup, degrees):
-    """Sort a wedge tuple; sgn times Koszul sign, zero on even repeats.
-
-    An adjacent swap of symbols v, w contributes -(-1)^(|v||w|).
-    """
-    items = list(tup)
-    sign = 1
-    for i in range(len(items)):
-        for j in range(len(items) - 1 - i):
-            if items[j] > items[j + 1]:
-                both_odd = (degrees[items[j]] & 1) and (degrees[items[j + 1]] & 1)
-                sign *= 1 if both_odd else -1
-                items[j], items[j + 1] = items[j + 1], items[j]
-    for a, b in zip(items, items[1:]):
-        if a == b and not (degrees[a] & 1):
-            return 0, None
-    return sign, tuple(items)
+    """Sort a wedge tuple; sgn times Koszul sign, zero on even repeats."""
+    key = tuple(sorted(tup))
+    if any(a == b and not (degrees[a] & 1) for a, b in zip(key, key[1:])):
+        return 0, None
+    perm = sort_key_perm(tup)
+    return perm_sign(perm) * koszul_sign(perm, [degrees[x] for x in tup]), key
 
 
 def _decalage(degrees):
@@ -803,18 +757,18 @@ def shlp_ocha_check(data, mode, arity_bound):
             report.violations.append(("closed", m, total))
     # mixed component: rho(D_L)D_A + D_A o D_A, with rho(D_L)D_A the lift of
     # g_{D_A} o (D_L (x) 1) -- an even (degree -2) corestriction
+    mixed = [(m, w) for m, w in cofree.mixed_basis
+             if len(m) + len(w) <= arity_bound]
     g_rho = {}
     d_l_at = {}
-    for m, w in cofree.mixed_basis:
+    for m, w in mixed:
         if m not in d_l_at:
             d_l_at[m] = d_l(m)
         val = _compose({}, d_l_at[m], lambda mm: phi.get((mm, w), {}))
         if val:
             g_rho[(m, w)] = val
     rho_da = lift_phi(sl, sa, None, g_rho, -2)
-    for m, w in cofree.mixed_basis:
-        if len(m) + len(w) > arity_bound:
-            continue
+    for m, w in mixed:
         total = _compose({}, d_a(m, w), lambda cell: d_a(*cell))
         accumulate(total, rho_da(m, w).items())
         # the corestriction: the part with no closed and one open factor
@@ -837,7 +791,7 @@ def _diff1_instance(data, psi, m):
         if not inner:
             continue
         for idx, c in inner.items():
-            s2, merged = merge_sign((idx,), b, data.sl)
+            s2, merged = _insert_symbol(idx, b, data.sl)
             if s2 == 0 or merged is None:
                 continue
             outer = psi.get(merged)
@@ -859,7 +813,7 @@ def _diff2_instance(data, psi, phi, m, w):
         if not inner:
             continue
         for idx, c in inner.items():
-            s2, merged = merge_sign((idx,), b, sl)
+            s2, merged = _insert_symbol(idx, b, sl)
             if s2 == 0 or merged is None:
                 continue
             val = phi.get((merged, w))

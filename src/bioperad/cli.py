@@ -12,7 +12,8 @@ import os
 import sys
 
 from .algebraside import shlp_ocha_check
-from .dgcalc import homology_dims, verify_d_squared
+from .dgcalc import (hilbert_series_gk_check, homology_dims,
+                     verify_d_squared)
 from .duality import quadratic_dual
 from .models import PRESENTATION_BUILDERS, h0sc_dual_dg, lpinf_dg, ocinf_dg
 from .presentation import (check_ql_conditions, quotient_dims, relation_span,
@@ -21,7 +22,6 @@ from .specfile import (FileFormatError, emit_spec, parse_spec,
                        parse_tensor_file)
 from .trees import COLORS, Signature
 from .verify import DEFAULT_BOUNDS, closed_dim_table, run_checks
-from .dgcalc import hilbert_series_gk_check
 
 DG_MODELS = {
     "OCinf": ocinf_dg,

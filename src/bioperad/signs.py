@@ -52,7 +52,8 @@ def koszul_sign(perm, degrees):
 def sort_key_perm(keys):
     """Permutation sending position i to the rank of keys[i] in sorted order.
 
-    Keys must be distinct.  Returned in image notation, 1-based.
+    Equal keys keep their order, so no two of them count as crossing in
+    perm_sign or koszul_sign.  Returned in image notation, 1-based.
     """
     order = sorted(range(len(keys)), key=lambda i: keys[i])
     perm = [0] * len(keys)

@@ -9,7 +9,6 @@ exit nonzero.
 
 import random
 import time
-from fractions import Fraction
 from itertools import product
 from math import factorial
 
@@ -204,23 +203,26 @@ def check_ce_hochschild(bounds):
     return _ok(good, {str(k): v for k, v in h.items()})
 
 
+def _random_image(rng, outputs, bound, p):
+    """A sparse image {i: c} on the outputs: each is kept when rng.random()
+    < p, with c drawn from -bound..bound; zeros are dropped."""
+    img = {i: rng.randint(-bound, bound) for i in outputs if rng.random() < p}
+    return {i: c for i, c in img.items() if c}
+
+
 def check_coderivation_lift(bounds):
     rng = random.Random(101)
     pair = GradedPair.ungraded(2, 2)
     cofree = CofreePair(pair, 3, 3)
     psi, phi = {}, {}
     for m in cofree.closed_basis:
-        img = {i: Fraction(rng.randint(-2, 2)) for i in range(2)
-               if rng.random() < 0.6}
-        img = {k: v for k, v in img.items() if v}
+        img = _random_image(rng, range(2), 2, 0.6)
         if img:
             psi[m] = img
     for key in cofree.mixed_basis:
         if rng.random() < 0.5:
             continue
-        img = {i: Fraction(rng.randint(-2, 2)) for i in range(2)
-               if rng.random() < 0.6}
-        img = {k: v for k, v in img.items() if v}
+        img = _random_image(rng, range(2), 2, 0.6)
         if img:
             phi[key] = img
     bad = check_coderivation_laws(cofree, psi, phi, -1)
@@ -235,9 +237,8 @@ def _random_homotopy_data(rng):
         table = {}
         for key in graded_multisets([d + 1 for d in cdeg], n):
             din = sum(cdeg[i] for i in key)
-            img = {i: Fraction(rng.randint(-1, 1)) for i in range(2)
-                   if cdeg[i] == din + n - 2 and rng.random() < 0.5}
-            img = {k: v for k, v in img.items() if v}
+            img = _random_image(
+                rng, [i for i in range(2) if cdeg[i] == din + n - 2], 1, 0.5)
             if img:
                 table[key] = img
         if table:
@@ -249,10 +250,9 @@ def _random_homotopy_data(rng):
             for ck in graded_multisets([d + 1 for d in cdeg], p):
                 for ok in product(range(2), repeat=q):
                     din = sum(cdeg[i] for i in ck) + sum(odeg[i] for i in ok)
-                    img = {i: Fraction(rng.randint(-1, 1)) for i in range(2)
-                           if odeg[i] == din + p + q - 2
-                           and rng.random() < 0.4}
-                    img = {k: v for k, v in img.items() if v}
+                    img = _random_image(
+                        rng, [i for i in range(2)
+                              if odeg[i] == din + p + q - 2], 1, 0.4)
                     if img:
                         table[(ck, ok)] = img
             if table:
@@ -266,16 +266,15 @@ def check_shlp_equivalence(bounds):
     discrepancies = []
     # a valid strict pair and a perturbed one
     pair = GradedPair.ungraded(2, 2)
-    bracket = {(0, 1): {1: Fraction(1)}}
-    mult = {(0, 0): {1: Fraction(1)}}
-    action = {(0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(2)}}
+    bracket = {(0, 1): {1: 1}}
+    mult = {(0, 0): {1: 1}}
+    action = {(0, 0): {0: 1}, (0, 1): {1: 2}}
     valid = strict_pair_tensors(pair, bracket, mult, action)
     rep = shlp_ocha_check(valid, "SHLP", 4)
     if not rep.passed or rep.discrepancies:
         return "fail", {"strict-pair": str(rep)}
-    perturbed = strict_pair_tensors(
-        pair, bracket, mult,
-        {**action, (0, 1): {1: Fraction(-2)}})
+    perturbed = strict_pair_tensors(pair, bracket, mult,
+                                    {**action, (0, 1): {1: -2}})
     rep2 = shlp_ocha_check(perturbed, "SHLP", 4)
     if rep2.passed or rep2.discrepancies:
         return "fail", {"perturbed-pair": str(rep2)}

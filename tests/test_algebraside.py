@@ -1,17 +1,21 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bioperad.algebraside import (CofreePair, FreeAlgebra, GradedPair,
                                   HomotopyAlgebraData, LeibnizPairData,
                                   ce_complex, ce_hochschild_homology,
                                   check_coderivation_laws, lift_phi, lift_psi,
                                   shlp_ocha_check, strict_pair_tensors,
-                                  _lyndon_words)
+                                  unshuffle_splits, _insert_symbol,
+                                  _lyndon_words, _sort_wedge)
 from bioperad.specfile import TensorFileError, parse_tensor_file
-from bioperad.verify import _random_homotopy_data
+from bioperad.verify import _random_homotopy_data, _random_image
 
 
 def _dims_by_weight(fa):
@@ -45,8 +49,7 @@ def test_empty_generators_zero_algebra():
 
 def test_lp_bracket_jacobi_in_lyndon_basis():
     fa = FreeAlgebra(GradedPair.ungraded(2, 1), 3)
-    basis1 = fa.closed_basis(1)
-    x, y = basis1
+    x, y = (x for x in fa.l_basis if fa.closed_weight(x) == 1)
     xy = fa.bracket(x, y)
     assert list(xy.values()) == [Fraction(1)] or list(xy.values()) == [Fraction(-1)]
     # antisymmetry
@@ -127,18 +130,14 @@ def test_coderivation_laws_exhaustive():
     cofree = CofreePair(pair, 3, 3)
     psi = {}
     for m in cofree.closed_basis:
-        img = {i: Fraction(rng.randint(-2, 2)) for i in range(2)
-               if rng.random() < 0.5}
-        img = {k: v for k, v in img.items() if v}
+        img = _random_image(rng, range(2), 2, 0.5)
         if img:
             psi[m] = img
     phi = {}
-    for key in list(cofree.mixed_basis):
+    for key in cofree.mixed_basis:
         if rng.random() < 0.5:
             continue
-        img = {i: Fraction(rng.randint(-2, 2)) for i in range(2)
-               if rng.random() < 0.6}
-        img = {k: v for k, v in img.items() if v}
+        img = _random_image(rng, range(2), 2, 0.6)
         if img:
             phi[key] = img
     assert check_coderivation_laws(cofree, psi, phi, -1) == []
@@ -277,7 +276,7 @@ def test_ce_differential_squares_to_zero():
 
 def test_lie_decomposition_rejects_a_non_lie_vector():
     fa = FreeAlgebra(GradedPair.ungraded(2, 1), 3)
-    x, y = fa.closed_basis(1)
+    x, y = (x for x in fa.l_basis if fa.closed_weight(x) == 1)
     assert fa._lie_decompose({(0, 1): 1, (1, 0): -1}) == {(0, 1): 1}
     # xy alone is not a Lie element: its least word (0, 1) is Lyndon, and
     # peeling [x, y] leaves yx, which is not
@@ -286,3 +285,62 @@ def test_lie_decomposition_rejects_a_non_lie_vector():
     with pytest.raises(ValueError, match="not Lyndon"):
         fa._lie_decompose({(1, 0): 2, (1, 1): 1})
     assert fa.bracket(y, x) == {("lie", (0, 1)): -1}
+
+
+def _swap_sort(items, swap_sign):
+    """Sort by adjacent swaps of out-of-order neighbours, equal neighbours
+    never swapped: (product of swap_sign(v, w) over the swaps that move w
+    in front of v, sorted tuple)."""
+    items = list(items)
+    sign = 1
+    for end in range(len(items) - 1, 0, -1):
+        for j in range(end):
+            if items[j] > items[j + 1]:
+                sign *= swap_sign(items[j], items[j + 1])
+                items[j], items[j + 1] = items[j + 1], items[j]
+    return sign, tuple(items)
+
+
+def _graded_symbols(draw):
+    """Symbol degrees and a tuple of symbol indices, repeats likely."""
+    degrees = draw(st.lists(st.integers(-2, 3), min_size=1, max_size=4))
+    symbol = st.integers(0, len(degrees) - 1)
+    return degrees, draw(st.lists(symbol, max_size=6)), draw(symbol)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_signs_match_adjacent_swaps(data):
+    # the wedge sort, the one-symbol insertion and the signed splits
+    # against sorting by adjacent transpositions, one crossing at a time
+    degrees, tup, idx = _graded_symbols(data.draw)
+
+    def odd(v):
+        return degrees[v] % 2
+
+    def koszul(v, w):
+        return -1 if odd(v) and odd(w) else 1
+
+    def repeats(word, parity):
+        return any(a == b and odd(a) == parity for a, b in zip(word, word[1:]))
+
+    sign, key = _swap_sort(tup, lambda v, w: -koszul(v, w))
+    assert _sort_wedge(tuple(tup), degrees) == (
+        (0, None) if repeats(key, 0) else (sign, key))
+
+    word = tuple(sorted(tup))
+    sign, merged = _swap_sort((idx,) + word, koszul)
+    assert _insert_symbol(idx, word, degrees) == (
+        (0, None) if repeats(merged, 1) else (sign, merged))
+
+    splits = []
+    for k in range(len(word) + 1):
+        for picks in combinations(range(len(word)), k):
+            # rank 0 for a picked position: the picks move to the front
+            ranked = [(i not in picks, i) for i in range(len(word))]
+            sign, _ = _swap_sort(ranked, lambda v, w: koszul(word[v[1]],
+                                                             word[w[1]]))
+            splits.append((sign, tuple(word[i] for i in picks),
+                           tuple(word[i] for i in range(len(word))
+                                 if i not in picks)))
+    assert list(unshuffle_splits(word, degrees)) == splits

@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioperad import duality, models
-from bioperad.dgcalc import (DgTruncation, compose_series,
-                             hilbert_series_gk_check, homology_dims,
-                             series_from_dims, verify_d_squared)
+from bioperad.dgcalc import (DgTruncation, hilbert_series_gk_check,
+                             homology_dims, verify_d_squared)
 from bioperad.models import (h0sc_dual_dg, lp_formula_genmap, lpinf_dg,
                              ocinf_dg)
 from bioperad.presentation import group_elements
-from bioperad.trees import (CLOSED, OPEN, Element, component_basis,
-                            enumerate_basis, graft, parse_term, sig,
-                            symmetric_act, text_form, tree_degree)
+from bioperad.trees import (CLOSED, OPEN, Element, enumerate_basis, graft,
+                            parse_term, sig, symmetric_act, text_form)
 
 
 def test_zero_genmap_zero_differential():

@@ -2,11 +2,10 @@ import pytest
 
 from bioperad.models import (LawFailure, _LP_RELS, _relations,
                              alpha_distributive_law, apply_distributive_law,
-                             boundary_identities, h0sc_dual_dg,
-                             h0sc_dual_presentation, h0sc_presentation,
-                             identity_distributive_law,
-                             lambda_c_oc_presentation, lp_presentation,
-                             lpinf_dg, ocinf_dg, palpha_presentation,
+                             boundary_identities, h0sc_dual_presentation,
+                             h0sc_presentation, identity_distributive_law,
+                             lambda_c_oc_presentation, lpinf_dg, ocinf_dg,
+                             palpha_presentation,
                              psi_commutes_with_differentials,
                              whistle_distributive_law, DistributiveLaw)
 from bioperad.presentation import (Presentation, quotient_dims,
@@ -120,8 +119,6 @@ def test_homology_composition_matches_target_representatives():
     # like the color-suspended top operad: the two whistle products at
     # (2,0;o) agree up to a boundary, and the whistle of a bracket is a
     # nonzero class
-    from fractions import Fraction
-
     from bioperad.linalg import Echelon
     from bioperad.trees import corolla_element, graft, parse_term
 

@@ -49,6 +49,13 @@ def test_sort_key_perm():
     assert sort_key_perm([(0, 2), (0, 1)]) == (2, 1)
 
 
+def test_sort_key_perm_keeps_ties_in_order():
+    perm = sort_key_perm([2, 1, 2, 1])
+    assert perm == (3, 1, 4, 2)
+    # three crossings, each of a 2 and a 1: equal keys never cross
+    assert perm_sign(perm) == -1 and koszul_sign(perm, [1, 1, 1, 1]) == -1
+
+
 def test_unshuffles_count():
     assert len(list(unshuffles(range(1, 5), 2))) == 6
     a, b = next(unshuffles((1, 2, 3), 2))

@@ -1,12 +1,11 @@
 import pytest
 
-from bioperad.models import (PRESENTATION_BUILDERS, h0sc_dual_presentation,
-                             h0sc_presentation, lp_presentation)
+from bioperad.models import PRESENTATION_BUILDERS, lp_presentation
 from bioperad.presentation import Presentation, relation_span
 from bioperad.duality import weight2_signatures
 from bioperad.specfile import (SpecFileError, TensorFileError, emit_spec,
                                parse_spec, parse_tensor_file)
-from bioperad.trees import Collection, parse_term, sig, OPEN, CLOSED
+from bioperad.trees import Collection, parse_term, sig, OPEN
 
 
 def _span_identical(a, b):

@@ -19,7 +19,7 @@ from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
                             Collection, CompositionError, Element, Leaf,
                             Node, Signature, TermSyntaxError, _splice,
-                            accumulate, assemble, component_basis, corolla,
+                            accumulate, assemble, component_basis,
                             corolla_element, enumerate_basis, generator,
                             graft, make_node, max_weight, min_leaf_key,
                             parse_term, sig,
@@ -770,10 +770,10 @@ def test_algebra_side_coefficients_are_ints_or_proper_fractions(data):
     m = data.draw(st.sampled_from(cofree.closed_basis))
     mm, w = data.draw(st.sampled_from(cofree.mixed_basis))
     fa = FreeAlgebra(GradedPair.ungraded(2, 1), 4)
-    lie = [x for k in range(1, 5) for x in fa.closed_basis(k)]
-    x, y = data.draw(st.lists(st.sampled_from(lie), min_size=2, max_size=2))
+    x, y = data.draw(st.lists(st.sampled_from(fa.l_basis), min_size=2,
+                              max_size=2))
     a = data.draw(st.sampled_from(
-        [b for k in range(1, 4) for b in fa._open_by_weight[k]]))
+        [b for b in fa.a_basis if fa.open_weight(b) <= 3]))
     outs = [lift_psi(cofree.cdeg, cofree.closed_bound, psi)(m),
             lift_phi(cofree.cdeg, cofree.odeg, psi, phi, -1)(mm, w),
             coproduct_open(cofree, mm, w), fa.bracket(x, y), fa.action(x, a)]
