@@ -35,12 +35,8 @@ class Derivation:
         if isinstance(t, Leaf):
             out = Element()
         else:
-            sig_ = t.space.signature
-            closed_subs = list(t.children[:sig_.n_closed])
-            open_subs = list(t.children[sig_.n_closed:])
-            image = self.images[t.space][t.dec]
-            acc = dict(substitute_element(image, closed_subs,
-                                          open_subs).terms)
+            acc = substitute_element(self.images[t.space][t.dec],
+                                     t.children).terms
             prefix = t.space.degrees[t.dec]
             for i, child in enumerate(t.children):
                 if isinstance(child, Leaf):

@@ -27,9 +27,13 @@ Plugging trees into the leaves of a tree is total composition, and it is
 the one leaf replacement here: the partial composition ``graft`` (the outer
 leaves relabelled, the grafted tree shifted into its slot's labels), the
 S_n x S_m relabelling ``symmetric_act`` (leaves for leaves) and the vertex
-substitution of a derivation all call ``substitute``.  It splices bottom-up
-and re-sorts only the vertices whose children moved, signed by the
-odd-degree subtrees as they move to their leaves' positions in the word.
+substitution of a derivation all call ``substitute``.  Each pattern tree is
+compiled once into a plan that its node keeps: its leaves and vertices in
+post-order, a leaf with its slot and the parity of the pattern word after
+it.  A call runs the plan as a stack machine, rebuilding the vertices
+bottom-up, and re-sorts only those whose children tuple is not interned;
+the sign comes from the odd-degree subtrees, by the stored parities and
+their crossings as they move to their leaves' positions in the word.
 
 Elements are Q-linear combinations of canonical trees with a fixed
 signature and homological degree.  Coefficients are exact: an ``int`` when
@@ -269,7 +273,7 @@ class Node:
     """
 
     __slots__ = ("space", "dec", "children", "_min_key", "_degree",
-                 "_weight", "_signature")
+                 "_weight", "_signature", "_plan")
 
     def __new__(cls, space, dec, children):
         key = (dec, tuple(children))
@@ -286,7 +290,7 @@ class Node:
             node = space.nodes[key] = object.__new__(cls)
             node.space, node.dec, node.children = space, dec, key[1]
             node._min_key = node._degree = node._weight = None
-            node._signature = None
+            node._signature = node._plan = None
         return node
 
     def __repr__(self):
@@ -408,7 +412,7 @@ class Element:
     @classmethod
     def of(cls, terms):
         """Wrap a dict of nonzero, already normalised coefficients."""
-        e = cls()
+        e = object.__new__(cls)
         e.terms = terms
         return e
 
@@ -546,63 +550,96 @@ def assemble(space, dec, parts):
     return acc
 
 
-def _splice(t, leaf_fn):
-    """t with every leaf replaced by the canonical tree leaf_fn(leaf), as
-    canonical terms {tree: coeff}, assembled bottom-up."""
-    if isinstance(t, Leaf):
-        return {leaf_fn(t): 1}
-    return assemble(t.space, t.dec, [_splice(c, leaf_fn) for c in t.children])
-
-
 # ---------------------------------------------------------------------------
 # Substitution: replace the leaves of a standard-labeled pattern by subtrees.
 # This is total composition; grafting, the symmetric action and derivations
 # are all built on it.
 
 
-def _leaf_tails(t, tail=0):
-    """(leaf, sum of vertex degrees after the leaf in the word of t, plus
-    tail), in pre-order."""
-    if isinstance(t, Leaf):
-        yield t, tail
-        return
-    after = tail + tree_degree(t) - t.space.degrees[t.dec]
-    for c in t.children:
-        after -= tree_degree(c)
-        yield from _leaf_tails(c, after)
+def _compile(pattern):
+    """The plan of a standard-labeled pattern node, kept in its ``_plan``.
+
+    One flat tuple of the pattern's leaves and vertices in post-order: a
+    vertex as its own node, a leaf as 2 * its slot index + its tail
+    parity, the tail being the sum of the vertex degrees after the leaf in
+    the word of the pattern.  Post-order keeps the leaves in pre-order.
+    """
+    n, plan = tree_signature(pattern).n_closed, []
+
+    def walk(t, tail):
+        if isinstance(t, Leaf):
+            slot = t.label - 1 if t.color == CLOSED else n + t.label - 1
+            plan.append(2 * slot + (tail & 1))
+            return
+        after = tail + tree_degree(t) - t.space.degrees[t.dec]
+        for c in t.children:
+            after -= tree_degree(c)
+            walk(c, after)
+        plan.append(t)
+
+    walk(pattern, 0)
+    pattern._plan = tuple(plan)
+    return pattern._plan
 
 
-def substitute(pattern, closed_subs, open_subs):
+def substitute(pattern, subs):
     """Plug subtrees into all leaves of a standard-labeled pattern tree.
 
-    closed_subs[i-1] replaces leaf (CLOSED, i); open_subs likewise.  Returns
-    an Element.  Signs: starting from (pattern word, subtrees in slot
+    subs is in slot order, as ``Node.children``: subs[i-1] replaces leaf
+    (CLOSED, i) and subs[n+j-1] leaf (OPEN, j), n the closed inputs.
+    Returns an Element.  The pattern's plan is run as a stack machine: a
+    leaf pushes its subtree, a vertex pops its children, looks them up
+    interned and re-sorts them by make_node only when they are not; a
+    re-sort with several terms carries term dicts upward through
+    ``assemble``.  Signs: starting from (pattern word, subtrees in slot
     order), the subtree words move to their leaf positions.  Only the
     odd-degree subtrees count: each flips the sign when an odd tail of the
     pattern word follows its leaf, and each pair of them flips it when
     their pre-order disagrees with their slot order.
     """
-    def sub(lf):
-        return (closed_subs if lf.color == CLOSED else open_subs)[lf.label - 1]
-
-    terms = _splice(pattern, sub)
-    if any(tree_degree(s) & 1 for s in (*closed_subs, *open_subs)):
-        flips = 0
-        seen = []  # slot keys of the odd subtrees before this leaf
-        for leaf, tail in _leaf_tails(pattern):
-            if tree_degree(sub(leaf)) & 1:
-                key = min_leaf_key(leaf)
-                flips += tail + sum(1 for k in seen if k > key)
-                seen.append(key)
+    if isinstance(pattern, Leaf):
+        return Element.of({subs[0]: 1})
+    plan = pattern._plan or _compile(pattern)
+    stack, scale, spread = [], 1, False
+    for op in plan:
+        if type(op) is int:
+            stack.append(subs[op >> 1])
+            continue
+        cut = len(stack) - len(op.children)
+        children = tuple(stack[cut:])
+        del stack[cut:]
+        if spread:
+            stack.append(assemble(op.space, op.dec, [
+                v if type(v) is dict else {v: 1} for v in children]))
+            continue
+        node = op.space.nodes.get((op.dec, children))
+        if node is None:
+            terms = make_node(op.space, op.dec, children).terms
+            if len(terms) == 1:
+                (node, c), = terms.items()
+                scale *= c
+            else:
+                node, spread = terms, True
+        stack.append(node)
+    if any(tree_degree(s) & 1 for s in subs):
+        flips, seen = 0, []
+        for code in plan:
+            if type(code) is int and tree_degree(subs[code >> 1]) & 1:
+                slot = code >> 1
+                flips += (code & 1) + sum(1 for k in seen if k > slot)
+                seen.append(slot)
         if flips & 1:
-            terms = {t: -c for t, c in terms.items()}
-    return Element.of(terms)
+            scale = -scale
+    top, = stack
+    if spread:
+        return Element.of(accumulate({}, top.items(), scale))
+    return Element.of({top: _exact(scale)})
 
 
-def substitute_element(pattern_elem, closed_subs, open_subs):
+def substitute_element(pattern_elem, subs):
     acc = {}
     for t, c in pattern_elem.terms.items():
-        accumulate(acc, substitute(t, closed_subs, open_subs).terms.items(), c)
+        accumulate(acc, substitute(t, subs).terms.items(), c)
     return Element.of(acc)
 
 
@@ -633,13 +670,12 @@ def graft_trees(t, color, index, s):
         dc, do = n1, index - 1
         closed = list(range(1, n1 + 1))
         open_ = [k if k < index else k + m2 - 1 for k in range(1, m1 + 1)]
-    (s2, _), = substitute(s, [Leaf(CLOSED, k + dc) for k in range(1, n2 + 1)],
-                          [Leaf(OPEN, k + do) for k in range(1, m2 + 1)]
+    (s2, _), = substitute(s, [Leaf(CLOSED, k + dc) for k in range(1, n2 + 1)]
+                          + [Leaf(OPEN, k + do) for k in range(1, m2 + 1)]
                           ).terms.items()
-    closed = [Leaf(CLOSED, k) for k in closed]
-    open_ = [Leaf(OPEN, k) for k in open_]
-    (closed if color == CLOSED else open_)[index - 1] = s2
-    return substitute(t, closed, open_)
+    leaves = [Leaf(CLOSED, k) for k in closed] + [Leaf(OPEN, k) for k in open_]
+    leaves[index - 1 if color == CLOSED else n1 + index - 1] = s2
+    return substitute(t, leaves)
 
 
 def graft(elem, color, index, inner):
@@ -663,8 +699,8 @@ def symmetric_act(perm_pair, elem):
         sig_ = tree_signature(t)
         if len(cperm) != sig_.n_closed or len(operm) != sig_.n_open:
             raise ValueError("permutation sizes do not match the signature")
-    return substitute_element(elem, [Leaf(CLOSED, p) for p in cperm],
-                              [Leaf(OPEN, p) for p in operm])
+    return substitute_element(elem, [Leaf(CLOSED, p) for p in cperm]
+                              + [Leaf(OPEN, p) for p in operm])
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioperad import duality, models
-from bioperad.dgcalc import (DgTruncation, hilbert_series_gk_check,
-                             homology_dims, verify_d_squared)
+from bioperad.dgcalc import (Derivation, DgTruncation,
+                             hilbert_series_gk_check, homology_dims,
+                             verify_d_squared)
 from bioperad.models import (h0sc_dual_dg, lp_formula_genmap, lpinf_dg,
                              ocinf_dg)
 from bioperad.presentation import group_elements
@@ -24,6 +25,28 @@ def test_zero_genmap_zero_differential():
                         3).derivation
     for t in dg.chain_basis(sig(2, 1, OPEN), 1):
         assert zero.apply_tree(t).is_zero()
+
+
+def test_substitution_plans_are_owned_by_the_image_trees_and_built_once():
+    # a fresh dg, so that no other test has compiled plans on its nodes
+    dg = ocinf_dg.__wrapped__(3)
+    images = dg.derivation.images
+
+    def plans_after_a_pass():
+        d = Derivation(images)
+        for s in dg.signatures():
+            for degree in dg.cell_degrees(s):
+                for t in dg.chain_basis(s, degree):
+                    d.apply_tree(t)
+        return {u: u._plan for space in dg.collection
+                for u in space.nodes.values() if u._plan is not None}
+
+    first = plans_after_a_pass()
+    assert set(first) == {u for per_space in images.values()
+                          for image in per_space for u in image.terms}
+    second = plans_after_a_pass()
+    assert second.keys() == first.keys()
+    assert all(second[u] is first[u] for u in first)
 
 
 def test_dg_truncation_checks_the_genmap_contract():

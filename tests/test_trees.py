@@ -18,14 +18,13 @@ from bioperad.signs import compose
 from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
                             Collection, CompositionError, Element, Leaf,
-                            Node, Signature, TermSyntaxError, _splice,
-                            accumulate, assemble, component_basis,
-                            corolla_element, enumerate_basis, generator,
-                            graft, make_node, max_weight, min_leaf_key,
-                            parse_term, sig,
-                            substitute_element, symmetric_act, text_form,
-                            text_form_signed, tree_degree, tree_element,
-                            tree_signature, tree_weight)
+                            Node, Signature, TermSyntaxError, accumulate,
+                            assemble, component_basis, corolla_element,
+                            enumerate_basis, generator, graft, make_node,
+                            max_weight, min_leaf_key, parse_term, sig,
+                            substitute, substitute_element, symmetric_act,
+                            text_form, text_form_signed, tree_degree,
+                            tree_element, tree_signature, tree_weight)
 
 
 def ev_collection():
@@ -527,28 +526,20 @@ def _blocks_ascend(u):
                for i in range(1, len(keys)) if i != n)
 
 
-@_PROPERTY
-@given(st.data())
-def test_splice_is_idempotent(data):
-    coll = _collection(data.draw(st.sampled_from(_COLLECTION_NAMES)))
-    t = _draw_tree(data.draw, coll, 4)
-    assert _splice(t, lambda lf: lf) == {t: 1}
-    s = tree_signature(t)
-    pc = data.draw(st.permutations(range(1, s.n_closed + 1)))
-    po = data.draw(st.permutations(range(1, s.n_open + 1)))
-    once = _splice(t, lambda lf: Leaf(lf.color, (
-        pc if lf.color == CLOSED else po)[lf.label - 1]))
-    assert once
-    index = ambient_basis(coll, s).index
-    for u in once:
-        assert _blocks_ascend(u) and u in index
-        assert _splice(u, lambda lf: lf) == {u: 1}
+def _slot_leaves(closed, open_):
+    """Leaves with the given closed and open labels, in slot order."""
+    return ([Leaf(CLOSED, k) for k in closed]
+            + [Leaf(OPEN, k) for k in open_])
 
 
-def _same_leaves(coll, t):
-    """Every tree of coll on the leaves and output color of t: the
-    standard-labelled trees relabelled in order onto t's leaf labels, which
-    keeps them canonical."""
+def _identity_leaves(s):
+    """The leaves of signature s in slot order: substituting them into a
+    tree of s gives the tree back."""
+    return _slot_leaves(range(1, s.n_closed + 1), range(1, s.n_open + 1))
+
+
+def _leaf_labels(t):
+    """{color: the ascending leaf labels of t of that color}."""
     labels = {CLOSED: [], OPEN: []}
     stack = [t]
     while stack:
@@ -559,14 +550,45 @@ def _same_leaves(coll, t):
             stack.extend(x.children)
     for block in labels.values():
         block.sort()
+    return labels
 
-    def relabel(lf):
-        return Leaf(lf.color, labels[lf.color][lf.label - 1])
 
+def _relabelled(t, new):
+    """t with leaf (c, k) relabelled new[c][k], built node by node; an
+    ascending relabelling keeps a canonical tree canonical."""
+    if isinstance(t, Leaf):
+        return Leaf(t.color, new[t.color][t.label])
+    return Node(t.space, t.dec, tuple(_relabelled(c, new)
+                                      for c in t.children))
+
+
+@_PROPERTY
+@given(st.data())
+def test_identity_substitution_is_idempotent(data):
+    coll = _collection(data.draw(st.sampled_from(_COLLECTION_NAMES)))
+    t = _draw_tree(data.draw, coll, 4)
+    s = tree_signature(t)
+    assert substitute(t, _identity_leaves(s)).terms == {t: 1}
+    pc = data.draw(st.permutations(range(1, s.n_closed + 1)))
+    po = data.draw(st.permutations(range(1, s.n_open + 1)))
+    once = substitute(t, _slot_leaves(pc, po)).terms
+    assert once
+    index = ambient_basis(coll, s).index
+    for u in once:
+        assert _blocks_ascend(u) and u in index
+        assert substitute(u, _identity_leaves(s)).terms == {u: 1}
+
+
+def _same_leaves(coll, t):
+    """Every tree of coll on the leaves and output color of t: the
+    standard-labelled trees relabelled in order onto t's leaf labels, which
+    keeps them canonical."""
+    labels = _leaf_labels(t)
     s = Signature(len(labels[CLOSED]), len(labels[OPEN]),
                   t.space.signature.out)
+    leaves = _slot_leaves(labels[CLOSED], labels[OPEN])
     return [v for u in ambient_basis(coll, s).trees
-            for v in _splice(u, relabel)]
+            for v in substitute(u, leaves).terms]
 
 
 @_PROPERTY
@@ -596,6 +618,134 @@ def test_assemble_is_the_make_node_expansion(data):
         accumulate(expected, make_node(t.space, t.dec, [u for u, _ in combo]
                                        ).terms.items(), scale)
     assert assemble(t.space, t.dec, parts) == expected
+
+
+def _naive_substitute(pattern, subs):
+    """Reference for substitute: each leaf replaced by its subtree, the tree
+    rebuilt bottom-up through make_node, and the sign of the Koszul rule
+    for moving the word (pattern vertices in pre-order, then the subtrees
+    in slot order) to the depth-first word of the substituted tree."""
+    n = tree_signature(pattern).n_closed
+
+    def slot(lf):
+        return lf.label - 1 if lf.color == CLOSED else n + lf.label - 1
+
+    def build(t):
+        if isinstance(t, Leaf):
+            return {subs[slot(t)]: 1}
+        acc = {}
+        for combo in product(*(build(c).items() for c in t.children)):
+            scale = 1
+            for _, c in combo:
+                scale *= c
+            accumulate(acc, make_node(t.space, t.dec, [u for u, _ in combo]
+                                      ).terms.items(), scale)
+        return acc
+
+    source, target, degree = [], [], {}
+
+    def word(t):
+        if isinstance(t, Leaf):
+            target.append(("sub", slot(t)))
+            return
+        letter = ("vertex", len(source))
+        source.append(letter)
+        target.append(letter)
+        degree[letter] = t.space.degrees[t.dec]
+        for c in t.children:
+            word(c)
+
+    word(pattern)
+    for i, u in enumerate(subs):
+        source.append(("sub", i))
+        degree[("sub", i)] = tree_degree(u)
+    where = {letter: i for i, letter in enumerate(target)}
+    flips = sum(degree[a] * degree[b] for i, a in enumerate(source)
+                for b in source[i + 1:] if where[a] > where[b])
+    return Element(build(pattern)).scale(-1 if flips & 1 else 1)
+
+
+@lru_cache(maxsize=None)
+def _trees_within(name, max_inputs, out=None):
+    """Every tree of a collection with at most max_inputs inputs."""
+    coll = _collection(name)
+    return [t for s in _signatures(coll, max_inputs, out)
+            for t in ambient_basis(coll, s).trees]
+
+
+def _draw_disjoint_subs(draw, name, s):
+    """A subtree for each slot of s, in slot order: half of the time an
+    odd-degree tree of at most three inputs if there is one, else a leaf or
+    any such tree.  Their labels are a random ascending share of one
+    standard labelling, so that the substituted tree is standard-labelled."""
+    subs = []
+    for color in [CLOSED] * s.n_closed + [OPEN] * s.n_open:
+        trees = _trees_within(name, 3, color)
+        odd = [t for t in trees if tree_degree(t) & 1]
+        if odd and draw(st.booleans()):
+            subs.append(draw(st.sampled_from(odd)))
+        elif trees and draw(st.booleans()):
+            subs.append(draw(st.sampled_from(trees)))
+        else:
+            subs.append(Leaf(color, 1))
+    counts = [_leaf_labels(u) for u in subs]
+    pool = {c: draw(st.permutations(range(1, sum(len(k[c]) for k in counts)
+                                          + 1)))
+            for c in (CLOSED, OPEN)}
+    out = []
+    for u, labels in zip(subs, counts):
+        new = {}
+        for c in (CLOSED, OPEN):
+            share, pool[c] = pool[c][:len(labels[c])], pool[c][len(labels[c]):]
+            new[c] = dict(zip(labels[c], sorted(share)))
+        out.append(_relabelled(u, new))
+    return out
+
+
+@settings(_PROPERTY, max_examples=150)
+@given(st.data())
+def test_substitute_matches_a_naive_reference(data):
+    # patterns drawn tree by tree, so mostly of four inputs, where odd
+    # vertices follow leaves in the word; the extra examples reach a tail
+    # sign at each leaf and slot that can carry one
+    name = data.draw(st.sampled_from(["H0SC", "LPinf", "OCinf"]))
+    pattern = data.draw(st.sampled_from(_trees_within(name, 4)))
+    subs = _draw_disjoint_subs(data.draw, name, tree_signature(pattern))
+    assert substitute(pattern, subs) == _naive_substitute(pattern, subs)
+
+
+def _spreading_corollas():
+    """(space, dec, closed word) with the g3_0c corolla of the cobar of LP
+    relabelled by the word re-sorting to more than one term."""
+    space = _cobar("cobar-LP")["bar_g3_0c"]
+    return [(space, dec, word) for dec in range(space.dim)
+            for word in permutations((1, 2, 3))
+            if len(make_node(space, dec, _slot_leaves(word, ())).terms) > 1]
+
+
+@_PROPERTY
+@given(st.data())
+def test_symmetric_act_spreads_through_assemble(data):
+    # a g3_0c corolla grafted under a vertex and relabelled so that it
+    # re-sorts to several terms, which the vertex above assembles
+    coll = _cobar("cobar-LP")
+    g3, dec, word = data.draw(st.sampled_from(_spreading_corollas()))
+    above = data.draw(st.sampled_from(
+        [space for space in coll if space.signature.n_closed]))
+    i = data.draw(st.integers(1, above.signature.n_closed))
+    pattern = graft(corolla_element(above, data.draw(
+        st.integers(0, above.dim - 1))), CLOSED, i, corolla_element(g3, dec))
+    s = pattern.signature()
+    cperm = list(data.draw(st.permutations(range(1, s.n_closed + 1))))
+    block = sorted(cperm[i - 1:i + 2])
+    cperm[i - 1:i + 2] = [block[k - 1] for k in word]
+    operm = data.draw(st.permutations(range(1, s.n_open + 1)))
+    acted = symmetric_act((tuple(cperm), tuple(operm)), pattern)
+    assert len(acted) > 1
+    expected = Element()
+    for t, c in pattern:
+        expected += _naive_substitute(t, _slot_leaves(cperm, operm)).scale(c)
+    assert acted == expected
 
 
 def test_node_refuses_children_out_of_order():
@@ -633,13 +783,18 @@ def test_only_canonical_nodes_are_interned():
             for color, i in _all_slots(cor):
                 if s.out == color:
                     graft(cor, color, i, rel)
-        subs = {c: [Leaf(c, k) for k in range(count, 0, -1)]
-                for c, count in ((CLOSED, s.n_closed), (OPEN, s.n_open))}
-        substitute_element(rel, subs[CLOSED], subs[OPEN])
+        substitute_element(rel, _slot_leaves(range(s.n_closed, 0, -1),
+                                             range(s.n_open, 0, -1)))
     nodes = [u for space in coll for u in space.nodes.values()]
     assert len(nodes) > 100
     for u in nodes:
-        assert _splice(u, lambda lf: lf) == {u: 1}
+        # u from the standard-labelled tree of its shape and its own leaves
+        labels = _leaf_labels(u)
+        standard = {c: {k: i for i, k in enumerate(ks, start=1)}
+                    for c, ks in labels.items()}
+        assert substitute(_relabelled(u, standard),
+                          _slot_leaves(labels[CLOSED], labels[OPEN])
+                          ).terms == {u: 1}
 
 
 @_PROPERTY
