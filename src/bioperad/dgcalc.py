@@ -161,7 +161,7 @@ class DgTruncation:
             ab = self.trunc.ambient(sig_)
             if ab.dim == 0:
                 continue
-            ech = self.trunc.spans.span(sig_)
+            ech = self.trunc.span(sig_)
             for p in sorted(ech.rows):
                 elem = ab.element(dict(ech.rows[p]))
                 residue = self.differential(elem)

@@ -27,12 +27,12 @@ from fractions import Fraction
 
 from .dgcalc import DgTruncation
 from .linalg import solve
-from .presentation import (Presentation, adjacent_transpositions,
-                           ambient_basis, check_ql_conditions, project_q,
-                           relation_span, signatures_within, truncation)
+from .presentation import (Presentation, ambient_basis, check_ql_conditions,
+                           ideal_spans, project_q, relation_span,
+                           signatures_within)
 from .signs import perm_sign
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
-                    Element, Leaf, Node, Signature, VertexSpace,
+                    Element, Leaf, Node, Signature, VertexSpace, accumulate,
                     enumerate_basis, generator, graft, symmetric_act)
 
 _SYM_DUAL = {TRIVIAL: SIGN, SIGN: TRIVIAL, REGULAR: REGULAR, NONE: NONE}
@@ -274,16 +274,20 @@ def _cobar_collection(trunc, max_inputs, tag):
         if dim == 0:
             continue
         ab = trunc.ambient(sig_)
-        for i in trunc.basis(sig_):
+        basis = trunc.basis(sig_)
+        for i in basis:
             if ab.degrees[i] != 0:
                 raise ValueError("cobar input must be a degree-0 operad")
         swaps = []
-        for pair in adjacent_transpositions(sig_):
+        for table in ab.transposition_tables():
             # dual right action of an involution: transpose, sgn-twisted
             cols = [[] for _ in range(dim)]
-            for b in range(dim):
-                for b2, coeff in trunc.act(pair, sig_, b).items():
-                    cols[b2].append((b, -coeff))
+            for b, i in enumerate(basis):
+                j = table[i]
+                image = ab.element({abs(j) - 1: 1 if j > 0 else -1})
+                for b2, coeff in accumulate(
+                        {}, trunc.reduce(image).items(), -1).items():
+                    cols[b2].append((b, coeff))
             swaps.append(cols)
         n_closed_swaps = max(sig_.n_closed - 1, 0)
         spaces.append(VertexSpace(
@@ -331,7 +335,7 @@ def cobar_truncate(presentation, max_inputs, tag=""):
     named cobar-<name>: the free operad on the desuspended dual of the
     quotient up to max_inputs inputs, with the differential induced by
     dualized composition.  Space names start with tag."""
-    trunc = truncation(presentation, max_inputs)
+    trunc = ideal_spans(presentation, max_inputs)
     coll = _cobar_collection(trunc, max_inputs, tag)
 
     def coordinates(space, tau, i):

@@ -28,8 +28,8 @@ from math import comb
 from .dgcalc import DgTruncation
 from .duality import arrangement_sign, cobar_genmap
 from .linalg import solve
-from .presentation import (Presentation, project_q, quotient_dims,
-                           signatures_within, truncation)
+from .presentation import (Presentation, ideal_spans, project_q,
+                           quotient_dims, signatures_within)
 from .signs import identity, perm_sign, unshuffle_perm, unshuffles
 from .trees import (CLOSED, IDENTITY_SIGS, NONE, OPEN, REGULAR, SIGN,
                     TRIVIAL, Collection, Element, Leaf, Node, Signature,
@@ -249,7 +249,7 @@ def h0sc_dual_dg(max_inputs=4):
                 for _ in range(space.dim)]
 
     return DgTruncation(coll, genmap, max_inputs,
-                        trunc=truncation(pres, max_inputs), name="H0SCdual")
+                        trunc=ideal_spans(pres, max_inputs), name="H0SCdual")
 
 
 def _singles(trees):
@@ -438,7 +438,7 @@ def apply_distributive_law(law, bound):
     The composite tables carry the identity components; they are stripped
     before comparing with the reduced quotient.
     """
-    trunc = truncation(law.merged, bound)
+    trunc = ideal_spans(law.merged, bound)
     witnesses = []
     for sig_ in signatures_within(bound):
         got = trunc.dims_by_degree(sig_)

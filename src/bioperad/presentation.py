@@ -1,4 +1,4 @@
-"""Operad presentations, bounded ideal spans, and quotient truncations.
+"""Operad presentations and their quotient truncations.
 
 A presentation is a generating collection plus relation elements.  Purely
 quadratic relations live in weight 2; quadratic-linear ones mix weights 1
@@ -14,13 +14,17 @@ Spinning works on index vectors: every ambient basis holds, per adjacent
 transposition, the signed permutation it induces on the basis trees, so an
 image is a dict remap and no tree is rebuilt.
 
-Saturation grows only the spin seeds, the elements that raised the rank
-before their images were pushed.  Grafting is linear and equivariant,
-(x.s) o_i c = (x o_s(i) c).s' and likewise for a graft above x, so the
-grafts of the seeds at every slot span, once spun, the grafts of the whole
-S-closed span.  Truncating at a bound on the inputs is exact because a
-graft never lowers the number of inputs, so nothing above the bound feeds
-back below it.
+A ``Truncation`` is the quotient at one bound on the inputs.  Its
+constructor saturates the ideal, and it holds the ideal spans, the coset
+bases and the reduction to classes.  Saturation grows only the spin
+seeds, the elements that raised the rank before their images were pushed.
+Grafting is linear and equivariant, (x.s) o_i c = (x o_s(i) c).s' and
+likewise for a graft above x, so the grafts of the seeds at every slot
+span, once spun, the grafts of the whole S-closed span.  Truncating at a
+bound on the inputs is exact because a graft never lowers the number of
+inputs, so nothing above the bound feeds back below it.  ``ideal_spans``
+memoises one truncation per bound on the presentation, and a larger one
+answers for a smaller bound.
 """
 
 from itertools import permutations
@@ -35,15 +39,14 @@ from .trees import (CLOSED, OPEN, Element, Leaf, component_basis,
 class Presentation:
     """A collection and its relations.
 
-    It memoises its ideal saturations and truncations by ``max_inputs``, so
-    they are freed with it.
+    It memoises its saturated quotient truncations by ``max_inputs``
+    (``ideal_spans``), so they are freed with it.
     """
 
     def __init__(self, collection, relations, name=""):
         self.collection = collection
         self.relations = tuple(r for r in relations if not r.is_zero())
         self.name = name
-        self.saturations = {}
         self.truncations = {}
         for r in self.relations:
             check_relation(collection, r)
@@ -242,100 +245,53 @@ def _grow_once(collection, elem, max_inputs):
     return out
 
 
-class IdealSpans:
-    """Per-signature echelon spans of the ideal generated by the relations."""
+class Truncation:
+    """A quotient operad truncated to signatures with <= max_inputs inputs.
+
+    The constructor saturates the ideal: it spins the relations, grafts a
+    corolla onto each spin seed at every slot within the bound, spins the
+    grafts, and repeats on the new seeds until no rank grows; then it
+    finalises every span.  Per signature it holds the ideal echelon
+    (``span``) and the coset basis of the non-pivot ambient trees;
+    ``basis`` is the one place that decides which ambient trees represent
+    classes.  Elements reduce to canonical residues; classes compose as the
+    reduced graft of their representatives (``class_of``).  An adjacent
+    transposition sends a representative to one signed ambient tree, read
+    off ``ambient(sig_).transposition_tables()``, and ``reduce`` takes that
+    tree to its class.
+    """
 
     def __init__(self, presentation, max_inputs):
-        self.presentation = presentation
+        self.collection = presentation.collection
         self.max_inputs = max_inputs
         self.spans = {}     # sig -> Echelon closed under S_n x S_m
-        self._saturate()
-
-    def _spin(self, elem):
-        sig_ = elem.signature()
-        ech = self.spans.setdefault(sig_, Echelon())
-        return spin(ambient_basis(self.presentation.collection, sig_), [elem],
-                    ech)
-
-    def _saturate(self):
-        P = self.presentation
+        self._basis = {}
         frontier = []
-        for r in P.relations:
+        for r in presentation.relations:
             frontier.extend(self._spin(r))
         while frontier:
             new_frontier = []
             for e in frontier:
-                for grown in _grow_once(P.collection, e, self.max_inputs):
+                for grown in _grow_once(self.collection, e, max_inputs):
                     if not grown.is_zero():
                         new_frontier.extend(self._spin(grown))
             frontier = new_frontier
         for ech in self.spans.values():
             ech.finalize()
 
+    def _spin(self, elem):
+        sig_ = elem.signature()
+        return spin(self.ambient(sig_), [elem],
+                    self.spans.setdefault(sig_, Echelon()))
+
     def span(self, sig_):
+        """The finalised ideal echelon at sig_ (empty outside the ideal)."""
         ech = self.spans.get(sig_)
         if ech is None:
             ech = Echelon()
             ech.finalize()
             self.spans[sig_] = ech
         return ech
-
-
-def ideal_spans(presentation, max_inputs):
-    if max_inputs < 1:
-        raise ValueError(f"max_inputs must be at least 1, not {max_inputs}")
-    saturations = presentation.saturations
-    hit = saturations.get(max_inputs)
-    if hit is None:
-        # reuse a larger saturation when available
-        for mi, spans in saturations.items():
-            if mi >= max_inputs:
-                return spans
-        hit = IdealSpans(presentation, max_inputs)
-        saturations[max_inputs] = hit
-    return hit
-
-
-def relation_span(presentation, signature, weight):
-    """Subspace of the weight-w slice of F(E)(sig) cut out by the ideal.
-
-    For weight-homogeneous (quadratic) presentations this is the ideal
-    component; rows mixing weights are rejected.
-    """
-    spans = ideal_spans(presentation, signature.total)
-    ab = ambient_basis(presentation.collection, signature)
-    cols = [i for i, w in enumerate(ab.weights) if w == weight]
-    colmap = {c: j for j, c in enumerate(cols)}
-    # the span is finalised, so its weight-w rows are already the reduced
-    # form of the relation span; re-indexing keeps them reduced
-    rows = {}
-    for p, row in spans.span(signature).rows.items():
-        ws = {ab.weights[c] for c in row}
-        if ws == {weight}:
-            rows[colmap[p]] = {colmap[c]: x for c, x in row.items()}
-        elif weight in ws:
-            raise ValueError(
-                "relation span at a single weight is ill-defined for "
-                "mixed-weight ideals; use component spans")
-    return Subspace(len(cols), rows)
-
-
-class Truncation:
-    """A quotient operad truncated to signatures with <= max_inputs inputs.
-
-    Per signature: ambient tree basis, finalized ideal echelon, and the coset
-    basis given by non-pivot ambient trees; ``basis`` is the one place that
-    decides which ambient trees represent classes.  Elements reduce to
-    canonical residues; classes compose as the reduced graft of their
-    representatives (``class_of``).
-    """
-
-    def __init__(self, presentation, max_inputs):
-        self.presentation = presentation
-        self.collection = presentation.collection
-        self.max_inputs = max_inputs
-        self.spans = ideal_spans(presentation, max_inputs)
-        self._basis = {}
 
     def ambient(self, sig_):
         return ambient_basis(self.collection, sig_)
@@ -345,7 +301,7 @@ class Truncation:
         hit = self._basis.get(sig_)
         if hit is None:
             ab = self.ambient(sig_)
-            pivots = self.spans.span(sig_).pivots
+            pivots = self.span(sig_).pivots
             hit = [i for i in range(ab.dim) if i not in pivots]
             self._basis[sig_] = hit
         return hit
@@ -366,7 +322,7 @@ class Truncation:
         residue is its reduced ambient index vector."""
         sig_ = elem.signature()
         ab = self.ambient(sig_)
-        return sig_, ab, self.spans.span(sig_).reduce(ab.vector(elem))
+        return sig_, ab, self.span(sig_).reduce(ab.vector(elem))
 
     def reduce(self, elem):
         """Class of an Element as dict (quotient position -> coeff)."""
@@ -387,22 +343,59 @@ class Truncation:
         ab = self.ambient(sig_)
         return tree_element(ab.trees[self.basis(sig_)[q]])
 
-    def act(self, pair, sig_, q):
-        return self.reduce(symmetric_act(pair, self.class_of(sig_, q)))
 
+def ideal_spans(presentation, max_inputs):
+    """The saturated Truncation of presentation at max_inputs inputs.
 
-def truncation(presentation, max_inputs):
-    hit = presentation.truncations.get(max_inputs)
+    Memoised on the presentation.  A truncation saturated at a larger bound
+    answers for a smaller one, so the result's ``max_inputs`` may exceed
+    the bound asked for, and each caller bounds its own signatures with
+    ``signatures_within``.  That is exact: a graft never lowers the number
+    of inputs, so the spans within the smaller bound are the same
+    subspaces, and their finalised rows are canonical.
+    """
+    if max_inputs < 1:
+        raise ValueError(f"max_inputs must be at least 1, not {max_inputs}")
+    truncations = presentation.truncations
+    hit = truncations.get(max_inputs)
     if hit is None:
+        # reuse a larger saturation when available
+        for mi, trunc in truncations.items():
+            if mi >= max_inputs:
+                return trunc
         hit = Truncation(presentation, max_inputs)
-        presentation.truncations[max_inputs] = hit
+        truncations[max_inputs] = hit
     return hit
+
+
+def relation_span(presentation, signature, weight):
+    """Subspace of the weight-w slice of F(E)(sig) cut out by the ideal.
+
+    For weight-homogeneous (quadratic) presentations this is the ideal
+    component; rows mixing weights are rejected.
+    """
+    trunc = ideal_spans(presentation, signature.total)
+    ab = ambient_basis(presentation.collection, signature)
+    cols = [i for i, w in enumerate(ab.weights) if w == weight]
+    colmap = {c: j for j, c in enumerate(cols)}
+    # the span is finalised, so its weight-w rows are already the reduced
+    # form of the relation span; re-indexing keeps them reduced
+    rows = {}
+    for p, row in trunc.span(signature).rows.items():
+        ws = {ab.weights[c] for c in row}
+        if ws == {weight}:
+            rows[colmap[p]] = {colmap[c]: x for c, x in row.items()}
+        elif weight in ws:
+            raise ValueError(
+                "relation span at a single weight is ill-defined for "
+                "mixed-weight ideals; use component spans")
+    return Subspace(len(cols), rows)
 
 
 def quotient_dims(presentation, max_inputs):
     """dict (signature, degree) -> dimension of the quotient operad, read
     off the coset basis of its truncation."""
-    trunc = truncation(presentation, max_inputs)
+    trunc = ideal_spans(presentation, max_inputs)
     return {(sig_, d): dim for sig_ in signatures_within(max_inputs)
             for d, dim in trunc.dims_by_degree(sig_).items()}
 

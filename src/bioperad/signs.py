@@ -1,8 +1,7 @@
 """Permutations and Koszul signs.
 
 Permutations are tuples in image notation: ``p[i-1]`` is where label ``i``
-goes, so ``(2, 1, 3)`` swaps the first two labels.  Composition is
-``compose(p, q) = p after q``.
+goes, so ``(2, 1, 3)`` swaps the first two labels.
 
 The Koszul sign of a reordering of graded symbols is the product of
 ``(-1)**(d_i * d_j)`` over every pair of symbols that crosses; it carries no
@@ -14,13 +13,6 @@ from itertools import combinations
 
 def identity(n):
     return tuple(range(1, n + 1))
-
-
-def compose(p, q):
-    """p after q: (compose(p, q))(i) = p(q(i))."""
-    if len(p) != len(q):
-        raise ValueError("composing permutations of different lengths")
-    return tuple(p[q[i] - 1] for i in range(len(q)))
 
 
 def perm_sign(p):

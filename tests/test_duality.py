@@ -8,12 +8,13 @@ from bioperad.duality import (cobar_truncate, dual_collection,
 from bioperad.models import (com_presentation, h0sc_dual_n11_image,
                              h0sc_dual_presentation, h0sc_presentation,
                              h0scvor_presentation, lie_presentation,
-                             lp_presentation, ocinf_dg)
-from bioperad.presentation import Presentation, ambient_basis, relation_span
+                             lp_presentation, ocinf_dg, qh0sc_presentation)
+from bioperad.presentation import (Presentation, adjacent_transpositions,
+                                   ambient_basis, ideal_spans, relation_span)
 from bioperad.specfile import emit_spec
 from bioperad.trees import (CLOSED, NONE, OPEN, Collection, corolla_element,
                             enumerate_basis, generator, graft, parse_term,
-                            sig, text_form, tree_element)
+                            sig, symmetric_act, text_form, tree_element)
 
 
 def _pairing_entry(com, dual, a, b):
@@ -99,6 +100,38 @@ def test_named_generator_formats_refuse_a_cobar_collection():
         dual_collection(coll)
     with pytest.raises(ValueError, match="named-generator presentations"):
         emit_spec(Presentation(coll, [], "cobar-LP"))
+
+
+_COBAR_INPUTS = [lp_presentation, qh0sc_presentation, h0scvor_presentation]
+
+
+@pytest.mark.parametrize("builder", _COBAR_INPUTS[:2])
+def test_cobar_swap_coefficients_are_ints(builder):
+    coll = cobar_truncate(builder(), 4).collection
+    coeffs = [c for space in coll
+              for swap in space.closed_swaps + space.open_swaps
+              for col in swap for _, c in col]
+    assert coeffs and all(type(c) is int for c in coeffs)
+
+
+@pytest.mark.parametrize("builder", _COBAR_INPUTS)
+def test_cobar_swaps_are_the_dual_action_on_classes(builder):
+    # reference: act on each class representative by symmetric_act and
+    # reduce again; the cobar space holds the transpose, sgn-twisted
+    P = builder()
+    trunc = ideal_spans(P, 4)
+    for space in cobar_truncate(P, 4).collection:
+        s = space.signature
+        for pair, swap in zip(adjacent_transpositions(s),
+                              space.closed_swaps + space.open_swaps):
+            want = {}
+            for b in range(space.dim):
+                image = symmetric_act(pair, trunc.class_of(s, b))
+                for b2, c in trunc.reduce(image).items():
+                    want[b2, b] = -c
+            got = {(b2, b): c for b2, col in enumerate(swap)
+                   for b, c in col}
+            assert got == want, (space, pair)
 
 
 def test_cobar_generator_spaces_of_vor():

@@ -8,8 +8,8 @@ from bioperad.models import (LawFailure, _LP_RELS, _relations,
                              palpha_presentation,
                              psi_commutes_with_differentials,
                              whistle_distributive_law, DistributiveLaw)
-from bioperad.presentation import (Presentation, quotient_dims,
-                                   relation_span, truncation)
+from bioperad.presentation import (Presentation, ideal_spans, quotient_dims,
+                                   relation_span)
 from bioperad.trees import CLOSED, OPEN, parse_term, sig
 
 
@@ -30,7 +30,7 @@ def test_ocinf_generators_include_whistles():
 
 
 def test_h0sc_dual_quotient_dims():
-    tr = truncation(h0sc_dual_presentation(), 3)
+    tr = ideal_spans(h0sc_dual_presentation(), 3)
     assert tr.dims_by_degree(sig(1, 1, OPEN)) == {0: 1, -1: 2}
     assert tr.dims_by_degree(sig(2, 0, OPEN)) == {-1: 2, -2: 2}
     assert tr.dims_by_degree(sig(1, 0, OPEN)) == {-1: 1}

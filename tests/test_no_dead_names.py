@@ -21,7 +21,6 @@ BENCH = PACKAGE.parents[1] / "perfbench"
 ALLOWED = {
     "models.lp_formula_genmap":
         "the oracle that checks the printed unshuffle formulas",
-    "signs.compose": "permutation composition, a helper of the tests",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")

@@ -12,12 +12,12 @@ from bioperad.models import (PRESENTATION_BUILDERS, h0sc_presentation,
                              h0scvor_presentation, lp_presentation,
                              qh0sc_presentation, com_presentation,
                              lie_presentation)
-from bioperad.presentation import (IdealSpans, Presentation, _grow_once,
+from bioperad.presentation import (Presentation, Truncation, _grow_once,
                                    adjacent_transpositions,
                                    check_ql_conditions, ambient_basis,
                                    group_elements, ideal_spans, project_q,
                                    quotient_dims, relation_span,
-                                   signatures_within, spin, truncation)
+                                   signatures_within, spin)
 from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                             Element, VertexSpace, enumerate_basis, generator,
@@ -109,7 +109,7 @@ def test_truncation_composition_well_defined():
     # composing coset representatives then projecting does not depend on the
     # representative: reduce(graft(rep + ideal, rep)) == reduce(graft(rep, rep))
     lp = lp_presentation()
-    tr = truncation(lp, 4)
+    tr = ideal_spans(lp, 4)
     s = sig(1, 1, OPEN)
     rep = tr.class_of(s, 0)
     jac = lp.relations[0]  # weight-2 closed relation
@@ -129,7 +129,7 @@ def test_truncation_composition_well_defined():
 
 def test_truncation_associativity_in_quotient():
     lp = lp_presentation()
-    tr = truncation(lp, 4)
+    tr = ideal_spans(lp, 4)
     s11 = sig(1, 1, OPEN)
     s02 = sig(0, 2, OPEN)
     a = tr.class_of(s11, 0)
@@ -277,7 +277,7 @@ def test_saturation_grows_each_seed_once_and_acts_once_per_table_entry(
     monkeypatch.setattr(presentation, "spin", counted_spin)
     monkeypatch.setattr(presentation, "_grow_once", counted_grow)
     monkeypatch.setattr(presentation, "symmetric_act", counted_act)
-    IdealSpans(P, 4)
+    Truncation(P, 4)
     assert seeds and sorted(map(id, grown)) == sorted(map(id, seeds))
     budget = sum(ambient_basis(P.collection, s).dim
                  * len(adjacent_transpositions(s))
@@ -350,16 +350,26 @@ def _brute_force_ideal(P, max_inputs):
                          + [("LP", 4)])
 def test_ideal_spans_equal_the_brute_force_closure(name, max_inputs):
     P = PRESENTATION_BUILDERS[name]()
-    spans = IdealSpans(P, max_inputs).spans
+    spans = Truncation(P, max_inputs).spans
     assert ({s: ech.rows for s, ech in spans.items() if ech.rank}
             == _brute_force_ideal(P, max_inputs))
+
+
+@pytest.mark.parametrize("name", sorted(PRESENTATION_BUILDERS))
+def test_a_larger_saturation_answers_for_a_smaller_bound(name):
+    # exact because a graft never lowers the number of inputs
+    Q = parse_spec(emit_spec(PRESENTATION_BUILDERS[name]()))
+    trunc = ideal_spans(Q, 4)
+    assert ideal_spans(Q, 3) is trunc and trunc.max_inputs == 4
+    fresh = parse_spec(emit_spec(PRESENTATION_BUILDERS[name]()))
+    assert quotient_dims(Q, 3) == quotient_dims(fresh, 3)
+    assert list(fresh.truncations) == [3]
 
 
 @pytest.mark.parametrize("call", [
     lambda P: quotient_dims(P, 0),
     lambda P: quotient_dims(P, -2),
     lambda P: ideal_spans(P, 0),
-    lambda P: truncation(P, 0),
 ])
 def test_nonpositive_bound_rejected(call):
     lp = lp_presentation()
@@ -386,7 +396,6 @@ def test_cache_never_answers_for_a_freed_collection(dim):
 def test_owned_caches_are_freed_with_their_presentation():
     P = parse_spec(emit_spec(lp_presentation()))
     quotient_dims(P, 3)
-    truncation(P, 3)
     refs = [weakref.ref(P), weakref.ref(P.collection)]
     del P
     gc.collect()

@@ -1,10 +1,15 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bioperad.signs import (compose, koszul_sign, perm_sign, sort_key_perm,
+from bioperad.signs import (koszul_sign, perm_sign, sort_key_perm,
                             unshuffle_perm, unshuffles)
 
 import pytest
+
+
+def compose(p, q):
+    """p after q: compose(p, q)(i) = p(q(i)), in image notation."""
+    return tuple(p[i - 1] for i in q)
 
 
 def test_identity_sign():

@@ -13,8 +13,7 @@ from bioperad.models import (PRESENTATION_BUILDERS, h0sc_dual_dg,
                              h0sc_presentation, lp_presentation, lpinf_dg,
                              ocinf_dg)
 from bioperad.presentation import (ambient_basis, group_elements,
-                                   signatures_within, truncation)
-from bioperad.signs import compose
+                                   ideal_spans, signatures_within)
 from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
                             Collection, CompositionError, Element, Leaf,
@@ -25,6 +24,11 @@ from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
                             substitute, substitute_element, symmetric_act,
                             text_form, text_form_signed, tree_degree,
                             tree_element, tree_signature, tree_weight)
+
+
+def compose(p, q):
+    """p after q: compose(p, q)(i) = p(q(i)), in image notation."""
+    return tuple(p[i - 1] for i in q)
 
 
 def ev_collection():
@@ -904,7 +908,7 @@ def test_tree_layer_coefficients_are_ints_or_proper_fractions(data):
          tuple(data.draw(st.permutations(range(1, s.n_open + 1)))))
     dg = _DG_MODELS[data.draw(st.sampled_from(sorted(_DG_MODELS)))](3)
     outs = [e, graft(e, *slot, f), symmetric_act(g, e),
-            truncation(P, 3).reduce_to_element(e),
+            ideal_spans(P, 3).reduce_to_element(e),
             dg.derivation.apply(_draw_element(data.draw, dg.collection, 3))]
     assert all(_exact(out.terms.values()) for out in outs)
 
