@@ -107,7 +107,10 @@ def cmd_dual(args):
 def cmd_span(args):
     pres = _load_presentation(args.model)
     s = _parse_sig(args.sig)
-    span = relation_span(pres, s, args.weight)
+    try:
+        span = relation_span(pres, s, args.weight)
+    except ValueError as exc:  # a mixed-weight ideal has no weight slice
+        raise UsageError(f"{args.model} at {s}: {exc}") from exc
     records = {"signature": str(s), "weight": args.weight, "dim": span.dim,
                "basis": [[str(x) for x in row] for row in span.basis]}
     lines = [f"relation span at {s}, weight {args.weight}: dim {span.dim}"]

@@ -342,23 +342,15 @@ PRESENTATION_BUILDERS = {
 
 
 # ---------------------------------------------------------------------------
-# Distributive laws
+# Distributive laws: the plain composite collections, whose dimensions the
+# merged quotients must have (Loday-Vallette, Algebraic Operads, 8.6).  Each
+# table is in quotient_dims' convention; the identity components enter the
+# composition and are stripped from the result.
 
 
-class LawFailure(ValueError):
-    def __init__(self, message, witnesses):
-        super().__init__(message)
-        self.witnesses = witnesses
-
-
-class DistributiveLaw:
-    """A rewriting of mixed two-vertex trees presented as the merged
-    quotient, together with the composite-collection dimension oracle."""
-
-    def __init__(self, name, merged_presentation, composite_dims):
-        self.name = name
-        self.merged = merged_presentation
-        self.composite_dims = composite_dims  # (sig) -> {degree: dim}
+# the unit layer: the composite of the unary map with the identity is the
+# free operad on the unary map, whose one tree al(c1) lies in (1,0;o)
+UNIT_COMPOSITE_DIMS = {(Signature(1, 0, OPEN), 0): 1}
 
 
 def _with_identity(dims):
@@ -369,8 +361,21 @@ def _with_identity(dims):
     return table
 
 
-def alpha_distributive_law(bound=4):
-    """Unary-map layer over the commutative-acting operad.
+def _composite_dims(bound, cell):
+    """{(sig, degree): dim} over signatures_within(bound), from cell(sig) ->
+    {degree: dim} with identities, the identity components stripped."""
+    out = {}
+    for sig_ in signatures_within(bound):
+        for d, dim in cell(sig_).items():
+            if d == 0 and sig_ in IDENTITY_SIGS:
+                dim -= 1
+            if dim:
+                out[(sig_, d)] = dim
+    return out
+
+
+def alpha_composite_dims(bound):
+    """Unary-map layer over the commutative-acting operad, merged as qH0SC.
 
     The composite collection puts the unary map on top: open components gain
     a copy of the closed ones (the unary map composed below by anything with
@@ -378,80 +383,31 @@ def alpha_distributive_law(bound=4):
     """
     vor = _with_identity(quotient_dims(h0scvor_presentation(), bound))
 
-    def composite(sig_):
-        out = {}
+    def cell(sig_):
+        d = vor.get((sig_, 0), 0)
         if sig_.out == OPEN:
-            d = vor.get((sig_, 0), 0) + vor.get(
-                (Signature(sig_.n_closed, sig_.n_open, CLOSED), 0), 0)
-        else:
-            d = vor.get((sig_, 0), 0)
-        if d:
-            out[0] = d
-        return out
+            d += vor.get((Signature(sig_.n_closed, sig_.n_open, CLOSED), 0), 0)
+        return {0: d}
 
-    return DistributiveLaw("alpha", qh0sc_presentation(), composite)
+    return _composite_dims(bound, cell)
 
 
-def whistle_distributive_law(bound=4):
-    """Degree -1 unary layer under the Lie-acting operad.
+def whistle_composite_dims(bound):
+    """Degree -1 unary layer under the Lie-acting operad, merged as H0SCdual.
 
     Each closed input may route through the whistle into an open slot; s
     diverted inputs shift the degree by -s.
     """
     lp = _with_identity(quotient_dims(lp_presentation(), bound))
 
-    def composite(sig_):
-        out = {}
+    def cell(sig_):
         if sig_.out == CLOSED:
-            d = lp.get((sig_, 0), 0)
-            if d:
-                out[0] = d
-            return out
+            return {0: lp.get((sig_, 0), 0)}
         n, m = sig_.n_closed, sig_.n_open
-        for s in range(0, n + 1):
-            inner = lp.get((Signature(n - s, m + s, OPEN), 0), 0)
-            if inner:
-                d = comb(n, s) * inner
-                if d:
-                    out[-s] = out.get(-s, 0) + d
-        return out
+        return {-s: comb(n, s) * lp.get((Signature(n - s, m + s, OPEN), 0), 0)
+                for s in range(n + 1)}
 
-    return DistributiveLaw("whistle", h0sc_dual_presentation(), composite)
-
-
-def identity_distributive_law(presentation):
-    """The trivial law of the unit layer: the composite of the unary map
-    with the identity is the free operad on the unary map, whose one tree
-    al(c1) lies in (1,0;o) at degree 0."""
-    dims = _with_identity({(Signature(1, 0, OPEN), 0): 1})
-
-    def composite(sig_):
-        return {deg: d for (s, deg), d in dims.items() if s == sig_}
-
-    return DistributiveLaw("identity", presentation, composite)
-
-
-def apply_distributive_law(law, bound):
-    """Truncation of the merged presentation, checked cell by cell against
-    the plain composite of collections.  Raises LawFailure on mismatch.
-
-    The composite tables carry the identity components; they are stripped
-    before comparing with the reduced quotient.
-    """
-    trunc = ideal_spans(law.merged, bound)
-    witnesses = []
-    for sig_ in signatures_within(bound):
-        got = trunc.dims_by_degree(sig_)
-        want = dict(law.composite_dims(sig_))
-        if sig_ in IDENTITY_SIGS:
-            want[0] = want.get(0, 0) - 1
-            want = {k: v for k, v in want.items() if v}
-        if got != want:
-            witnesses.append({"signature": str(sig_), "quotient": got,
-                              "composite": want})
-    if witnesses:
-        raise LawFailure(f"law {law.name} fails at bound {bound}", witnesses)
-    return trunc
+    return _composite_dims(bound, cell)
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,7 @@ def test_empty_input_files_rejected(tmp_path, capsys):
     ["span", "LP", "--sig", "2,1,z"],
     ["span", "LP", "--sig", "1,-1,o"],
     ["span", "LP", "--sig", "0,0,c"],
+    ["span", "H0SC", "--sig", "1,1,o"],
     ["dual", "H0SC"],
     ["shlp-check", "no-such-file"],
 ])

@@ -1,16 +1,14 @@
-import pytest
-
-from bioperad.models import (LawFailure, _LP_RELS, _relations,
-                             alpha_distributive_law, apply_distributive_law,
-                             boundary_identities, h0sc_dual_presentation,
-                             h0sc_presentation, identity_distributive_law,
+from bioperad.models import (UNIT_COMPOSITE_DIMS, _LP_RELS, _relations,
+                             alpha_composite_dims, boundary_identities,
+                             h0sc_dual_presentation, h0sc_presentation,
                              lambda_c_oc_presentation, lpinf_dg, ocinf_dg,
                              palpha_presentation,
                              psi_commutes_with_differentials,
-                             whistle_distributive_law, DistributiveLaw)
+                             qh0sc_presentation, whistle_composite_dims)
 from bioperad.presentation import (Presentation, ideal_spans, quotient_dims,
                                    relation_span)
 from bioperad.trees import CLOSED, OPEN, parse_term, sig
+from bioperad.verify import dim_mismatches
 
 
 def test_h0sc_has_four_generators_and_ql_relations():
@@ -44,32 +42,35 @@ def test_lambda_c_oc_dims():
     assert dims[(sig(2, 0, OPEN), -2)] == 1
 
 
+def _cell(table, signature):
+    """{degree: dim} of one signature of a dimension table."""
+    return {d: v for (s, d), v in table.items() if s == signature}
+
+
 def test_alpha_law_matches_composite():
-    law = alpha_distributive_law(3)
-    trunc = apply_distributive_law(law, 3)
-    assert trunc.dims_by_degree(sig(2, 0, OPEN)) == {0: 1}
+    got = quotient_dims(qh0sc_presentation(), 3)
+    assert dim_mismatches(got, alpha_composite_dims(3)) == []
+    assert _cell(got, sig(2, 0, OPEN)) == {0: 1}
 
 
 def test_whistle_law_matches_composite():
-    law = whistle_distributive_law(3)
-    trunc = apply_distributive_law(law, 3)
-    assert trunc.dims_by_degree(sig(1, 1, OPEN)) == {0: 1, -1: 2}
+    got = quotient_dims(h0sc_dual_presentation(), 3)
+    assert dim_mismatches(got, whistle_composite_dims(3)) == []
+    assert _cell(got, sig(1, 1, OPEN)) == {0: 1, -1: 2}
 
 
 def test_identity_law():
-    trunc = apply_distributive_law(
-        identity_distributive_law(palpha_presentation()), 3)
-    assert trunc.dims_by_degree(sig(1, 0, OPEN)) == {0: 1}
+    got = quotient_dims(palpha_presentation(), 3)
+    assert dim_mismatches(got, UNIT_COMPOSITE_DIMS) == []
+    assert _cell(got, sig(1, 0, OPEN)) == {0: 1}
 
 
 def test_identity_law_refuses_a_collapsed_unary_map():
     # the relation al(c1) kills the one tree the composite states
     coll = palpha_presentation().collection
     collapsed = Presentation(coll, _relations(coll, ["al(c1)"]), "collapsed")
-    with pytest.raises(LawFailure) as err:
-        apply_distributive_law(identity_distributive_law(collapsed), 3)
-    assert err.value.witnesses == [{"signature": "(1,0;o)", "quotient": {},
-                                    "composite": {0: 1}}]
+    assert dim_mismatches(quotient_dims(collapsed, 3), UNIT_COMPOSITE_DIMS) \
+        == [{"cell": "(1,0;o) 0", "got": 0, "want": 1}]
 
 
 def test_broken_law_reports_witness():
@@ -78,11 +79,8 @@ def test_broken_law_reports_witness():
     from bioperad.trees import Collection
     coll = Collection(_lp_generators(with_whistle=True))
     broken = Presentation(coll, _relations(coll, _LP_RELS), "broken")
-    good = whistle_distributive_law(3)
-    law = DistributiveLaw("broken", broken, good.composite_dims)
-    with pytest.raises(LawFailure) as err:
-        apply_distributive_law(law, 3)
-    assert err.value.witnesses
+    bad = dim_mismatches(quotient_dims(broken, 3), whistle_composite_dims(3))
+    assert bad[0] == {"cell": "(2,0;o) -1", "got": 3, "want": 2}
 
 
 def test_psi_commutes():
