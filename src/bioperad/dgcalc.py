@@ -15,8 +15,9 @@ from math import factorial
 
 from .linalg import betti
 from .presentation import signatures_within
-from .trees import (Element, Leaf, accumulate, assemble, component_basis,
-                    substitute_element, tree_degree, tree_element)
+from .trees import (CLOSED, IDENTITY_SIGS, OPEN, Element, Leaf, accumulate,
+                    assemble, component_basis, substitute_element,
+                    tree_degree, tree_element)
 
 
 class Derivation:
@@ -199,55 +200,58 @@ def homology_dims(dg):
 
 
 # ---------------------------------------------------------------------------
-# Generating series and the Ginzburg-Kapranov functional equation
+# The Ginzburg-Kapranov functional equation on two-color series
 
 
-def series_from_dims(dims, order):
-    """[g_1..g_order] with g_n = dim(n)/n! from a dict n -> dim."""
-    return [Fraction(dims.get(n, 0), factorial(n)) for n in range(1, order + 1)]
+def _series(dims, order):
+    """The exponential generating series of a quotient_dims table through
+    total order: {color: {(p, q): sum_d (-1)^d dim((p,q;color), d) /
+    (p! q!)}}, the coefficient of x_c^p x_o^q, identities included."""
+    f = {s.out: {(s.n_closed, s.n_open): Fraction(1)} for s in IDENTITY_SIGS}
+    for (s, d), dim in dims.items():
+        if s.total <= order:
+            pq = (s.n_closed, s.n_open)
+            f[s.out][pq] = f[s.out].get(pq, 0) + Fraction(
+                -dim if d & 1 else dim,
+                factorial(s.n_closed) * factorial(s.n_open))
+    return f
 
 
-def compose_series(outer, inner):
-    """Composition f(g(t)) of truncated series without constant terms.
+def _product(a, b, order):
+    """The product of two bivariate series, truncated at total order."""
+    out = {}
+    for (p, q), x in a.items():
+        for (r, s), y in b.items():
+            if p + q + r + s <= order:
+                out[(p + r, q + s)] = out.get((p + r, q + s), 0) + x * y
+    return out
 
-    Series are lists of coefficients for t^1..t^order.
+
+def gk_mismatches(dims, dual_dims, order):
+    """Where f_P(-f_P!(-x_c, -x_o)) differs from (x_c, x_o) through total
+    order, dims and dual_dims being the quotient_dims tables of P and P!.
+
+    A Koszul pair satisfies the equation (Ginzburg-Kapranov, Duke Math. J.
+    76, Thm 3.3.2).  Returns [{"cell": "(p,q;k)", "got": "<fraction>",
+    "want": 0 or 1}] in signatures_within order.
     """
-    order = len(outer)
-    if len(inner) != order:
-        raise ValueError("outer and inner series differ in order")
-    result = [Fraction(0)] * order
-    power_list = inner[:]
-    for k in range(1, order + 1):
-        coeff = outer[k - 1]
-        if coeff:
-            for n in range(order):
-                result[n] += coeff * power_list[n]
-        if k < order:
-            nxt = [Fraction(0)] * order
-            for i, a in enumerate(power_list):
-                if a == 0:
-                    continue
-                for j, b in enumerate(inner):
-                    if i + j + 2 <= order:
-                        nxt[i + j + 1] += a * b
-            power_list = nxt
-    return result
-
-
-def negate_argument(series):
-    return [(-1) ** ((n + 1) & 1) * c for n, c in enumerate(series)]
-
-
-def hilbert_series_gk_check(dims_p, dims_dual, order):
-    """g_P(-g_P!(-t)) = t through the given order; returns a report dict.
-
-    dims are dicts n -> dim of the single-color components.
-    """
-    gp = series_from_dims(dims_p, order)
-    gd = series_from_dims(dims_dual, order)
-    candidate = [-c for c in negate_argument(gd)]
-    composed = compose_series(gp, candidate)
-    expected = [Fraction(1)] + [Fraction(0)] * (order - 1)
-    ok = composed == expected
-    return {"ok": ok, "g_p": gp, "g_dual": gd, "composed": composed,
-            "order": order}
+    inner = {k: {pq: c if sum(pq) & 1 else -c for pq, c in f.items()}
+             for k, f in _series(dual_dims, order).items()}
+    powers = {}  # powers[k][n]: the n-th power of inner[k]
+    for k, g in inner.items():
+        powers[k] = [{(0, 0): Fraction(1)}]
+        for _ in range(order):
+            powers[k].append(_product(powers[k][-1], g, order))
+    composed = {}
+    for k, f in _series(dims, order).items():
+        composed[k] = {}
+        for (p, q), a in f.items():
+            term = _product(powers[CLOSED][p], powers[OPEN][q], order)
+            accumulate(composed[k], term.items(), a)
+    bad = []
+    for s in signatures_within(order):
+        got = composed[s.out].get((s.n_closed, s.n_open), 0)
+        want = int(s in IDENTITY_SIGS)
+        if got != want:
+            bad.append({"cell": str(s), "got": str(got), "want": want})
+    return bad

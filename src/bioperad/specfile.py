@@ -115,6 +115,8 @@ def parse_spec(text):
             n = colors.count(CLOSED)
             m = colors.count(OPEN)
             spaces.append(generator(gname, sig(n, m, out), degree, symmetry))
+            # a conflict with an earlier generator names this line
+            Collection(spaces)
         except SpecFileError:
             raise
         except Exception as exc:

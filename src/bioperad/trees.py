@@ -195,14 +195,21 @@ def generator(name, signature, degree, symmetry):
     """Named generator with a one-tag symmetry type.
 
     trivial / sign describe the closed block (the open block, if any, is
-    always regular); regular means every block is free; none is for shapes
-    where no block has more than one input.
+    always regular); regular is for shapes whose closed block has at most
+    one input, and makes the open block free; none is for shapes where no
+    block has more than one input.  A generator takes at least one input
+    and is not on an identity signature: a same-color unary map would
+    compose with itself without bound.
     """
     n, m = signature.n_closed, signature.n_open
     if symmetry not in (TRIVIAL, SIGN, REGULAR, NONE):
         raise ValueError(f"unknown symmetry {symmetry!r}")
-    if symmetry == NONE and n > 1:
-        raise ValueError(f"{name}: closed block of size {n} needs a symmetry")
+    if signature.total == 0 or signature in IDENTITY_SIGS:
+        raise ValueError(f"{name}: no generator on {signature}, which is "
+                         "nullary or the identity's")
+    if symmetry in (NONE, REGULAR) and n > 1:
+        raise ValueError(f"{name}: closed block of size {n} needs symmetry "
+                         "trivial or sign")
     if symmetry == NONE and m > 1:
         raise ValueError(f"{name}: open block of size {m} needs a symmetry")
     arrangements, open_swaps = _regular_swap_tables(m)
@@ -215,8 +222,10 @@ def generator(name, signature, degree, symmetry):
 class Collection:
     """A finite family of vertex spaces, looked up by name or signature.
 
-    It also memoises what is enumerated over it, so the memos are freed with
-    it: the decorated subtrees and bases of ``enumerate_basis``, and the
+    Names are distinct, and the unary spaces, which change color, do not
+    go both ways: opposite unary maps would compose without bound.  It also
+    memoises what is enumerated over it, so the memos are freed with it:
+    the decorated subtrees and bases of ``enumerate_basis``, and the
     ambient bases of ``presentation.ambient_basis`` keyed by signature.
     """
 
@@ -227,6 +236,9 @@ class Collection:
             if s.name in self.by_name:
                 raise ValueError(f"duplicate space name {s.name}")
             self.by_name[s.name] = s
+        if len({s.signature.out for s in self.spaces
+                if s.signature.total == 1}) > 1:
+            raise ValueError("opposite unary generators give unbounded weight")
         self.by_out = {CLOSED: [], OPEN: []}
         for s in self.spaces:
             self.by_out[s.signature.out].append(s)
@@ -814,21 +826,13 @@ def max_weight(collection, signature):
     """Upper bound for the vertex count of trees with this signature.
 
     Non-unary vertices consume inputs, so at most total-1 of them.  Unary
-    vertices must change color (same-color unaries would allow unbounded
-    chains), and their inputs are closed edges, so they are bounded too.
+    vertices change color one way only (``Collection``), so no two are
+    stacked, and they are bounded too.
     """
-    unary_shapes = {(s.signature.slot_color(1), s.signature.out)
-                    for s in collection
-                    if s.signature.total == 1 and s.signature not in IDENTITY_SIGS}
-    for cin, cout in unary_shapes:
-        if cin == cout:
-            raise ValueError("same-color unary generators give unbounded weight")
-    if {(CLOSED, OPEN), (OPEN, CLOSED)} <= unary_shapes:
-        raise ValueError("opposite unary generators give unbounded weight")
     total = signature.total
-    if not unary_shapes:
-        return max(total - 1, 1)
-    return max(2 * total - 1, 1)
+    if any(s.signature.total == 1 for s in collection):
+        return max(2 * total - 1, 1)
+    return max(total - 1, 1)
 
 
 def component_basis(collection, signature):

@@ -17,14 +17,13 @@ from .algebraside import (CofreePair, FreeAlgebra, GradedPair,
                           ce_hochschild_homology, check_coderivation_laws,
                           graded_multisets, shlp_ocha_check,
                           strict_pair_tensors)
-from .dgcalc import hilbert_series_gk_check, homology_dims, verify_d_squared
+from .dgcalc import gk_mismatches, homology_dims, verify_d_squared
 from .duality import (QLFailure, cobar_truncate, ql_koszul_data,
                       quadratic_dual, weight2_signatures)
 from .models import (UNIT_COMPOSITE_DIMS, alpha_composite_dims,
-                     boundary_identities, com_presentation, h0sc_dual_dg,
-                     h0sc_dual_n11_image, h0sc_dual_presentation,
-                     h0sc_presentation, h0scvor_presentation,
-                     lambda_c_oc_presentation, lie_presentation,
+                     boundary_identities, h0sc_dual_dg, h0sc_dual_n11_image,
+                     h0sc_dual_presentation, h0sc_presentation,
+                     h0scvor_presentation, lambda_c_oc_presentation,
                      lp_presentation, lpinf_dg, ocinf_dg, palpha_presentation,
                      psi_commutes_with_differentials, qh0sc_presentation,
                      whistle_composite_dims)
@@ -304,43 +303,11 @@ def check_distributive_laws(bounds):
     return _ok(not bad, bad[:3])
 
 
-# the arity up to which closed_dim_table computes quotients
-CROSS_CHECK_BOUND = 5
-
-
-def closed_dim_table(which, order):
-    """dim P(n) for the closed parts, engine-computed.
-
-    Quotient dimensions up to CROSS_CHECK_BOUND; beyond it the multilinear
-    basis counts of the free algebra (multisets for the commutative side,
-    multilinear Lyndon words for the Lie side), which must agree on the
-    overlap.
-    """
-    pres = com_presentation() if which == "Com" else lie_presentation()
-    dims = {}
-    bound = min(order, CROSS_CHECK_BOUND)
-    table = quotient_dims(pres, bound)
-    for n in range(2, bound + 1):
-        dims[n] = table.get((sig(n, 0, CLOSED), 0), 0)
-    dims[1] = 1  # the identity component
-    for n in range(2, order + 1):
-        # multilinear Lyndon words: (n-1)! on the Lie side
-        count = 1 if which == "Com" else factorial(n - 1)
-        if n in dims:
-            if dims[n] != count:
-                raise ValueError(f"{which}({n}): quotient {dims[n]} "
-                                 f"!= multilinear count {count}")
-        else:
-            dims[n] = count
-    return dims
-
-
-def check_quotient_dims(bounds):
-    """Quotient tables against the free-algebra descriptions at the dims
-    bound: commutative-acting open parts are q!, Lie-acting open parts are
-    the decorated-word counts, closed parts are 1 and the multilinear
-    Lyndon count."""
-    n = bounds["dims"]
+def _stated_dims(n):
+    """The free-algebra descriptions of the two degree-0 quotients over
+    signatures with 2..n inputs: commutative-acting open parts are q!,
+    Lie-acting open parts are the decorated-word counts, closed parts are 1
+    and the multilinear Lyndon count.  Returns (H0SCvor's table, LP's)."""
     vor, lp = {}, {}
     for total in range(2, n + 1):
         vor[(sig(total, 0, CLOSED), 0)] = 1
@@ -353,6 +320,13 @@ def check_quotient_dims(bounds):
             # prepended into the letters in some order: q! orders of the
             # letters times (p+q-1)!/(q-1)! ways to fill them
             lp[(sig(p, q, OPEN), 0)] = q * factorial(p + q - 1)
+    return vor, lp
+
+
+def check_quotient_dims(bounds):
+    """Quotient tables against the stated tables at the dims bound."""
+    n = bounds["dims"]
+    vor, lp = _stated_dims(n)
     bad = []
     for name, pres, want in (("H0SCvor", h0scvor_presentation(), vor),
                              ("LP", lp_presentation(), lp)):
@@ -362,12 +336,18 @@ def check_quotient_dims(bounds):
 
 
 def check_gk_series(bounds):
-    com = closed_dim_table("Com", 7)
-    lie = closed_dim_table("Lie", 7)
-    report = hilbert_series_gk_check(com, lie, 7)
-    other = hilbert_series_gk_check(lie, com, 7)
-    return _ok(report["ok"] and other["ok"],
-               {"composed": [str(c) for c in report["composed"]]})
+    """Both Koszul pairs, both ways: the degree-0 pair from its stated
+    tables (gated by quotient-dims), the unital pair from its composite
+    tables (gated by distributive-laws)."""
+    n = bounds["laws"]
+    vor, lp = _stated_dims(7)
+    alpha, whistle = alpha_composite_dims(n), whistle_composite_dims(n)
+    pairs = [("LP/H0SCvor", lp, vor, 7), ("H0SCvor/LP", vor, lp, 7),
+             ("qH0SC/H0SCdual", alpha, whistle, n),
+             ("H0SCdual/qH0SC", whistle, alpha, n)]
+    bad = [{"pair": name, **w} for name, p, dual, order in pairs
+           for w in gk_mismatches(p, dual, order)]
+    return _ok(not bad, bad[:5])
 
 
 def check_psi_and_boundaries(bounds):
@@ -450,8 +430,9 @@ CHECKS = [
      "side",
      check_quotient_dims),
     ("gk-series", "series",
-     "the closed generating series compose to the identity through order "
-     "7, both ways",
+     "the two-color generating series of each swiss-cheese version and its "
+     "Koszul dual compose to the identity, both ways: the degree-0 pair "
+     "through order 7, the unital pair at the laws bound",
      check_gk_series),
     ("psi-boundaries", "models",
      "the counit comparison map commutes with the differentials on "

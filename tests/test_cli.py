@@ -8,7 +8,7 @@ import pytest
 import bioperad
 from bioperad import cli
 from bioperad.cli import main
-from bioperad.models import h0sc_dual_dg
+from bioperad.models import PRESENTATION_BUILDERS, h0sc_dual_dg
 
 BIN = [sys.executable, "-m", "bioperad.cli"]
 # the child imports the bioperad this process imported, installed or not
@@ -69,10 +69,25 @@ def test_homology_table():
     assert cell and cell[0]["homDim"] == 1
 
 
-def test_gk_command():
-    code, out, _ = run_cli(["gk", "LP", "--order", "5"])
-    assert code == 0
-    assert "holds" in out
+QUADRATIC_BUILTINS = sorted(set(PRESENTATION_BUILDERS) - {"H0SC"})
+
+
+@pytest.mark.parametrize("model", QUADRATIC_BUILTINS)
+def test_gk_command(model, capsys):
+    # each quadratic builtin against its quadratic dual
+    assert main(["gk", model, "--order", "4"]) == 0
+    assert capsys.readouterr().out == "functional equation holds\n"
+
+
+def test_gk_command_fails_on_the_anti_associative_operad(tmp_path, capsys):
+    f = tmp_path / "anti.operad"
+    f.write_text("operad anti\n"
+                 "generator m : (o,o) -> o degree 0 symmetry regular\n"
+                 "relation m(m(o1,o2),o3) + m(o1,m(o2,o3))\n")
+    assert main(["gk", str(f), "--order", "5", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "model": str(f), "order": 5, "ok": False,
+        "mismatches": [{"cell": "(0,5;o)", "got": "4", "want": 0}]}
 
 
 def test_ql_check_builtin():
@@ -226,6 +241,34 @@ def test_malformed_relation_exits_2_with_its_line(relation, message,
     assert main(["dims", str(spec)]) == 2
     err = capsys.readouterr().err
     assert message in err and "(line 3)" in err
+
+
+MALFORMED_SPECS = {
+    "closed-regular": ("generator m : (c,c) -> c degree 0 symmetry regular\n"
+                       "relation m(m(c1,c2),c3) - m(c1,m(c2,c3))\n",
+                       "closed block of size 2", 2),
+    "identity-signature": ("generator m : (o) -> o degree 0 symmetry none\n"
+                           "relation m(o1)\n", "identity", 2),
+    "nullary": ("generator m : () -> o degree 0 symmetry none\n",
+                "nullary", 2),
+    "duplicate-name": ("generator m : (o,o) -> o degree 0 symmetry regular\n"
+                       "generator m : (c,c) -> c degree 0 symmetry trivial\n",
+                       "duplicate space name m", 3),
+    "opposite-unary": ("generator a : (c) -> o degree 0 symmetry none\n"
+                       "generator b : (o) -> c degree 0 symmetry none\n",
+                       "opposite unary generators", 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+def test_malformed_generators_exit_2_with_their_line(name, tmp_path):
+    text, message, line = MALFORMED_SPECS[name]
+    f = tmp_path / f"{name}.operad"
+    f.write_text(f"operad {name}\n{text}")
+    code, _, err = run_cli(["dims", str(f), "--inputs", "3"])
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert message in err and f"(line {line})" in err
 
 
 MALFORMED_TENSORS = {

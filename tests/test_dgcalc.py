@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bioperad import duality, models
-from bioperad.dgcalc import (Derivation, DgTruncation,
-                             hilbert_series_gk_check, homology_dims,
-                             verify_d_squared)
-from bioperad.models import (h0sc_dual_dg, lp_formula_genmap, lpinf_dg,
-                             ocinf_dg)
+from bioperad.dgcalc import (Derivation, DgTruncation, gk_mismatches,
+                             homology_dims, verify_d_squared)
+from bioperad.models import (alpha_composite_dims, h0sc_dual_dg,
+                             lp_formula_genmap, lpinf_dg, ocinf_dg,
+                             whistle_composite_dims)
 from bioperad.presentation import group_elements
 from bioperad.trees import (CLOSED, OPEN, Element, enumerate_basis, graft,
                             parse_term, sig, symmetric_act, text_form)
@@ -246,25 +246,44 @@ def test_oc_homology_cells_from_the_paper_examples():
     assert h.get((sig(2, 0, OPEN), 0), 0) == 0
 
 
+COM = {(sig(n, 0, CLOSED), 0): 1 for n in range(2, 8)}
+LIE = {(sig(n, 0, CLOSED), 0): factorial(n - 1) for n in range(2, 8)}
+
+
+def _coefficients(dims):
+    """The closed series coefficients of a table beyond x_c, read off by
+    composing with the trivial operad, whose series is the identity."""
+    return [Fraction(w["got"]) for w in gk_mismatches(dims, {}, 7)]
+
+
 def test_series_classical_com_lie():
-    com = {n: 1 for n in range(1, 8)}
-    lie = {n: factorial(n - 1) for n in range(1, 8)}
-    report = hilbert_series_gk_check(com, lie, 7)
-    assert report["ok"]
+    assert gk_mismatches(COM, LIE, 7) == []
+    assert gk_mismatches(LIE, COM, 7) == []
     # e^t - 1 and -log(1-t)
-    assert report["g_p"] == [Fraction(1, factorial(n)) for n in range(1, 8)]
-    assert report["g_dual"] == [Fraction(1, n) for n in range(1, 8)]
+    assert _coefficients(COM) == [Fraction(1, factorial(n))
+                                  for n in range(2, 8)]
+    assert _coefficients(LIE) == [Fraction(1, n) for n in range(2, 8)]
 
 
 def test_series_corrupted_table_fails():
-    com = {n: 1 for n in range(1, 8)}
-    lie = {n: factorial(n - 1) for n in range(1, 8)}
-    lie[5] += 1
-    report = hilbert_series_gk_check(com, lie, 7)
-    assert not report["ok"]
+    lie = {**LIE, (sig(5, 0, CLOSED), 0): LIE[(sig(5, 0, CLOSED), 0)] + 1}
+    bad = gk_mismatches(COM, lie, 7)
+    assert bad[0] == {"cell": "(5,0;c)", "got": "1/120", "want": 0}
+    assert gk_mismatches(lie, COM, 7)[0]["cell"] == "(5,0;c)"
 
 
 def test_trivial_operad_series_fixed_point():
-    report = hilbert_series_gk_check({1: 1}, {1: 1}, 1)
-    assert report["ok"]
+    assert gk_mismatches({}, {}, 1) == []
+    assert gk_mismatches({}, {}, 5) == []
 
+
+def test_unital_pair_series_needs_the_degree_sign():
+    # the whistle has degree -1: its Euler characteristic supplies the sign
+    alpha, whistle = alpha_composite_dims(4), whistle_composite_dims(4)
+    assert gk_mismatches(alpha, whistle, 4) == []
+    assert gk_mismatches(whistle, alpha, 4) == []
+    flat = {}
+    for (s, _), dim in whistle.items():
+        flat[(s, 0)] = flat.get((s, 0), 0) + dim
+    assert gk_mismatches(alpha, flat, 4) == [
+        {"cell": "(1,0;o)", "got": "2", "want": 0}]

@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bioperad.dgcalc import homology_dims
+from bioperad.dgcalc import gk_mismatches, homology_dims
 from bioperad.duality import cobar_truncate, quadratic_dual
 from bioperad.presentation import quotient_dims, signatures_within
 from bioperad.specfile import parse_spec
@@ -64,3 +64,20 @@ def test_anti_associative_operad_fails_the_koszul_comparison_at_5():
 
 def test_associative_operad_passes_the_koszul_comparison_at_5():
     assert _koszul_mismatches(_associative_spec("-"), 5) == []
+
+
+def _gk_mismatches(presentation, n):
+    """The series equation against the quadratic dual, through order n."""
+    return gk_mismatches(quotient_dims(presentation, n),
+                         quotient_dims(quadratic_dual(presentation), n), n)
+
+
+def test_anti_associative_operad_fails_the_gk_equation_at_5():
+    anti = _associative_spec("+")
+    assert _gk_mismatches(anti, 4) == []
+    assert _gk_mismatches(anti, 5) == [
+        {"cell": "(0,5;o)", "got": "4", "want": 0}]
+
+
+def test_associative_operad_passes_the_gk_equation_at_5():
+    assert _gk_mismatches(_associative_spec("-"), 5) == []
