@@ -163,8 +163,9 @@ def betti(dims, columns):
     return out
 
 
-def _clear_denominators(vec_items):
-    """dict col -> Fraction/int  to gcd-reduced dict col -> int."""
+def primitive(vec_items):
+    """(col, int or Fraction) pairs to the primitive integer vector on
+    their line, a dict col -> int with content 1 ({} for zero)."""
     items = [(c, x) for c, x in vec_items if x != 0]
     if not items:
         return {}
@@ -218,7 +219,7 @@ class Echelon:
         """
         if self._final:
             raise RuntimeError("Echelon.add after finalize")
-        v = _clear_denominators(vec.items() if isinstance(vec, dict) else vec)
+        v = primitive(vec.items() if isinstance(vec, dict) else vec)
         rows = self.rows
         while v:
             p = min(v)

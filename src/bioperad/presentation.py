@@ -12,7 +12,10 @@ raises the rank has its images under the adjacent transpositions pushed in
 turn, and a span closed under a generating set is closed under the group.
 Spinning works on index vectors: every ambient basis holds, per adjacent
 transposition, the signed permutation it induces on the basis trees, so an
-image is a dict remap and no tree is rebuilt.
+image is a dict remap.  A table is built by relabelling only the vertices
+on the paths to the two moved leaves, found among the hash-consed nodes
+(Filliatre and Conchon, 2006).  Seeds are pushed as primitive integer
+vectors, so every image is integral.
 
 A ``Truncation`` is the quotient at one bound on the inputs.  Its
 constructor saturates the ideal, and it holds the ideal spans, the coset
@@ -29,9 +32,9 @@ answers for a smaller bound.
 
 from itertools import permutations
 
-from .linalg import Echelon, Subspace, meet_slice
+from .linalg import Echelon, Subspace, meet_slice, primitive
 from .trees import (CLOSED, OPEN, Element, Leaf, component_basis,
-                    corolla_element, graft, symmetric_act, text_form,
+                    corolla_element, graft, make_node, text_form,
                     tree_degree, tree_element, tree_signature, tree_weight,
                     Signature)
 
@@ -113,25 +116,19 @@ class AmbientBasis:
 
         One table per element of ``adjacent_transpositions``, in that
         order: ``table[i] = +-(j + 1)`` says the transposition sends tree i
-        to +-tree j.  Built on first use, with one ``symmetric_act`` per
-        basis tree and transposition.  Vertex spaces built by
-        ``generator()`` act by signed permutations, so every image has this
-        form; any other image raises ValueError.
+        to +-tree j.  Built on first use by ``_relabel``, which rebuilds
+        only the paths to the two moved leaves, with one memo per
+        transposition.  Vertex spaces built by ``generator()`` act by signed
+        permutations, so every image has this form; any other image raises
+        ValueError.
         """
         if self._tables is None:
             tables = []
             for g in adjacent_transpositions(self.signature):
+                memo = {}
                 table = []
                 for t in self.trees:
-                    image = symmetric_act(g, tree_element(t))
-                    if (len(image) != 1
-                            or next(iter(image.terms.values())) not in (1, -1)):
-                        raise ValueError(
-                            f"{g} sends {text_form(t)} in {self.signature} "
-                            f"to {image!r}, not to one signed basis tree; "
-                            "spinning needs vertex spaces that act by signed "
-                            "permutations")
-                    (u, c), = image.terms.items()
+                    u, c = _relabel(t, g, memo)
                     table.append(c * (self.index[u] + 1))
                 tables.append(table)
             self._tables = tables
@@ -152,6 +149,43 @@ class AmbientBasis:
 
     def element(self, vec):
         return Element({self.trees[i]: c for i, c in vec.items()})
+
+
+def _relabel(t, g, memo):
+    """(node, sign) with symmetric_act(g, t) = sign * node.
+
+    A leaf maps through g.  A vertex whose children come back as
+    themselves is itself, any other is looked up interned and re-sorted by
+    make_node only on a miss.  Either way it carries its children's signs:
+    a child that comes back as itself with sign -1 still flips it.  memo
+    maps each vertex met under g to its image.
+    """
+    if isinstance(t, Leaf):
+        label = g[t.color == OPEN][t.label - 1]
+        return (t if label == t.label else Leaf(t.color, label)), 1
+    hit = memo.get(t)
+    if hit is not None:
+        return hit
+    children, sign, same = [], 1, True
+    for c in t.children:
+        u, s = _relabel(c, g, memo)
+        children.append(u)
+        sign *= s
+        same = same and u is c
+    children = tuple(children)
+    node = t if same else t.space.nodes.get((t.dec, children))
+    if node is None:
+        terms = make_node(t.space, t.dec, children).terms
+        if len(terms) != 1 or next(iter(terms.values())) not in (1, -1):
+            raise ValueError(
+                f"{g} sends {text_form(t)} in {t.space.signature} to "
+                f"{Element.of(terms)!r}, not to one signed basis tree; "
+                "spinning needs vertex spaces that act by signed "
+                "permutations")
+        (node, c), = terms.items()
+        sign *= c
+    hit = memo[t] = node, sign
+    return hit
 
 
 def ambient_basis(collection, signature):
@@ -194,7 +228,7 @@ def spin(ab, elems, ech):
     tables = ab.transposition_tables()
     seeds = []
     for e in elems:
-        vec = ab.vector(e)
+        vec = primitive(ab.vector(e).items())
         if not ech.add(vec):
             continue
         seeds.append(e)

@@ -816,8 +816,10 @@ def enumerate_basis(collection, signature, weight):
         return hit
     closed_labels = tuple(range(1, signature.n_closed + 1))
     open_labels = tuple(range(1, signature.n_open + 1))
+    texts = {}  # text_form, each shared subtree printed once per sort
     trees = sorted(enumerate_subtrees(collection, closed_labels, open_labels,
-                                      signature.out, weight), key=text_form)
+                                      signature.out, weight),
+                   key=lambda t: _signed_text(t, texts)[1])
     collection.bases[bkey] = trees
     return trees
 
@@ -860,8 +862,16 @@ def text_form(t):
 
 def text_form_signed(t):
     """(sign, text) with parse(text) == sign * tree."""
+    return _signed_text(t, {})
+
+
+def _signed_text(t, memo):
+    """text_form_signed, reading and filling memo: node -> (sign, text)."""
     if isinstance(t, Leaf):
         return 1, f"{t.color}{t.label}"
+    hit = memo.get(t)
+    if hit is not None:
+        return hit
     tau, children = planar_order(t)
     # reparsing re-sorts the planar order; account for the Koszul crossing
     sign = 1 if tau is None else koszul_sign(
@@ -871,10 +881,11 @@ def text_form_signed(t):
         name = f"{name}[{t.dec}]"
     bits = []
     for c in children:
-        s2, txt = text_form_signed(c)
+        s2, txt = _signed_text(c, memo)
         sign *= s2
         bits.append(txt)
-    return sign, f"{name}({','.join(bits)})"
+    hit = memo[t] = sign, f"{name}({','.join(bits)})"
+    return hit
 
 
 def planar_order(t):

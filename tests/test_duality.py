@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bioperad import verify
 from bioperad.dgcalc import homology_dims, verify_d_squared
@@ -10,9 +12,11 @@ from bioperad.models import (com_presentation, h0sc_dual_n11_image,
                              h0scvor_presentation, lie_presentation,
                              lp_presentation, ocinf_dg, qh0sc_presentation)
 from bioperad.presentation import (Presentation, adjacent_transpositions,
-                                   ambient_basis, ideal_spans, relation_span)
+                                   ambient_basis, ideal_spans, quotient_dims,
+                                   relation_span)
 from bioperad.specfile import emit_spec
-from bioperad.trees import (CLOSED, NONE, OPEN, Collection, corolla_element,
+from bioperad.trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL,
+                            Collection, corolla_element,
                             enumerate_basis, generator, graft, parse_term,
                             sig, symmetric_act, text_form, tree_element)
 
@@ -242,3 +246,48 @@ def test_ql_dual_pairs_two_generators_of_one_signature_apart():
     assert data.dual_genmap == {
         "n11": {0: h0sc_dual_n11_image(dual.collection)}}
     _assert_dual_spans(dual, h0sc_dual_presentation(), "b11v")
+
+
+# Degree-0 binary shapes and the symmetry tags generator() accepts on each.
+_BINARY_SHAPES = [(sig(2, 0, CLOSED), (TRIVIAL, SIGN)),
+                  (sig(0, 2, OPEN), (TRIVIAL, SIGN, REGULAR)),
+                  (sig(1, 1, OPEN), (TRIVIAL, SIGN, REGULAR, NONE)),
+                  (sig(2, 0, OPEN), (TRIVIAL, SIGN))]
+
+
+@st.composite
+def _quadratic_presentations(draw):
+    """A quadratic presentation: degree-0 generators on some of the binary
+    shapes, each with an allowed symmetry tag, and relations that are small
+    integer combinations of the weight-2 trees of each ambient basis."""
+    shapes = sorted(draw(st.sets(st.integers(0, 3), min_size=1)))
+    coll = Collection([
+        generator(f"m{k}", _BINARY_SHAPES[k][0], 0,
+                  draw(st.sampled_from(_BINARY_SHAPES[k][1])))
+        for k in shapes])
+    relations = []
+    for s in weight2_signatures(coll):
+        ab = ambient_basis(coll, s)
+        weight2 = [i for i, w in enumerate(ab.weights) if w == 2]
+        for vec in draw(st.lists(
+                st.dictionaries(st.sampled_from(weight2),
+                                st.integers(-2, 2).filter(bool),
+                                min_size=1, max_size=3), max_size=2)):
+            relations.append(ab.element(vec))
+    return Presentation(coll, relations, "random")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_quadratic_presentations())
+def test_random_quadratic_presentations_satisfy_koszul_duality(P):
+    # P!! = P span by span, with the double dual renamed back
+    dual = quadratic_dual(P)
+    double = quadratic_dual(dual, rename=lambda n: n[:-1])
+    for s in weight2_signatures(P.collection):
+        assert relation_span(double, s, 2) == relation_span(P, s, 2), s
+    # d^2 = 0 on the cobar, whose degree-0 homology is the dual, Koszul or
+    # not: the diagonal of the Koszul complex (Loday-Vallette, 7.3-7.4)
+    dg = cobar_truncate(P, 4)
+    assert verify_d_squared(dg) == []
+    h0 = {cell: v for cell, v in homology_dims(dg).items() if cell[1] == 0}
+    assert h0 == quotient_dims(dual, 4)

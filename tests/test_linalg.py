@@ -6,8 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bioperad.linalg import (Echelon, Subspace, _clear_denominators,
-                             meet_slice, solve)
+from bioperad.linalg import (Echelon, Subspace, meet_slice, primitive,
+                             solve)
 from bioperad.models import ocinf_dg
 
 import pytest
@@ -234,7 +234,7 @@ def test_solve_exact_or_inconsistent(augmented):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.dictionaries(st.integers(0, 8), st.integers(-60, 60), max_size=6))
 def test_clear_denominators_same_on_ints_and_fractions(vec):
-    ints = _clear_denominators(vec.items())
+    ints = primitive(vec.items())
     as_fractions = {c: Fraction(x) for c, x in vec.items()}
-    assert ints == _clear_denominators(as_fractions.items())
+    assert ints == primitive(as_fractions.items())
     assert all(type(x) is int for x in ints.values())

@@ -1,4 +1,5 @@
 import gc
+import sys
 import weakref
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from bioperad.presentation import (Presentation, Truncation, _grow_once,
 from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                             Element, VertexSpace, enumerate_basis, generator,
-                            graft, parse_term, sig, symmetric_act)
+                            graft, make_node, parse_term, sig, symmetric_act)
 
 
 def test_ambient_dims_duality_lemma():
@@ -253,13 +254,31 @@ def test_spin_keeps_the_sign_of_a_sign_generator():
     assert ech.rank == 2
 
 
+def _calls(functions, run):
+    """run(), then the number of calls it made of each function in
+    functions, by a profile hook on their code objects, so a call from any
+    module counts however the caller imported the name."""
+    codes = {f.__code__: f.__name__ for f in functions}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
 def test_saturation_grows_each_seed_once_and_acts_once_per_table_entry(
         monkeypatch):
     # a fresh presentation, so that no ambient basis has its tables yet
     P = parse_spec(emit_spec(lp_presentation()))
-    seeds, grown, acted = [], [], []
-    spin_, grow, act = (presentation.spin, presentation._grow_once,
-                        presentation.symmetric_act)
+    seeds, grown = [], []
+    spin_, grow = presentation.spin, presentation._grow_once
 
     def counted_spin(ab, elems, ech):
         out = spin_(ab, elems, ech)
@@ -270,19 +289,29 @@ def test_saturation_grows_each_seed_once_and_acts_once_per_table_entry(
         grown.append(elem)
         return grow(collection, elem, max_inputs)
 
-    def counted_act(g, e):
-        acted.append(len(e))
-        return act(g, e)
-
     monkeypatch.setattr(presentation, "spin", counted_spin)
     monkeypatch.setattr(presentation, "_grow_once", counted_grow)
-    monkeypatch.setattr(presentation, "symmetric_act", counted_act)
-    Truncation(P, 4)
+    calls = _calls([symmetric_act, make_node], lambda: Truncation(P, 4))
     assert seeds and sorted(map(id, grown)) == sorted(map(id, seeds))
+    # the tables relabel leaves; they neither act on whole trees nor
+    # re-sort more than one vertex per table entry
     budget = sum(ambient_basis(P.collection, s).dim
                  * len(adjacent_transpositions(s))
                  for s in signatures_within(4))
-    assert 0 < sum(acted) <= budget
+    assert calls["symmetric_act"] == 0
+    assert 0 < calls["make_node"] <= budget
+
+
+def test_a_swapped_sign_vertex_flips_its_untouched_parent():
+    # (1 2) sends l2(c1,c2) to l2(c2,c1) = -l2(c1,c2): the same node with
+    # sign -1.  Its parent n11 then gets back the very children it has, and
+    # must still carry the -1.
+    coll = parse_spec(emit_spec(lp_presentation())).collection
+    ab = ambient_basis(coll, sig(2, 1, OPEN))
+    (t, c), = parse_term(coll, "n11(l2(c1,c2),o1)").terms.items()
+    assert c == 1
+    table, = ab.transposition_tables()
+    assert table[ab.index[t]] == -(ab.index[t] + 1)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
