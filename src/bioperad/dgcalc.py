@@ -17,7 +17,7 @@ from .linalg import betti
 from .presentation import signatures_within
 from .trees import (CLOSED, IDENTITY_SIGS, OPEN, Element, Leaf, accumulate,
                     assemble, component_basis, substitute_element,
-                    tree_degree, tree_element)
+                    tree_degree)
 
 
 class Derivation:
@@ -135,6 +135,14 @@ class DgTruncation:
             image = self.trunc.reduce_to_element(image)
         return image
 
+    def image(self, t):
+        """d of one chain basis tree, read from the derivation's cache; for
+        a quotient, reduced to coset representatives."""
+        image = self.derivation.apply_tree(t)
+        if self.trunc is not None:
+            image = self.trunc.reduce_to_element(image)
+        return image
+
     def differential_columns(self, sig_, degree):
         """Sparse columns of d: (sig, degree) -> (sig, degree-1)."""
         source = self.chain_basis(sig_, degree)
@@ -142,7 +150,7 @@ class DgTruncation:
         index = {t: i for i, t in enumerate(target)}
         cols = []
         for t in source:
-            image = self.differential(tree_element(t))
+            image = self.image(t)
             col = {}
             for u, c in image.terms.items():
                 i = index.get(u)
@@ -177,7 +185,7 @@ def verify_d_squared(dg):
     for sig_ in signatures_within(dg.max_inputs):
         for degree in dg.cell_degrees(sig_):
             for t in dg.chain_basis(sig_, degree):
-                twice = dg.differential(dg.differential(tree_element(t)))
+                twice = dg.differential(dg.image(t))
                 if not twice.is_zero():
                     violations.append(
                         {"signature": str(sig_), "degree": degree,

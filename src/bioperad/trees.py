@@ -719,10 +719,14 @@ def symmetric_act(perm_pair, elem):
 # Basis enumeration
 
 
-def _subsets(seq):
-    n = len(seq)
-    for mask in range(1 << n):
-        yield tuple(seq[i] for i in range(n) if mask >> i & 1)
+@lru_cache(maxsize=None)
+def _splits(labels):
+    """Every (subset, rest) split of a label tuple, both ascending, in
+    bitmask order of the subset."""
+    n = len(labels)
+    return tuple((tuple(labels[i] for i in range(n) if mask >> i & 1),
+                  tuple(labels[i] for i in range(n) if not mask >> i & 1))
+                 for mask in range(1 << n))
 
 
 def enumerate_subtrees(collection, closed_labels, open_labels, out, weight):
@@ -765,6 +769,8 @@ def _slot_assignments(collection, sig_, closed_labels, open_labels, budget):
     if len(closed_labels) + len(open_labels) <= last:
         return
 
+    memo = collection.subtrees  # read inline: most lookups hit
+
     def fill(slot_idx, c_rest, o_rest, w_rest, prev_closed, prev_open, acc):
         color = slots[slot_idx]
         prev = prev_closed if color == CLOSED else prev_open
@@ -772,18 +778,21 @@ def _slot_assignments(collection, sig_, closed_labels, open_labels, budget):
             # label tuples ascend, so the minimal key is the first label
             k = (0, c_rest[0]) if c_rest else (1, o_rest[0])
             if prev is None or k > prev:
-                for sub in enumerate_subtrees(collection, c_rest, o_rest,
-                                              color, w_rest):
+                subs = memo.get((c_rest, o_rest, color, w_rest))
+                if subs is None:
+                    subs = enumerate_subtrees(collection, c_rest, o_rest,
+                                              color, w_rest)
+                for sub in subs:
                     acc.append(sub)
                     yield tuple(acc)
                     acc.pop()
             return
         spare = len(c_rest) + len(o_rest) - (last - slot_idx)
-        o_subs = list(_subsets(o_rest))
-        for c_sub in _subsets(c_rest):
+        o_splits = _splits(o_rest)
+        for c_sub, c_next in _splits(c_rest):
             if len(c_sub) > spare:
                 continue
-            for o_sub in o_subs:
+            for o_sub, o_next in o_splits:
                 if not c_sub and not o_sub or len(c_sub) + len(o_sub) > spare:
                     continue
                 k = (0, c_sub[0]) if c_sub else (1, o_sub[0])
@@ -793,11 +802,12 @@ def _slot_assignments(collection, sig_, closed_labels, open_labels, budget):
                     p_closed, p_open = k, prev_open
                 else:
                     p_closed, p_open = prev_closed, k
-                c_next = tuple(x for x in c_rest if x not in c_sub)
-                o_next = tuple(x for x in o_rest if x not in o_sub)
                 for w in range(0, w_rest + 1):
-                    for sub in enumerate_subtrees(collection, c_sub, o_sub,
-                                                  color, w):
+                    subs = memo.get((c_sub, o_sub, color, w))
+                    if subs is None:
+                        subs = enumerate_subtrees(collection, c_sub, o_sub,
+                                                  color, w)
+                    for sub in subs:
                         acc.append(sub)
                         yield from fill(slot_idx + 1, c_next, o_next,
                                         w_rest - w, p_closed, p_open, acc)

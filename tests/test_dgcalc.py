@@ -146,7 +146,15 @@ def test_flipped_sign_breaks_d_squared():
         return images
 
     broken = DgTruncation(dg.collection, flipped, 4, name="broken")
-    assert verify_d_squared(broken) != []
+    bad = verify_d_squared(broken)
+    assert len(bad) == 7
+    assert {(b["signature"], b["degree"]) for b in bad} == {
+        ("(1,3;o)", 2), ("(2,2;o)", 2)}
+    first = bad[0]
+    assert (first["signature"], first["degree"]) == ("(1,3;o)", 2)
+    assert text_form(first["basis"]) == "n13(c1,o1,o2,o3)"
+    with pytest.raises(ValueError, match=r"d\^2 != 0"):
+        homology_dims(broken)
     same = DgTruncation(dg.collection, dg.derivation.images.__getitem__,
                         4, name="same")
     assert verify_d_squared(same) == []

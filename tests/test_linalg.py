@@ -6,9 +6,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bioperad.linalg import (Echelon, Subspace, meet_slice, primitive,
+from bioperad.duality import cobar_truncate
+from bioperad.linalg import (Echelon, Subspace, meet_slice, primitive, rank,
                              solve)
-from bioperad.models import ocinf_dg
+from bioperad.models import lp_presentation, lpinf_dg, ocinf_dg
 
 import pytest
 
@@ -181,6 +182,50 @@ def test_echelon_rank_of_ocinf3_differentials_matches_sympy():
             assert ech.rank == _sympy_rank(cols, dg.chain_dim(s, d - 1)), (s, d)
             cells += 1
     assert cells > 10
+
+
+# entries that are not units, so that many pivots of rank are not either
+non_units = st.sampled_from([2, -2, 3, -3, 5, Fraction(3, 2), Fraction(-5, 4)])
+non_unit_rows = st.lists(st.dictionaries(st.integers(0, 9), non_units,
+                                         min_size=2, max_size=5), max_size=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(sparse_rows, non_unit_rows))
+def test_rank_matches_sympy(rows):
+    before = [dict(row) for row in rows]
+    assert rank(rows) == _sympy_rank(rows, 10)
+    assert rows == before
+
+
+def test_rank_with_non_unit_pivots():
+    # no unit entry anywhere, and the first step leaves a non-unit multiple
+    assert rank([{0: 2, 1: 3}, {0: 3, 1: 2}]) == 2
+    assert rank([{0: 2, 1: 3}, {0: 4, 1: 6}, {0: 6, 1: 9}]) == 1
+    assert rank([{0: 2, 1: 3, 2: 5}, {0: 3, 1: 5, 2: 2}, {0: 5, 1: 8, 2: 7}]) == 2
+    assert rank([{0: Fraction(2, 3), 1: 3}, {0: 3, 1: Fraction(27, 2)}]) == 1
+    assert rank([{}, {3: 0}]) == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ocinf_dg(4), lambda: lpinf_dg(4),
+    lambda: cobar_truncate(lp_presentation(), 4)])
+def test_rank_equals_echelon_on_every_cell(build):
+    # each cell's columns as they come, and each column scaled by a
+    # fraction of its own, which rank must clear to the same integer vector
+    dg = build()
+    cells = 0
+    for s in dg.signatures():
+        for d in dg.cell_degrees(s):
+            cols = dg.differential_columns(s, d)
+            ech = Echelon()
+            for col in cols:
+                ech.add(col)
+            scaled = [{i: Fraction(x, j + 2) for i, x in col.items()}
+                      for j, col in enumerate(cols)]
+            assert rank(cols) == rank(scaled) == ech.rank, (s, d)
+            cells += 1
+    assert cells >= 26
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
