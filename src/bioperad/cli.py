@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: dims, dual, span, d2, homology, gk, ql-check, shlp-check,
-verify-paper.  Models are builtin names or paths to operad files; output is
-deterministic, and --json switches every subcommand to machine-readable
-records.
+verify-paper.  Models are builtin names or paths to operad files.  Each
+``cmd_*`` returns ``(record, text_lines, exit_code)`` and prints nothing;
+``main`` prints the record as JSON under --json and the text lines
+otherwise, so output is deterministic and has one writer.
 """
 
 import argparse
@@ -44,10 +45,21 @@ def bound(text):
     return value
 
 
+def _read(path):
+    """The text of a file; an unreadable or non-UTF-8 file is a UsageError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path!r} is not UTF-8 text: {exc.reason} at "
+                         f"byte {exc.start}") from exc
+
+
 def _load_presentation(source):
     if os.path.exists(source):
-        with open(source, encoding="utf-8") as f:
-            return parse_spec(f.read())
+        return parse_spec(_read(source))
     if source in PRESENTATION_BUILDERS:
         return PRESENTATION_BUILDERS[source]()
     known = ", ".join(sorted(PRESENTATION_BUILDERS))
@@ -66,14 +78,6 @@ def _parse_sig(text):
     return Signature(n, m, parts[2])
 
 
-def _emit(records, as_json, text_lines):
-    if as_json:
-        print(json.dumps(records, indent=2, default=str))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def cmd_dims(args):
     pres = _load_presentation(args.model)
     dims = quotient_dims(pres, args.inputs)
@@ -84,8 +88,7 @@ def cmd_dims(args):
         for d, v in per:
             records.append({"signature": str(s), "degree": d, "dim": v})
             lines.append(f"{str(s):12s} {d:6d} {v:5d}")
-    _emit(records, args.json, lines)
-    return 0
+    return records, lines, 0
 
 
 def cmd_dual(args):
@@ -96,11 +99,7 @@ def cmd_dual(args):
     dual = quadratic_dual(pres, rename=lambda n: n + "v",
                           name=f"{pres.name}_dual")
     text = emit_spec(dual)
-    if args.json:
-        print(json.dumps({"operad": dual.name, "spec": text}))
-    else:
-        print(text, end="")
-    return 0
+    return {"operad": dual.name, "spec": text}, text.splitlines(), 0
 
 
 def cmd_span(args):
@@ -110,13 +109,12 @@ def cmd_span(args):
         span = relation_span(pres, s, args.weight)
     except ValueError as exc:  # a mixed-weight ideal has no weight slice
         raise UsageError(f"{args.model} at {s}: {exc}") from exc
-    records = {"signature": str(s), "weight": args.weight, "dim": span.dim,
-               "basis": [[str(x) for x in row] for row in span.basis]}
+    record = {"signature": str(s), "weight": args.weight, "dim": span.dim,
+              "basis": [[str(x) for x in row] for row in span.basis]}
     lines = [f"relation span at {s}, weight {args.weight}: dim {span.dim}"]
-    for row in span.basis:
-        lines.append("  [" + ", ".join(str(x) for x in row) + "]")
-    _emit(records, args.json, lines)
-    return 0
+    for row in record["basis"]:
+        lines.append("  [" + ", ".join(row) + "]")
+    return record, lines, 0
 
 
 def _load_dg(name, inputs):
@@ -128,17 +126,12 @@ def _load_dg(name, inputs):
 
 def cmd_d2(args):
     dg = _load_dg(args.model, args.inputs)
-    bad = verify_d_squared(dg)
-    extra = dg.ideal_respected()
-    n = len(bad) + len(extra)
-    if args.json:
-        print(json.dumps({"model": args.model, "violations": n,
-                          "details": [str(b)[:200] for b in (bad + extra)[:5]]}))
-    else:
-        print(f"{'OK' if n == 0 else 'FAIL'}: {n} violations")
-        for b in (bad + extra)[:5]:
-            print(f"  {str(b)[:200]}")
-    return 0 if n == 0 else 1
+    bad = verify_d_squared(dg) + dg.ideal_respected()
+    details = [str(b)[:200] for b in bad[:5]]
+    lines = [f"{'OK' if not bad else 'FAIL'}: {len(bad)} violations"]
+    lines += [f"  {d}" for d in details]
+    return ({"model": args.model, "violations": len(bad), "details": details},
+            lines, 1 if bad else 0)
 
 
 def cmd_homology(args):
@@ -154,8 +147,7 @@ def cmd_homology(args):
             records.append(rec)
             lines.append(f"{str(s):12s} {d:6d} {rec['chainDim']:9d} "
                          f"{rec['homDim']:7d}")
-    _emit(records, args.json, lines)
-    return 0
+    return records, lines, 0
 
 
 def cmd_gk(args):
@@ -166,53 +158,34 @@ def cmd_gk(args):
     bad = gk_mismatches(quotient_dims(pres, args.order),
                         quotient_dims(quadratic_dual(pres), args.order),
                         args.order)
-    if args.json:
-        print(json.dumps({"model": args.model, "order": args.order,
-                          "ok": not bad, "mismatches": bad}))
-    else:
-        print("functional equation " + ("FAILS" if bad else "holds"))
-        for w in bad:
-            print(f"  {w['cell']}: got {w['got']}, want {w['want']}")
-    return 1 if bad else 0
+    lines = ["functional equation " + ("FAILS" if bad else "holds")]
+    lines += [f"  {w['cell']}: got {w['got']}, want {w['want']}" for w in bad]
+    return ({"model": args.model, "order": args.order, "ok": not bad,
+             "mismatches": bad}, lines, 1 if bad else 0)
 
 
 def cmd_ql_check(args):
-    pres = _load_presentation(args.model)
-    report = check_ql_conditions(pres)
-    if args.json:
-        print(json.dumps({"ql1": report["ql1"], "ql2": report["ql2"],
-                          "witnesses": [str(w) for w in report["witnesses"]]}))
-    else:
-        print(f"ql1: {'pass' if report['ql1'] else 'fail'}")
-        print(f"ql2: {'pass' if report['ql2'] else 'fail'}")
-        for w in report["witnesses"]:
-            print(f"  witness: {w}")
-    return 0 if report["ql1"] and report["ql2"] else 1
+    report = check_ql_conditions(_load_presentation(args.model))
+    record = {"ql1": report["ql1"], "ql2": report["ql2"],
+              "witnesses": [str(w) for w in report["witnesses"]]}
+    lines = [f"{q}: {'pass' if record[q] else 'fail'}" for q in ("ql1", "ql2")]
+    lines += [f"  witness: {w}" for w in record["witnesses"]]
+    return record, lines, 0 if record["ql1"] and record["ql2"] else 1
 
 
 def cmd_shlp_check(args):
-    try:
-        with open(args.tensorfile, encoding="utf-8") as f:
-            data = parse_tensor_file(f.read())
-    except FileNotFoundError:
-        raise UsageError(f"no such file {args.tensorfile!r}")
+    data = parse_tensor_file(_read(args.tensorfile))
     if args.mode == "SHLP" and data.has_open_closed_extension():
         raise UsageError("the file has q = 0 tensors; they need --mode OCHA")
     report = shlp_ocha_check(data, args.mode, args.N)
-    if args.json:
-        print(json.dumps({"mode": args.mode, "arity": args.N,
-                          "passed": report.passed,
-                          "violations": [str(v)[:200]
-                                         for v in report.violations[:10]],
-                          "discrepancies": [str(v)[:200] for v in
-                                            report.discrepancies[:10]]}))
-    else:
-        print("PASS" if report.passed else "FAIL")
-        for v in report.violations[:10]:
-            print(f"  violated: {str(v)[:200]}")
-        for v in report.discrepancies[:10]:
-            print(f"  method discrepancy: {str(v)[:200]}")
-    return 0 if report.passed else 1
+    record = {"mode": args.mode, "arity": args.N, "passed": report.passed,
+              "violations": [str(v)[:200] for v in report.violations[:10]],
+              "discrepancies": [str(v)[:200]
+                                for v in report.discrepancies[:10]]}
+    lines = ["PASS" if report.passed else "FAIL"]
+    lines += [f"  violated: {v}" for v in record["violations"]]
+    lines += [f"  method discrepancy: {v}" for v in record["discrepancies"]]
+    return record, lines, 0 if report.passed else 1
 
 
 def cmd_verify_paper(args):
@@ -230,18 +203,15 @@ def cmd_verify_paper(args):
     except ValueError as exc:  # an unknown check id or group
         raise UsageError(str(exc)) from exc
     ok = all(r.status != "fail" for r in results)
-    if args.json:
-        print(json.dumps([r.record() for r in results], indent=2,
-                         default=str))
-    else:
-        for r in results:
-            mark = {"pass": "PASS", "fail": "FAIL", "note": "NOTE"}[r.status]
-            t = f" [{r.seconds:.1f}s]" if r.seconds else ""
-            print(f"{mark} {r.id}: {r.claim}{t}")
-            if r.status == "fail" and r.witness is not None:
-                print(f"     witness: {str(r.witness)[:400]}")
-        print("all checks passed" if ok else "SOME CHECKS FAILED")
-    return 0 if ok else 1
+    lines = []
+    for r in results:
+        mark = {"pass": "PASS", "fail": "FAIL", "note": "NOTE"}[r.status]
+        t = f" [{r.seconds:.1f}s]" if r.seconds else ""
+        lines.append(f"{mark} {r.id}: {r.claim}{t}")
+        if r.status == "fail" and r.witness is not None:
+            lines.append(f"     witness: {str(r.witness)[:400]}")
+    lines.append("all checks passed" if ok else "SOME CHECKS FAILED")
+    return [r.record() for r in results], lines, 0 if ok else 1
 
 
 def build_parser():
@@ -250,72 +220,72 @@ def build_parser():
         description="exact computer algebra for 2-colored operads")
     sub = p.add_subparsers(dest="command", required=True)
 
-    d = sub.add_parser("dims", help="quotient dimensions per signature")
+    def command(name, fn, help):
+        d = sub.add_parser(name, help=help)
+        d.set_defaults(fn=fn)
+        return d
+
+    d = command("dims", cmd_dims, "quotient dimensions per signature")
     d.add_argument("model")
     d.add_argument("--inputs", type=bound, default=4)
-    d.add_argument("--json", action="store_true")
-    d.set_defaults(fn=cmd_dims)
 
-    d = sub.add_parser("dual", help="quadratic dual presentation")
+    d = command("dual", cmd_dual, "quadratic dual presentation")
     d.add_argument("model")
-    d.add_argument("--json", action="store_true")
-    d.set_defaults(fn=cmd_dual)
 
-    d = sub.add_parser("span", help="relation span at a signature")
+    d = command("span", cmd_span, "relation span at a signature")
     d.add_argument("model")
     d.add_argument("--sig", required=True, help="n,m,c or n,m,o")
     d.add_argument("--weight", type=bound, default=2)
-    d.add_argument("--json", action="store_true")
-    d.set_defaults(fn=cmd_span)
 
-    d = sub.add_parser("d2", help="verify the differential squares to zero")
+    d = command("d2", cmd_d2, "verify the differential squares to zero")
     d.add_argument("model", help="OCinf, LPinf or H0SCdual")
     d.add_argument("--inputs", type=bound, default=4)
-    d.add_argument("--json", action="store_true")
-    d.set_defaults(fn=cmd_d2)
 
-    d = sub.add_parser("homology", help="per-cell homology dimensions")
+    d = command("homology", cmd_homology, "per-cell homology dimensions")
     d.add_argument("model", help="OCinf, LPinf or H0SCdual")
     d.add_argument("--inputs", type=bound, default=3)
-    d.add_argument("--json", action="store_true")
-    d.set_defaults(fn=cmd_homology)
 
-    d = sub.add_parser("gk", help="GK series equation against the dual")
+    d = command("gk", cmd_gk, "GK series equation against the dual")
     d.add_argument("model")
     d.add_argument("--order", type=bound, default=4)
-    d.add_argument("--json", action="store_true")
-    d.set_defaults(fn=cmd_gk)
 
-    d = sub.add_parser("ql-check", help="quadratic-linear conditions")
+    d = command("ql-check", cmd_ql_check, "quadratic-linear conditions")
     d.add_argument("model")
-    d.add_argument("--json", action="store_true")
-    d.set_defaults(fn=cmd_ql_check)
 
-    d = sub.add_parser("shlp-check", help="strong homotopy structure check")
+    d = command("shlp-check", cmd_shlp_check,
+                "strong homotopy structure check")
     d.add_argument("tensorfile")
     d.add_argument("-N", type=bound, default=4)
     d.add_argument("--mode", choices=["SHLP", "OCHA"], default="SHLP")
-    d.add_argument("--json", action="store_true")
-    d.set_defaults(fn=cmd_shlp_check)
 
-    d = sub.add_parser("verify-paper", help="run the whole claim suite")
+    d = command("verify-paper", cmd_verify_paper, "run the whole claim suite")
     d.add_argument("--only", nargs="*", help="check ids or groups")
-    d.add_argument("--json", action="store_true")
     d.add_argument("--dims-bound", type=bound)
     d.add_argument("--d2-bound", type=bound)
     d.add_argument("--homology-bound", type=bound)
-    d.set_defaults(fn=cmd_verify_paper)
+
+    for d in sub.choices.values():
+        d.add_argument("--json", action="store_true",
+                       help="print the record as JSON")
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand: print its record as JSON under --json and its
+    text lines otherwise; a usage or file error prints `error: ...` on
+    stderr and returns 2."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        record, lines, code = args.fn(args)
     except (UsageError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps(record, indent=2, default=str))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -33,7 +33,8 @@ from .presentation import (Presentation, ambient_basis, check_ql_conditions,
 from .signs import perm_sign
 from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                     Element, Leaf, Node, Signature, VertexSpace, accumulate,
-                    enumerate_basis, generator, graft, symmetric_act)
+                    enumerate_basis, generator, graft, map_spaces,
+                    symmetric_act)
 
 _SYM_DUAL = {TRIVIAL: SIGN, SIGN: TRIVIAL, REGULAR: REGULAR, NONE: NONE}
 
@@ -49,16 +50,6 @@ def dual_collection(collection, rename=None):
                                 s.signature.total - 2 - s.degrees[0],
                                 _SYM_DUAL[s.symmetry]))
     return Collection(spaces)
-
-
-def _mirror(t, partner):
-    """t with every vertex space swapped for its partner.  Canonical order
-    depends on the leaves alone, so the mirror of a canonical tree is
-    canonical."""
-    if isinstance(t, Leaf):
-        return t
-    return Node(partner[t.space], t.dec,
-                tuple(_mirror(c, partner) for c in t.children))
 
 
 def _label_words(t):
@@ -131,7 +122,8 @@ def pairing_matrix(primal_collection, dual_coll, signature):
         raise ValueError("primal and dual weight-2 components differ in size")
     partner = dict(zip(primal_collection.spaces, dual_coll.spaces))
     dual_index = {t: j for j, t in enumerate(dual)}
-    pairing = [(dual_index[_mirror(t, partner)], pair_value(t)) for t in prim]
+    pairing = [(dual_index[map_spaces(t, partner.get)], pair_value(t))
+               for t in prim]
     return pairing, prim, dual
 
 

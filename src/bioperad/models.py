@@ -34,7 +34,8 @@ from .signs import identity, perm_sign, unshuffle_perm, unshuffles
 from .trees import (CLOSED, IDENTITY_SIGS, NONE, OPEN, REGULAR, SIGN,
                     TRIVIAL, Collection, Element, Leaf, Node, Signature,
                     accumulate, assemble, corolla_element, generator, graft,
-                    parse_term, planar_order, sig, symmetric_act)
+                    map_spaces, parse_term, planar_order, sig,
+                    symmetric_act)
 
 
 def _relations(collection, texts):
@@ -424,20 +425,12 @@ def psi_map_element(elem, target_collection):
     generator maps to zero, killing any tree that contains one.
     """
 
-    def map_tree(t):
-        if isinstance(t, Leaf):
-            return t
-        if t.space.name not in PSI_GENERATORS:
-            return None
-        kids = []
-        for c in t.children:
-            mc = map_tree(c)
-            if mc is None:
-                return None
-            kids.append(mc)
-        return Node(target_collection[t.space.name], t.dec, tuple(kids))
+    def image(space):
+        if space.name in PSI_GENERATORS:
+            return target_collection[space.name]
+        return None
 
-    mapped = ((map_tree(t), c) for t, c in elem.terms.items())
+    mapped = ((map_spaces(t, image), c) for t, c in elem.terms.items())
     return Element.of(accumulate({}, ((t, c) for t, c in mapped
                                       if t is not None)))
 

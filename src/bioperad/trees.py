@@ -471,9 +471,10 @@ class Element:
         sorted by text, the reparse sign folded into each coefficient."""
         if not self.terms:
             return "0"
+        memo = {}
+        signed = [(_signed_text(t, memo), c) for t, c in self.terms.items()]
         bits = []
-        for t, c in sorted(self.terms.items(), key=lambda tc: text_form(tc[0])):
-            sign, txt = text_form_signed(t)
+        for (sign, txt), c in sorted(signed, key=lambda sc: sc[0][1]):
             c *= sign
             bits.append(f"{'-' if c < 0 else '+'} "
                         f"{txt if abs(c) == 1 else f'{abs(c)}*{txt}'}")
@@ -713,6 +714,25 @@ def symmetric_act(perm_pair, elem):
             raise ValueError("permutation sizes do not match the signature")
     return substitute_element(elem, [Leaf(CLOSED, p) for p in cperm]
                               + [Leaf(OPEN, p) for p in operm])
+
+
+def map_spaces(t, image):
+    """t with every vertex space s replaced by image(s), or None when image
+    returns None for some vertex.  Canonical order depends on the leaves
+    alone, so a canonical tree maps to a canonical tree when each image
+    space has the signature of its source."""
+    if isinstance(t, Leaf):
+        return t
+    space = image(t.space)
+    if space is None:
+        return None
+    children = []
+    for c in t.children:
+        c = map_spaces(c, image)
+        if c is None:
+            return None
+        children.append(c)
+    return Node(space, t.dec, tuple(children))
 
 
 # ---------------------------------------------------------------------------

@@ -458,13 +458,13 @@ def run_checks(selection=None, bounds=None, notes=True):
     for check_id, group, claim, fn in CHECKS:
         if selection and not (check_id in selection or group in selection):
             continue
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             status, witness = fn(bounds)
         except Exception as exc:  # a crashed check is a failed check
             status, witness = "fail", f"exception: {exc!r}"
         results.append(CheckResult(check_id, group, claim, status, witness,
-                                   time.time() - t0))
+                                   time.perf_counter() - t0))
     if notes and not selection:
         for note_id, text in NOTES:
             results.append(CheckResult(note_id, "notes", text, "note"))

@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -200,11 +202,27 @@ def test_empty_input_files_rejected(tmp_path, capsys):
     ["span", "H0SC", "--sig", "1,1,o"],
     ["dual", "H0SC"],
     ["shlp-check", "no-such-file"],
+    ["dims", "."],
+    ["shlp-check", "."],
+    ["dims", "utf16.txt"],
+    ["shlp-check", "utf16.txt"],
 ])
 def test_usage_errors_exit_2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "utf16.txt").write_bytes("operad x\n".encode("utf-16"))
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unreadable_files_exit_2_from_process(tmp_path):
+    # a directory or a non-UTF-8 file is refused at the boundary
+    utf16 = tmp_path / "utf16.operad"
+    utf16.write_bytes(b"\xff\xfe" + "operad x\n".encode("utf-16-le"))
+    for command in ("dims", "shlp-check"):
+        for path in (tmp_path, utf16):
+            code, out, err = run_cli([command, str(path)])
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_dg_commands_keep_the_requested_bound(monkeypatch, capsys):
@@ -301,3 +319,79 @@ def test_bad_tensor_coefficient_exit_code_from_process(tmp_path):
     assert code == 2
     assert err.startswith("error: bad coefficient") and "(line 2" in err
     assert "Traceback" not in err
+
+
+PAIR_TENSORS = """
+closed x 0
+closed y 0
+open a 0
+open b 0
+l 2: x,y -> y
+n 0 2: | a,a -> b
+n 1 1: x | a -> a
+n 1 1: x | b -> 2*b
+"""
+
+# tensors whose mixed relations fail at 3 inputs
+FAILING_TENSORS = """
+closed x 0
+closed y 0
+open a 0
+l 2: x,y -> x
+n 0 2: | a,a -> a
+n 1 1: x | a -> a
+n 1 1: y | a -> 3*a
+"""
+
+# (exit code, one cheap call) for every subcommand, passing, failing and
+# refused; "{pair}" and "{failing}" are the tensor files above
+EVERY_COMMAND = [
+    (0, ["dims", "Com", "--inputs", "2"]),
+    (0, ["dual", "Lie"]),
+    (0, ["span", "LP", "--sig", "2,1,o"]),
+    (0, ["d2", "LPinf", "--inputs", "2"]),
+    (0, ["homology", "OCinf", "--inputs", "2"]),
+    (0, ["gk", "Com", "--order", "3"]),
+    (0, ["ql-check", "LP"]),
+    (0, ["shlp-check", "{pair}", "-N", "2"]),
+    (1, ["shlp-check", "{failing}", "-N", "3"]),
+    (2, ["verify-paper", "--only", "no-such-check"]),
+    (0, ["verify-paper", "--only", "koszul-dual"]),
+]
+
+
+def test_every_command_is_exercised():
+    commands = {name[4:].replace("_", "-") for name in vars(cli)
+                if name.startswith("cmd_")}
+    assert {argv[0] for _, argv in EVERY_COMMAND} == commands
+
+
+@pytest.mark.parametrize("code, argv", EVERY_COMMAND,
+                         ids=[" ".join(argv) for _, argv in EVERY_COMMAND])
+def test_text_and_json_agree(code, argv, tmp_path, capsys):
+    files = {"pair": PAIR_TENSORS, "failing": FAILING_TENSORS}
+    for name, text in files.items():
+        (tmp_path / f"{name}.tensors").write_text(text)
+    argv = [a.format(**{name: tmp_path / f"{name}.tensors" for name in files})
+            for a in argv]
+    assert main(argv) == code
+    text = capsys.readouterr().out
+    assert main(argv + ["--json"]) == code
+    out = capsys.readouterr().out
+    if code == 2:
+        assert text == out == ""
+    else:
+        assert text and json.loads(out) is not None
+
+
+def test_only_main_prints():
+    # every cmd_* returns its record and text; main is the one writer
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+
+    def prints(node):
+        return {n.lineno for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "print"}
+
+    main_def = next(f for f in tree.body
+                    if isinstance(f, ast.FunctionDef) and f.name == "main")
+    assert prints(main_def) and prints(tree) == prints(main_def)
