@@ -15,8 +15,8 @@ from math import factorial
 
 from .linalg import betti
 from .presentation import signatures_within
-from .trees import (CLOSED, IDENTITY_SIGS, OPEN, Element, Leaf, accumulate,
-                    assemble, component_basis, substitute_element,
+from .trees import (CLOSED, IDENTITY_SIGS, OPEN, Element, Leaf, Node,
+                    accumulate, component_basis, substitute_element,
                     tree_degree)
 
 
@@ -36,19 +36,24 @@ class Derivation:
         if isinstance(t, Leaf):
             out = Element()
         else:
-            acc = substitute_element(self.images[t.space][t.dec],
-                                     t.children).terms
-            prefix = t.space.degrees[t.dec]
-            for i, child in enumerate(t.children):
+            space, dec, children = t.space, t.dec, t.children
+            acc = substitute_element(self.images[space][dec],
+                                     children).terms
+            nodes, prefix = space.nodes, space.degrees[dec]
+            for i, child in enumerate(children):
                 if isinstance(child, Leaf):
                     continue  # degree 0, derivative 0
                 dchild = self.apply_tree(child).terms
                 if dchild:
-                    # the Leibniz term: child i replaced by its derivative
-                    parts = [{c: 1} for c in t.children]
-                    parts[i] = dchild
-                    accumulate(acc, assemble(t.space, t.dec, parts).items(),
-                               -1 if prefix & 1 else 1)
+                    # the Leibniz term: child i replaced by its derivative,
+                    # which has its leaves, so the children stay canonical
+                    head, tail = children[:i], children[i + 1:]
+                    terms = []
+                    for u, c in dchild.items():
+                        kids = (*head, u, *tail)
+                        terms.append((nodes.get((dec, kids))
+                                      or Node(space, dec, kids), c))
+                    accumulate(acc, terms, -1 if prefix & 1 else 1)
                 prefix += tree_degree(child)
             out = Element.of(acc)
         self._tree_cache[t] = out
@@ -68,15 +73,17 @@ class DgTruncation:
     a vertex space, it returns the list of the space's ``dim`` images, an
     Element of the same signature one degree lower per basis element.  The
     images are computed once, here, where the contract is checked, and the
-    derivation keeps them.  For quotient truncations the derivative of a
-    class is the reduced derivative of its representative;
-    ``ideal_respected`` certifies that this is well defined.
+    derivation keeps them as a tuple per space.  For quotient truncations
+    the derivative of a class is the reduced derivative of its
+    representative; ``ideal_respected`` certifies that this is well
+    defined.  Images and chain bases are fixed from here on, so the dg
+    keeps the verdict of ``verify_d_squared`` once it is computed.
     """
 
     def __init__(self, collection, genmap, max_inputs, trunc=None, name=""):
         images = {}
         for space in collection:
-            images[space] = list(genmap(space))
+            images[space] = tuple(genmap(space))
             if len(images[space]) != space.dim:
                 raise ValueError(
                     f"genmap returns {len(images[space])} images for the "
@@ -96,6 +103,7 @@ class DgTruncation:
         self.trunc = trunc
         self.name = name
         self._cells = {}
+        self._d_squared = None  # the violations, once verify_d_squared ran
 
     def signatures(self):
         return [s for s in signatures_within(self.max_inputs)
@@ -180,24 +188,31 @@ class DgTruncation:
 
 
 def verify_d_squared(dg):
-    """Violations of d^2 = 0 per cell; empty list means the check passed."""
-    violations = []
-    for sig_ in signatures_within(dg.max_inputs):
-        for degree in dg.cell_degrees(sig_):
-            for t in dg.chain_basis(sig_, degree):
-                twice = dg.differential(dg.image(t))
-                if not twice.is_zero():
-                    violations.append(
-                        {"signature": str(sig_), "degree": degree,
-                         "basis": t, "residual": twice})
-    return violations
+    """Violations of d^2 = 0 per cell; empty list means the check passed.
+
+    The pass runs once per dg, which keeps its verdict; every call returns
+    a fresh copy of it.
+    """
+    if dg._d_squared is None:
+        violations = []
+        for sig_ in signatures_within(dg.max_inputs):
+            for degree in dg.cell_degrees(sig_):
+                for t in dg.chain_basis(sig_, degree):
+                    twice = dg.differential(dg.image(t))
+                    if not twice.is_zero():
+                        violations.append(
+                            {"signature": str(sig_), "degree": degree,
+                             "basis": t, "residual": twice})
+        dg._d_squared = violations
+    return [dict(v) for v in dg._d_squared]
 
 
 def homology_dims(dg):
     """dict (signature, degree) -> dim H, exact over Q.
 
     Betti numbers per cell (``linalg.betti``): dim C_d - rank d_d -
-    rank d_(d+1).  Raises ValueError when d^2 != 0.
+    rank d_(d+1).  Raises ValueError when d^2 != 0, by the verdict of
+    ``verify_d_squared``.
     """
     bad = verify_d_squared(dg)
     if bad:

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
-from .signs import identity, koszul_sign, sort_key_perm
+from .signs import koszul_sign
 
 CLOSED = "c"
 OPEN = "o"
@@ -120,6 +120,7 @@ class VertexSpace:
         self.arrangements = arrangements
         self.symmetry = symmetry
         self._act_cache = {}
+        self._resort_cache = {}
         self.nodes = {}  # (dec, children) -> the interned Node
 
     def __repr__(self):
@@ -144,6 +145,26 @@ class VertexSpace:
                 vec = new
         out = tuple(sorted(vec.items()))
         self._act_cache[key] = out
+        return out
+
+    def resort(self, dec, order, odd):
+        """The (basis index, coeff) terms of basis element dec once its
+        children, listed in slot order, are put in the order ``order`` (the
+        old slot of each new one, each color block kept in place): the
+        block action times the Koszul sign of the crossings of odd
+        children, bit i of ``odd`` set when child i has odd degree."""
+        key = (dec, order, odd)
+        hit = self._resort_cache.get(key)
+        if hit is not None:
+            return hit
+        n = self.signature.n_closed
+        perm = [0] * len(order)
+        for new, old in enumerate(order):
+            perm[old] = new + 1
+        sign = koszul_sign(perm, [odd >> i & 1 for i in range(len(order))])
+        out = tuple((b, c * sign) for b, c in self.act_block(
+            dec, tuple(perm[:n]), tuple(p - n for p in perm[n:])))
+        self._resort_cache[key] = out
         return out
 
 
@@ -367,12 +388,13 @@ def _check_child_colors(space, children):
     if len(children) != sig_.total:
         raise CompositionError(
             f"{space.name} takes {sig_.total} children, got {len(children)}")
-    for i, c in enumerate(children, start=1):
-        want = sig_.slot_color(i)
-        got = out_color(c)
+    n = sig_.n_closed
+    for i, c in enumerate(children):
+        want = CLOSED if i < n else OPEN
+        got = c.color if type(c) is Leaf else c.space.signature.out
         if want != got:
             raise CompositionError(
-                f"slot {i} of {space.name} is {want} but received {got}")
+                f"slot {i + 1} of {space.name} is {want} but received {got}")
 
 
 # ---------------------------------------------------------------------------
@@ -489,43 +511,23 @@ def tree_element(t, coeff=1):
 # ---------------------------------------------------------------------------
 # Canonicalization
 
-def _sorted_block(children, lo, hi, degrees):
-    """Sort the list slice children[lo:hi] in place by min leaf key.
-
-    Returns (block permutation in image notation, Koszul sign of the
-    segment reordering), or (None, 1) when the block was already sorted.
-    The permutation says where each original position goes, restricted to
-    the block.
-    """
-    block = children[lo:hi]
-    perm = sort_key_perm([min_leaf_key(c) for c in block])
-    if perm == identity(len(block)):
-        return None, 1
-    for i, p in enumerate(perm):
-        children[lo + p - 1] = block[i]
-    return perm, koszul_sign(perm, degrees[lo:hi])
-
-
 def make_node(space, dec, children):
     """Assemble a vertex from possibly unsorted children; returns an Element.
 
     ``dec`` is a basis index of the space.  Children must already be
-    canonical trees (or leaves).
+    canonical trees (or leaves).  Each color block is sorted by min leaf
+    key; the result depends only on dec, the order that sorts the blocks
+    and the parity of each child's degree, so the space keeps it per such
+    key (``VertexSpace.resort``).
     """
     _check_child_colors(space, children)
-    n = space.signature.n_closed
-    children = list(children)
-    degs = [tree_degree(c) for c in children]
-    cperm, csign = _sorted_block(children, 0, n, degs)
-    operm, osign = _sorted_block(children, n, len(children), degs)
-    children = tuple(children)
-    if cperm is None and operm is None:
-        return Element.of({Node(space, dec, children): 1})
-    cperm = cperm or identity(n)
-    operm = operm or identity(len(children) - n)
-    return Element.of(accumulate(
-        {}, ((Node(space, b, children), c) for b, c in
-             space.act_block(dec, cperm, operm)), csign * osign))
+    n, k = space.signature.n_closed, len(children)
+    keys = [min_leaf_key(c) for c in children]
+    order = (*sorted(range(n), key=keys.__getitem__),
+             *sorted(range(n, k), key=keys.__getitem__))
+    terms = space.resort(dec, order, _odd_slots(children))
+    children = tuple(children[i] for i in order)
+    return Element.of({Node(space, b, children): c for b, c in terms})
 
 
 def corolla(space, dec=0):
@@ -595,20 +597,30 @@ def _compile(pattern):
     return pattern._plan
 
 
-def substitute(pattern, subs):
+def _odd_slots(subs):
+    """The bitmask of the slots whose subtree has odd degree."""
+    odd = 0
+    for i, s in enumerate(subs):
+        if tree_degree(s) & 1:
+            odd |= 1 << i
+    return odd
+
+
+def substitute(pattern, subs, odd=None):
     """Plug subtrees into all leaves of a standard-labeled pattern tree.
 
     subs is in slot order, as ``Node.children``: subs[i-1] replaces leaf
-    (CLOSED, i) and subs[n+j-1] leaf (OPEN, j), n the closed inputs.
-    Returns an Element.  The pattern's plan is run as a stack machine: a
-    leaf pushes its subtree, a vertex pops its children, looks them up
-    interned and re-sorts them by make_node only when they are not; a
-    re-sort with several terms carries term dicts upward through
-    ``assemble``.  Signs: starting from (pattern word, subtrees in slot
-    order), the subtree words move to their leaf positions.  Only the
-    odd-degree subtrees count: each flips the sign when an odd tail of the
-    pattern word follows its leaf, and each pair of them flips it when
-    their pre-order disagrees with their slot order.
+    (CLOSED, i) and subs[n+j-1] leaf (OPEN, j), n the closed inputs; odd is
+    their ``_odd_slots``, computed here when not given.  Returns an
+    Element.  The pattern's plan is run as a stack machine: a leaf pushes
+    its subtree, a vertex pops its children, looks them up interned and
+    re-sorts them by make_node only when they are not; a re-sort with
+    several terms carries term dicts upward through ``assemble``.  Signs:
+    starting from (pattern word, subtrees in slot order), the subtree words
+    move to their leaf positions.  Only the odd-degree subtrees count: each
+    flips the sign when an odd tail of the pattern word follows its leaf,
+    and each pair of them flips it when their pre-order disagrees with
+    their slot order.
     """
     if isinstance(pattern, Leaf):
         return Element.of({subs[0]: 1})
@@ -634,13 +646,14 @@ def substitute(pattern, subs):
             else:
                 node, spread = terms, True
         stack.append(node)
-    if any(tree_degree(s) & 1 for s in subs):
-        flips, seen = 0, []
+    if odd is None:
+        odd = _odd_slots(subs)
+    if odd:
+        flips = seen = 0
         for code in plan:
-            if type(code) is int and tree_degree(subs[code >> 1]) & 1:
-                slot = code >> 1
-                flips += (code & 1) + sum(1 for k in seen if k > slot)
-                seen.append(slot)
+            if type(code) is int and odd >> (code >> 1) & 1:
+                flips += (code & 1) + (seen >> (code >> 1)).bit_count()
+                seen |= 1 << (code >> 1)
         if flips & 1:
             scale = -scale
     top, = stack
@@ -650,9 +663,9 @@ def substitute(pattern, subs):
 
 
 def substitute_element(pattern_elem, subs):
-    acc = {}
+    acc, odd = {}, _odd_slots(subs)
     for t, c in pattern_elem.terms.items():
-        accumulate(acc, substitute(t, subs).terms.items(), c)
+        accumulate(acc, substitute(t, subs, odd).terms.items(), c)
     return Element.of(acc)
 
 

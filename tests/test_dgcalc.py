@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +17,8 @@ from bioperad.models import (alpha_composite_dims, h0sc_dual_dg,
                              whistle_composite_dims)
 from bioperad.presentation import group_elements
 from bioperad.trees import (CLOSED, OPEN, Element, enumerate_basis, graft,
-                            parse_term, sig, symmetric_act, text_form)
+                            parse_term, sig, symmetric_act, text_form,
+                            text_form_signed)
 
 
 def test_zero_genmap_zero_differential():
@@ -131,9 +133,9 @@ def test_d_squared_oc_small():
     assert verify_d_squared(ocinf_dg(4)) == []
 
 
-def test_flipped_sign_breaks_d_squared():
-    # the engine's generator images with the sign of one term of d(n12)
-    # flipped; the unflipped images square to zero
+def _flipped_lpinf4_genmap():
+    """LPinf(4)'s generator images with the sign of one term of d(n12)
+    flipped."""
     dg = lpinf_dg(4)
     (t, _), = parse_term(dg.collection, "n02(o1,n11(c1,o2))")
 
@@ -145,7 +147,15 @@ def test_flipped_sign_breaks_d_squared():
                                  for u, c in images[0]})
         return images
 
-    broken = DgTruncation(dg.collection, flipped, 4, name="broken")
+    return flipped
+
+
+def test_flipped_sign_breaks_d_squared():
+    # the engine's generator images with the sign of one term of d(n12)
+    # flipped; the unflipped images square to zero
+    dg = lpinf_dg(4)
+    broken = DgTruncation(dg.collection, _flipped_lpinf4_genmap(), 4,
+                          name="broken")
     bad = verify_d_squared(broken)
     assert len(bad) == 7
     assert {(b["signature"], b["degree"]) for b in bad} == {
@@ -158,6 +168,62 @@ def test_flipped_sign_breaks_d_squared():
     same = DgTruncation(dg.collection, dg.derivation.images.__getitem__,
                         4, name="same")
     assert verify_d_squared(same) == []
+
+
+def test_d_squared_verdict_is_kept_on_its_dg():
+    coll, flipped = lpinf_dg(4).collection, _flipped_lpinf4_genmap()
+    # the homology gate computes the verdict when no call did before it
+    with pytest.raises(ValueError, match=r"d\^2 != 0"):
+        homology_dims(DgTruncation(coll, flipped, 4))
+    broken = DgTruncation(coll, flipped, 4)
+    assert all(type(images) is tuple
+               for images in broken.derivation.images.values())
+    first = verify_d_squared(broken)
+    assert len(first) == 7
+    passes = []
+    broken.differential = lambda e: passes.append(e) or Element()
+    # a caller's edits of the answer do not reach the kept verdict
+    first.append(first[0])
+    first[0]["degree"] = None
+    again = verify_d_squared(broken)
+    assert len(again) == 7 and again[0]["degree"] == 2
+    with pytest.raises(ValueError, match=r"d\^2 != 0"):
+        homology_dims(broken)
+    assert passes == []
+    # another dg over the same collection keeps its own verdict
+    assert verify_d_squared(lpinf_dg(4)) == []
+    assert len(verify_d_squared(DgTruncation(coll, flipped, 4))) == 7
+    assert verify_d_squared(DgTruncation(
+        coll, lpinf_dg(4).derivation.images.__getitem__, 4)) == []
+
+
+def _d_digest(dg):
+    """sha256 over each chain basis tree's signed text and the signed
+    texts of the terms of its image, the terms sorted."""
+    h = hashlib.sha256()
+    for s in dg.signatures():
+        for degree in dg.cell_degrees(s):
+            for t in dg.chain_basis(s, degree):
+                terms = sorted(f"{c * sign} {text}"
+                               for u, c in dg.image(t).terms.items()
+                               for sign, text in [text_form_signed(u)])
+                h.update(f"{text_form_signed(t)[1]}: {'; '.join(terms)}\n"
+                         .encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("build, digest", [
+    (lambda: ocinf_dg(4),
+     "d2b1e76fc1b5933f5422f1367632b646fac443d867f02c8adc62000a322360ae"),
+    (lambda: lpinf_dg(4),
+     "1716e9521ff8a2476ba1e432927d12a1285489e2a9a5f373e060b82ca6e8b58b"),
+    (lambda: duality.cobar_truncate(models.lp_presentation(), 4),
+     "aaf72591e48681886ea5b0d964f6f5c87c06e100ab40403487f2a9db8ae8e30d"),
+], ids=["OCinf4", "LPinf4", "cobar-LP4"])
+def test_differential_is_pinned(build, digest):
+    # d on every chain basis tree, text for text: a change of the
+    # derivation or of the re-sort that moves a term or a sign moves this
+    assert _d_digest(build()) == digest
 
 
 def test_leibniz_rule():

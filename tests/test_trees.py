@@ -14,6 +14,7 @@ from bioperad.models import (PRESENTATION_BUILDERS, h0sc_dual_dg,
                              ocinf_dg)
 from bioperad.presentation import (ambient_basis, group_elements,
                                    ideal_spans, signatures_within)
+from bioperad.signs import koszul_sign, sort_key_perm
 from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
                             Collection, CompositionError, Element, Leaf,
@@ -750,6 +751,53 @@ def test_symmetric_act_spreads_through_assemble(data):
     for t, c in pattern:
         expected += _naive_substitute(t, _slot_leaves(cperm, operm)).scale(c)
     assert acted == expected
+
+
+def _make_node_reference(space, dec, children):
+    """make_node as a direct re-sort: each color block sorted by
+    min_leaf_key, the Koszul sign of its crossings of odd-degree children,
+    then the block action on dec."""
+    n = space.signature.n_closed
+    degrees = [tree_degree(c) for c in children]
+    kids, perms, sign = list(children), [], 1
+    for lo, hi in ((0, n), (n, len(children))):
+        perm = sort_key_perm([min_leaf_key(c) for c in children[lo:hi]])
+        sign *= koszul_sign(perm, degrees[lo:hi])
+        for i, p in enumerate(perm):
+            kids[lo + p - 1] = children[lo + i]
+        perms.append(perm)
+    kids = tuple(kids)
+    return Element({Node(space, b, kids): c * sign
+                    for b, c in space.act_block(dec, *perms)})
+
+
+@settings(_PROPERTY, max_examples=80)
+@given(st.data())
+@pytest.mark.parametrize("case", ["vertex", "spreading"])
+def test_make_node_matches_a_direct_re_sort(case, data):
+    # shuffled children, odd ones among them, under a vertex of H0SC,
+    # LPinf or OCinf, or under a g3_0c corolla of the cobar of LP in an
+    # order that re-sorts to several terms
+    if case == "spreading":
+        name = "cobar-LP"
+        space, dec, word = data.draw(st.sampled_from(_spreading_corollas()))
+    else:
+        name = data.draw(st.sampled_from(["H0SC", "LPinf", "OCinf"]))
+        space = data.draw(st.sampled_from(_collection(name).spaces))
+        dec = data.draw(st.integers(0, space.dim - 1))
+    subs = _draw_disjoint_subs(data.draw, name, space.signature)
+    n = space.signature.n_closed
+    if case == "spreading":
+        ascending = sorted(subs[:n], key=min_leaf_key)
+        closed = [ascending[k - 1] for k in word]
+    else:
+        closed = data.draw(st.permutations(subs[:n]))
+    children = [*closed, *data.draw(st.permutations(subs[n:]))]
+    expected = _make_node_reference(space, dec, children)
+    assert len(expected) > 1 or case == "vertex"
+    # the second call reads what the space kept from the first
+    for _ in range(2):
+        assert make_node(space, dec, children) == expected
 
 
 def test_node_refuses_children_out_of_order():
