@@ -6,18 +6,19 @@ tree it acts by the graded Leibniz rule over the depth-first word: the term
 replacing vertex v carries the sign (-1)^(degree of the word before v).
 
 Free truncations take chain bases straight from tree enumeration; quotient
-truncations use coset representatives, with a separate check that the
-derivative of the ideal stays in the ideal.
+truncations use coset representatives, and their d^2 verdict also holds
+each relation whose derivative leaves the ideal.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from .linalg import betti
-from .presentation import signatures_within
+from .presentation import adjacent_transpositions, signatures_within
 from .trees import (CLOSED, IDENTITY_SIGS, OPEN, Element, Leaf, Node,
-                    accumulate, component_basis, substitute_element,
-                    tree_degree)
+                    accumulate, component_basis, corolla_element,
+                    substitute_element, symmetric_act, tree_degree)
 
 
 class Derivation:
@@ -75,12 +76,12 @@ class DgTruncation:
     images are computed once, here, where the contract is checked, and the
     derivation keeps them as a tuple per space.  For quotient truncations
     the derivative of a class is the reduced derivative of its
-    representative; ``ideal_respected`` certifies that this is well
-    defined.  Images and chain bases are fixed from here on, so the dg
-    keeps the verdict of ``verify_d_squared`` once it is computed.
+    representative, and the images must commute with the symmetric action
+    modulo the ideal.  Images and chain bases are fixed from here on, so
+    the dg keeps the verdict of ``verify_d_squared`` once it is computed.
     """
 
-    def __init__(self, collection, genmap, max_inputs, trunc=None, name=""):
+    def __init__(self, collection, genmap, max_inputs, trunc=None):
         images = {}
         for space in collection:
             images[space] = tuple(genmap(space))
@@ -101,9 +102,19 @@ class DgTruncation:
         self.derivation = Derivation(images)
         self.max_inputs = max_inputs
         self.trunc = trunc
-        self.name = name
         self._cells = {}
         self._d_squared = None  # the violations, once verify_d_squared ran
+        # verify_d_squared's relation check rests on this equivariance
+        for space, imgs in images.items() if trunc is not None else ():
+            if space.signature.total > max_inputs:
+                continue
+            for dec, g in product(range(space.dim),
+                                  adjacent_transpositions(space.signature)):
+                moved = symmetric_act(g, corolla_element(space, dec))
+                if self.differential(moved) != trunc.reduce_to_element(
+                        symmetric_act(g, imgs[dec])):
+                    raise ValueError(f"genmap does not commute with the "
+                                     f"symmetric action on {space.name}")
 
     def signatures(self):
         return [s for s in signatures_within(self.max_inputs)
@@ -169,27 +180,15 @@ class DgTruncation:
             cols.append(col)
         return cols
 
-    def ideal_respected(self):
-        """For quotient truncations: d maps the ideal span into itself."""
-        if self.trunc is None:
-            return []
-        bad = []
-        for sig_ in signatures_within(self.max_inputs):
-            ab = self.trunc.ambient(sig_)
-            if ab.dim == 0:
-                continue
-            ech = self.trunc.span(sig_)
-            for p in sorted(ech.rows):
-                elem = ab.element(dict(ech.rows[p]))
-                residue = self.differential(elem)
-                if not residue.is_zero():
-                    bad.append((sig_, elem, residue))
-        return bad
-
 
 def verify_d_squared(dg):
-    """Violations of d^2 = 0 per cell; empty list means the check passed.
+    """Violations of d^2 = 0 per cell, then, for a quotient, one entry
+    ``{"relation": r, "residual": d(r)}`` per relation within the bound
+    whose d(r) is not 0 in the quotient; empty means the check passed.
 
+    d is a derivation commuting with the symmetric action (checked at
+    construction), so it maps the ideal, the S_n x S_m closure of the
+    grafts of the relations, into itself exactly when each d(r) is 0 there.
     The pass runs once per dg, which keeps its verdict; every call returns
     a fresh copy of it.
     """
@@ -203,6 +202,11 @@ def verify_d_squared(dg):
                         violations.append(
                             {"signature": str(sig_), "degree": degree,
                              "basis": t, "residual": twice})
+        for r in () if dg.trunc is None else dg.trunc.relations:
+            if r.signature().total <= dg.max_inputs:
+                residual = dg.differential(r)
+                if not residual.is_zero():
+                    violations.append({"relation": r, "residual": residual})
         dg._d_squared = violations
     return [dict(v) for v in dg._d_squared]
 
@@ -211,12 +215,12 @@ def homology_dims(dg):
     """dict (signature, degree) -> dim H, exact over Q.
 
     Betti numbers per cell (``linalg.betti``): dim C_d - rank d_d -
-    rank d_(d+1).  Raises ValueError when d^2 != 0, by the verdict of
-    ``verify_d_squared``.
+    rank d_(d+1).  Raises ValueError when d^2 != 0 or d leaves the ideal,
+    by the verdict of ``verify_d_squared``.
     """
     bad = verify_d_squared(dg)
     if bad:
-        raise ValueError(f"d^2 != 0: {bad[:3]}")
+        raise ValueError(f"d^2 != 0 or d leaves the ideal: {bad[:3]}")
     return betti({(sig_, d): dg.chain_dim(sig_, d)
                   for sig_ in signatures_within(dg.max_inputs)
                   for d in dg.cell_degrees(sig_)}, dg.differential_columns)

@@ -323,10 +323,10 @@ def cobar_genmap(collection, coordinates):
 
 
 def cobar_truncate(presentation, max_inputs, tag=""):
-    """The cobar of the dual of a degree-0 quotient, as a DgTruncation
-    named cobar-<name>: the free operad on the desuspended dual of the
-    quotient up to max_inputs inputs, with the differential induced by
-    dualized composition.  Space names start with tag."""
+    """The cobar of the dual of a degree-0 quotient, as a DgTruncation:
+    the free operad on the desuspended dual of the quotient up to
+    max_inputs inputs, with the differential induced by dualized
+    composition.  Space names start with tag."""
     trunc = ideal_spans(presentation, max_inputs)
     coll = _cobar_collection(trunc, max_inputs, tag)
 
@@ -341,5 +341,4 @@ def cobar_truncate(presentation, max_inputs, tag=""):
                           trunc.class_of(inner.space.signature, inner.dec))
         return trunc.reduce(symmetric_act(_label_words(tau), composite))
 
-    return DgTruncation(coll, cobar_genmap(coll, coordinates), max_inputs,
-                        name=f"cobar-{presentation.name}")
+    return DgTruncation(coll, cobar_genmap(coll, coordinates), max_inputs)

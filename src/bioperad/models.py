@@ -220,16 +220,14 @@ def _expansion_genmap(coll):
 def ocinf_dg(max_inputs=5):
     """The open-closed strong homotopy operad, truncated."""
     coll = Collection(_sh_generators(max_inputs, include_p0=True))
-    return DgTruncation(coll, _expansion_genmap(coll), max_inputs,
-                        name="OCinf")
+    return DgTruncation(coll, _expansion_genmap(coll), max_inputs)
 
 
 @lru_cache(maxsize=None)
 def lpinf_dg(max_inputs=5):
     """The strong homotopy Leibniz-pair operad, truncated."""
     coll = Collection(_sh_generators(max_inputs, include_p0=False))
-    return DgTruncation(coll, _expansion_genmap(coll), max_inputs,
-                        name="LPinf")
+    return DgTruncation(coll, _expansion_genmap(coll), max_inputs)
 
 
 def h0sc_dual_n11_image(coll):
@@ -250,7 +248,7 @@ def h0sc_dual_dg(max_inputs=4):
                 for _ in range(space.dim)]
 
     return DgTruncation(coll, genmap, max_inputs,
-                        trunc=ideal_spans(pres, max_inputs), name="H0SCdual")
+                        trunc=ideal_spans(pres, max_inputs))
 
 
 def _singles(trees):
@@ -445,8 +443,8 @@ def psi_commutes_with_differentials(bound=4):
             lhs = hd.trunc.reduce_to_element(
                 psi_map_element(img, hd.collection))
             if space.name in PSI_GENERATORS:
-                rhs = hd.trunc.reduce_to_element(hd.derivation.apply(
-                    corolla_element(hd.collection[space.name], dec)))
+                rhs = hd.differential(
+                    corolla_element(hd.collection[space.name], dec))
             else:
                 rhs = Element()
             if lhs != rhs:

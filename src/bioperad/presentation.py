@@ -292,11 +292,12 @@ class Truncation:
     reduced graft of their representatives (``class_of``).  An adjacent
     transposition sends a representative to one signed ambient tree, read
     off ``ambient(sig_).transposition_tables()``, and ``reduce`` takes that
-    tree to its class.
+    tree to its class.  ``relations`` generate the ideal.
     """
 
     def __init__(self, presentation, max_inputs):
         self.collection = presentation.collection
+        self.relations = presentation.relations
         self.max_inputs = max_inputs
         self.spans = {}     # sig -> Echelon closed under S_n x S_m
         self._basis = {}

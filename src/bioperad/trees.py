@@ -119,7 +119,6 @@ class VertexSpace:
                              f"transposition of {signature} is needed")
         self.arrangements = arrangements
         self.symmetry = symmetry
-        self._act_cache = {}
         self._resort_cache = {}
         self.nodes = {}  # (dec, children) -> the interned Node
 
@@ -129,12 +128,8 @@ class VertexSpace:
     def act_block(self, basis_idx, closed_perm, open_perm):
         """Right action of (closed_perm, open_perm) on a basis element.
 
-        Returns a tuple of (basis_idx, coeff) pairs.
+        Returns a tuple of (basis_idx, coeff) pairs; ``resort`` memoises it.
         """
-        key = (basis_idx, closed_perm, open_perm)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
         vec = {basis_idx: 1}
         for swaps, perm in ((self.closed_swaps, closed_perm),
                             (self.open_swaps, open_perm)):
@@ -143,9 +138,7 @@ class VertexSpace:
                 for b, coef in vec.items():
                     accumulate(new, swaps[i][b], coef)
                 vec = new
-        out = tuple(sorted(vec.items()))
-        self._act_cache[key] = out
-        return out
+        return tuple(sorted(vec.items()))
 
     def resort(self, dec, order, odd):
         """The (basis index, coeff) terms of basis element dec once its

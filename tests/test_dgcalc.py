@@ -13,9 +13,10 @@ from bioperad import duality, models
 from bioperad.dgcalc import (Derivation, DgTruncation, gk_mismatches,
                              homology_dims, verify_d_squared)
 from bioperad.models import (alpha_composite_dims, h0sc_dual_dg,
-                             lp_formula_genmap, lpinf_dg, ocinf_dg,
-                             whistle_composite_dims)
-from bioperad.presentation import group_elements
+                             h0sc_dual_presentation, lp_formula_genmap,
+                             lpinf_dg, ocinf_dg, whistle_composite_dims)
+from bioperad.presentation import (Presentation, group_elements, ideal_spans,
+                                   signatures_within)
 from bioperad.trees import (CLOSED, OPEN, Element, enumerate_basis, graft,
                             parse_term, sig, symmetric_act, text_form,
                             text_form_signed)
@@ -154,8 +155,7 @@ def test_flipped_sign_breaks_d_squared():
     # the engine's generator images with the sign of one term of d(n12)
     # flipped; the unflipped images square to zero
     dg = lpinf_dg(4)
-    broken = DgTruncation(dg.collection, _flipped_lpinf4_genmap(), 4,
-                          name="broken")
+    broken = DgTruncation(dg.collection, _flipped_lpinf4_genmap(), 4)
     bad = verify_d_squared(broken)
     assert len(bad) == 7
     assert {(b["signature"], b["degree"]) for b in bad} == {
@@ -165,8 +165,7 @@ def test_flipped_sign_breaks_d_squared():
     assert text_form(first["basis"]) == "n13(c1,o1,o2,o3)"
     with pytest.raises(ValueError, match=r"d\^2 != 0"):
         homology_dims(broken)
-    same = DgTruncation(dg.collection, dg.derivation.images.__getitem__,
-                        4, name="same")
+    same = DgTruncation(dg.collection, dg.derivation.images.__getitem__, 4)
     assert verify_d_squared(same) == []
 
 
@@ -290,16 +289,107 @@ def test_differential_is_equivariant(data):
         reduce(symmetric_act(g, dg.differential(x)))
 
 
+def _h0sc_dual_with_n11_image(a, b, max_inputs):
+    """H0SCdual's dg quotient at max_inputs with d(n11) =
+    a n02(n10(c1),o1) + b n02(o1,n10(c1)); the true image is a = 1,
+    b = -1."""
+    pres = h0sc_dual_presentation()
+    image = (parse_term(pres.collection, "n02(n10(c1),o1)").scale(a)
+             + parse_term(pres.collection, "n02(o1,n10(c1))").scale(b))
+    return DgTruncation(
+        pres.collection,
+        lambda s: [image if s.name == "n11" else Element()] * s.dim,
+        max_inputs, trunc=ideal_spans(pres, max_inputs))
+
+
+def _ideal_rows_left(dg):
+    """The reference check: every finalised ideal row within the bound
+    whose derivative does not reduce to 0."""
+    bad = []
+    for s in signatures_within(dg.max_inputs):
+        ab, ech = dg.trunc.ambient(s), dg.trunc.span(s)
+        for p in sorted(ech.rows):
+            row = ab.element(dict(ech.rows[p]))
+            if not dg.differential(row).is_zero():
+                bad.append(row)
+    return bad
+
+
+def _relation_entries(dg):
+    return [v for v in verify_d_squared(dg) if "relation" in v]
+
+
+# the + sign, and the lone term n02(n10(c1),o1)
+_N11_MUTANTS = [(1, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(-2, 3)
+                                  for b in range(-2, 3)])
+def test_relation_check_agrees_with_the_row_loop_at_3(a, b):
+    dg = _h0sc_dual_with_n11_image(a, b, 3)
+    assert bool(_relation_entries(dg)) == bool(_ideal_rows_left(dg))
+    assert bool(_relation_entries(dg)) == (a + b != 0)
+
+
+@pytest.mark.parametrize("a, b", [(1, -1), *_N11_MUTANTS])
+def test_relation_check_agrees_with_the_row_loop_at_4(a, b):
+    dg = _h0sc_dual_with_n11_image(a, b, 4)
+    bad = _relation_entries(dg)
+    assert bool(bad) == bool(_ideal_rows_left(dg))
+    assert bool(bad) == ((a, b) != (1, -1))
+    for v in bad:
+        assert v["relation"] in dg.trunc.relations
+        assert v["residual"] == dg.differential(v["relation"])
+        assert not v["residual"].is_zero()
+
+
+def test_quotient_refuses_a_genmap_that_breaks_the_symmetric_action():
+    dg = ocinf_dg(3)
+    coll, images = dg.collection, dg.derivation.images
+    free_quotient = ideal_spans(Presentation(coll, []), 3)
+
+    def negated(space):
+        imgs = list(images[space])
+        if space.name == "n03":
+            imgs[1] = imgs[1].scale(-1)
+        return imgs
+
+    with pytest.raises(ValueError, match="symmetric action on n03"):
+        DgTruncation(coll, negated, 3, trunc=free_quotient)
+    assert verify_d_squared(DgTruncation(coll, images.__getitem__, 3,
+                                         trunc=free_quotient)) == []
+    # a free dg does not check the action
+    DgTruncation(coll, negated, 3)
+
+
+def test_relations_beyond_the_bound_are_not_checked(monkeypatch):
+    # H0SCdual has 3-input relations; at 2 inputs they lie outside the dg.
+    # A fresh presentation, so that no larger saturation answers for 2
+    monkeypatch.setattr(models, "h0sc_dual_presentation",
+                        models.h0sc_dual_presentation.__wrapped__)
+    dg = h0sc_dual_dg.__wrapped__(2)
+    assert dg.trunc.max_inputs == 2
+    assert any(r.signature().total > 2 for r in dg.trunc.relations)
+    assert verify_d_squared(dg) == []
+
+
 def test_h0sc_dual_dg_respects_ideal_and_squares_to_zero():
     dg = h0sc_dual_dg(4)
-    assert dg.ideal_respected() == []
+    assert dg.trunc.relations
     assert verify_d_squared(dg) == []
+    # at 2 inputs a mutant squares to zero, and only its relation entry
+    # (the 2-input relation n10(l2(c1,c2)) - ...) refuses the homology
+    for a, b in _N11_MUTANTS:
+        mutant = _h0sc_dual_with_n11_image(a, b, 2)
+        bad = verify_d_squared(mutant)
+        assert len(bad) == 1 and bad == _relation_entries(mutant)
+        with pytest.raises(ValueError, match="leaves the ideal"):
+            homology_dims(mutant)
 
 
 def test_homology_of_zero_differential_is_chains():
     dg3 = ocinf_dg(3)
-    free = DgTruncation(dg3.collection, lambda s: [Element()] * s.dim, 3,
-                        name="zero")
+    free = DgTruncation(dg3.collection, lambda s: [Element()] * s.dim, 3)
     h = homology_dims(free)
     for s in [sig(2, 1, OPEN), sig(3, 0, CLOSED)]:
         for degree in free.cell_degrees(s):
