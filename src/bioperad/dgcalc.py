@@ -82,6 +82,9 @@ class DgTruncation:
     """
 
     def __init__(self, collection, genmap, max_inputs, trunc=None):
+        if max_inputs < 1:
+            raise ValueError(
+                f"max_inputs must be at least 1, not {max_inputs}")
         images = {}
         for space in collection:
             images[space] = tuple(genmap(space))
@@ -125,17 +128,13 @@ class DgTruncation:
         if hit is not None:
             return hit
         if self.trunc is None:
-            trees = component_basis(self.collection, sig_)
-            items = [(tree_degree(t), t) for t in trees]
+            hit = {}
+            for t in component_basis(self.collection, sig_):
+                hit.setdefault(tree_degree(t), []).append(t)
         else:
-            ab = self.trunc.ambient(sig_)
-            items = [(ab.degrees[i], ab.trees[i])
-                     for i in self.trunc.basis(sig_)]
-        by_degree = {}
-        for d, t in items:
-            by_degree.setdefault(d, []).append(t)
-        self._cells[sig_] = by_degree
-        return by_degree
+            hit = self.trunc.cells(sig_)
+        self._cells[sig_] = hit
+        return hit
 
     def cell_degrees(self, sig_):
         return sorted(self._sig_basis(sig_))

@@ -257,9 +257,10 @@ def _gen_pairing(space, dec, elem):
 # Cobar construction on the dual of a degree-0 quotient truncation
 
 
-def _cobar_collection(trunc, max_inputs, tag):
+def _cobar_collection(trunc, max_inputs):
     """Vertex spaces of the cobar of (Lambda P)^*, P a degree-0 quotient:
-    one space per signature, one basis element per quotient class."""
+    one space per signature (n,m;k), named gn_mk, one basis element per
+    quotient class."""
     spaces = []
     for sig_ in signatures_within(max_inputs):
         dim = trunc.dim(sig_)
@@ -283,7 +284,7 @@ def _cobar_collection(trunc, max_inputs, tag):
             swaps.append(cols)
         n_closed_swaps = max(sig_.n_closed - 1, 0)
         spaces.append(VertexSpace(
-            f"{tag}g{sig_.n_closed}_{sig_.n_open}{sig_.out}", sig_,
+            f"g{sig_.n_closed}_{sig_.n_open}{sig_.out}", sig_,
             [sig_.total - 2] * dim, swaps[:n_closed_swaps],
             swaps[n_closed_swaps:]))
     return Collection(spaces)
@@ -322,13 +323,13 @@ def cobar_genmap(collection, coordinates):
     return genmap
 
 
-def cobar_truncate(presentation, max_inputs, tag=""):
+def cobar_truncate(presentation, max_inputs):
     """The cobar of the dual of a degree-0 quotient, as a DgTruncation:
     the free operad on the desuspended dual of the quotient up to
     max_inputs inputs, with the differential induced by dualized
-    composition.  Space names start with tag."""
+    composition."""
     trunc = ideal_spans(presentation, max_inputs)
-    coll = _cobar_collection(trunc, max_inputs, tag)
+    coll = _cobar_collection(trunc, max_inputs)
 
     def coordinates(space, tau, i):
         # the composite the two-vertex tree tau encodes, relabelled by its

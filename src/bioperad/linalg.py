@@ -274,10 +274,6 @@ class Echelon:
     def rank(self):
         return len(self.rows)
 
-    @property
-    def pivots(self):
-        return set(self.rows)
-
     def add(self, vec):
         """vec: dict col -> coefficient.  Returns True if rank grew.
 

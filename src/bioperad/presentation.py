@@ -25,9 +25,11 @@ Grafting is linear and equivariant, (x.s) o_i c = (x o_s(i) c).s' and
 likewise for a graft above x, so the grafts of the seeds at every slot
 span, once spun, the grafts of the whole S-closed span.  Truncating at a
 bound on the inputs is exact because a graft never lowers the number of
-inputs, so nothing above the bound feeds back below it.  ``ideal_spans``
-memoises one truncation per bound on the presentation, and a larger one
-answers for a smaller bound.
+inputs, so saturation starts from the relations within the bound, stays
+inside it and refuses to be read above it.  A span is finalised where its
+rows are handed out (``Truncation.span``).  ``ideal_spans`` memoises one
+truncation per bound on the presentation, and a larger one answers for a
+smaller bound.
 """
 
 from itertools import permutations
@@ -282,28 +284,31 @@ def _grow_once(collection, elem, max_inputs):
 class Truncation:
     """A quotient operad truncated to signatures with <= max_inputs inputs.
 
-    The constructor saturates the ideal: it spins the relations, grafts a
+    The constructor saturates the ideal inside the bound: it spins the
+    relations within the bound (``relations`` keeps them all), grafts a
     corolla onto each spin seed at every slot within the bound, spins the
-    grafts, and repeats on the new seeds until no rank grows; then it
-    finalises every span.  Per signature it holds the ideal echelon
-    (``span``) and the coset basis of the non-pivot ambient trees;
-    ``basis`` is the one place that decides which ambient trees represent
-    classes.  Elements reduce to canonical residues; classes compose as the
+    grafts, and repeats on the new seeds until no rank grows.  Per
+    signature it holds the ideal echelon, finalised in ``span``, the one
+    accessor that hands out rows, and the coset basis of the non-pivot
+    ambient trees, which ``basis`` alone decides and ``cells`` buckets by
+    degree.  Elements reduce to canonical residues; classes compose as the
     reduced graft of their representatives (``class_of``).  An adjacent
     transposition sends a representative to one signed ambient tree, read
     off ``ambient(sig_).transposition_tables()``, and ``reduce`` takes that
-    tree to its class.  ``relations`` generate the ideal.
+    tree to its class.  Above the bound ``span`` and ``basis`` raise
+    ValueError.
     """
 
     def __init__(self, presentation, max_inputs):
         self.collection = presentation.collection
         self.relations = presentation.relations
         self.max_inputs = max_inputs
-        self.spans = {}     # sig -> Echelon closed under S_n x S_m
+        self.spans = {}  # sig -> Echelon closed under S_n x S_m; rows via span
         self._basis = {}
         frontier = []
-        for r in presentation.relations:
-            frontier.extend(self._spin(r))
+        for r in self.relations:
+            if r.signature().total <= max_inputs:
+                frontier.extend(self._spin(r))
         while frontier:
             new_frontier = []
             for e in frontier:
@@ -311,46 +316,49 @@ class Truncation:
                     if not grown.is_zero():
                         new_frontier.extend(self._spin(grown))
             frontier = new_frontier
-        for ech in self.spans.values():
-            ech.finalize()
 
     def _spin(self, elem):
         sig_ = elem.signature()
-        return spin(self.ambient(sig_), [elem],
-                    self.spans.setdefault(sig_, Echelon()))
+        return spin(self.ambient(sig_), [elem], self._echelon(sig_))
+
+    def _echelon(self, sig_):
+        if sig_.total > self.max_inputs:
+            raise ValueError(f"{sig_} has {sig_.total} inputs, above the "
+                             f"bound {self.max_inputs} of this truncation")
+        return self.spans.setdefault(sig_, Echelon())
 
     def span(self, sig_):
         """The finalised ideal echelon at sig_ (empty outside the ideal)."""
-        ech = self.spans.get(sig_)
-        if ech is None:
-            ech = Echelon()
-            ech.finalize()
-            self.spans[sig_] = ech
+        ech = self._echelon(sig_)
+        ech.finalize()
         return ech
 
     def ambient(self, sig_):
         return ambient_basis(self.collection, sig_)
 
     def basis(self, sig_):
-        """List of ambient basis indices representing quotient classes."""
+        """List of ambient basis indices representing quotient classes: the
+        non-pivot ones, which finalising does not change."""
         hit = self._basis.get(sig_)
         if hit is None:
-            ab = self.ambient(sig_)
-            pivots = self.span(sig_).pivots
-            hit = [i for i in range(ab.dim) if i not in pivots]
-            self._basis[sig_] = hit
+            pivots = self._echelon(sig_).rows
+            hit = self._basis[sig_] = [i for i in range(self.ambient(sig_).dim)
+                                       if i not in pivots]
         return hit
 
     def dim(self, sig_):
         return len(self.basis(sig_))
 
-    def dims_by_degree(self, sig_):
+    def cells(self, sig_):
+        """dict degree -> the coset representative trees of that degree."""
         ab = self.ambient(sig_)
         out = {}
         for i in self.basis(sig_):
-            d = ab.degrees[i]
-            out[d] = out.get(d, 0) + 1
+            out.setdefault(ab.degrees[i], []).append(ab.trees[i])
         return out
+
+    def dims_by_degree(self, sig_):
+        return {d: len(trees) for d, trees in self.cells(sig_).items()}
 
     def _residue(self, elem):
         """(signature, ambient basis, residue) of a nonzero Element: the

@@ -531,8 +531,8 @@ def corolla(space, dec=0):
     return Node(space, dec, tuple(children))
 
 
-def corolla_element(space, dec=0, coeff=1):
-    return tree_element(corolla(space, dec), coeff)
+def corolla_element(space, dec=0):
+    return tree_element(corolla(space, dec))
 
 
 def assemble(space, dec, parts):

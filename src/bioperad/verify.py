@@ -161,7 +161,7 @@ def check_d_squared(bounds):
 
 def check_koszulity_evidence(bounds):
     n = bounds["homology"]
-    h = homology_dims(cobar_truncate(lp_presentation(), n, tag="lpbar_"))
+    h = homology_dims(cobar_truncate(lp_presentation(), n))
     # H0SCvor's table lies in degree 0, so equality is concentration there
     bad = dim_mismatches(h, quotient_dims(h0scvor_presentation(), n))
     return _ok(not bad, bad)
@@ -441,8 +441,9 @@ CHECKS = [
 def run_checks(selection=None, bounds=None, notes=True):
     """Run the checks whose id or group is in selection (all by default).
 
-    Raises ValueError, naming the known check ids and groups, when the
-    selection holds a name that is neither.
+    Raises ValueError, before any check runs, when the selection holds a
+    name that is neither a check id nor a group (naming the known ones), or
+    when a bound is below 1 (naming it).
     """
     known = {cid for cid, _, _, _ in CHECKS} | {g for _, g, _, _ in CHECKS}
     unknown = set(selection or ()) - known
@@ -451,6 +452,9 @@ def run_checks(selection=None, bounds=None, notes=True):
                          f"{', '.join(sorted(unknown))}; "
                          f"known: {', '.join(sorted(known))}")
     bounds = {**DEFAULT_BOUNDS, **(bounds or {})}
+    for name, value in bounds.items():
+        if value < 1:
+            raise ValueError(f"bound {name} must be at least 1, not {value}")
     results = []
     for check_id, group, claim, fn in CHECKS:
         if selection and not (check_id in selection or group in selection):

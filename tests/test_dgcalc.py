@@ -362,6 +362,19 @@ def test_quotient_refuses_a_genmap_that_breaks_the_symmetric_action():
     DgTruncation(coll, negated, 3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ocinf_dg(0),
+    lambda: lpinf_dg(-3),
+    lambda: DgTruncation(ocinf_dg(3).collection,
+                         lambda s: [Element()] * s.dim, 0),
+], ids=["ocinf_dg", "lpinf_dg", "DgTruncation"])
+def test_nonpositive_dg_bound_rejected(build):
+    # homology_dims(ocinf_dg(0)) used to return {} and verify_d_squared
+    # of lpinf_dg(-3) to pass, on empty truncations
+    with pytest.raises(ValueError, match="at least 1"):
+        build()
+
+
 def test_relations_beyond_the_bound_are_not_checked(monkeypatch):
     # H0SCdual has 3-input relations; at 2 inputs they lie outside the dg.
     # A fresh presentation, so that no larger saturation answers for 2

@@ -88,7 +88,7 @@ def test_orthogonality_dimension_count():
 
 def test_cobar_of_trivial_operad():
     trivial = Presentation(Collection([]), [], "I")
-    dg = cobar_truncate(trivial, 3, tag="triv_")
+    dg = cobar_truncate(trivial, 3)
     assert len(dg.collection.spaces) == 0
 
 
@@ -139,7 +139,7 @@ def test_cobar_swaps_are_the_dual_action_on_classes(builder):
 
 
 def test_cobar_generator_spaces_of_vor():
-    coll = cobar_truncate(h0scvor_presentation(), 4, tag="vb_").collection
+    coll = cobar_truncate(h0scvor_presentation(), 4).collection
     from math import factorial
     by_sig = {s.signature: s for s in coll}
     for n in range(2, 5):
@@ -159,7 +159,7 @@ def test_cobar_generator_spaces_of_vor():
 
 
 def test_cobar_of_unital_model_has_whistles():
-    coll = cobar_truncate(h0sc_presentation(), 3, tag="hb_").collection
+    coll = cobar_truncate(h0sc_presentation(), 3).collection
     by_sig = {s.signature: s for s in coll}
     assert by_sig[sig(1, 0, OPEN)].degrees == (-1,)
     assert by_sig[sig(2, 0, OPEN)].degrees == (0,)
@@ -168,7 +168,7 @@ def test_cobar_of_unital_model_has_whistles():
 def test_cobar_matches_expansion_model_homology():
     # the dualized-composition differential and the planar-word expansion
     # differential present the same dg operad: equal homology cell by cell
-    dg = cobar_truncate(h0sc_presentation(), 3, tag="cmp_")
+    dg = cobar_truncate(h0sc_presentation(), 3)
     assert verify_d_squared(dg) == []
     h_cobar = homology_dims(dg)
     h_fusion = homology_dims(ocinf_dg(3))
@@ -178,7 +178,7 @@ def test_cobar_matches_expansion_model_homology():
 
 
 def test_cobar_chain_dims_match_expansion_model():
-    coll = cobar_truncate(h0sc_presentation(), 3, tag="cd_").collection
+    coll = cobar_truncate(h0sc_presentation(), 3).collection
     oc = ocinf_dg(3)
     from bioperad.trees import component_basis, tree_degree
     for s in [sig(1, 1, OPEN), sig(2, 0, OPEN), sig(2, 1, OPEN),

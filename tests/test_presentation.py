@@ -22,7 +22,8 @@ from bioperad.presentation import (Presentation, Truncation, _grow_once,
 from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
                             Element, VertexSpace, enumerate_basis, generator,
-                            graft, make_node, parse_term, sig, symmetric_act)
+                            graft, make_node, parse_term, sig, symmetric_act,
+                            tree_element)
 
 
 def test_ambient_dims_duality_lemma():
@@ -379,9 +380,65 @@ def _brute_force_ideal(P, max_inputs):
                          + [("LP", 4)])
 def test_ideal_spans_equal_the_brute_force_closure(name, max_inputs):
     P = PRESENTATION_BUILDERS[name]()
-    spans = Truncation(P, max_inputs).spans
+    trunc = Truncation(P, max_inputs)
+    spans = {s: trunc.span(s) for s in signatures_within(max_inputs)}
     assert ({s: ech.rows for s, ech in spans.items() if ech.rank}
             == _brute_force_ideal(P, max_inputs))
+
+
+def test_saturation_stays_inside_the_bound():
+    # a 6-input relation cannot reach 2 inputs: a graft never lowers the
+    # number of inputs, so a truncation at 2 spins no part of it
+    lp_text = emit_spec(lp_presentation())
+    P = parse_spec(lp_text + "relation "
+                   "n02(n02(n02(o1,o2),n02(o3,o4)),n02(o5,o6))\n")
+    assert quotient_dims(P, 2) == quotient_dims(parse_spec(lp_text), 2)
+    trunc = ideal_spans(P, 2)
+    assert trunc.relations == P.relations
+    assert all(s.total <= 2 for s in P.collection.ambients)
+    assert all(s.total <= 2 for s in trunc.spans)
+
+
+def test_quotient_dims_finalises_no_span():
+    # a fresh presentation, so that no earlier reading has finalised a span
+    P = parse_spec(emit_spec(lp_presentation()))
+    calls = _calls([Echelon.finalize], lambda: quotient_dims(P, 4))
+    assert calls["finalize"] == 0
+    # the readers of rows see them finalised: relation_span hands out the
+    # reduced rows, and reduce takes every tree to its coset representatives
+    trunc = ideal_spans(P, 4)
+    for s in signatures_within(4):
+        rows = relation_span(P, s, 2).rows
+        assert all(row[p] == 1 and set(row).isdisjoint(set(rows) - {p})
+                   for p, row in rows.items())
+        representatives = {t for ts in trunc.cells(s).values() for t in ts}
+        for t in trunc.ambient(s).trees:
+            assert set(trunc.reduce_to_element(tree_element(t)).terms
+                       ) <= representatives
+    assert all(trunc.reduce(r) == {} for r in P.relations)
+
+
+@pytest.mark.parametrize("read", [
+    lambda trunc, s, e: trunc.span(s),
+    lambda trunc, s, e: trunc.basis(s),
+    lambda trunc, s, e: trunc.dim(s),
+    lambda trunc, s, e: trunc.cells(s),
+    lambda trunc, s, e: trunc.dims_by_degree(s),
+    lambda trunc, s, e: trunc.class_of(s, 0),
+    lambda trunc, s, e: trunc.reduce(e),
+    lambda trunc, s, e: trunc.reduce_to_element(e),
+], ids=["span", "basis", "dim", "cells", "dims_by_degree", "class_of",
+        "reduce", "reduce_to_element"])
+def test_signatures_above_the_bound_are_refused(read):
+    # saturated at 3, the truncation does not know the ideal at (2,2;o),
+    # where the quotient has dimension 12, not the 30 read off its spans
+    P = parse_spec(emit_spec(lp_presentation()))
+    assert ideal_spans(P, 4).dim(sig(2, 2, OPEN)) == 12
+    trunc = Truncation(P, 3)
+    e = parse_term(P.collection, "n11(c1,n11(c2,n02(o1,o2)))")
+    with pytest.raises(ValueError, match=r"\(2,2;o\) has 4 inputs, above "
+                       r"the bound 3"):
+        read(trunc, sig(2, 2, OPEN), e)
 
 
 @pytest.mark.parametrize("name", sorted(PRESENTATION_BUILDERS))

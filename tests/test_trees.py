@@ -434,7 +434,7 @@ def _collection(name):
 
 @lru_cache(maxsize=None)
 def _cobar(name):
-    return cobar_truncate(_COBARS[name](), 3, tag="bar_").collection
+    return cobar_truncate(_COBARS[name](), 3).collection
 
 
 def _signatures(coll, max_inputs, out=None):
@@ -500,17 +500,17 @@ def test_repr_reads_back(data):
 
 def test_indexed_vertices_read_back_and_refuse_bad_indices():
     coll = _collection("cobar-LP")
-    assert coll["bar_g3_0c"].dim == 2
+    assert coll["g3_0c"].dim == 2
     trees = [t for s in signatures_within(3)
              for t in ambient_basis(coll, s).trees]
-    assert "bar_g3_0c[1](c1,c2,c3)" in {text_form(t) for t in trees}
+    assert "g3_0c[1](c1,c2,c3)" in {text_form(t) for t in trees}
     for t in trees:
         assert parse_term(coll, repr(tree_element(t))) == tree_element(t)
     for name, text, message in [
-            ("cobar-LP", "bar_g3_0c[2](c1,c2,c3)", "no basis element '2'"),
-            ("cobar-LP", "bar_g3_0c[](c1,c2,c3)", "no basis element ''"),
-            ("cobar-LP", "bar_g3_0c[1(c1,c2,c3)", "no basis element"),
-            ("cobar-LP", "bar_g2_0c[0](c1,c2)", "takes no basis index"),
+            ("cobar-LP", "g3_0c[2](c1,c2,c3)", "no basis element '2'"),
+            ("cobar-LP", "g3_0c[](c1,c2,c3)", "no basis element ''"),
+            ("cobar-LP", "g3_0c[1(c1,c2,c3)", "no basis element"),
+            ("cobar-LP", "g2_0c[0](c1,c2)", "takes no basis index"),
             ("LP", "n02[0](o1,o2)", "takes no basis index")]:
         with pytest.raises(TermSyntaxError, match=message):
             parse_term(_collection(name), text)
@@ -722,7 +722,7 @@ def test_substitute_matches_a_naive_reference(data):
 def _spreading_corollas():
     """(space, dec, closed word) with the g3_0c corolla of the cobar of LP
     relabelled by the word re-sorting to more than one term."""
-    space = _cobar("cobar-LP")["bar_g3_0c"]
+    space = _cobar("cobar-LP")["g3_0c"]
     return [(space, dec, word) for dec in range(space.dim)
             for word in permutations((1, 2, 3))
             if len(make_node(space, dec, _slot_leaves(word, ())).terms) > 1]

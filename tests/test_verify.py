@@ -1,12 +1,14 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bioperad import verify
 from bioperad.dgcalc import gk_mismatches, homology_dims
 from bioperad.duality import cobar_truncate, quadratic_dual
 from bioperad.presentation import quotient_dims, signatures_within
 from bioperad.specfile import parse_spec
 from bioperad.trees import CLOSED, OPEN, sig
-from bioperad.verify import dim_mismatches
+from bioperad.verify import dim_mismatches, run_checks
 
 SIGS = signatures_within(3)
 DEGREES = range(-2, 3)
@@ -81,3 +83,18 @@ def test_anti_associative_operad_fails_the_gk_equation_at_5():
 
 def test_associative_operad_passes_the_gk_equation_at_5():
     assert _gk_mismatches(_associative_spec("-"), 5) == []
+
+
+@pytest.mark.parametrize("name, value", [("d2", 0), ("dims", -1),
+                                         ("homology", 0), ("laws", -3)])
+def test_run_checks_refuses_a_nonpositive_bound(monkeypatch, name, value):
+    # d-squared used to pass on the empty truncation at bound 0
+    ran = []
+    monkeypatch.setattr(verify, "CHECKS", [
+        ("d-squared", "dg", "d^2 = 0", lambda bounds: ran.append(bounds))])
+    with pytest.raises(ValueError,
+                       match=f"bound {name} must be at least 1, not {value}"):
+        run_checks(bounds={name: value})
+    assert ran == []
+    run_checks(bounds={name: 1})
+    assert len(ran) == 1
