@@ -18,7 +18,7 @@ from .linalg import betti
 from .presentation import adjacent_transpositions, signatures_within
 from .trees import (CLOSED, IDENTITY_SIGS, OPEN, Element, Leaf, Node,
                     accumulate, component_basis, corolla_element,
-                    substitute_element, symmetric_act, tree_degree)
+                    substitute_element, symmetric_act)
 
 
 class Derivation:
@@ -55,7 +55,7 @@ class Derivation:
                         terms.append((nodes.get((dec, kids))
                                       or Node(space, dec, kids), c))
                     accumulate(acc, terms, -1 if prefix & 1 else 1)
-                prefix += tree_degree(child)
+                prefix += child.degree
             out = Element.of(acc)
         self._tree_cache[t] = out
         return out
@@ -130,7 +130,7 @@ class DgTruncation:
         if self.trunc is None:
             hit = {}
             for t in component_basis(self.collection, sig_):
-                hit.setdefault(tree_degree(t), []).append(t)
+                hit.setdefault(t.degree, []).append(t)
         else:
             hit = self.trunc.cells(sig_)
         self._cells[sig_] = hit

@@ -221,7 +221,7 @@ def ql_koszul_data(presentation, rename=None, name=None):
         for k, vec in enumerate(span.rows.values()):
             phi = {}
             for c, x in vec.items():
-                if ab.weights[c] == 2:
+                if ab.trees[c].weight == 2:
                     j, v = pairing[prim_index[ab.trees[c]]]
                     columns[j][k] = x * v
                 else:
@@ -269,7 +269,7 @@ def _cobar_collection(trunc, max_inputs):
         ab = trunc.ambient(sig_)
         basis = trunc.basis(sig_)
         for i in basis:
-            if ab.degrees[i] != 0:
+            if ab.trees[i].degree != 0:
                 raise ValueError("cobar input must be a degree-0 operad")
         swaps = []
         for table in ab.transposition_tables():

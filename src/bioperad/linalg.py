@@ -41,7 +41,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise ValueError("vector length does not match ambient dim")
-            ech.add(enumerate(v))
+            ech.add(dict(enumerate(v)))
         ech.finalize()
         return cls(ambient_dim, ech.rows)
 
@@ -286,7 +286,7 @@ class Echelon:
         """
         if self._final:
             raise RuntimeError("Echelon.add after finalize")
-        v = primitive(vec.items() if isinstance(vec, dict) else vec)
+        v = primitive(vec.items())
         rows = self.rows
         while v:
             p = min(v)
@@ -355,8 +355,7 @@ class Echelon:
         """
         if not self._final:
             raise RuntimeError("Echelon.reduce before finalize")
-        v = {c: Fraction(x) for c, x in
-             (vec.items() if isinstance(vec, dict) else vec) if x != 0}
+        v = {c: Fraction(x) for c, x in vec.items() if x != 0}
         for p in sorted(set(v) & set(self.rows)):
             x = v.pop(p, None)
             if not x:

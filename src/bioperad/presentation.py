@@ -37,8 +37,7 @@ from itertools import permutations
 from .linalg import Echelon, Subspace, meet_slice, primitive
 from .trees import (CLOSED, OPEN, Element, Leaf, component_basis,
                     corolla_element, graft, make_node, text_form,
-                    tree_degree, tree_element, tree_signature, tree_weight,
-                    Signature)
+                    tree_element, tree_signature, Signature)
 
 
 class Presentation:
@@ -109,8 +108,6 @@ class AmbientBasis:
         self.signature = signature
         self.trees = component_basis(collection, signature)
         self.index = {t: i for i, t in enumerate(self.trees)}
-        self.weights = [tree_weight(t) for t in self.trees]
-        self.degrees = [tree_degree(t) for t in self.trees]
         self._tables = None
 
     def transposition_tables(self):
@@ -163,8 +160,7 @@ def _relabel(t, g, memo):
     maps each vertex met under g to its image.
     """
     if isinstance(t, Leaf):
-        label = g[t.color == OPEN][t.label - 1]
-        return (t if label == t.label else Leaf(t.color, label)), 1
+        return Leaf(t.color, g[t.color == OPEN][t.label - 1]), 1
     hit = memo.get(t)
     if hit is not None:
         return hit
@@ -351,10 +347,10 @@ class Truncation:
 
     def cells(self, sig_):
         """dict degree -> the coset representative trees of that degree."""
-        ab = self.ambient(sig_)
+        trees = self.ambient(sig_).trees
         out = {}
         for i in self.basis(sig_):
-            out.setdefault(ab.degrees[i], []).append(ab.trees[i])
+            out.setdefault(trees[i].degree, []).append(trees[i])
         return out
 
     def dims_by_degree(self, sig_):
@@ -419,13 +415,13 @@ def relation_span(presentation, signature, weight):
     """
     trunc = ideal_spans(presentation, signature.total)
     ab = ambient_basis(presentation.collection, signature)
-    cols = [i for i, w in enumerate(ab.weights) if w == weight]
+    cols = [i for i, t in enumerate(ab.trees) if t.weight == weight]
     colmap = {c: j for j, c in enumerate(cols)}
     # the span is finalised, so its weight-w rows are already the reduced
     # form of the relation span; re-indexing keeps them reduced
     rows = {}
     for p, row in trunc.span(signature).rows.items():
-        ws = {ab.weights[c] for c in row}
+        ws = {ab.trees[c].weight for c in row}
         if ws == {weight}:
             rows[colmap[p]] = {colmap[c]: x for c, x in row.items()}
         elif weight in ws:
@@ -468,7 +464,7 @@ def check_ql_conditions(presentation):
     # (ql1): no nonzero pure weight-1 combination inside R
     for sig_, ech in rspan.items():
         ab = ambient_basis(P.collection, sig_)
-        w1_cols = {i for i, w in enumerate(ab.weights) if w == 1}
+        w1_cols = {i for i, t in enumerate(ab.trees) if t.weight == 1}
         meet = len(meet_slice(ech.rows.values(), w1_cols))
         if meet:
             report["ql1"] = False
@@ -487,7 +483,7 @@ def check_ql_conditions(presentation):
                 grown.setdefault(g.signature(), []).append(g)
     for sig_, elems in grown.items():
         ab = ambient_basis(P.collection, sig_)
-        w2_cols = {i for i, w in enumerate(ab.weights) if w == 2}
+        w2_cols = {i for i, t in enumerate(ab.trees) if t.weight == 2}
         g_ech = Echelon()
         spin(ab, elems, g_ech)
         meet = meet_slice(g_ech.rows.values(), w2_cols)
@@ -510,7 +506,7 @@ def project_q(presentation, name=None):
     """The quadratic presentation qP: weight-2 parts of the relations."""
     rels = []
     for r in presentation.relations:
-        q = Element({t: c for t, c in r.terms.items() if tree_weight(t) == 2})
+        q = Element({t: c for t, c in r.terms.items() if t.weight == 2})
         if not q.is_zero():
             rels.append(q)
     return Presentation(presentation.collection, rels,

@@ -16,10 +16,11 @@ acts on the vertex decoration through the space's symmetric action and
 contributes the Koszul sign of the permuted subtree blocks, computed in the
 depth-first word of vertex degrees.
 
-Nodes are hash-consed (J.-C. Filliatre and S. Conchon, *Type-safe modular
-hash-consing*, ML Workshop 2006): each vertex space interns its nodes, so
-equal trees are one object and tree equality is identity.  Only canonical
-nodes are interned; a node whose blocks are out of order is refused.
+Leaves, signatures and nodes are hash-consed (J.-C. Filliatre and S.
+Conchon, *Type-safe modular hash-consing*, ML Workshop 2006): the ``Leaf``
+and ``Signature`` classes and each vertex space intern theirs, so equal
+values are one object and equality is identity; a tree's attributes are
+fixed when it is interned.  A node whose blocks are out of order is refused.
 
 Substitution
 ------------
@@ -40,7 +41,6 @@ signature and homological degree.  Coefficients are exact: an ``int`` when
 integral, a ``Fraction`` otherwise, never a float.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
@@ -61,21 +61,30 @@ class CompositionError(ValueError):
     """Raised on color mismatches or invalid slots in grafting."""
 
 
-@dataclass(frozen=True)
 class Signature:
-    n_closed: int
-    n_open: int
-    out: str
+    """Closed and open input counts and output color, interned: equal
+    signatures are one object."""
 
-    def __post_init__(self):
-        if self.n_closed < 0 or self.n_open < 0:
-            raise ValueError(f"negative input count in {self!r}")
-        if self.out not in COLORS:
-            raise ValueError(f"unknown output color {self.out!r}")
+    __slots__ = ("n_closed", "n_open", "out", "total")
+    _interned = {}  # (n_closed, n_open, out) -> the Signature
 
-    @property
-    def total(self):
-        return self.n_closed + self.n_open
+    def __new__(cls, n_closed, n_open, out):
+        key = (n_closed, n_open, out)
+        s = cls._interned.get(key)
+        if s is None:
+            s = object.__new__(cls)
+            s.n_closed, s.n_open, s.out = key
+            if n_closed < 0 or n_open < 0:
+                raise ValueError(f"negative input count in {s!r}")
+            if out not in COLORS:
+                raise ValueError(f"unknown output color {out!r}")
+            s.total = n_closed + n_open
+            cls._interned[key] = s
+        return s
+
+    def __repr__(self):
+        return (f"Signature(n_closed={self.n_closed!r}, "
+                f"n_open={self.n_open!r}, out={self.out!r})")
 
     def slot_color(self, i):
         """Color of linear slot i (1-based, closed block first)."""
@@ -277,10 +286,23 @@ class Collection:
 # Trees
 
 
-@dataclass(frozen=True)
 class Leaf:
-    color: str
-    label: int
+    """A tree input, interned by (color, label), with the attributes of a
+    node: ``out`` its color, ``min_key`` and ``degree = weight = 0``."""
+
+    __slots__ = ("color", "label", "out", "min_key", "degree", "weight")
+    _interned = {}  # (color, label) -> the Leaf
+
+    def __new__(cls, color, label):
+        key = (color, label)
+        leaf = cls._interned.get(key)
+        if leaf is None:
+            leaf = cls._interned[key] = object.__new__(cls)
+            leaf.color = leaf.out = color
+            leaf.label = label
+            leaf.min_key = (0 if color == CLOSED else 1, label)
+            leaf.degree = leaf.weight = 0
+        return leaf
 
     def __repr__(self):
         return f"{self.color}{self.label}"
@@ -294,62 +316,41 @@ class Node:
     equality and hashing are by identity.  Only canonical nodes are
     interned: creating one whose children do not fill the space's slots
     raises CompositionError, and one whose color blocks do not ascend by
-    ``min_leaf_key`` raises ValueError, so a node found in ``space.nodes``
-    has its children in canonical order.
+    ``min_key`` raises ValueError, so a node found in ``space.nodes`` has
+    its children in canonical order.  Interning fixes ``out``, ``min_key``
+    (its least leaf: closed first, then by label), ``degree`` and ``weight``.
     """
 
-    __slots__ = ("space", "dec", "children", "_min_key", "_degree",
-                 "_weight", "_signature", "_plan")
+    __slots__ = ("space", "dec", "children", "out", "min_key", "degree",
+                 "weight", "_signature", "_plan")
 
     def __new__(cls, space, dec, children):
         key = (dec, tuple(children))
         node = space.nodes.get(key)
         if node is None:
-            _check_child_colors(space, key[1])
+            children = key[1]
+            _check_child_colors(space, children)
             n = space.signature.n_closed
-            keys = [min_leaf_key(c) for c in key[1]]
+            keys = [c.min_key for c in children]
             for i in range(1, len(keys)):
                 if i != n and keys[i - 1] > keys[i]:
                     raise ValueError(
-                        f"children {key[1]} of {space.name} are not in "
+                        f"children {children} of {space.name} are not in "
                         "canonical order")
+            degree, weight = space.degrees[dec], 1
+            for c in children:
+                degree += c.degree
+                weight += c.weight
             node = space.nodes[key] = object.__new__(cls)
-            node.space, node.dec, node.children = space, dec, key[1]
-            node._min_key = node._degree = node._weight = None
+            node.space, node.dec, node.children = space, dec, children
+            node.out = space.signature.out
+            node.min_key = min(keys)
+            node.degree, node.weight = degree, weight
             node._signature = node._plan = None
         return node
 
     def __repr__(self):
         return text_form(self)
-
-
-def out_color(t):
-    return t.color if isinstance(t, Leaf) else t.space.signature.out
-
-
-def tree_degree(t):
-    if isinstance(t, Leaf):
-        return 0
-    if t._degree is None:
-        t._degree = t.space.degrees[t.dec] + sum(
-            tree_degree(c) for c in t.children)
-    return t._degree
-
-
-def tree_weight(t):
-    if isinstance(t, Leaf):
-        return 0
-    if t._weight is None:
-        t._weight = 1 + sum(tree_weight(c) for c in t.children)
-    return t._weight
-
-
-def min_leaf_key(t):
-    if isinstance(t, Leaf):
-        return (0 if t.color == CLOSED else 1, t.label)
-    if t._min_key is None:
-        t._min_key = min(min_leaf_key(c) for c in t.children)
-    return t._min_key
 
 
 def tree_signature(t):
@@ -370,7 +371,7 @@ def tree_signature(t):
             or open_ != list(range(1, len(open_) + 1))):
         raise ValueError(f"leaves of {text_form(t)} are not labelled "
                          f"1..n and 1..m")
-    sig_ = Signature(len(closed), len(open_), out_color(t))
+    sig_ = Signature(len(closed), len(open_), t.out)
     if isinstance(t, Node):
         t._signature = sig_
     return sig_
@@ -384,10 +385,9 @@ def _check_child_colors(space, children):
     n = sig_.n_closed
     for i, c in enumerate(children):
         want = CLOSED if i < n else OPEN
-        got = c.color if type(c) is Leaf else c.space.signature.out
-        if want != got:
-            raise CompositionError(
-                f"slot {i + 1} of {space.name} is {want} but received {got}")
+        if c.out != want:
+            raise CompositionError(f"slot {i + 1} of {space.name} is {want} "
+                                   f"but received {c.out}")
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +432,8 @@ class Element:
     def __init__(self, terms=None):
         self.terms = {}
         if terms:
-            accumulate(self.terms, (
-                (t, _exact(c)) for t, c in
-                (terms.items() if isinstance(terms, dict) else terms)))
+            accumulate(self.terms,
+                       ((t, _exact(c)) for t, c in terms.items()))
 
     @classmethod
     def of(cls, terms):
@@ -475,11 +474,10 @@ class Element:
         return tree_signature(t)
 
     def degree(self):
-        t = next(iter(self.terms))
-        return tree_degree(t)
+        return next(iter(self.terms)).degree
 
     def weights(self):
-        return sorted({tree_weight(t) for t in self.terms})
+        return sorted({t.weight for t in self.terms})
 
     def __repr__(self):
         """The text that parse_term reads back as this element: terms
@@ -497,8 +495,8 @@ class Element:
         return s[2:] if s.startswith("+ ") else s
 
 
-def tree_element(t, coeff=1):
-    return Element({t: coeff})
+def tree_element(t):
+    return Element.of({t: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -508,14 +506,14 @@ def make_node(space, dec, children):
     """Assemble a vertex from possibly unsorted children; returns an Element.
 
     ``dec`` is a basis index of the space.  Children must already be
-    canonical trees (or leaves).  Each color block is sorted by min leaf
-    key; the result depends only on dec, the order that sorts the blocks
-    and the parity of each child's degree, so the space keeps it per such
-    key (``VertexSpace.resort``).
+    canonical trees (or leaves).  Each color block is sorted by ``min_key``;
+    the result depends only on dec, the order that sorts the blocks and the
+    parity of each child's degree, so the space keeps it per such key
+    (``VertexSpace.resort``).
     """
     _check_child_colors(space, children)
     n, k = space.signature.n_closed, len(children)
-    keys = [min_leaf_key(c) for c in children]
+    keys = [c.min_key for c in children]
     order = (*sorted(range(n), key=keys.__getitem__),
              *sorted(range(n, k), key=keys.__getitem__))
     terms = space.resort(dec, order, _odd_slots(children))
@@ -579,9 +577,9 @@ def _compile(pattern):
             slot = t.label - 1 if t.color == CLOSED else n + t.label - 1
             plan.append(2 * slot + (tail & 1))
             return
-        after = tail + tree_degree(t) - t.space.degrees[t.dec]
+        after = tail + t.degree - t.space.degrees[t.dec]
         for c in t.children:
-            after -= tree_degree(c)
+            after -= c.degree
             walk(c, after)
         plan.append(t)
 
@@ -594,7 +592,7 @@ def _odd_slots(subs):
     """The bitmask of the slots whose subtree has odd degree."""
     odd = 0
     for i, s in enumerate(subs):
-        if tree_degree(s) & 1:
+        if s.degree & 1:
             odd |= 1 << i
     return odd
 
@@ -911,7 +909,7 @@ def _signed_text(t, memo):
     tau, children = planar_order(t)
     # reparsing re-sorts the planar order; account for the Koszul crossing
     sign = 1 if tau is None else koszul_sign(
-        tau, [tree_degree(c) for c in children[len(children) - len(tau):]])
+        tau, [c.degree for c in children[len(children) - len(tau):]])
     name = t.space.name
     if _indexed(t.space):
         name = f"{name}[{t.dec}]"

@@ -395,3 +395,15 @@ def test_only_main_prints():
     main_def = next(f for f in tree.body
                     if isinstance(f, ast.FunctionDef) and f.name == "main")
     assert prints(main_def) and prints(tree) == prints(main_def)
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, a cost paid at
+    # every cold start of the CLI; the tree values are plain slotted classes
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bioperad.cli; print(sorted("
+         "{'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -80,7 +80,7 @@ def test_orthogonality_dimension_count():
     dual = quadratic_dual(lp, rename=lambda n: n + "v")
     for s in weight2_signatures(lp.collection):
         amb = ambient_basis(lp.collection, s)
-        w2 = sum(1 for w in amb.weights if w == 2)
+        w2 = sum(1 for t in amb.trees if t.weight == 2)
         r = relation_span(lp, s, 2).dim
         o = relation_span(dual, s, 2).dim
         assert r + o == w2, s
@@ -180,12 +180,12 @@ def test_cobar_matches_expansion_model_homology():
 def test_cobar_chain_dims_match_expansion_model():
     coll = cobar_truncate(h0sc_presentation(), 3).collection
     oc = ocinf_dg(3)
-    from bioperad.trees import component_basis, tree_degree
+    from bioperad.trees import component_basis
     for s in [sig(1, 1, OPEN), sig(2, 0, OPEN), sig(2, 1, OPEN),
               sig(3, 0, CLOSED), sig(1, 2, OPEN)]:
         mine = {}
         for t in component_basis(coll, s):
-            mine[tree_degree(t)] = mine.get(tree_degree(t), 0) + 1
+            mine[t.degree] = mine.get(t.degree, 0) + 1
         theirs = {d: oc.chain_dim(s, d) for d in oc.cell_degrees(s)}
         assert mine == {k: v for k, v in theirs.items() if v}, s
 
@@ -268,7 +268,7 @@ def _quadratic_presentations(draw):
     relations = []
     for s in weight2_signatures(coll):
         ab = ambient_basis(coll, s)
-        weight2 = [i for i, w in enumerate(ab.weights) if w == 2]
+        weight2 = [i for i, t in enumerate(ab.trees) if t.weight == 2]
         for vec in draw(st.lists(
                 st.dictionaries(st.sampled_from(weight2),
                                 st.integers(-2, 2).filter(bool),

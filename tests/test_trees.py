@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from bioperad.algebraside import (CofreePair, FreeAlgebra, GradedPair,
                                   coproduct_open, lift_phi, lift_psi)
+from bioperad.dgcalc import verify_d_squared
 from bioperad.duality import cobar_truncate
 from bioperad.models import (PRESENTATION_BUILDERS, h0sc_dual_dg,
                              h0sc_presentation, lp_presentation, lpinf_dg,
@@ -16,15 +17,15 @@ from bioperad.presentation import (ambient_basis, group_elements,
                                    ideal_spans, signatures_within)
 from bioperad.signs import koszul_sign, sort_key_perm
 from bioperad.specfile import emit_spec, parse_spec
-from bioperad.trees import (CLOSED, OPEN, REGULAR, SIGN, TRIVIAL, NONE,
-                            Collection, CompositionError, Element, Leaf,
-                            Node, Signature, TermSyntaxError, accumulate,
-                            assemble, component_basis, corolla_element,
-                            enumerate_basis, generator, graft, make_node,
-                            max_weight, min_leaf_key, parse_term, sig,
+from bioperad.trees import (CLOSED, COLORS, OPEN, REGULAR, SIGN, TRIVIAL,
+                            NONE, Collection, CompositionError, Element,
+                            Leaf, Node, Signature, TermSyntaxError,
+                            accumulate, assemble, component_basis,
+                            corolla_element, enumerate_basis, generator,
+                            graft, make_node, max_weight, parse_term, sig,
                             substitute, substitute_element, symmetric_act,
-                            text_form, text_form_signed, tree_degree,
-                            tree_element, tree_signature, tree_weight)
+                            text_form, text_form_signed, tree_element,
+                            tree_signature)
 
 
 def compose(p, q):
@@ -110,7 +111,7 @@ def _naive_trees(collection, closed_labels, open_labels, out, weight, memo):
                 for ws in _compositions(weight - 1, len(slots)):
                     options = [trees[w] for trees, w in zip(by_weight, ws)]
                     for children in product(*options):
-                        keys = [min_leaf_key(c) for c in children]
+                        keys = [c.min_key for c in children]
                         closed_keys = keys[:s.n_closed]
                         open_keys = keys[s.n_closed:]
                         if (closed_keys == sorted(set(closed_keys))
@@ -219,8 +220,8 @@ def test_graft_degrees_add():
     out = graft(n02, OPEN, 1, n10)
     assert len(out) == 1
     t = next(iter(out.terms))
-    assert tree_degree(t) == -1
-    assert tree_weight(t) == 2
+    assert t.degree == -1
+    assert t.weight == 2
     assert tree_signature(t) == sig(1, 1, OPEN)
 
 
@@ -372,11 +373,66 @@ def test_inner_action_equivariance():
                         assert lhs == rhs, (a, b, col, i, pc, po)
 
 
-@pytest.mark.parametrize("args", [(-1, 0, CLOSED), (0, -1, OPEN),
-                                  (1, 0, "x")])
+_BAD_SIGNATURES = {
+    (-1, 0, CLOSED):
+        "negative input count in Signature(n_closed=-1, n_open=0, out='c')",
+    (0, -1, OPEN):
+        "negative input count in Signature(n_closed=0, n_open=-1, out='o')",
+    (1, 0, "x"): "unknown output color 'x'",
+}
+
+
+@pytest.mark.parametrize("args", list(_BAD_SIGNATURES))
 def test_signature_rejects_bad_counts_and_colors(args):
+    with pytest.raises(ValueError) as info:
+        Signature(*args)
+    assert str(info.value) == _BAD_SIGNATURES[args]
+    # a refused signature is not interned, so it is refused again
     with pytest.raises(ValueError):
         Signature(*args)
+
+
+def test_leaves_and_signatures_are_interned():
+    for color, label in product(COLORS, range(1, 5)):
+        assert Leaf(color, label) is Leaf(color, label)
+        assert repr(Leaf(color, label)) == f"{color}{label}"
+    for n, m, out in product(range(4), range(4), COLORS):
+        s = Signature(n, m, out)
+        assert s is Signature(n, m, out) and s is sig(n, m, out)
+        assert s.total == n + m
+    # messages embed the repr, so it keeps the dataclass form
+    assert (repr(Signature(2, 1, OPEN))
+            == "Signature(n_closed=2, n_open=1, out='o')")
+    assert str(Signature(2, 1, OPEN)) == "(2,1;o)"
+
+
+def _reference_attributes(t):
+    """(out, min_key, degree, weight) of t, recomputed from its leaves and
+    vertices."""
+    if isinstance(t, Leaf):
+        return t.color, (0 if t.color == CLOSED else 1, t.label), 0, 0
+    kids = [_reference_attributes(c) for c in t.children]
+    return (t.space.signature.out, min(k[1] for k in kids),
+            t.space.degrees[t.dec] + sum(k[2] for k in kids),
+            1 + sum(k[3] for k in kids))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ocinf_dg(4), lambda: lpinf_dg(4),
+    lambda: cobar_truncate(lp_presentation(), 4)],
+    ids=["OCinf", "LPinf", "cobar-LP"])
+def test_tree_attributes_are_fixed_at_interning(build):
+    # every chain basis tree, then every node interned once d^2 has been
+    # taken: the derivation builds its Leibniz terms straight as nodes
+    dg = build()
+    basis = [t for s in signatures_within(4) for d in dg.cell_degrees(s)
+             for t in dg.chain_basis(s, d)]
+    assert verify_d_squared(dg) == []
+    nodes = [u for space in dg.collection for u in space.nodes.values()]
+    assert len(nodes) > len(basis) > 0
+    for t in basis + nodes:
+        assert (t.out, t.min_key, t.degree, t.weight) == \
+            _reference_attributes(t), t
 
 
 def test_parse_and_text_roundtrip():
@@ -387,7 +443,7 @@ def test_parse_and_text_roundtrip():
         for t in enumerate_basis(coll, s, w):
             sign, txt = text_form_signed(t)
             parsed = parse_term(coll, txt)
-            assert parsed == tree_element(t, sign), txt
+            assert parsed == Element({t: sign}), txt
 
 
 def test_parse_reorders_children():
@@ -490,7 +546,7 @@ def test_repr_reads_back(data):
         _COLLECTION_NAMES + sorted(_COBARS))))
     t = _draw_tree(data.draw, coll, 4)
     same = [u for u in ambient_basis(coll, tree_signature(t)).trees
-            if tree_degree(u) == tree_degree(t)]
+            if u.degree == t.degree]
     coeff = st.one_of(st.integers(-3, 3),
                       st.fractions(-2, 2, max_denominator=3)).filter(bool)
     e = Element(data.draw(st.dictionaries(st.sampled_from(same), coeff,
@@ -524,8 +580,8 @@ def test_zero_reads_back():
 
 
 def _blocks_ascend(u):
-    """u's children ascend by min_leaf_key within each color block."""
-    keys = [min_leaf_key(c) for c in u.children]
+    """u's children ascend by min_key within each color block."""
+    keys = [c.min_key for c in u.children]
     n = u.space.signature.n_closed
     return all(keys[i - 1] <= keys[i]
                for i in range(1, len(keys)) if i != n)
@@ -663,7 +719,7 @@ def _naive_substitute(pattern, subs):
     word(pattern)
     for i, u in enumerate(subs):
         source.append(("sub", i))
-        degree[("sub", i)] = tree_degree(u)
+        degree[("sub", i)] = u.degree
     where = {letter: i for i, letter in enumerate(target)}
     flips = sum(degree[a] * degree[b] for i, a in enumerate(source)
                 for b in source[i + 1:] if where[a] > where[b])
@@ -686,7 +742,7 @@ def _draw_disjoint_subs(draw, name, s):
     subs = []
     for color in [CLOSED] * s.n_closed + [OPEN] * s.n_open:
         trees = _trees_within(name, 3, color)
-        odd = [t for t in trees if tree_degree(t) & 1]
+        odd = [t for t in trees if t.degree & 1]
         if odd and draw(st.booleans()):
             subs.append(draw(st.sampled_from(odd)))
         elif trees and draw(st.booleans()):
@@ -755,13 +811,13 @@ def test_symmetric_act_spreads_through_assemble(data):
 
 def _make_node_reference(space, dec, children):
     """make_node as a direct re-sort: each color block sorted by
-    min_leaf_key, the Koszul sign of its crossings of odd-degree children,
+    min_key, the Koszul sign of its crossings of odd-degree children,
     then the block action on dec."""
     n = space.signature.n_closed
-    degrees = [tree_degree(c) for c in children]
+    degrees = [c.degree for c in children]
     kids, perms, sign = list(children), [], 1
     for lo, hi in ((0, n), (n, len(children))):
-        perm = sort_key_perm([min_leaf_key(c) for c in children[lo:hi]])
+        perm = sort_key_perm([c.min_key for c in children[lo:hi]])
         sign *= koszul_sign(perm, degrees[lo:hi])
         for i, p in enumerate(perm):
             kids[lo + p - 1] = children[lo + i]
@@ -788,7 +844,7 @@ def test_make_node_matches_a_direct_re_sort(case, data):
     subs = _draw_disjoint_subs(data.draw, name, space.signature)
     n = space.signature.n_closed
     if case == "spreading":
-        ascending = sorted(subs[:n], key=min_leaf_key)
+        ascending = sorted(subs[:n], key=lambda c: c.min_key)
         closed = [ascending[k - 1] for k in word]
     else:
         closed = data.draw(st.permutations(subs[:n]))
@@ -872,7 +928,7 @@ def test_parallel_graft_of_two_odd_trees_is_associative(data):
     # Koszul sign (-1)^{|b||c|} is -1 and a graft sign of +1 fails it
     coll = _collection(data.draw(st.sampled_from(_GRADED_NAMES)))
     odd = {color: [t for s in _signatures(coll, 3, color)
-                   for t in ambient_basis(coll, s).trees if tree_degree(t) & 1]
+                   for t in ambient_basis(coll, s).trees if t.degree & 1]
            for color in (CLOSED, OPEN)}
     a = tree_element(_draw_tree(data.draw, coll, 3))
     slots = [slot for slot in _all_slots(a) if odd[slot[0]]]
@@ -937,10 +993,10 @@ def test_float_coefficients_are_refused():
     coll = ev_collection()
     (t,) = enumerate_basis(coll, sig(2, 0, CLOSED), 1)
     with pytest.raises(TypeError):
-        tree_element(t, 0.1)
+        Element({t: 0.1})
     with pytest.raises(TypeError):
         Element({t: 1 / 3})
-    assert tree_element(t, Fraction(1, 3)).terms == {t: Fraction(1, 3)}
+    assert Element({t: Fraction(1, 3)}).terms == {t: Fraction(1, 3)}
 
 
 @_PROPERTY
