@@ -40,7 +40,7 @@ class Derivation:
             space, dec, children = t.space, t.dec, t.children
             acc = substitute_element(self.images[space][dec],
                                      children).terms
-            nodes, prefix = space.nodes, space.degrees[dec]
+            nodes, prefix = space.nodes, space.degree
             for i, child in enumerate(children):
                 if isinstance(child, Leaf):
                     continue  # degree 0, derivative 0
@@ -98,7 +98,7 @@ class DgTruncation:
                 if img.signature() != space.signature:
                     raise ValueError(
                         f"genmap changes the signature of {space.name}")
-                if img.degree() != space.degrees[dec] - 1:
+                if img.degree() != space.degree - 1:
                     raise ValueError(
                         f"genmap must lower degree by 1 on {space.name}")
         self.collection = collection

@@ -31,10 +31,10 @@ from .presentation import (Presentation, ambient_basis, check_ql_conditions,
                            ideal_spans, project_q, relation_span,
                            signatures_within)
 from .signs import perm_sign
-from .trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL, Collection,
-                    Element, Leaf, Node, Signature, VertexSpace, accumulate,
+from .trees import (CLOSED, NONE, REGULAR, SIGN, TRIVIAL, Collection,
+                    Element, Leaf, Node, VertexSpace, accumulate,
                     enumerate_basis, generator, graft, map_spaces,
-                    symmetric_act)
+                    symmetric_act, tree_element)
 
 _SYM_DUAL = {TRIVIAL: SIGN, SIGN: TRIVIAL, REGULAR: REGULAR, NONE: NONE}
 
@@ -47,7 +47,7 @@ def dual_collection(collection, rename=None):
         if s.symmetry is None:
             raise ValueError("dual_collection needs named generators")
         spaces.append(generator(rename(s.name), s.signature,
-                                s.signature.total - 2 - s.degrees[0],
+                                s.signature.total - 2 - s.degree,
                                 _SYM_DUAL[s.symmetry]))
     return Collection(spaces)
 
@@ -128,18 +128,11 @@ def pairing_matrix(primal_collection, dual_coll, signature):
 
 
 def weight2_signatures(collection):
-    """Signatures carrying a nonzero weight-2 component."""
-    sigs = set()
-    for s1 in collection:
-        for s2 in collection:
-            a, b = s1.signature, s2.signature
-            for color, count in ((CLOSED, a.n_closed), (OPEN, a.n_open)):
-                if b.out != color or count == 0:
-                    continue
-                n = a.n_closed + b.n_closed - (1 if color == CLOSED else 0)
-                m = a.n_open + b.n_open - (1 if color == OPEN else 0)
-                sigs.add(Signature(n, m, a.out))
-    return sorted(sigs, key=lambda s: (s.total, s.n_closed, s.out))
+    """Signatures carrying a nonzero weight-2 component: two vertices take
+    at most 2 * (max arity) - 1 inputs."""
+    bound = 2 * max((s.signature.total for s in collection), default=0) - 1
+    return [s for s in signatures_within(bound)
+            if enumerate_basis(collection, s, 2)]
 
 
 def quadratic_dual(presentation, rename=None, name=None):
@@ -260,34 +253,36 @@ def _gen_pairing(space, dec, elem):
 def _cobar_collection(trunc, max_inputs):
     """Vertex spaces of the cobar of (Lambda P)^*, P a degree-0 quotient:
     one space per signature (n,m;k), named gn_mk, one basis element per
-    quotient class."""
-    spaces = []
+    quotient class, and per signature the map from each representative's
+    ambient index to its class position."""
+    spaces, positions = [], {}
     for sig_ in signatures_within(max_inputs):
-        dim = trunc.dim(sig_)
-        if dim == 0:
+        basis = trunc.basis(sig_)
+        if not basis:
             continue
         ab = trunc.ambient(sig_)
-        basis = trunc.basis(sig_)
         for i in basis:
             if ab.trees[i].degree != 0:
                 raise ValueError("cobar input must be a degree-0 operad")
+        position = positions[sig_] = {i: b for b, i in enumerate(basis)}
+        span = trunc.span(sig_)
         swaps = []
         for table in ab.transposition_tables():
-            # dual right action of an involution: transpose, sgn-twisted
-            cols = [[] for _ in range(dim)]
+            # dual right action of an involution: transpose, sgn-twisted;
+            # the transposition sends representative i to one signed tree
+            cols = [[] for _ in basis]
             for b, i in enumerate(basis):
                 j = table[i]
-                image = ab.element({abs(j) - 1: 1 if j > 0 else -1})
-                for b2, coeff in accumulate(
-                        {}, trunc.reduce(image).items(), -1).items():
-                    cols[b2].append((b, coeff))
+                residue = span.reduce({abs(j) - 1: 1 if j > 0 else -1})
+                for i2, coeff in accumulate({}, residue.items(), -1).items():
+                    cols[position[i2]].append((b, coeff))
             swaps.append(cols)
         n_closed_swaps = max(sig_.n_closed - 1, 0)
         spaces.append(VertexSpace(
             f"g{sig_.n_closed}_{sig_.n_open}{sig_.out}", sig_,
-            [sig_.total - 2] * dim, swaps[:n_closed_swaps],
+            sig_.total - 2, len(basis), swaps[:n_closed_swaps],
             swaps[n_closed_swaps:]))
-    return Collection(spaces)
+    return Collection(spaces), positions
 
 
 def cobar_genmap(collection, coordinates):
@@ -329,7 +324,10 @@ def cobar_truncate(presentation, max_inputs):
     max_inputs inputs, with the differential induced by dualized
     composition."""
     trunc = ideal_spans(presentation, max_inputs)
-    coll = _cobar_collection(trunc, max_inputs)
+    coll, positions = _cobar_collection(trunc, max_inputs)
+
+    def representative(sig_, b):
+        return tree_element(trunc.ambient(sig_).trees[trunc.basis(sig_)[b]])
 
     def coordinates(space, tau, i):
         # the composite the two-vertex tree tau encodes, relabelled by its
@@ -338,8 +336,10 @@ def cobar_truncate(presentation, max_inputs):
         inner = tau.children[i - 1]
         color = sig1.slot_color(i)
         index = i if color == CLOSED else i - sig1.n_closed
-        composite = graft(trunc.class_of(sig1, tau.dec), color, index,
-                          trunc.class_of(inner.space.signature, inner.dec))
-        return trunc.reduce(symmetric_act(_label_words(tau), composite))
+        composite = graft(representative(sig1, tau.dec), color, index,
+                          representative(inner.space.signature, inner.dec))
+        position = positions[space.signature]
+        return {position[i2]: x for i2, x in trunc.residue(
+            symmetric_act(_label_words(tau), composite)).items()}
 
     return DgTruncation(coll, cobar_genmap(coll, coordinates), max_inputs)

@@ -332,9 +332,7 @@ class Echelon:
             for c in sorted(row):
                 if c == p or c not in reduced:
                     continue
-                x = row.pop(c, None)
-                if not x:
-                    continue
+                x = row.pop(c)
                 # reduced[c] touches only c and non-pivot columns
                 for c2, y in reduced[c].items():
                     if c2 == c:
@@ -357,9 +355,8 @@ class Echelon:
             raise RuntimeError("Echelon.reduce before finalize")
         v = {c: Fraction(x) for c, x in vec.items() if x != 0}
         for p in sorted(set(v) & set(self.rows)):
-            x = v.pop(p, None)
-            if not x:
-                continue
+            # a finalised row is 0 at every other pivot, so v[p] is intact
+            x = v.pop(p)
             for c, y in self.rows[p].items():
                 if c == p:
                     continue

@@ -479,7 +479,9 @@ def kappa_element(trunc, k):
 def boundary_identities(bound=4):
     """d(kappa_n) and d(gamma_n) decompose as unit-coefficient unshuffle
     sums of products of kappas and gammas; gamma terms come in commutator
-    pairs.  Returns a list of failures (empty = identities hold)."""
+    pairs.  Returns a list of failures (empty = identities hold).  Both
+    sides are solved over their quotient residues, keyed by ambient index,
+    which ``solve`` sorts as row keys."""
     dg = h0sc_dual_dg(bound)
     trunc = dg.trunc
     coll = trunc.collection
@@ -497,19 +499,19 @@ def boundary_identities(bound=4):
 
     for n in range(2, bound + 1):
         kap = kappa_element(trunc, n)
-        d_img = trunc.reduce(dg.derivation.apply(kap))
+        d_img = trunc.residue(dg.derivation.apply(kap))
         terms = []
         for size in range(1, n):
             for a, b in unshuffles(range(1, n + 1), size):
                 t = product_term(kappa_element(trunc, len(a)), a,
                                  kappa_element(trunc, len(b)), b)
-                terms.append(trunc.reduce(t))
+                terms.append(trunc.residue(t))
         x = solve(terms, d_img)
         if x is None or any(abs(x.get(j, 0)) != 1 for j in range(len(terms))):
             failures.append(("kappa", n, x))
     for n in range(1, bound):
         gam = gamma_element(trunc, n)
-        d_img = trunc.reduce(dg.derivation.apply(gam))
+        d_img = trunc.residue(dg.derivation.apply(gam))
         terms = []
         keys = []
         for size in range(1, n + 1):
@@ -524,9 +526,9 @@ def boundary_identities(bound=4):
                         (a, (1,)), graft(prod, OPEN, 1, ka))
                     t2 = symmetric_act(
                         (a, (1,)), graft(prod, OPEN, 2, ka))
-                terms.append(trunc.reduce(t1))
+                terms.append(trunc.residue(t1))
                 keys.append(("kg", a, b))
-                terms.append(trunc.reduce(t2))
+                terms.append(trunc.residue(t2))
                 keys.append(("gk", a, b))
         x = solve(terms, d_img)
         if x is None or any(abs(x.get(j, 0)) != 1 for j in range(len(terms))):

@@ -37,7 +37,7 @@ from itertools import permutations
 from .linalg import Echelon, Subspace, meet_slice, primitive
 from .trees import (CLOSED, OPEN, Element, Leaf, component_basis,
                     corolla_element, graft, make_node, text_form,
-                    tree_element, tree_signature, Signature)
+                    tree_signature, Signature)
 
 
 class Presentation:
@@ -287,12 +287,11 @@ class Truncation:
     signature it holds the ideal echelon, finalised in ``span``, the one
     accessor that hands out rows, and the coset basis of the non-pivot
     ambient trees, which ``basis`` alone decides and ``cells`` buckets by
-    degree.  Elements reduce to canonical residues; classes compose as the
-    reduced graft of their representatives (``class_of``).  An adjacent
-    transposition sends a representative to one signed ambient tree, read
-    off ``ambient(sig_).transposition_tables()``, and ``reduce`` takes that
-    tree to its class.  Above the bound ``span`` and ``basis`` raise
-    ValueError.
+    degree.  A class is named by its representative, an ambient tree: an
+    Element reduces to the canonical ``residue`` supported on ``basis``,
+    or to its ``reduce_to_element``, and classes compose as the reduced
+    graft of their representatives.  Above the bound ``span`` and
+    ``basis`` raise ValueError.
     """
 
     def __init__(self, presentation, max_inputs):
@@ -342,9 +341,6 @@ class Truncation:
                                        if i not in pivots]
         return hit
 
-    def dim(self, sig_):
-        return len(self.basis(sig_))
-
     def cells(self, sig_):
         """dict degree -> the coset representative trees of that degree."""
         trees = self.ambient(sig_).trees
@@ -353,34 +349,20 @@ class Truncation:
             out.setdefault(trees[i].degree, []).append(trees[i])
         return out
 
-    def dims_by_degree(self, sig_):
-        return {d: len(trees) for d, trees in self.cells(sig_).items()}
-
-    def _residue(self, elem):
-        """(signature, ambient basis, residue) of a nonzero Element: the
-        residue is its reduced ambient index vector."""
-        sig_ = elem.signature()
-        ab = self.ambient(sig_)
-        return sig_, ab, self.span(sig_).reduce(ab.vector(elem))
-
-    def reduce(self, elem):
-        """Class of an Element as dict (quotient position -> coeff)."""
+    def residue(self, elem):
+        """The reduced ambient index vector of an Element, supported on
+        ``basis`` of its signature ({} for zero)."""
         if elem.is_zero():
             return {}
-        sig_, _, residue = self._residue(elem)
-        positions = {amb: q for q, amb in enumerate(self.basis(sig_))}
-        return {positions[c]: x for c, x in residue.items()}
+        sig_ = elem.signature()
+        return self.span(sig_).reduce(self.ambient(sig_).vector(elem))
 
     def reduce_to_element(self, elem):
+        """An Element as the combination of coset representatives of its
+        class."""
         if elem.is_zero():
             return Element()
-        _, ab, residue = self._residue(elem)
-        return ab.element(residue)
-
-    def class_of(self, sig_, q):
-        """Representative Element of the q-th quotient basis class."""
-        ab = self.ambient(sig_)
-        return tree_element(ab.trees[self.basis(sig_)[q]])
+        return self.ambient(elem.signature()).element(self.residue(elem))
 
 
 def ideal_spans(presentation, max_inputs):
@@ -435,8 +417,8 @@ def quotient_dims(presentation, max_inputs):
     """dict (signature, degree) -> dimension of the quotient operad, read
     off the coset basis of its truncation."""
     trunc = ideal_spans(presentation, max_inputs)
-    return {(sig_, d): dim for sig_ in signatures_within(max_inputs)
-            for d, dim in trunc.dims_by_degree(sig_).items()}
+    return {(sig_, d): len(trees) for sig_ in signatures_within(max_inputs)
+            for d, trees in trunc.cells(sig_).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -150,7 +150,7 @@ def emit_spec(presentation):
         s = space.signature
         colors = ",".join([CLOSED] * s.n_closed + [OPEN] * s.n_open)
         lines.append(f"generator {space.name} : ({colors}) -> {s.out} "
-                     f"degree {space.degrees[0]} symmetry {space.symmetry}")
+                     f"degree {space.degree} symmetry {space.symmetry}")
     lines.extend(f"relation {rel!r}" for rel in presentation.relations)
     return "\n".join(lines) + "\n"
 

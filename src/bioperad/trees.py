@@ -1,8 +1,8 @@
 """Partially planar 2-colored trees and the free operads they span.
 
 A tree vertex carries a *vertex space*: a finite-dimensional space with a
-basis, per-basis degrees, and an action of S_n x S_m on it (n closed inputs,
-m open inputs).  Named generators with {trivial, sign, regular} symmetry are
+basis, one degree, and an action of S_n x S_m on it (n closed inputs, m
+open inputs).  Named generators with {trivial, sign, regular} symmetry are
 the common case; quotient-operad components (used by the cobar construction)
 are the general one.
 
@@ -106,6 +106,7 @@ IDENTITY_SIGS = (Signature(1, 0, CLOSED), Signature(0, 1, OPEN))
 class VertexSpace:
     """Basis + S_n x S_m action for one operadic slot shape.
 
+    Its ``dim`` basis elements share one homological ``degree``.
     ``closed_swaps[i]`` / ``open_swaps[i]`` give the right action of the
     adjacent transposition (i+1, i+2) of the block as sparse columns:
     ``swaps[i][b] = ((b', coeff), ...)``.  A named generator also declares
@@ -114,12 +115,12 @@ class VertexSpace:
     both are None for any other space, such as a quotient component.
     """
 
-    def __init__(self, name, signature, degrees, closed_swaps, open_swaps,
-                 arrangements=None, symmetry=None):
+    def __init__(self, name, signature, degree, dim, closed_swaps,
+                 open_swaps, arrangements=None, symmetry=None):
         self.name = name
         self.signature = signature
-        self.degrees = tuple(degrees)
-        self.dim = len(self.degrees)
+        self.degree = degree
+        self.dim = dim
         self.closed_swaps = tuple(tuple(map(tuple, s)) for s in closed_swaps)
         self.open_swaps = tuple(tuple(map(tuple, s)) for s in open_swaps)
         if (len(self.closed_swaps) != max(signature.n_closed - 1, 0)
@@ -238,7 +239,7 @@ def generator(name, signature, degree, symmetry):
     arrangements, open_swaps = _regular_swap_tables(m)
     dim = len(arrangements)
     closed = _scalar_swaps(max(n - 1, 0), dim, -1 if symmetry == SIGN else 1)
-    return VertexSpace(name, signature, [degree] * dim, closed, open_swaps,
+    return VertexSpace(name, signature, degree, dim, closed, open_swaps,
                        arrangements, symmetry)
 
 
@@ -337,7 +338,7 @@ class Node:
                     raise ValueError(
                         f"children {children} of {space.name} are not in "
                         "canonical order")
-            degree, weight = space.degrees[dec], 1
+            degree, weight = space.degree, 1
             for c in children:
                 degree += c.degree
                 weight += c.weight
@@ -577,7 +578,7 @@ def _compile(pattern):
             slot = t.label - 1 if t.color == CLOSED else n + t.label - 1
             plan.append(2 * slot + (tail & 1))
             return
-        after = tail + t.degree - t.space.degrees[t.dec]
+        after = tail + t.degree - t.space.degree
         for c in t.children:
             after -= c.degree
             walk(c, after)
@@ -863,12 +864,20 @@ def max_weight(collection, signature):
 
     Non-unary vertices consume inputs, so at most total-1 of them.  Unary
     vertices change color one way only (``Collection``), so no two are
-    stacked, and they are bounded too.
+    stacked and each edge carries at most one: at most 3*total-2 vertices.
+    When every unary space maps closed to open and no closed-output space
+    takes an open input, no unary vertex lies below another, so their
+    subtrees hold disjoint leaves: at most 2*total-1 vertices.
     """
     total = signature.total
-    if any(s.signature.total == 1 for s in collection):
+    unary = [s.signature for s in collection if s.signature.total == 1]
+    if not unary:
+        return max(total - 1, 1)
+    if all(u == Signature(1, 0, OPEN) for u in unary) and not any(
+            s.signature.out == CLOSED and s.signature.n_open
+            for s in collection):
         return max(2 * total - 1, 1)
-    return max(total - 1, 1)
+    return max(3 * total - 2, 1)
 
 
 def component_basis(collection, signature):

@@ -166,6 +166,16 @@ def test_shlp_zero_tensors_pass():
     assert report.passed
 
 
+def test_shlp_ocha_check_refuses_a_bad_mode():
+    # a q = 0 tensor, the whistle x -> a, is an OCHA structure only
+    data = parse_tensor_file("closed x 0\nopen a -1\nn 1 0: x | -> a\n")
+    with pytest.raises(ValueError, match="^mode must be SHLP or OCHA$"):
+        shlp_ocha_check(data, "LP", 2)
+    with pytest.raises(ValueError, match="^q = 0 tensors need OCHA mode$"):
+        shlp_ocha_check(data, "SHLP", 2)
+    assert shlp_ocha_check(data, "OCHA", 2).passed
+
+
 def _two_dim_pair_tensors():
     """Strict Leibniz pair: L = affine 2-dim Lie algebra, A = dual numbers
     truncated, rho by derivations."""

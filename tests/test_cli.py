@@ -31,6 +31,18 @@ def test_dims_lp_includes_21():
     assert "(2,1;o)" in out and "     2" in out
 
 
+def test_dims_counts_trees_with_a_unary_vertex_on_every_edge(tmp_path,
+                                                             capsys):
+    # h takes open inputs into a closed output, so al(h(al(c1),al(c2))) and
+    # its swap have weight 4 on two inputs, above 2 * 2 - 1
+    f = tmp_path / "exotic.operad"
+    f.write_text("generator h : (o,o) -> c degree 0 symmetry regular\n"
+                 "generator al : (c) -> o degree 0\n")
+    assert main(["dims", str(f), "--inputs", "2", "--json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    assert {"signature": "(2,0;o)", "degree": 0, "dim": 2} in records
+
+
 def test_dims_json():
     code, out, _ = run_cli(["dims", "Com", "--inputs", "3", "--json"])
     assert code == 0
@@ -98,6 +110,18 @@ def test_ql_check_builtin():
     assert "ql1: pass" in out and "ql2: pass" in out
 
 
+def test_ql_check_fails_on_a_weight_one_relation(tmp_path):
+    f = tmp_path / "weight1.operad"
+    f.write_text("operad weight1\n"
+                 "generator e11 : (c,o) -> o degree 0 symmetry none\n"
+                 "relation e11(c1,o1)\n")
+    code, out, err = run_cli(["ql-check", str(f)])
+    assert (code, err) == (1, "")
+    assert out.startswith("ql1: fail\nql2: fail\n")
+    assert "  witness: {'condition': 'ql1', 'signature': '(1,1;o)', " \
+        "'dim': 1}" in out
+
+
 def test_shlp_check_file(tmp_path):
     f = tmp_path / "pair.tensors"
     f.write_text("""
@@ -143,6 +167,30 @@ def test_verify_paper_selection():
     ids = {r["id"] for r in records}
     assert ids == {"duality-dims", "koszul-dual"}
     assert all(r["status"] == "pass" for r in records)
+
+
+@pytest.mark.parametrize("argv, bounds", [
+    ([], {"dims": 5, "d2": 5, "homology": 4, "laws": 4}),
+    (["--dims-bound", "3", "--d2-bound", "2"],
+     {"dims": 3, "d2": 2, "homology": 4, "laws": 4}),
+    (["--homology-bound", "2"], {"dims": 5, "d2": 5, "homology": 2, "laws": 2}),
+    (["--homology-bound", "6"], {"dims": 5, "d2": 5, "homology": 6, "laws": 4}),
+], ids=["defaults", "dims-d2", "homology-below-laws", "homology-above-laws"])
+def test_verify_paper_bounds_reach_run_checks(argv, bounds, monkeypatch,
+                                              capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run_checks",
+                        lambda selection, b: seen.append((selection, b)) or [])
+    assert main(["verify-paper", "--only", "quotient-dims"] + argv) == 0
+    assert seen == [({"quotient-dims"}, bounds)]
+
+
+def test_verify_paper_runs_at_a_smaller_dims_bound():
+    code, out, err = run_cli(["verify-paper", "--only", "quotient-dims",
+                              "--dims-bound", "3", "--json"])
+    assert (code, err) == (0, "")
+    (record,) = json.loads(out)
+    assert (record["id"], record["status"]) == ("quotient-dims", "pass")
 
 
 def test_verify_paper_unknown_selection_exits_2(capsys):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from bioperad import verify
 from bioperad.dgcalc import homology_dims, verify_d_squared
-from bioperad.duality import (cobar_truncate, dual_collection,
+from bioperad.duality import (QLFailure, cobar_truncate, dual_collection,
                               pairing_matrix, ql_koszul_data, quadratic_dual,
                               weight2_signatures)
 from bioperad.models import (com_presentation, h0sc_dual_n11_image,
@@ -14,7 +14,7 @@ from bioperad.models import (com_presentation, h0sc_dual_n11_image,
 from bioperad.presentation import (Presentation, adjacent_transpositions,
                                    ambient_basis, ideal_spans, quotient_dims,
                                    relation_span)
-from bioperad.specfile import emit_spec
+from bioperad.specfile import emit_spec, parse_spec
 from bioperad.trees import (CLOSED, NONE, OPEN, REGULAR, SIGN, TRIVIAL,
                             Collection, corolla_element,
                             enumerate_basis, generator, graft, parse_term,
@@ -126,13 +126,16 @@ def test_cobar_swaps_are_the_dual_action_on_classes(builder):
     trunc = ideal_spans(P, 4)
     for space in cobar_truncate(P, 4).collection:
         s = space.signature
+        basis = trunc.basis(s)
+        position = {i: b for b, i in enumerate(basis)}
         for pair, swap in zip(adjacent_transpositions(s),
                               space.closed_swaps + space.open_swaps):
             want = {}
-            for b in range(space.dim):
-                image = symmetric_act(pair, trunc.class_of(s, b))
-                for b2, c in trunc.reduce(image).items():
-                    want[b2, b] = -c
+            for b, i in enumerate(basis):
+                image = symmetric_act(pair, tree_element(
+                    trunc.ambient(s).trees[i]))
+                for i2, c in trunc.residue(image).items():
+                    want[position[i2], b] = -c
             got = {(b2, b): c for b2, col in enumerate(swap)
                    for b, c in col}
             assert got == want, (space, pair)
@@ -144,7 +147,7 @@ def test_cobar_generator_spaces_of_vor():
     by_sig = {s.signature: s for s in coll}
     for n in range(2, 5):
         sp = by_sig[sig(n, 0, CLOSED)]
-        assert sp.dim == 1 and sp.degrees == (n - 2,)
+        assert sp.dim == 1 and sp.degree == n - 2
     for p in range(0, 5):
         for q in range(0, 5 - p):
             s = sig(p, q, OPEN)
@@ -155,14 +158,14 @@ def test_cobar_generator_spaces_of_vor():
             elif p + q >= 2:
                 sp = by_sig[s]
                 assert sp.dim == factorial(q)
-                assert set(sp.degrees) == {p + q - 2}
+                assert sp.degree == p + q - 2
 
 
 def test_cobar_of_unital_model_has_whistles():
     coll = cobar_truncate(h0sc_presentation(), 3).collection
     by_sig = {s.signature: s for s in coll}
-    assert by_sig[sig(1, 0, OPEN)].degrees == (-1,)
-    assert by_sig[sig(2, 0, OPEN)].degrees == (0,)
+    assert by_sig[sig(1, 0, OPEN)].degree == -1
+    assert by_sig[sig(2, 0, OPEN)].degree == 0
 
 
 def test_cobar_matches_expansion_model_homology():
@@ -190,6 +193,23 @@ def test_cobar_chain_dims_match_expansion_model():
         assert mine == {k: v for k, v in theirs.items() if v}, s
 
 
+# a relation of weight 1 alone: it meets F^(1) and its grafts leave R
+WEIGHT_ONE_SPEC = ("operad weight1\n"
+                   "generator e11 : (c,o) -> o degree 0 symmetry none\n"
+                   "relation e11(c1,o1)\n")
+
+
+def test_ql_koszul_data_refuses_a_weight_one_relation():
+    with pytest.raises(QLFailure) as err:
+        ql_koszul_data(parse_spec(WEIGHT_ONE_SPEC))
+    assert [{k: str(v) for k, v in w.items()} for w in err.value.witnesses] \
+        == [{"condition": "ql1", "signature": "(1,1;o)", "dim": "1"},
+            {"condition": "ql2", "signature": "(2,1;o)",
+             "vector": "e11(c1,e11(c2,o1))"},
+            {"condition": "ql2", "signature": "(2,1;o)",
+             "vector": "e11(c2,e11(c1,o1))"}]
+
+
 def test_ql_check_reports_sign_flipped_dual_differential(monkeypatch):
     def flipped(presentation, rename=None, name=None):
         data = ql_koszul_data(presentation, rename, name)
@@ -205,7 +225,7 @@ def test_ql_check_reports_sign_flipped_dual_differential(monkeypatch):
 
 def _beside(presentation, extra):
     """presentation's relations read into its generators plus extra."""
-    coll = Collection([generator(s.name, s.signature, s.degrees[0],
+    coll = Collection([generator(s.name, s.signature, s.degree,
                                  s.symmetry) for s in presentation.collection]
                       + [extra])
     return Presentation(coll, [parse_term(coll, repr(r))

@@ -107,13 +107,19 @@ def test_quotient_dims_lp():
     assert (sig(2, 0, OPEN), 0) not in dims
 
 
+def _representative(tr, s, q):
+    """The representative Element of the q-th coset basis class at s."""
+    return tree_element(tr.ambient(s).trees[tr.basis(s)[q]])
+
+
 def test_truncation_composition_well_defined():
     # composing coset representatives then projecting does not depend on the
-    # representative: reduce(graft(rep + ideal, rep)) == reduce(graft(rep, rep))
+    # representative: residue(graft(rep + ideal, rep)) == residue(graft(rep,
+    # rep))
     lp = lp_presentation()
     tr = ideal_spans(lp, 4)
     s = sig(1, 1, OPEN)
-    rep = tr.class_of(s, 0)
+    rep = _representative(tr, s, 0)
     jac = lp.relations[0]  # weight-2 closed relation
     # graft an ideal element into a representative: must reduce to zero
     lifted = graft(rep, CLOSED, 1, parse_term(lp.collection, "l2(c1,c2)"))
@@ -121,12 +127,12 @@ def test_truncation_composition_well_defined():
                 parse_term(lp.collection, "l2(c1,c2)")) + graft(
                     tr.reduce_to_element(rep), CLOSED, 1,
                     Element())
-    assert tr.reduce(lifted) == tr.reduce(alt)
+    assert tr.residue(lifted) == tr.residue(alt)
     # ideal itself reduces to zero after grafting
     grown = graft(parse_term(lp.collection, "n11(c1,o1)"), CLOSED, 1,
                   jac.scale(1))
     assert not grown.is_zero()
-    assert tr.reduce(grown) == {}
+    assert tr.residue(grown) == {}
 
 
 def test_truncation_associativity_in_quotient():
@@ -134,11 +140,11 @@ def test_truncation_associativity_in_quotient():
     tr = ideal_spans(lp, 4)
     s11 = sig(1, 1, OPEN)
     s02 = sig(0, 2, OPEN)
-    a = tr.class_of(s11, 0)
-    b = tr.class_of(s02, 0)
-    c = tr.class_of(s02, 1)
-    lhs = tr.reduce(graft(graft(a, OPEN, 1, b), OPEN, 1, c))
-    rhs = tr.reduce(graft(a, OPEN, 1, graft(b, OPEN, 1, c)))
+    a = _representative(tr, s11, 0)
+    b = _representative(tr, s02, 0)
+    c = _representative(tr, s02, 1)
+    lhs = tr.residue(graft(graft(a, OPEN, 1, b), OPEN, 1, c))
+    rhs = tr.residue(graft(a, OPEN, 1, graft(b, OPEN, 1, c)))
     assert lhs == rhs
 
 
@@ -333,7 +339,7 @@ def test_transposition_tables_are_the_signed_action(case):
 def test_transposition_tables_refuse_a_non_monomial_swap():
     # the open swap [[1, 1], [0, -1]] is an involution, but it sends the
     # second decoration to a sum of two
-    q = VertexSpace("q", sig(0, 2, OPEN), [0, 0], [],
+    q = VertexSpace("q", sig(0, 2, OPEN), 0, 2, [],
                     [(((0, 1),), ((0, 1), (1, -1)))])
     ab = ambient_basis(Collection([q]), sig(0, 2, OPEN))
     with pytest.raises(ValueError, match=r"q\[1\].*\(0,2;o\)"):
@@ -405,7 +411,7 @@ def test_quotient_dims_finalises_no_span():
     calls = _calls([Echelon.finalize], lambda: quotient_dims(P, 4))
     assert calls["finalize"] == 0
     # the readers of rows see them finalised: relation_span hands out the
-    # reduced rows, and reduce takes every tree to its coset representatives
+    # reduced rows, and every tree reduces to its coset representatives
     trunc = ideal_spans(P, 4)
     for s in signatures_within(4):
         rows = relation_span(P, s, 2).rows
@@ -415,25 +421,21 @@ def test_quotient_dims_finalises_no_span():
         for t in trunc.ambient(s).trees:
             assert set(trunc.reduce_to_element(tree_element(t)).terms
                        ) <= representatives
-    assert all(trunc.reduce(r) == {} for r in P.relations)
+    assert all(trunc.residue(r) == {} for r in P.relations)
 
 
 @pytest.mark.parametrize("read", [
     lambda trunc, s, e: trunc.span(s),
     lambda trunc, s, e: trunc.basis(s),
-    lambda trunc, s, e: trunc.dim(s),
     lambda trunc, s, e: trunc.cells(s),
-    lambda trunc, s, e: trunc.dims_by_degree(s),
-    lambda trunc, s, e: trunc.class_of(s, 0),
-    lambda trunc, s, e: trunc.reduce(e),
+    lambda trunc, s, e: trunc.residue(e),
     lambda trunc, s, e: trunc.reduce_to_element(e),
-], ids=["span", "basis", "dim", "cells", "dims_by_degree", "class_of",
-        "reduce", "reduce_to_element"])
+], ids=["span", "basis", "cells", "residue", "reduce_to_element"])
 def test_signatures_above_the_bound_are_refused(read):
     # saturated at 3, the truncation does not know the ideal at (2,2;o),
     # where the quotient has dimension 12, not the 30 read off its spans
     P = parse_spec(emit_spec(lp_presentation()))
-    assert ideal_spans(P, 4).dim(sig(2, 2, OPEN)) == 12
+    assert len(ideal_spans(P, 4).basis(sig(2, 2, OPEN))) == 12
     trunc = Truncation(P, 3)
     e = parse_term(P.collection, "n11(c1,n11(c2,n02(o1,o2)))")
     with pytest.raises(ValueError, match=r"\(2,2;o\) has 4 inputs, above "

@@ -127,3 +127,35 @@ def test_unknown_tensor_argument_names_its_line():
     with pytest.raises(TensorFileError) as err:
         parse_tensor_file("closed x 0\nl 2: x,z -> x")
     assert str(err.value) == "unknown closed symbol 'z' (line 2)"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("colors c", "colors must be 'c o'"),
+    ("generators m", "unknown declaration 'generators'"),
+    ("generator m : o,o -> o degree 0", "inputs must be parenthesized"),
+    ("generator m : (o,x) -> o degree 0", "input colors must be c or o"),
+    ("generator m : (o,c) -> o degree 0",
+     "closed inputs must precede open ones"),
+    ("generator m : (o,o) -> x degree 0", "output color must be c or o"),
+    ("generator m : (o,o) -> o degree one",
+     "bad generator: invalid literal for int() with base 10: 'one'"),
+], ids=["colors", "declaration", "parentheses", "input-color", "block-order",
+        "output-color", "bad-generator"])
+def test_malformed_operad_line_names_its_line(line, message):
+    with pytest.raises(SpecFileError) as err:
+        parse_spec(f"operad x\n{line}\n")
+    assert str(err.value) == f"{message} (line 2)"
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("text, message", [
+    ("open a 0\nclosed x\n",
+     "expected 'closed <name> <degree>' with an integer degree"),
+    ("closed x 0\nl 3: x,x -> x\n",
+     "arity 'l 3' does not fit 2 closed and 0 open arguments"),
+], ids=["declaration", "arity"])
+def test_malformed_tensor_line_names_its_line(text, message):
+    with pytest.raises(TensorFileError) as err:
+        parse_tensor_file(text)
+    assert str(err.value) == f"{message} (line 2)"
+    assert err.value.line == 2

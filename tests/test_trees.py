@@ -104,8 +104,10 @@ def _naive_trees(collection, closed_labels, open_labels, out, weight, memo):
                 parts = [(tuple(l for l, i in zip(closed_labels, c_at) if i == j),
                           tuple(l for l, i in zip(open_labels, o_at) if i == j),
                           color) for j, color in enumerate(slots)]
-                by_weight = [[_naive_trees(collection, c, o, color, w, memo)
-                              for w in range(weight)] for c, o, color in parts]
+                if not all(c or o for c, o, _ in parts):
+                    continue  # every vertex space takes an input
+                by_weight = [_naive_below(collection, c, o, color, weight, memo)
+                             for c, o, color in parts]
                 if not all(any(trees) for trees in by_weight):
                     continue  # some slot can hold no subtree at all
                 for ws in _compositions(weight - 1, len(slots)):
@@ -122,24 +124,46 @@ def _naive_trees(collection, closed_labels, open_labels, out, weight, memo):
     return found
 
 
+def _naive_below(collection, closed_labels, open_labels, out, weight, memo):
+    """The _naive_trees of every weight below `weight`, in weight order."""
+    key = ("below", closed_labels, open_labels, out, weight)
+    if key not in memo:
+        memo[key] = [_naive_trees(collection, closed_labels, open_labels, out,
+                                  w, memo) for w in range(weight)]
+    return memo[key]
+
+
 BUILTIN_MODELS = {**PRESENTATION_BUILDERS,
                   "OCinf": lambda: ocinf_dg(4),
                   "LPinf": lambda: lpinf_dg(4),
                   "H0SCdual_dg": lambda: h0sc_dual_dg(4)}
 
+# a closed-output space with open inputs beside a unary map closed to open:
+# al(h(al(c1),al(c2))) has weight 4 on two inputs
+EXOTIC_SPEC = ("generator h : (o,o) -> c degree 0 symmetry regular\n"
+               "generator al : (c) -> o degree 0\n")
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+# name -> (collection builder, input bound of the naive comparison)
+NAIVE_CASES = {**{name: (build, 4) for name, build in BUILTIN_MODELS.items()},
+               "exotic": (lambda: parse_spec(EXOTIC_SPEC), 3)}
+
+
+@pytest.mark.parametrize("name", sorted(NAIVE_CASES))
 def test_enumerate_basis_matches_a_naive_enumerator(name):
-    collection = BUILTIN_MODELS[name]().collection
+    # weights up to 3 * total - 2, the bound of any collection: each edge
+    # of the non-unary vertices carries at most one unary vertex
+    build, bound = NAIVE_CASES[name]
+    collection = build().collection
     memo = {}
     cells = 0
-    for s in signatures_within(4):
-        for w in range(1, max_weight(collection, s) + 1):
+    for s in signatures_within(bound):
+        for w in range(1, 3 * s.total - 1):
             naive = _naive_trees(collection, tuple(range(1, s.n_closed + 1)),
                                  tuple(range(1, s.n_open + 1)), s.out, w, memo)
             assert len(set(naive)) == len(naive)
             assert enumerate_basis(collection, s, w) == sorted(naive,
                                                                 key=text_form)
+            assert w <= max_weight(collection, s) or not naive
             cells += bool(naive)
     assert cells
 
@@ -413,7 +437,7 @@ def _reference_attributes(t):
         return t.color, (0 if t.color == CLOSED else 1, t.label), 0, 0
     kids = [_reference_attributes(c) for c in t.children]
     return (t.space.signature.out, min(k[1] for k in kids),
-            t.space.degrees[t.dec] + sum(k[2] for k in kids),
+            t.space.degree + sum(k[2] for k in kids),
             1 + sum(k[3] for k in kids))
 
 
@@ -712,7 +736,7 @@ def _naive_substitute(pattern, subs):
         letter = ("vertex", len(source))
         source.append(letter)
         target.append(letter)
-        degree[letter] = t.space.degrees[t.dec]
+        degree[letter] = t.space.degree
         for c in t.children:
             word(c)
 
