@@ -8,8 +8,8 @@ Cofree side: the coalgebra pair (S^c(V_c), (S^c)+(V_c) (x) T^c(V_o)) with
 coderivation lifts of corestrictions, graded throughout (the ungraded case
 is the degree-0 special case).  One pair coderivation serves both the pair
 complex of a strict Leibniz pair and the strong-homotopy checker, which
-builds the square-zero-coderivation formulation on the suspended pair and
-compares it instance by instance against the direct unshuffle relations.
+squares it on the suspended pair and compares the square with the lift of
+its own one-factor part, the unshuffle relation instances.
 This module reads no files: ``specfile.parse_tensor_file`` turns a tensor
 file into HomotopyAlgebraData.
 """
@@ -75,17 +75,6 @@ def _unshuffle_splits(word, odd):
                   tuple(word[i - 1] for i in a), tuple(word[i - 1] for i in b))
                  for k in range(len(word) + 1)
                  for a, b in unshuffles(positions, k))
-
-
-def split_sign_back(word, picks, degrees):
-    """Sign of moving the picked positions to the back of a sorted word."""
-    sign = 1
-    picked = set(picks)
-    for j in picks:
-        for i in range(j + 1, len(word)):
-            if i not in picked and (degrees[word[j]] & 1) and (degrees[word[i]] & 1):
-                sign = -sign
-    return sign
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +241,6 @@ class CofreePair:
     def __init__(self, pair, closed_bound, open_bound):
         self.cdeg = [d for _, d in pair.closed]
         self.odeg = [d for _, d in pair.open]
-        self.closed_bound = closed_bound
-        self.open_bound = open_bound
         self.closed_basis = [m for w in range(1, closed_bound + 1)
                              for m in graded_multisets(self.cdeg, w)]
         self.mixed_basis = [(m, word)
@@ -290,33 +277,31 @@ def _psi_terms(m, cdeg, psi):
                 yield merged, sign * s2 * c
 
 
-def lift_psi(cdeg, closed_bound, psi):
+def lift_psi(cdeg, psi):
     """Coderivation of S^c(V_c) extending the corestriction psi.
 
-    cdeg: the degrees of the closed symbols; images with more than
-    closed_bound factors are dropped.  psi: dict multiset -> dict
+    cdeg: the degrees of the closed symbols.  psi: dict multiset -> dict
     closed_index -> coeff.  Returns a function multiset -> dict multiset ->
-    coeff.
+    coeff; no image has more factors than its multiset.
     """
-    return lambda m: accumulate({}, (
-        (merged, c) for merged, c in _psi_terms(m, cdeg, psi)
-        if len(merged) <= closed_bound))
+    return lambda m: accumulate({}, _psi_terms(m, cdeg, psi))
 
 
 def lift_phi(cdeg, odeg, psi, phi, op_degree):
-    """Coderivation of the mixed factor extending (psi, phi).
+    """Coderivation of the cofree pair extending (psi, phi).
 
-    cdeg, odeg: the degrees of the closed and the open symbols.  psi as in
-    lift_psi, or None for no closed part; phi: dict (multiset, word) -> dict
-    open_index -> coeff.  Signs: unshuffle Koszul on the closed symbols, the
-    moved block crossing the open prefix, and the operator crossing
-    everything before its window.
+    A cell (m, w) is a multiset m of closed symbols and a word w of open
+    ones; w = () is the closed factor.  cdeg, odeg: the degrees of the
+    closed and the open symbols.  psi as in lift_psi; phi: dict (multiset,
+    word) -> dict open_index -> coeff, where an empty word is a q = 0
+    tensor.  Signs: unshuffle Koszul on the closed symbols, the moved block
+    crossing the open prefix, and the operator crossing everything before
+    its window.  Returns a function cell -> dict cell -> coeff.
     """
     def terms(m, w):
         # closed part: psi acts on the multiset factor
-        if psi is not None:
-            for merged, c in _psi_terms(m, cdeg, psi):
-                yield (merged, w), c
+        for merged, c in _psi_terms(m, cdeg, psi):
+            yield (merged, w), c
         # mixed part: phi eats a sub-multiset and a window of the word
         q = len(w)
         for s_back, a_syms, b_syms in unshuffle_splits(m, cdeg):
@@ -335,7 +320,7 @@ def lift_phi(cdeg, odeg, psi, phi, op_degree):
                     for idx, c in img.items():
                         yield (a_syms, w[:i] + (idx,) + w[j:]), sign * c
 
-    return lambda m, w: accumulate({}, terms(m, w))
+    return lambda cell: accumulate({}, terms(*cell))
 
 
 def coproduct_open(cofree, m, w):
@@ -367,32 +352,33 @@ def check_coderivation_laws(cofree, psi, phi, op_degree):
     Returns a list of violations (empty means both identities hold on
     the whole truncated basis).
     """
-    psit = lift_psi(cofree.cdeg, cofree.closed_bound, psi)
+    psit = lift_psi(cofree.cdeg, psi)
     phit = lift_phi(cofree.cdeg, cofree.odeg, psi, phi, op_degree)
     bad = []
     for m, w in cofree.mixed_basis:
         # co-Leibniz against the open coproduct
-        lhs = _compose({}, phit(m, w),
+        lhs = _compose({}, phit((m, w)),
                        lambda cell: coproduct_open(cofree, *cell))
         rhs = {}
         for (left, right), c in coproduct_open(cofree, m, w).items():
             accumulate(rhs, (((cell, right), c2)
-                             for cell, c2 in phit(*left).items()), c)
+                             for cell, c2 in phit(left).items()), c)
             factor_deg = cofree.mdeg(left[0]) + cofree.wdeg(left[1])
             sgn = -1 if (op_degree & 1) and (factor_deg & 1) else 1
             accumulate(rhs, (((left, cell), c2)
-                             for cell, c2 in phit(*right).items()), sgn * c)
+                             for cell, c2 in phit(right).items()), sgn * c)
         if lhs != rhs:
             bad.append(("coproduct", m, w))
         # compatibility with the coaction
-        lhs = _compose({}, phit(m, w), lambda cell: coaction(cofree, *cell))
+        lhs = _compose({}, phit((m, w)),
+                       lambda cell: coaction(cofree, *cell))
         rhs = {}
         for (a, (b, ww)), c in coaction(cofree, m, w).items():
             accumulate(rhs, (((mm, (b, ww)), c2)
                              for mm, c2 in psit(a).items()), c)
             sgn = -1 if (op_degree & 1) and (cofree.mdeg(a) & 1) else 1
             accumulate(rhs, (((a, cell), c2)
-                             for cell, c2 in phit(b, ww).items()), sgn * c)
+                             for cell, c2 in phit((b, ww)).items()), sgn * c)
         if lhs != rhs:
             bad.append(("coaction", m, w))
     return bad
@@ -499,8 +485,9 @@ def ce_complex(data, bound):
     unsuspended letters it would not square to zero).  A global sign
     changes no rank, so the homology is that of the textbook complex.
 
-    Returns (cells, d): cells maps ("c"|"o", weight, n) to its basis, n the
-    number of factors; d(color, x) is the differential of a basis element.
+    Returns (cells, d): cells maps ("c"|"o", weight, n) to its basis of
+    cofree cells (m, w), n the number of factors, with w = () exactly for
+    the closed color; d(cell) is the differential of a basis cell.
     """
     l_basis = list(data.l_basis)
     a_basis = list(data.a_basis)
@@ -522,33 +509,22 @@ def ce_complex(data, bound):
         table(data.action, l_basis, a_basis, product(range(nl), range(na)),
               a_index))
     psi, phi = suspended_corestrictions(tensors)
-    d_closed = lift_psi(tensors.sl, bound, psi)
-    d_mixed = lift_phi(tensors.sl, tensors.sa, psi, phi, -1)
 
     lw = [data.l_weight(x) for x in l_basis]
     aw = [data.a_weight(x) for x in a_basis]
     cells = {}
-    for p in range(1, bound + 1):
-        for m in combinations(range(nl), p):
-            w = sum(lw[i] for i in m)
-            if w <= bound:
-                cells.setdefault(("c", w, p), []).append(m)
-    for p in range(0, bound + 1):
-        for m in combinations(range(nl), p):
-            base = sum(lw[i] for i in m)
-            if base > bound:
-                continue
-            for q in range(1, bound - base + 1):
+    for q in range(bound + 1):
+        for p in range(0 if q else 1, bound + 1):
+            for m in combinations(range(nl), p):
+                base = sum(lw[i] for i in m)
+                if base + q > bound:
+                    continue
                 for word in product(range(na), repeat=q):
                     w = base + sum(aw[i] for i in word)
                     if w <= bound:
-                        cells.setdefault(("o", w, p + q), []).append(
-                            (m, word))
-
-    def d(color, x):
-        return d_closed(x) if color == "c" else d_mixed(*x)
-
-    return cells, d
+                        cells.setdefault(("o" if q else "c", w, p + q),
+                                         []).append((m, word))
+    return cells, lift_phi(tensors.sl, tensors.sa, psi, phi, -1)
 
 
 def ce_hochschild_homology(data, bound):
@@ -569,7 +545,7 @@ def ce_hochschild_homology(data, bound):
         cols = []
         for x in cells[(color, w, n)]:
             col = {}
-            for k, c in d(color, x).items():
+            for k, c in d(x).items():
                 if k not in tindex:
                     raise ValueError("differential left the truncation")
                 col[tindex[k]] = c
@@ -711,6 +687,13 @@ def suspended_corestrictions(data):
 
 
 class SHReport:
+    """The outcome of shlp_ocha_check.
+
+    violations: (m, w, square) for each cell whose D^2 is nonzero.
+    discrepancies: the cells (m, w) where D^2 differs from the lift of its
+    own relation instances, i.e. where D^2 is not a coderivation.
+    """
+
     def __init__(self):
         self.violations = []
         self.discrepancies = []
@@ -725,126 +708,45 @@ class SHReport:
 
 
 def shlp_ocha_check(data, mode, arity_bound):
-    """Square-zero check of D = D_L + D_A against the unshuffle relations.
+    """Square-zero check of the pair coderivation D against its relations.
 
-    mode "SHLP" rejects q = 0 tensors; "OCHA" admits them.  Componentwise
-    [D, D] = 0 splits as [D_L, D_L] = 0 on the symmetric factor and
-    2 rho(D_L) D_A + [D_A, D_A] = 0 on the mixed factor; the corestrictions
-    of both are compared against directly evaluated relation instances.
+    mode "SHLP" rejects q = 0 tensors; "OCHA" admits them.  D is the degree
+    -1 lift of the suspended tensors (as in ce_complex), squared on every
+    cofree cell (m, w) with 1..arity_bound factors, w = () the closed
+    factor.  [D, D] = 0 is D^2 = 0; the unshuffle relation instances are
+    the one-factor parts of D^2, at (m, ()) for l_n and the q = 0 tensors
+    and at (m, w) for the rest.  D^2 is a coderivation, so it must equal
+    the degree -2 lift of those instances on every cell: a cell where it
+    does not is a discrepancy, a fault of the lifts' signs and not of the
+    tensors.
     """
     if mode not in ("SHLP", "OCHA"):
         raise ValueError("mode must be SHLP or OCHA")
     if mode == "SHLP" and data.has_open_closed_extension():
         raise ValueError("q = 0 tensors need OCHA mode")
-    cofree = CofreePair(GradedPair(
-        [(n, d + 1) for (n, _), d in zip(data.pair.closed, data.cdeg)],
-        [(n, d + 1) for (n, _), d in zip(data.pair.open, data.odeg)]),
-        arity_bound, arity_bound)
-    sl, sa = cofree.cdeg, cofree.odeg
-    psi, phi = suspended_corestrictions(data)
-    d_l = lift_psi(sl, arity_bound, psi)
-    d_a = lift_phi(sl, sa, None, phi, -1)
-
-    report = SHReport()
-    # closed component: D_L o D_L on every basis multiset
-    for m in cofree.closed_basis:
-        total = _compose({}, d_l(m), d_l)
-        # the corestriction: the one-factor part
-        core = {mm[0]: c for mm, c in total.items() if len(mm) == 1}
-        if core != _diff1_instance(data, psi, m):
-            report.discrepancies.append(("closed", m))
-        if total:
-            report.violations.append(("closed", m, total))
-    # mixed component: rho(D_L)D_A + D_A o D_A, with rho(D_L)D_A the lift of
-    # g_{D_A} o (D_L (x) 1) -- an even (degree -2) corestriction
-    mixed = [(m, w) for m, w in cofree.mixed_basis
-             if len(m) + len(w) <= arity_bound]
-    g_rho = {}
-    d_l_at = {}
-    for m, w in mixed:
-        if m not in d_l_at:
-            d_l_at[m] = d_l(m)
-        val = _compose({}, d_l_at[m], lambda mm: phi.get((mm, w), {}))
-        if val:
-            g_rho[(m, w)] = val
-    rho_da = lift_phi(sl, sa, None, g_rho, -2)
-    for m, w in mixed:
-        total = _compose({}, d_a(m, w), lambda cell: d_a(*cell))
-        accumulate(total, rho_da(m, w).items())
-        # the corestriction: the part with no closed and one open factor
-        core = {ww[0]: c for (mm, ww), c in total.items()
-                if not mm and len(ww) == 1}
-        if core != _diff2_instance(data, psi, phi, m, w):
-            report.discrepancies.append(("mixed", m, w))
-        if total:
-            report.violations.append(("mixed", m, w, total))
-    return report
-
-
-def _diff1_instance(data, psi, m):
-    """Corestriction of D_L^2 on a multiset, evaluated by direct loops."""
-    out = {}
-    for sign, a, b in unshuffle_splits(m, data.sl):
-        if not a:
-            continue
-        inner = psi.get(a)
-        if not inner:
-            continue
-        for idx, c in inner.items():
-            s2, merged = _insert_symbol(idx, b, data.sl)
-            if s2 == 0 or merged is None:
-                continue
-            outer = psi.get(merged)
-            if not outer:
-                continue
-            accumulate(out, outer.items(), sign * c * s2)
-    return out
-
-
-def _diff2_instance(data, psi, phi, m, w):
-    """Corestriction of rho(D_L)D_A + D_A^2 on a mixed basis element."""
     sl, sa = data.sl, data.sa
-    out = {}
-    # rho part: psi eats a closed block, phi the rest
-    for sign, a, b in unshuffle_splits(m, sl):
-        if not a:
-            continue
-        inner = psi.get(a)
-        if not inner:
-            continue
-        for idx, c in inner.items():
-            s2, merged = _insert_symbol(idx, b, sl)
-            if s2 == 0 or merged is None:
-                continue
-            val = phi.get((merged, w))
-            if val:
-                accumulate(out, val.items(), sign * c * s2)
-    # associative part: phi on an inner window, then phi on the result
-    q = len(w)
-    for k in range(len(m) + 1):
-        for picks in combinations(range(len(m)), k):
-            b_syms = tuple(m[i] for i in picks)
-            a_syms = tuple(m[i] for i in range(len(m))
-                           if i not in set(picks))
-            s_back = split_sign_back(m, picks, sl)
-            bdeg = sum(sl[i] for i in b_syms)
-            for i in range(0, q + 1):
-                for j in range(i, q + 1):
-                    inner = phi.get((b_syms, w[i:j]))
-                    if not inner:
-                        continue
-                    prefix_deg = sum(sa[x] for x in w[:i])
-                    sign = s_back
-                    if (bdeg & 1) and (prefix_deg & 1):
-                        sign = -sign
-                    adeg = sum(sl[x] for x in a_syms)
-                    if (adeg + prefix_deg) & 1:
-                        sign = -sign  # the odd operator crosses the prefix
-                    for idx, c in inner.items():
-                        val = phi.get((a_syms, w[:i] + (idx,) + w[j:]))
-                        if val:
-                            accumulate(out, val.items(), sign * c)
-    return out
+    d = lru_cache(maxsize=None)(
+        lift_phi(sl, sa, *suspended_corestrictions(data), -1))
+    cells = [(m, w) for p in range(arity_bound + 1)
+             for m in graded_multisets(sl, p)
+             for q in range(0 if p else 1, arity_bound - p + 1)
+             for w in product(range(len(sa)), repeat=q)]
+    squares = {x: _compose({}, d(x), d) for x in cells}
+    # the relation instances: the one-factor part of each square
+    closed, open_ = {}, {}
+    for (m, w), square in squares.items():
+        for (mm, ww), c in square.items():
+            if len(mm) + len(ww) == 1:
+                table, key = (closed, m) if mm else (open_, (m, w))
+                table.setdefault(key, {})[(mm + ww)[0]] = c
+    lifted = lift_phi(sl, sa, closed, open_, -2)
+    report = SHReport()
+    for x, square in squares.items():
+        if square != lifted(x):
+            report.discrepancies.append(x)
+        if square:
+            report.violations.append(x + (square,))
+    return report
 
 
 def strict_pair_tensors(data_pair, bracket, mult, action):

@@ -1,19 +1,20 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bioperad import algebraside
 from bioperad.algebraside import (CofreePair, FreeAlgebra, GradedPair,
                                   HomotopyAlgebraData, LeibnizPairData,
                                   ce_complex, ce_hochschild_homology,
-                                  check_coderivation_laws, lift_phi, lift_psi,
-                                  shlp_ocha_check, strict_pair_tensors,
-                                  unshuffle_splits, _insert_symbol,
-                                  _lyndon_words, _sort_wedge)
+                                  check_coderivation_laws, graded_multisets,
+                                  lift_phi, lift_psi, shlp_ocha_check,
+                                  strict_pair_tensors, unshuffle_splits,
+                                  _insert_symbol, _lyndon_words, _sort_wedge)
 from bioperad.specfile import TensorFileError, parse_tensor_file
 from bioperad.verify import _random_homotopy_data, _random_image
 
@@ -101,12 +102,13 @@ def test_ce_invalid_pair_rejected():
 
 def test_lift_coderivation_zero_maps():
     cofree = CofreePair(GradedPair.ungraded(2, 2), 3, 3)
-    psit = lift_psi(cofree.cdeg, cofree.closed_bound, {})
+    psit = lift_psi(cofree.cdeg, {})
     phit = lift_phi(cofree.cdeg, cofree.odeg, {}, {}, -1)
     for m in cofree.closed_basis:
         assert psit(m) == {}
-    for m, w in cofree.mixed_basis:
-        assert phit(m, w) == {}
+        assert phit((m, ())) == {}
+    for cell in cofree.mixed_basis:
+        assert phit(cell) == {}
 
 
 def test_lift_psi_binary_unshuffles():
@@ -115,7 +117,7 @@ def test_lift_psi_binary_unshuffles():
     cofree = CofreePair(pair, 3, 1)
     psi = {(0, 1): {2: Fraction(1)}, (0, 2): {1: Fraction(1)},
            (1, 2): {0: Fraction(1)}}
-    tilde = lift_psi(cofree.cdeg, cofree.closed_bound, psi)
+    tilde = lift_psi(cofree.cdeg, psi)
     out = tilde((0, 1, 2))
     # psi(v1 v2) v3 + psi(v1 v3) v2 + psi(v2 v3) v1
     assert out == {(2, 2): Fraction(1), (1, 1): Fraction(1),
@@ -141,6 +143,30 @@ def test_coderivation_laws_exhaustive():
         if img:
             phi[key] = img
     assert check_coderivation_laws(cofree, psi, phi, -1) == []
+
+
+@pytest.mark.parametrize("op_degree", [-1, -2, 1])
+@pytest.mark.parametrize("cdeg, odeg", [([1, 2], [1, 2]), ([0, 1], [0, 1]),
+                                        ([1, 0, 3], [0, 1, 2])])
+def test_coderivation_laws_on_graded_pairs(cdeg, odeg, op_degree):
+    # the same identities where the Koszul signs of the lifts matter:
+    # homogeneous random corestrictions of degree op_degree on a graded
+    # pair (a map of mixed degree breaks the laws by construction)
+    rng = random.Random(17)
+    pair = GradedPair([(f"x{i}", d) for i, d in enumerate(cdeg)],
+                      [(f"a{i}", d) for i, d in enumerate(odeg)])
+    cofree = CofreePair(pair, 3, 3)
+
+    def image(degrees, degree):
+        return {i: rng.choice([-2, -1, 1, 2])
+                for i, d in enumerate(degrees) if d == degree + op_degree}
+
+    psi = {m: img for m in cofree.closed_basis
+           if (img := image(cdeg, cofree.mdeg(m)))}
+    phi = {(m, w): img for m, w in cofree.mixed_basis
+           if (img := image(odeg, cofree.mdeg(m) + cofree.wdeg(w)))}
+    assert phi
+    assert check_coderivation_laws(cofree, psi, phi, op_degree) == []
 
 
 def test_entries_are_filed_in_wedge_order():
@@ -214,8 +240,8 @@ def test_strict_pair_perturbed_fails_but_agrees():
 
 
 def test_randomized_equivalence_of_formulations():
-    # criterion-style: random graded tensor sets; [D,D] = 0 componentwise
-    # agrees with the relation instances on every instance
+    # criterion-style: random graded tensor sets; D^2 is the lift of its
+    # own relation instances on every cell
     rng = random.Random(23)
     passes = fails = 0
     for trial in range(20):
@@ -227,6 +253,76 @@ def test_randomized_equivalence_of_formulations():
         else:
             fails += 1
     assert fails > 0  # random data is almost never a strong homotopy pair
+
+
+def _random_tensors(rng, cdeg, odeg, density, arities):
+    """Homogeneous random l_1..l_3 and n_{p,q} for (p, q) in arities on the
+    graded pair with these degrees, each entry kept with the density."""
+    pair = GradedPair([(f"x{i}", d) for i, d in enumerate(cdeg)],
+                      [(f"a{i}", d) for i, d in enumerate(odeg)])
+    sl = [d + 1 for d in cdeg]
+
+    def image(degrees, din, k):
+        return _random_image(rng, [i for i, d in enumerate(degrees)
+                                   if d == din + k - 2], 1, density)
+
+    l_tensors = {n: {key: img for key in graded_multisets(sl, n)
+                     if (img := image(cdeg, sum(cdeg[i] for i in key), n))}
+                 for n in (1, 2, 3)}
+    n_tensors = {(p, q): {(ck, ok): img
+                          for ck in graded_multisets(sl, p)
+                          for ok in product(range(len(odeg)), repeat=q)
+                          if (img := image(odeg, sum(cdeg[i] for i in ck)
+                                           + sum(odeg[i] for i in ok), p + q))}
+                 for p, q in arities}
+    return HomotopyAlgebraData(pair, l_tensors, n_tensors)
+
+
+def test_random_ocha_sets_agree():
+    # sparse random tensors with q = 0 terms, so that some sets are OCHA
+    # structures and some are not: D^2 is the lift of its own relation
+    # instances on every cell, in both cases
+    rng = random.Random(33)
+    arities = [(p, q) for p in range(3) for q in range(3) if p or q]
+    verdicts = Counter()
+    for trial in range(40):
+        data = _random_tensors(rng, [0, 1], [0, 1],
+                               rng.choice([0.05, 0.1, 0.15, 0.25]), arities)
+        if not data.has_open_closed_extension():
+            continue
+        for bound in (3, 4):
+            report = shlp_ocha_check(data, "OCHA", bound)
+            assert report.discrepancies == [], (trial, bound)
+            verdicts[report.passed] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_a_failing_q0_relation_is_reported_at_its_own_cell():
+    # n_{1,0}(l_1(x)) = a, and no other term of the relation at x: D^2 is
+    # nonzero on the closed cell (x) itself, whose word is empty
+    data = parse_tensor_file("closed x 0\nclosed z -1\nopen a -2\n"
+                             "l 1: x -> z\nn 1 0: z | -> a\n")
+    report = shlp_ocha_check(data, "OCHA", 2)
+    assert report.discrepancies == []
+    assert report.violations[0] == ((0,), (), {((), (0,)): 1})
+
+
+def test_a_sign_broken_lift_shows_discrepancies(monkeypatch):
+    # a closed lift without the unshuffle sign is not a coderivation, so
+    # the square of D is not the lift of its relation instances; the pair
+    # has two odd suspended closed symbols, so that the sign is not 1
+    data = _random_tensors(random.Random(7), [0, 0, 1], [0, 1], 0.9, [])
+    assert shlp_ocha_check(data, "SHLP", 4).discrepancies == []
+
+    def unsigned_psi_terms(m, cdeg, psi):
+        for _, a, b in unshuffle_splits(m, cdeg):
+            for idx, c in psi.get(a, {}).items() if a else ():
+                s2, merged = _insert_symbol(idx, b, cdeg)
+                if s2:
+                    yield merged, s2 * c
+
+    monkeypatch.setattr(algebraside, "_psi_terms", unsigned_psi_terms)
+    assert shlp_ocha_check(data, "SHLP", 4).discrepancies != []
 
 
 def test_tensor_file_roundtrip():
@@ -275,9 +371,10 @@ def test_ce_differential_squares_to_zero():
         checked = 0
         for (color, _, _), basis in cells.items():
             for x in basis:
+                assert (color == "c") == (x[1] == ())
                 twice = {}
-                for y, c in d(color, x).items():
-                    for z, c2 in d(color, y).items():
+                for y, c in d(x).items():
+                    for z, c2 in d(y).items():
                         twice[z] = twice.get(z, 0) + c * c2
                 assert not any(twice.values()), (color, x)
                 checked += 1

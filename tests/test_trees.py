@@ -1061,7 +1061,7 @@ def test_algebra_side_coefficients_are_ints_or_proper_fractions(data):
                               max_size=2))
     a = data.draw(st.sampled_from(
         [b for b in fa.a_basis if fa.open_weight(b) <= 3]))
-    outs = [lift_psi(cofree.cdeg, cofree.closed_bound, psi)(m),
-            lift_phi(cofree.cdeg, cofree.odeg, psi, phi, -1)(mm, w),
+    outs = [lift_psi(cofree.cdeg, psi)(m),
+            lift_phi(cofree.cdeg, cofree.odeg, psi, phi, -1)((mm, w)),
             coproduct_open(cofree, mm, w), fa.bracket(x, y), fa.action(x, a)]
     assert all(_exact(out.values()) for out in outs)
