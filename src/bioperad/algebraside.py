@@ -6,10 +6,15 @@ realized inside the tensor algebra, with Lyndon words as the basis.
 
 Cofree side: the coalgebra pair (S^c(V_c), (S^c)+(V_c) (x) T^c(V_o)) with
 coderivation lifts of corestrictions, graded throughout (the ungraded case
-is the degree-0 special case).  One pair coderivation serves both the pair
-complex of a strict Leibniz pair and the strong-homotopy checker, which
-squares it on the suspended pair and compares the square with the lift of
-its own one-factor part, the unshuffle relation instances.
+is the degree-0 special case).  A structure is its tensors,
+HomotopyAlgebraData; a strict Leibniz pair is the one with l_2, n_{0,2}
+and n_{1,1} only (``FreeAlgebra.pair`` hands out the free one with its
+weights).  One pair coderivation, lifted from the suspended tensors,
+serves both the pair complex of a strict pair, whose homology is ranked
+only where that d squares to zero (on the three-factor cells that is the
+Leibniz-pair axioms), and the strong-homotopy checker, which squares it
+and compares the square with the lift of its own one-factor part, the
+unshuffle relation instances.
 This module reads no files: ``specfile.parse_tensor_file`` turns a tensor
 file into HomotopyAlgebraData.
 """
@@ -169,6 +174,28 @@ class FreeAlgebra:
             accumulate(out, ((("word", head + ((tw + u, o),) + tail), c)
                              for tw, c in expansion))
         return out
+
+    def pair(self):
+        """(data, (closed_weights, open_weights)): the strict pair as the
+        HomotopyAlgebraData of its tensors l_2, n_{0,2} and n_{1,1} on the
+        ungraded pair whose closed and open symbols are l_basis and
+        a_basis, and the weight of each symbol."""
+        lb, ab = self.l_basis, self.a_basis
+        index = {x: i for basis in (lb, ab) for i, x in enumerate(basis)}
+
+        def table(structure, left, right, pairs):
+            return {(i, j): {index[k]: c for k, c
+                             in structure(left[i], right[j]).items()}
+                    for i, j in pairs}
+
+        nl, na = len(lb), len(ab)
+        data = strict_pair_tensors(
+            GradedPair.ungraded(nl, na),
+            table(self.bracket, lb, lb, combinations(range(nl), 2)),
+            table(self.open_product, ab, ab, product(range(na), repeat=2)),
+            table(self.action, lb, ab, product(range(nl), range(na))))
+        return data, ([self.closed_weight(x) for x in lb],
+                      [self.open_weight(x) for x in ab])
 
 
 def _letter_words(letters, bound, weight_of):
@@ -395,87 +422,15 @@ def _compose(acc, vec, f, scale=1):
 # Chevalley-Eilenberg / Hochschild bicomplex for strict Leibniz pairs
 
 
-class LeibnizPairData:
-    """A strict Leibniz pair by structure maps on basis elements.
-
-    bracket(x, y), mult(x, y), action(l, x) return dicts; weights give an
-    optional grading that all three maps must respect additively.
-    """
-
-    def __init__(self, l_basis, a_basis, bracket, mult, action,
-                 l_weight=None, a_weight=None, bound=None):
-        self.l_basis = list(l_basis)
-        self.a_basis = list(a_basis)
-        self.bracket = bracket
-        self.mult = mult
-        self.action = action
-        self.l_weight = l_weight or (lambda x: 1)
-        self.a_weight = a_weight or (lambda x: 1)
-        self.bound = bound
-
-    @classmethod
-    def from_free_algebra(cls, fa):
-        return cls(fa.l_basis, fa.a_basis, fa.bracket, fa.open_product,
-                   fa.action, l_weight=fa.closed_weight,
-                   a_weight=fa.open_weight, bound=fa.bound)
-
-    def validate(self):
-        """Check the Leibniz-pair axioms on all basis tuples (within the
-        weight bound when one is set)."""
-        bad = []
-
-        def within(*ws):
-            return self.bound is None or sum(ws) <= self.bound
-
-        lb, ab = self.l_basis, self.a_basis
-        lw, aw = self.l_weight, self.a_weight
-        br, mult, act = self.bracket, self.mult, self.action
-        for x, y in product(lb, repeat=2):
-            if within(lw(x), lw(y)) and accumulate(dict(br(x, y)),
-                                                   br(y, x).items()):
-                bad.append(("antisymmetry", x, y))
-        for x, y, z in product(lb, repeat=3):
-            if not within(lw(x), lw(y), lw(z)):
-                continue
-            jac = {}
-            _compose(jac, br(x, y), lambda t: br(t, z))
-            _compose(jac, br(y, z), lambda t: br(t, x))
-            _compose(jac, br(z, x), lambda t: br(t, y))
-            if jac:
-                bad.append(("jacobi", x, y, z))
-        for x, y, z in product(ab, repeat=3):
-            if not within(aw(x), aw(y), aw(z)):
-                continue
-            diff = _compose({}, mult(x, y), lambda t: mult(t, z))
-            _compose(diff, mult(y, z), lambda t: mult(x, t), -1)
-            if diff:
-                bad.append(("associativity", x, y, z))
-        for l, x, y in product(lb, ab, ab):
-            if not within(lw(l), aw(x), aw(y)):
-                continue
-            diff = _compose({}, mult(x, y), lambda t: act(l, t))
-            _compose(diff, act(l, x), lambda t: mult(t, y), -1)
-            _compose(diff, act(l, y), lambda t: mult(x, t), -1)
-            if diff:
-                bad.append(("derivation", l, x, y))
-        for l, m, x in product(lb, lb, ab):
-            if not within(lw(l), lw(m), aw(x)):
-                continue
-            diff = _compose({}, br(l, m), lambda t: act(t, x))
-            _compose(diff, act(m, x), lambda t: act(l, t), -1)
-            _compose(diff, act(l, x), lambda t: act(m, t))
-            if diff:
-                bad.append(("morphism", l, m, x))
-        return bad
-
-
-def ce_complex(data, bound):
+def ce_complex(data, weights, bound):
     """The pair complex of a strict Leibniz pair, truncated by weight.
 
-    The complex is the cofree pair on the suspended underlying spaces with
-    the coderivation that the strong-homotopy checker lifts from the strict
-    tensors l_2, n_{0,2} and n_{1,1} of the pair (strict_pair_tensors, then
-    suspended_corestrictions): closed chains are symmetric words in
+    data: the HomotopyAlgebraData of the pair's tensors l_2, n_{0,2} and
+    n_{1,1} (``FreeAlgebra.pair``); weights: (closed, open), the positive
+    weight of each closed and each open symbol.  The complex is the cofree
+    pair on the suspended underlying spaces with the coderivation that the
+    strong-homotopy checker lifts from the same tensors
+    (suspended_corestrictions): closed chains are symmetric words in
     suspended Lie elements (exterior powers downstairs), mixed chains take a
     tensor word of suspended algebra letters.  Every binary corestriction
     then carries the decalage sign -1, so d is -1 times the lift of the
@@ -489,54 +444,40 @@ def ce_complex(data, bound):
     cofree cells (m, w), n the number of factors, with w = () exactly for
     the closed color; d(cell) is the differential of a basis cell.
     """
-    l_basis = list(data.l_basis)
-    a_basis = list(data.a_basis)
-    l_index = {x: i for i, x in enumerate(l_basis)}
-    a_index = {x: i for i, x in enumerate(a_basis)}
-    nl, na = len(l_basis), len(a_basis)
-
-    def table(structure, left, right, pairs, index):
-        return {(i, j): {index[k]: v
-                         for k, v in structure(left[i], right[j]).items()}
-                for i, j in pairs}
-
-    tensors = strict_pair_tensors(
-        GradedPair.ungraded(nl, na),
-        table(data.bracket, l_basis, l_basis, combinations(range(nl), 2),
-              l_index),
-        table(data.mult, a_basis, a_basis, product(range(na), repeat=2),
-              a_index),
-        table(data.action, l_basis, a_basis, product(range(nl), range(na)),
-              a_index))
-    psi, phi = suspended_corestrictions(tensors)
-
-    lw = [data.l_weight(x) for x in l_basis]
-    aw = [data.a_weight(x) for x in a_basis]
+    lw, aw = weights
     cells = {}
     for q in range(bound + 1):
         for p in range(0 if q else 1, bound + 1):
-            for m in combinations(range(nl), p):
+            for m in graded_multisets(data.sl, p):
                 base = sum(lw[i] for i in m)
                 if base + q > bound:
                     continue
-                for word in product(range(na), repeat=q):
+                for word in product(range(len(aw)), repeat=q):
                     w = base + sum(aw[i] for i in word)
                     if w <= bound:
                         cells.setdefault(("o" if q else "c", w, p + q),
                                          []).append((m, word))
-    return cells, lift_phi(tensors.sl, tensors.sa, psi, phi, -1)
+    psi, phi = suspended_corestrictions(data)
+    return cells, lift_phi(data.sl, data.sa, psi, phi, -1)
 
 
-def ce_hochschild_homology(data, bound):
+def ce_hochschild_homology(data, weights, bound):
     """Homology of the pair complex (see ce_complex), by total weight and
-    chain degree.  Raises ValueError unless data is a Leibniz pair.
+    chain degree.  Raises ValueError, naming the first cell, unless d^2 = 0
+    on every cell of the complex: on the three-factor cells within the
+    weight bound that is the Jacobi identity, associativity, and the
+    derivation and morphism rules of the action (antisymmetry is built in,
+    l_2 being keyed by sorted pairs).
 
     Returns {("c"|"o", weight, n): dim H_n} with n the number of factors.
     """
-    bad = data.validate()
-    if bad:
-        raise ValueError(f"not a Leibniz pair: {bad[:3]}")
-    cells, d = ce_complex(data, bound)
+    cells, d = ce_complex(data, weights, bound)
+    d = lru_cache(maxsize=None)(d)
+    for key, basis in cells.items():
+        for x in basis:
+            if _compose({}, d(x), d):
+                raise ValueError(f"not a Leibniz pair: d^2 != 0 on the cell "
+                                 f"{x} of {key}")
 
     def columns(key, n):
         color, w = key
@@ -594,8 +535,10 @@ class HomotopyAlgebraData:
         """Add img to the entry of l_n (closed) or n_{p,q} at the closed
         arguments ckey, in any order, and the open arguments okey, filed
         under the sorted wedge key with its Koszul sign.  Raises ValueError
-        on a degenerate key or unless img has the degree of its tensor:
-        l_n (closed output) n-2, n_{p,q} p+q-2."""
+        on an entry with no inputs, on a degenerate key or unless img has
+        the degree of its tensor: l_n (closed output) n-2, n_{p,q} p+q-2."""
+        if not ckey and not okey:
+            raise ValueError("a tensor needs at least one input")
         sign, key = _sort_wedge(ckey, self.cdeg)
         if sign == 0:
             raise ValueError("degenerate wedge key "
@@ -620,23 +563,6 @@ class HomotopyAlgebraData:
         """Whether a q = 0 tensor is nonzero: OCHA data, not SHLP data."""
         return any(q == 0 and any(any(img.values()) for img in table.values())
                    for (_, q), table in self.n_tensors.items())
-
-    # -- evaluation with graded antisymmetry on the closed block ----------
-
-    def eval_l(self, tup):
-        """l(|tup|)(tup) for an arbitrary L-index tuple."""
-        sign, key = _sort_wedge(tup, self.cdeg)
-        if sign == 0:
-            return {}
-        table = self.l_tensors.get(len(tup), {})
-        return accumulate({}, table.get(key, {}).items(), sign)
-
-    def eval_n(self, ctup, otup):
-        sign, key = _sort_wedge(ctup, self.cdeg)
-        if sign == 0:
-            return {}
-        table = self.n_tensors.get((len(ctup), len(otup)), {})
-        return accumulate({}, table.get((key, tuple(otup)), {}).items(), sign)
 
 
 def _sort_wedge(tup, degrees):
@@ -664,25 +590,18 @@ def suspended_corestrictions(data):
     """(psi, phi) on the suspended pair from the structure tensors.
 
     psi: multiset (of sL indices) -> L-vector; phi likewise to A.  The
-    suspension converts the exterior evaluation into a symmetric one; the
-    decalage sign moves the desuspensions into place.
+    sorted wedge keys of the tensors are the symmetric keys of the
+    suspended symbols, so each entry is read once; the decalage sign moves
+    the desuspensions into place.
     """
     sl, sa = data.sl, data.sa
-    psi = {}
-    for n in data.l_tensors:
-        for m in graded_multisets(sl, n):
-            val = data.eval_l(m)
-            if val:
-                psi[m] = accumulate({}, val.items(),
-                                    _decalage([sl[x] for x in m]))
-    phi = {}
-    for (p, q) in data.n_tensors:
-        for m in graded_multisets(sl, p):
-            for w in product(range(len(sa)), repeat=q):
-                val = data.eval_n(m, w)
-                if val:
-                    phi[(m, w)] = accumulate({}, val.items(), _decalage(
-                        [sl[x] for x in m] + [sa[x] for x in w]))
+    psi = {m: accumulate({}, img.items(), _decalage([sl[x] for x in m]))
+           for table in data.l_tensors.values()
+           for m, img in table.items() if img}
+    phi = {(m, w): accumulate({}, img.items(), _decalage(
+               [sl[x] for x in m] + [sa[x] for x in w]))
+           for table in data.n_tensors.values()
+           for (m, w), img in table.items() if img}
     return psi, phi
 
 

@@ -175,9 +175,10 @@ def cmd_ql_check(args):
 
 def cmd_shlp_check(args):
     data = parse_tensor_file(_read(args.tensorfile))
-    if args.mode == "SHLP" and data.has_open_closed_extension():
-        raise UsageError("the file has q = 0 tensors; they need --mode OCHA")
-    report = shlp_ocha_check(data, args.mode, args.N)
+    try:
+        report = shlp_ocha_check(data, args.mode, args.N)
+    except ValueError as exc:  # q = 0 tensors under --mode SHLP
+        raise UsageError(str(exc)) from exc
     record = {"mode": args.mode, "arity": args.N, "passed": report.passed,
               "violations": [str(v)[:200] for v in report.violations[:10]],
               "discrepancies": [str(v)[:200]

@@ -13,10 +13,9 @@ from itertools import product
 from math import factorial
 
 from .algebraside import (CofreePair, FreeAlgebra, GradedPair,
-                          HomotopyAlgebraData, LeibnizPairData,
-                          ce_hochschild_homology, check_coderivation_laws,
-                          graded_multisets, shlp_ocha_check,
-                          strict_pair_tensors)
+                          HomotopyAlgebraData, ce_hochschild_homology,
+                          check_coderivation_laws, graded_multisets,
+                          shlp_ocha_check, strict_pair_tensors)
 from .dgcalc import gk_mismatches, homology_dims, verify_d_squared
 from .duality import (QLFailure, cobar_truncate, ql_koszul_data,
                       quadratic_dual, weight2_signatures)
@@ -191,9 +190,8 @@ def check_nonformality(bounds):
 
 
 def check_ce_hochschild(bounds):
-    fa = FreeAlgebra(GradedPair.ungraded(2, 1), 3)
-    data = LeibnizPairData.from_free_algebra(fa)
-    h = ce_hochschild_homology(data, 3)
+    data, weights = FreeAlgebra(GradedPair.ungraded(2, 1), 3).pair()
+    h = ce_hochschild_homology(data, weights, 3)
     good = (h.get(("c", 1, 1)) == 2 and h.get(("o", 1, 1)) == 1
             and all((w, n) == (1, 1) for (color, w, n) in h))
     return _ok(good, {str(k): v for k, v in h.items()})

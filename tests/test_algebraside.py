@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from bioperad import algebraside
 from bioperad.algebraside import (CofreePair, FreeAlgebra, GradedPair,
-                                  HomotopyAlgebraData, LeibnizPairData,
-                                  ce_complex, ce_hochschild_homology,
+                                  HomotopyAlgebraData, ce_complex,
+                                  ce_hochschild_homology,
                                   check_coderivation_laws, graded_multisets,
                                   lift_phi, lift_psi, shlp_ocha_check,
-                                  strict_pair_tensors, unshuffle_splits,
+                                  strict_pair_tensors,
+                                  suspended_corestrictions, unshuffle_splits,
                                   _insert_symbol, _lyndon_words, _sort_wedge)
 from bioperad.specfile import TensorFileError, parse_tensor_file
 from bioperad.verify import _random_homotopy_data, _random_image
@@ -21,9 +22,9 @@ from bioperad.verify import _random_homotopy_data, _random_image
 
 def _dims_by_weight(fa):
     """Closed and open basis sizes of a free algebra, by weight."""
-    lp = LeibnizPairData.from_free_algebra(fa)
-    return (Counter(("c", lp.l_weight(x)) for x in lp.l_basis)
-            + Counter(("o", lp.a_weight(x)) for x in lp.a_basis))
+    _, (closed, open_) = fa.pair()
+    return (Counter(("c", w) for w in closed)
+            + Counter(("o", w) for w in open_))
 
 
 def test_free_lp_dims_and_basis():
@@ -56,22 +57,20 @@ def test_lp_bracket_jacobi_in_lyndon_basis():
     # antisymmetry
     yx = fa.bracket(y, x)
     assert yx == {k: -v for k, v in xy.items()}
-    # Jacobi on weight-3 triples via validate()
-    data = LeibnizPairData.from_free_algebra(fa)
-    assert data.validate() == []
+    # Jacobi on weight-3 triples: d^2 = 0 on the three-factor cells of the
+    # pair complex, which ce_hochschild_homology asserts before it ranks
+    ce_hochschild_homology(*fa.pair(), 3)
 
 
 def test_action_is_by_derivations():
     fa = FreeAlgebra(GradedPair.ungraded(1, 1), 3)
-    data = LeibnizPairData.from_free_algebra(fa)
-    assert data.validate() == []
+    ce_hochschild_homology(*fa.pair(), 3)
 
 
 def test_ce_abelian_zero_differential():
     # 1-dim abelian Lie algebra, zero A: closed homology equals chains
-    data = LeibnizPairData(["x"], [], lambda a, b: {}, lambda a, b: {},
-                           lambda l, a: {}, bound=3)
-    h = ce_hochschild_homology(data, 3)
+    fa = FreeAlgebra(GradedPair.ungraded(1, 0), 3)
+    h = ce_hochschild_homology(*fa.pair(), 3)
     assert h[("c", 1, 1)] == 1
     # Lambda^p of a 1-dim space vanishes for p > 1, so only one cell
     assert all(k[0] == "c" for k in h)
@@ -79,8 +78,7 @@ def test_ce_abelian_zero_differential():
 
 def test_ce_free_lp_concentrated_in_bottom_degree():
     fa = FreeAlgebra(GradedPair.ungraded(2, 1), 3)
-    data = LeibnizPairData.from_free_algebra(fa)
-    h = ce_hochschild_homology(data, 3)
+    h = ce_hochschild_homology(*fa.pair(), 3)
     # closed: only the generators in weight 1 survive, at chain degree 1
     assert h[("c", 1, 1)] == 2
     assert not any(color == "c" and (w, n) != (1, 1)
@@ -91,13 +89,34 @@ def test_ce_free_lp_concentrated_in_bottom_degree():
                    for (color, w, n) in h)
 
 
+def _perturbed_free_pair():
+    """The free pair on x1, x2 and a1 at weight 3 with x1.a1 doubled, which
+    breaks the derivation and morphism rules, and its weights."""
+    data, weights = FreeAlgebra(GradedPair.ungraded(2, 1), 3).pair()
+    data.add_entry(False, (0,), (0,), dict(data.n_tensors[(1, 1)][
+        ((0,), (0,))]))
+    return data, weights
+
+
 def test_ce_invalid_pair_rejected():
-    bad = LeibnizPairData(["x", "y"], ["a"],
-                          lambda u, v: ({("x")//1: 1} if False else
-                                        ({"x": Fraction(1)} if u != v else {})),
-                          lambda u, v: {}, lambda l, a: {}, bound=2)
-    with pytest.raises(ValueError):
-        ce_hochschild_homology(bad, 2)
+    # the morphism rule at x1, x2 and a1 fails first, on a three-factor
+    # open cell of weight 3
+    with pytest.raises(ValueError, match=r"^not a Leibniz pair: d\^2 != 0 on "
+                       r"the cell \(\(0, 1\), \(0,\)\) of \('o', 3, 3\)$"):
+        ce_hochschild_homology(*_perturbed_free_pair(), 3)
+
+
+def test_pair_complex_gate_agrees_with_the_shlp_check():
+    valid = FreeAlgebra(GradedPair.ungraded(2, 1), 3).pair()
+    for (data, weights), leibniz in ((valid, True),
+                                     (_perturbed_free_pair(), False)):
+        try:
+            ce_hochschild_homology(data, weights, 3)
+            gate = True
+        except ValueError:
+            gate = False
+        assert gate == leibniz
+        assert shlp_ocha_check(data, "SHLP", 3).passed == leibniz
 
 
 def test_lift_coderivation_zero_maps():
@@ -175,7 +194,8 @@ def test_entries_are_filed_in_wedge_order():
     pair = GradedPair.ungraded(2, 1)
     data = HomotopyAlgebraData(pair, {2: {(1, 0): {0: 1}}}, {})
     assert data.l_tensors == {2: {(0, 1): {0: -1}}}
-    assert data.eval_l((1, 0)) == {0: 1}
+    # read back once, with the decalage sign of two suspended symbols
+    assert suspended_corestrictions(data) == ({(0, 1): {0: 1}}, {})
     spec = "closed x1 0\nclosed x2 0\nl 2: {} -> x1"
     assert parse_tensor_file(spec.format("x2,x1")).l_tensors == \
         data.l_tensors
@@ -183,6 +203,25 @@ def test_entries_are_filed_in_wedge_order():
         HomotopyAlgebraData(pair, {2: {(0, 0): {0: 1}}}, {})
     with pytest.raises(TensorFileError, match="degenerate wedge key x1,x1"):
         parse_tensor_file(spec.format("x1,x1"))
+
+
+def test_a_tensor_with_no_inputs_is_refused():
+    # a curvature l_0 or n_{0,0} is no part of an SHLP or OCHA structure;
+    # l_1, n_{0,1} and n_{1,0} are
+    pair = GradedPair([("x", -2), ("z", -1)], [("a", -2), ("b", -1)])
+    for l_tensors, n_tensors in (({0: {(): {0: 1}}}, {}),
+                                 ({}, {(0, 0): {((), ()): {0: 1}}})):
+        with pytest.raises(ValueError,
+                           match="^a tensor needs at least one input$"):
+            HomotopyAlgebraData(pair, l_tensors, n_tensors)
+    data = HomotopyAlgebraData(pair, {1: {(1,): {0: 1}}},
+                               {(0, 1): {((), (1,)): {0: 1}},
+                                (1, 0): {((1,), ()): {0: 1}}})
+    assert data.has_open_closed_extension()
+    for text in ("open a -2\nn 0 0: | -> a\n", "closed x -2\nl 0: -> x\n"):
+        with pytest.raises(TensorFileError) as err:
+            parse_tensor_file(text)
+        assert str(err.value) == "a tensor needs at least one input (line 2)"
 
 
 def test_shlp_zero_tensors_pass():
@@ -216,13 +255,6 @@ def _two_dim_pair_tensors():
 
 def test_strict_pair_axioms_and_shlp():
     pair, bracket, mult, action = _two_dim_pair_tensors()
-    data_lp = LeibnizPairData(
-        [0, 1], [0, 1],
-        lambda u, v: dict(bracket.get((u, v), {})) if u <= v else
-        {k: -c for k, c in bracket.get((v, u), {}).items()},
-        lambda u, v: dict(mult.get((u, v), {})),
-        lambda l, a: dict(action.get((l, a), {})))
-    assert data_lp.validate() == []
     data = strict_pair_tensors(pair, bracket, mult, action)
     report = shlp_ocha_check(data, "SHLP", 4)
     assert report.discrepancies == []
@@ -367,7 +399,7 @@ def test_ce_differential_squares_to_zero():
     # the truncation, for two free pairs
     for n_closed, bound in ((2, 3), (1, 4)):
         fa = FreeAlgebra(GradedPair.ungraded(n_closed, 1), bound)
-        cells, d = ce_complex(LeibnizPairData.from_free_algebra(fa), bound)
+        cells, d = ce_complex(*fa.pair(), bound)
         checked = 0
         for (color, _, _), basis in cells.items():
             for x in basis:

@@ -341,6 +341,8 @@ MALFORMED_TENSORS = {
     "repeated-symbol": "closed x 0\nclosed x 0\n",
     "wrong-degree": "closed x 1\nl 2: x,x -> x\n",
     "open-closed-under-shlp": "closed x 0\nopen a -1\nn 1 0: x | -> a\n",
+    "nullary-open": "open a -2\nn 0 0: | -> a\n",
+    "nullary-closed": "closed x -2\nl 0: -> x\n",
 }
 
 
@@ -350,6 +352,23 @@ def test_malformed_tensor_file_exits_2(name, tmp_path, capsys):
     f.write_text(MALFORMED_TENSORS[name])
     assert main(["shlp-check", str(f)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["nullary-open", "nullary-closed"])
+def test_a_nullary_tensor_exits_2_in_ocha_mode(name, tmp_path, capsys):
+    f = tmp_path / f"{name}.tensors"
+    f.write_text(MALFORMED_TENSORS[name])
+    assert main(["shlp-check", str(f), "--mode", "OCHA"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: a tensor needs at least one input (line 2)\n")
+
+
+def test_q0_tensors_under_shlp_mode_exit_2(tmp_path, capsys):
+    f = tmp_path / "whistle.tensors"
+    f.write_text(MALFORMED_TENSORS["open-closed-under-shlp"])
+    assert main(["shlp-check", str(f), "--mode", "SHLP"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: q = 0 tensors need OCHA mode\n")
 
 
 def test_malformed_tensor_file_exit_code_from_process(tmp_path):
